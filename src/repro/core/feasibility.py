@@ -14,8 +14,9 @@ This module contains the *exact* combinatorial side of the reproduction:
 - :func:`brute_force_assignment` — exponential exact oracle for tiny
   instances (test reference).
 - :func:`max_satisfied` — the maximum number of simultaneously satisfiable
-  users (OPT_sat) for infeasible instances: exact via enumeration of load
-  partitions for identical machines, greedy heuristic otherwise.
+  users (OPT_sat) for infeasible instances: exact for identical machines at
+  any size via an O(m*n) DP over segments of the threshold-sorted order,
+  greedy heuristic otherwise.
 - :func:`multiplicative_slack` / :func:`additive_slack` — how much the
   thresholds can be tightened while staying feasible; the experiment suite
   sweeps generated slack and these functions audit it.
@@ -33,7 +34,10 @@ the rest).
 
 from __future__ import annotations
 
+import sys
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -239,13 +243,6 @@ def segment_dp_assignment(
     # Representative resource per type for prefix-size computation.
     reps = [type_to_resources[t][0] for t in types]
 
-    import sys
-    from functools import lru_cache
-
-    # Each recursion level places at least one user.
-    if sys.getrecursionlimit() < n + 200:
-        sys.setrecursionlimit(n + 200)
-
     @lru_cache(maxsize=None)
     def solve(start: int, remaining: tuple[int, ...]) -> tuple[int, int] | None:
         """First (type index, segment length) of a feasible completion, or
@@ -265,7 +262,14 @@ def segment_dp_assignment(
                     return (ti, t)
         return None
 
-    first = solve(0, counts)
+    # Each recursion level places at least one user; the raised limit is
+    # restored so the DP does not leak it into the rest of the interpreter.
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, n + 200))
+    try:
+        first = solve(0, counts)
+    finally:
+        sys.setrecursionlimit(old_limit)
     if first is None:
         return FeasibilityResult(False, True, "segment-dp", None)
 
@@ -339,67 +343,71 @@ def is_feasible(instance: Instance) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _partitions_at_most(n: int, parts: int, cap: int) -> Iterator[list[int]]:
-    """Non-increasing positive integer partitions of ``n`` into <= ``parts``
-    parts, each at most ``cap``."""
-    if n == 0:
-        yield []
-        return
-    if parts == 0:
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions_at_most(n - first, parts - 1, first):
-            yield [first] + rest
+def _max_satisfied_identical(instance: Instance, order_desc: np.ndarray) -> MaxSatisfiedResult:
+    """Exact OPT_sat on identical machines by the O(m*n) segment DP.
 
-
-def _count_satisfied_for_loads(loads_desc: list[int], q_desc: np.ndarray) -> int:
-    """Max satisfied users for a fixed load vector, identical machines.
-
-    A user counts on resource with load ``x`` iff its threshold is at least
-    ``x``.  Eligibility sets are nested in ``x``, so the greedy that serves
-    the most demanding resources first with the highest-threshold users is
-    optimal (transversal matroid with a laminar family).
+    Some optimum satisfies a prefix of the threshold-descending order, split
+    into contiguous segments, one per machine (exchange argument plus the
+    contiguity theorem of :func:`segment_dp_assignment`).  A segment ending
+    at user ``e`` holds at most ``cap_e = floor(q_e)`` users *including*
+    unsatisfied fillers.  ``best[j][e]`` is the largest total cap over the
+    ends of ``j`` segments exactly covering the top ``e`` users:
+    ``best[j][e] = cap_e + max{best[j-1][s] : e - cap_e <= s < e}``, whose
+    window only slides right, so one monotone deque per ``j`` suffices.
+    The optimum is the larger of (A) a prefix covered by at most ``m - 1``
+    segments (or all ``n`` users by at most ``m``), the fillers piled on a
+    spare machine, and (B) a prefix covered by exactly ``m`` segments whose
+    slack ``sum(cap) - e`` absorbs the ``n - e`` fillers.
     """
-    total = 0
-    ptr = 0  # next unused user in descending-threshold order
-    n = q_desc.size
-    for x in loads_desc:  # descending
-        take = 0
-        while take < x and ptr < n and q_desc[ptr] >= x:
-            ptr += 1
-            take += 1
-        total += take
-    return total
-
-
-def _witness_state_for_loads(
-    instance: Instance, loads_desc: list[int], order_desc: np.ndarray
-) -> State:
-    """Construct an assignment realising :func:`_count_satisfied_for_loads`."""
-    q_desc = instance.thresholds[order_desc]
     n, m = instance.n_users, instance.n_resources
-    assignment = np.full(n, -1, dtype=np.int64)
-    slots = list(loads_desc) + [0] * (m - len(loads_desc))
-    ptr = 0
-    counted: list[list[int]] = [[] for _ in range(m)]
-    for r, x in enumerate(loads_desc):
-        take = 0
-        while take < x and ptr < n and q_desc[ptr] >= x:
-            counted[r].append(int(order_desc[ptr]))
-            ptr += 1
-            take += 1
-    # Fill remaining capacity of each resource with leftover users.
-    leftovers = [int(order_desc[i]) for i in range(ptr, n)]
-    li = 0
-    for r in range(m):
-        for u in counted[r]:
-            assignment[u] = r
-        deficit = slots[r] - len(counted[r])
-        for _ in range(deficit):
-            assignment[leftovers[li]] = r
-            li += 1
-    assert li == len(leftovers)
-    return State(instance, assignment)
+    caps = np.clip(np.floor(instance.thresholds[order_desc]), 0, n).astype(np.int64).tolist()
+    prev = [0] + [-1] * n  # best[j-1][.]; -1 marks "unreachable"
+    back: list[list[int]] = [[]]  # back[j][e]: start of the last segment
+    e_a, j_a = 0, 0  # case (A): largest covered prefix, its segment count
+    for j in range(1, m + 1):
+        cur, starts = [-1] * (n + 1), [0] * (n + 1)
+        window: deque[int] = deque()  # candidate starts, prev[s] decreasing
+        for e in range(1, n + 1):
+            cap = caps[e - 1]
+            if cap == 0:
+                break  # caps are non-increasing: nothing further is reachable
+            v = prev[e - 1]
+            if v >= 0:
+                while window and prev[window[-1]] <= v:
+                    window.pop()
+                window.append(e - 1)
+            while window and window[0] < e - cap:
+                window.popleft()
+            if window:
+                s = window[0]
+                cur[e], starts[e] = cap + prev[s], s
+                if j < m and e > e_a:
+                    e_a, j_a = e, j
+        back.append(starts)
+        prev = cur
+        if cur[n] >= 0:
+            e_a, j_a = n, j  # feasible: everyone satisfied
+            break
+    # Case (B): all m machines hold satisfied users, fillers in the slack.
+    # (After an early break e_a = n, so the stale row cannot win.)
+    e_b = max((e for e in range(n + 1) if prev[e] >= n), default=0)
+    fill_slack = e_b > e_a
+    e, j = (e_b, m) if fill_slack else (e_a, j_a)
+
+    assignment = np.empty(n, dtype=np.int64)
+    end, pos = e, e  # pos: next filler in descending order
+    for k in range(j, 0, -1):  # replay segments last to first on machine k - 1
+        s = back[k][end]
+        assignment[order_desc[s:end]] = k - 1
+        if fill_slack:
+            take = min(caps[end - 1] - (end - s), n - pos)
+            assignment[order_desc[pos : pos + take]] = k - 1
+            pos += take
+        end = s
+    assignment[order_desc[pos:]] = j  # case (A): the spare machine
+    state = State(instance, assignment)
+    assert state.n_satisfied == e, "segment DP witness disagrees with its value"
+    return MaxSatisfiedResult(e, True, "segment-dp", state)
 
 
 def max_satisfied_brute_force(instance: Instance, limit: int = 2_000_000) -> MaxSatisfiedResult:
@@ -417,16 +425,13 @@ def max_satisfied_brute_force(instance: Instance, limit: int = 2_000_000) -> Max
     return MaxSatisfiedResult(best, True, "brute-force", best_state)
 
 
-def max_satisfied(instance: Instance, exact_limit: int = 200_000) -> MaxSatisfiedResult:
+def max_satisfied(instance: Instance) -> MaxSatisfiedResult:
     """Maximum number of simultaneously satisfiable users (OPT_sat).
 
-    For identical machines with unit weights the search is exact: every
-    assignment is characterised by its (sorted) load partition, and for a
-    fixed partition the greedy nested-eligibility count is optimal, so
-    enumerating non-increasing partitions of ``n`` into at most ``m`` parts
-    solves the problem.  Enumeration is abandoned in favour of the greedy
-    heuristic when the partition count would exceed ``exact_limit``
-    (approximately; partitions are counted on the fly).
+    For identical machines with unit weights the answer is exact at any
+    size (``method="segment-dp"``): an O(m*n) dynamic program over
+    segments of the threshold-sorted order, see
+    :func:`_max_satisfied_identical`.
 
     For heterogeneous profiles the result is a greedy lower bound
     (``exact=False``): pack satisfying groups greedily, then dump leftovers
@@ -438,26 +443,7 @@ def max_satisfied(instance: Instance, exact_limit: int = 200_000) -> MaxSatisfie
     q_desc = instance.thresholds[order_desc]
 
     if instance.identical_resources:
-        best = -1
-        best_loads: list[int] | None = None
-        seen = 0
-        exact = True
-        for loads in _partitions_at_most(n, m, n):
-            seen += 1
-            if seen > exact_limit:
-                exact = False
-                break
-            c = _count_satisfied_for_loads(loads, q_desc)
-            if c > best:
-                best, best_loads = c, loads
-            if best == n:
-                break
-        if best_loads is not None and exact:
-            state = _witness_state_for_loads(instance, best_loads, order_desc)
-            assert state.n_satisfied >= best
-            return MaxSatisfiedResult(
-                int(state.n_satisfied), True, "partition-enumeration", state
-            )
+        return _max_satisfied_identical(instance, order_desc)
 
     # Greedy heuristic (lower bound): greedy feasible packing of a maximal
     # satisfied set, leftovers dumped where they hurt least.

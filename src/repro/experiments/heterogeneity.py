@@ -235,8 +235,10 @@ def t2_infeasible(
 
     ``n = factor * m * q`` users compete with uniform threshold ``q``;
     OPT_sat is exactly ``(m-1) * q`` (at most ``m - 1`` resources can stay
-    at load ``<= q`` when ``n > m*q``; the greedy witness attains this and
-    tests assert it).
+    at load ``<= q`` when ``n > m*q``).  The column is priced by
+    :func:`~repro.core.feasibility.max_satisfied`, whose O(m*n) segment DP
+    is exact at every scale and returns a witness attaining it; tests
+    assert the formula.
 
     Expected shape — a satisfaction-price-of-anarchy story, strongly
     initial-state dependent:
@@ -331,6 +333,7 @@ def t2_cells(**params):
     """Cell decomposition of :func:`t2_infeasible`.
 
     No cell simulates, but the enumeration does build each overloaded
-    instance to price its OPT_sat witness — cheap greedy work.
+    instance to price its OPT_sat witness — one O(m*n) segment DP per
+    instance, about a millisecond at ci sizes.
     """
     return enumerate_cells(t2_infeasible, **params)

@@ -176,7 +176,9 @@ class _SweepState:
                 "cells_done": 0,
                 "alive": True,
             }
-            if self.journal is not None:
+            # A worker that connects just as the last cell commits is only
+            # told "done"; by then the journal may already be closed.
+            if self.journal is not None and not self._complete_locked():
                 self.journal.append("worker", worker=worker_id, host=str(host), pid=int(pid))
             self.dirty = True
             return worker_id

@@ -1,8 +1,11 @@
 """Feasibility theory: greedy exactness, OPT_sat, slack."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.core.certify import certify_max_satisfied_witness
 from repro.core.feasibility import (
     additive_slack,
     brute_force_assignment,
@@ -99,6 +102,15 @@ class TestGreedyExactness:
             brute = brute_force_assignment(inst)
             assert dp.feasible == brute.feasible
 
+    def test_segment_dp_restores_recursion_limit(self):
+        # n + 200 exceeds the default limit, so the DP raises it while it
+        # recurses; it must put the interpreter's limit back afterwards.
+        before = sys.getrecursionlimit()
+        inst = Instance.related_machines([500.0] * 1200, [1.0, 2.0])
+        dp = segment_dp_assignment(inst)
+        assert dp.feasible and dp.state.is_satisfying()
+        assert sys.getrecursionlimit() == before
+
     def test_segment_dp_state_limit(self):
         inst = Instance.related_machines([2.0] * 10, [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
@@ -151,8 +163,23 @@ class TestIsFeasible:
 class TestMaxSatisfied:
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(23)
-        for _ in range(120):
-            inst = random_small_instance(rng, max_n=6, max_m=3, max_q=5)
+        integer = [random_small_instance(rng, max_n=6, max_m=3, max_q=5) for _ in range(120)]
+        # Fractional thresholds and thresholds below 1 probe the floor(q)
+        # capacity boundary of the segment DP.
+        fractional = [
+            Instance.identical_machines(
+                rng.uniform(0.3, 5.5, size=int(rng.integers(1, 7))), int(rng.integers(1, 4))
+            )
+            for _ in range(80)
+        ]
+        boundary = [
+            Instance.identical_machines(
+                rng.choice([0.5, 0.99, 1.0, 1.5, 2.0, 2.99, 3.0], size=int(rng.integers(1, 7))),
+                int(rng.integers(1, 4)),
+            )
+            for _ in range(80)
+        ]
+        for inst in integer + fractional + boundary:
             exact = max_satisfied(inst)
             brute = max_satisfied_brute_force(inst)
             assert exact.exact
@@ -171,6 +198,15 @@ class TestMaxSatisfied:
             inst = Instance.identical_machines([float(q)] * n, m)
             res = max_satisfied(inst)
             assert res.n_satisfied == (m - 1) * q
+        # Table T2's ci sizes, far beyond any enumeration of load partitions.
+        m, q = 16, 8
+        for n in (160, 256):
+            inst = Instance.identical_machines([float(q)] * n, m)
+            res = max_satisfied(inst)
+            assert res.exact
+            assert res.n_satisfied == (m - 1) * q == 120
+            ok, issues = certify_max_satisfied_witness(inst, res)
+            assert ok, issues
 
     def test_docstring_example(self):
         # thresholds [5,1,1,1,1,1], m=2: OPT is 2 (big user absorbs fillers).
@@ -178,6 +214,16 @@ class TestMaxSatisfied:
         res = max_satisfied(inst)
         assert res.exact
         assert res.n_satisfied == 2
+
+    def test_every_machine_carries_satisfied_users_and_fillers(self):
+        # m=3: the q=5 user absorbs four fillers and each q=1 user sits alone
+        # (loads 5, 1, 1).  Leaving a machine spare for the fillers satisfies
+        # only 2, so the optimum fills the segments' slack instead.
+        inst = Instance.identical_machines([5.0, 1, 1, 1, 1, 1, 1], 3)
+        res = max_satisfied(inst)
+        assert res.exact
+        assert res.n_satisfied == 3 == max_satisfied_brute_force(inst).n_satisfied
+        assert sorted(res.state.loads.tolist()) == [1.0, 1.0, 5.0]
 
     def test_feasible_related_instance_via_greedy_path(self):
         # 3 machines at speed 1 (cap 2 each) + 2 at speed 4 (cap 8 each)

@@ -289,9 +289,13 @@ def test_worker_subprocesses_over_tcp(tmp_path):
     assert reference["failed"] == 0
     server, sbox = serve_in_thread(tmp_path, lease_ttl_s=10.0)
     host, port = sbox["address"]
+    # F1 has 3 cells: capping each worker at 2 means neither can drain the
+    # sweep alone, so the coordinator is still serving when the slower
+    # process connects.
     procs = [
         subprocess.Popen(
-            [sys.executable, "-m", "repro", "runs", "worker", "--connect", f"{host}:{port}"],
+            [sys.executable, "-m", "repro", "runs", "worker", "--connect", f"{host}:{port}",
+             "--max-cells", "2"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -429,6 +433,19 @@ def test_register_rejects_schema_and_version_mismatch(coordinator):
     assert reply["type"] == "error" and "version" in reply["error"]
     client.close()
     client2.close()
+
+
+def test_late_worker_after_completion_is_told_done(tmp_path):
+    # A worker can connect in the moment between the last commit and the
+    # server shutting down, when the journal is already closed.
+    journal = Journal(tmp_path / "journal.jsonl")
+    coord = Coordinator([], store=ResultStore(tmp_path / "store"), journal=journal, events=False)
+    journal.close()
+    welcome, close = coord.dispatch(
+        None, {"type": "register", "schema": NET_SCHEMA, "host": "h", "pid": 1}
+    )
+    assert welcome["type"] == "welcome" and not close
+    assert coord.dispatch(welcome["worker"], {"type": "lease"})[0] == {"type": "done"}
 
 
 def test_failed_cells_requeue_then_fail_and_sweep_completes(tmp_path):
