@@ -171,8 +171,9 @@ def _sweep_overrides(pairs: list[str]) -> tuple[dict, dict]:
 
 def _serve_sweep_cli(args: argparse.Namespace, *, timeout, retries) -> dict:
     """The ``sweep --serve`` path: coordinate over TCP instead of a pool."""
-    from .runs import DEFAULT_LEASE_TTL_S, read_journal, serve_sweep, sweepable_experiments
+    from .runs import DEFAULT_LEASE_TTL_S, serve_sweep, sweepable_experiments
     from .runs.net import parse_address
+    from .runs.sweep import read_sweep_config
 
     if args.profile:
         raise SystemExit("--serve cannot --profile: cells execute on remote workers")
@@ -189,11 +190,12 @@ def _serve_sweep_cli(args: argparse.Namespace, *, timeout, retries) -> dict:
                 "--resume reuses the journalled configuration; drop the "
                 "experiment ids / --set / --backend / --no-events overrides"
             )
-        config = read_journal(Path(args.resume) / "journal.jsonl")["meta"].get("sweep")
-        if not config:
-            raise SystemExit(f"no journalled sweep configuration under {args.resume}")
+        try:
+            config = read_sweep_config(args.resume)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
         out = args.resume
-        ids = config.get("experiments") or sweepable_experiments()
+        ids = config["experiments"]
         scale = config.get("scale", "ci")
         overrides = config.get("overrides") or {}
         backend = config.get("backend")

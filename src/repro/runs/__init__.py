@@ -8,16 +8,17 @@ production sweep system:
   (``runs-cell/v1`` payloads keyed by a stable spec hash);
 - :mod:`repro.runs.journal` — append-only sweep journal
   (``runs-journal/v1``, truncation-tolerant reader);
-- :mod:`repro.runs.scheduler` — multiprocess execution with
-  longest-expected-first ordering, per-cell timeouts and bounded retry;
+- :mod:`repro.runs.scheduler` — the one cell queue (cache first,
+  longest-expected-first leases, bounded retry with backoff) and its
+  local transport, a process pool with per-cell timeouts;
 - :mod:`repro.runs.sweep` — ``repro-qoslb sweep`` / ``--resume`` /
   ``runs status`` / ``runs gc`` orchestration on top;
 - :mod:`repro.runs.watch` — live terminal dashboard over a sweep's
   journal and per-cell event files (``repro-qoslb runs watch``);
-- :mod:`repro.runs.protocol` / :mod:`repro.runs.net` — distributed
-  sweeps: the line-framed ``runs-net/v1`` TCP protocol, the lease-based
-  coordinator (``repro-qoslb sweep --serve``) and the remote worker
-  (``repro-qoslb runs worker --connect``).
+- :mod:`repro.runs.protocol` / :mod:`repro.runs.net` — the queue's
+  network transport: the line-framed ``runs-net/v1`` TCP protocol, the
+  lease-based coordinator (``repro-qoslb sweep --serve``) and the remote
+  worker (``repro-qoslb runs worker --connect``).
 
 See ``docs/RUNS.md`` for the store layout, schemas and failure policy.
 """
@@ -41,6 +42,7 @@ from .protocol import (
     send_frame,
 )
 from .scheduler import (
+    CellQueue,
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT,
     CellTimeout,
@@ -84,6 +86,7 @@ __all__ = [
     "NET_SCHEMA",
     "TELEMETRY_FIELDS",
     "WORKERS_SCHEMA",
+    "CellQueue",
     "CellSpec",
     "CellTimeout",
     "Coordinator",

@@ -1,7 +1,8 @@
-"""Distributed sweep backend: coordinator/worker network scheduler.
+"""Distributed sweep backend: the network transport of the cell queue.
 
-The single-machine scheduler (:mod:`repro.runs.scheduler`) fans cells
-over a process pool; this module fans them over *machines*.  One
+One queue, two transports: :class:`~repro.runs.scheduler.CellQueue`
+schedules every sweep; :func:`~repro.runs.scheduler.run_cells` drains it
+into a local process pool, this module drains it over *machines*.  One
 **coordinator** owns the sweep directory — journal, content-addressed
 store, cell queue — and serves the line-framed ``runs-net/v1`` protocol
 (:mod:`repro.runs.protocol`) over TCP.  Any number of **workers**
@@ -14,21 +15,24 @@ a sweep sharded over N workers produces a store bit-identical — modulo
 provenance/telemetry — to the single-machine scheduler, and identical
 re-sweeps are 100% cache hits regardless of where cells ran.
 
-Robustness model (the same policies the local scheduler already has,
-lifted onto the network):
+Robustness model (the queue's own policies; the network adds only the
+deadline, the worker table and the frame handling):
 
 - **leases, not assignments** — a granted cell carries a deadline;
   heartbeats extend it.  A worker that stops heartbeating (SIGSTOP,
-  network partition) loses the lease to the reaper; a worker whose
-  socket dies (SIGKILL, crash) loses it immediately on EOF.  Either way
-  the cell is re-queued under the existing retry/backoff accounting and
-  journalled ``lease_expired`` — retries exhausted means ``failed``, and
-  the sweep *completes* without it.
+  network partition) loses the lease to the reaper (journalled
+  ``lease_expired``); a worker whose socket dies (SIGKILL, crash) loses
+  it immediately on EOF — the same release a dead local pool worker
+  gets.  Either way the cell re-queues under the queue's retry/backoff
+  accounting — retries exhausted means ``failed``, and the sweep
+  *completes* without it.  Only the current lease holder may report a
+  failure; a stale report is acked ``duplicate`` and costs nothing.
 - **idempotent commit** — results are committed at most once per key: a
-  late delivery from an expired lease still counts if nobody beat it,
-  and a duplicate (the re-queued copy also finished) is acked without a
-  second store write or journal record, so "each cell executed exactly
-  once" holds at the journal level.
+  late delivery from an expired lease still counts if nobody beat it
+  (and the cell is then never leased again), and a duplicate (the
+  re-queued copy also finished) is acked without a second store write
+  or journal record, so "each cell executed exactly once" holds at the
+  journal level.
 - **crash-safe coordination** — lease grants/expiries are journalled as
   informational records (unknown types are skipped by the journal fold),
   so a coordinator crash costs at most in-flight leases: re-serving (or
@@ -52,9 +56,8 @@ import socketserver
 import tempfile
 import threading
 import time
-from collections import deque
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .journal import Journal
 from .protocol import (
@@ -65,8 +68,9 @@ from .protocol import (
     recv_frame,
     send_frame,
 )
-from .scheduler import DEFAULT_RETRIES, DEFAULT_TIMEOUT, backoff_delay, execute_cell
-from .store import CellSpec, ResultStore, cell_key
+from .scheduler import DEFAULT_RETRIES, DEFAULT_TIMEOUT, CellQueue, execute_cell
+from .store import CellSpec, ResultStore
+from .sweep import drive_sweep
 
 __all__ = [
     "DEFAULT_LEASE_TTL_S",
@@ -98,283 +102,54 @@ def parse_address(value: Any, *, default_host: str = "127.0.0.1") -> tuple[str, 
     return (host or default_host), int(port)
 
 
-class _SweepState:
-    """Lease table + completion accounting; every public method locks.
+class _NetQueue(CellQueue):
+    """The shared :class:`~repro.runs.scheduler.CellQueue` plus what only
+    the network has: the worker table behind ``register`` and
+    ``workers.json``, the informational ``lease_expired`` journal
+    records, and the expiry and bad-frame counters.  Frames are answered
+    by :meth:`Coordinator.dispatch` under :attr:`lock`."""
 
-    The journal handle is only ever touched under the lock, which makes
-    the single-writer append contract hold across handler threads.
-    """
-
-    def __init__(
-        self,
-        cells_by_key: dict[str, CellSpec],
-        order: list[str],
-        *,
-        store: ResultStore,
-        journal: Journal | None,
-        retries: int,
-        lease_ttl_s: float,
-        force: bool = False,
-    ):
-        self.lock = threading.Lock()
-        self.cells = cells_by_key
-        self.store = store
-        self.journal = journal
-        self.retries = int(retries)
+    def __init__(self, cells: Iterable[CellSpec], *, lease_ttl_s: float, **kwargs: Any):
+        super().__init__(cells, **kwargs)
         self.lease_ttl_s = float(lease_ttl_s)
-        self.pending: deque[str] = deque()
-        self.attempts: dict[str, int] = {}
-        self.leases: dict[str, dict[str, Any]] = {}
-        self.done: dict[str, str] = {}  # key -> "cached" | "run"
-        self.failed: dict[str, str] = {}  # key -> error
-        self.failures: list[dict[str, Any]] = []
         self.workers: dict[str, dict[str, Any]] = {}
         self.lease_expiries = 0
         self.bad_frames = 0
-        self._next_worker = 1
         self.dirty = True  # workers.json wants a rewrite
-        # Cache-first, identical to run_cells: finished cells are
-        # journalled without executing; the rest queue in the given
-        # (longest-expected-first) order.
-        for key in order:
-            self._journal("scheduled", key, n_reps=cells_by_key[key].n_reps)
-        for key in order:
-            if not force and store.has(key):
-                self.done[key] = "cached"
-                self._journal("finished", key, cached=True)
-            else:
-                self.pending.append(key)
 
-    # -- journal (callers hold the lock, or call before threads exist) ---------
-
-    def _journal(self, record_type: str, key: str, **fields: Any) -> None:
-        if self.journal is None:
-            return
-        cell = self.cells[key]
-        self.journal.append(
-            record_type,
-            key=key,
-            experiment_id=cell.experiment_id,
-            label=cell.spec.label,
-            **fields,
-        )
-
-    # -- worker lifecycle ------------------------------------------------------
-
-    def register(self, host: str, pid: int) -> str:
-        with self.lock:
-            worker_id = f"w{self._next_worker}"
-            self._next_worker += 1
-            now = time.time()
-            self.workers[worker_id] = {
-                "id": worker_id,
-                "host": str(host),
-                "pid": int(pid),
-                "connected_unix": now,
-                "last_seen": now,
-                "leased": None,
-                "cells_done": 0,
-                "alive": True,
-            }
-            # A worker that connects just as the last cell commits is only
-            # told "done"; by then the journal may already be closed.
-            if self.journal is not None and not self._complete_locked():
-                self.journal.append("worker", worker=worker_id, host=str(host), pid=int(pid))
-            self.dirty = True
-            return worker_id
-
-    def release_worker(self, worker_id: str, reason: str) -> None:
+    def disconnect(self, worker_id: str) -> None:
         """Connection gone: the worker's lease (if any) re-queues *now* —
         a SIGKILLed worker is detected at EOF, not at lease expiry."""
         with self.lock:
-            info = self.workers.get(worker_id)
-            if info is not None:
-                info["alive"] = False
-                info["leased"] = None
-            for key in [k for k, l in self.leases.items() if l["worker"] == worker_id]:
-                self.leases.pop(key)
-                self._requeue_locked(key, f"worker {worker_id} {reason}")
+            self.workers[worker_id].update(alive=False, leased=None)
+            self.release(worker_id, f"worker {worker_id} disconnected")
             self.dirty = True
 
-    # -- the lease lifecycle ---------------------------------------------------
-
-    def next_lease(self, worker_id: str) -> dict[str, Any]:
+    def reap(self, now: float | None = None) -> list[dict[str, Any]]:
         with self.lock:
-            now = time.time()
-            info = self.workers.get(worker_id)
-            if info is not None:
-                info["last_seen"] = now
-            if self._complete_locked():
-                return {"type": "done"}
-            if not self.pending:
-                return {"type": "wait", "pending": 0, "leased": len(self.leases)}
-            key = self.pending.popleft()
-            attempt = self.attempts.get(key, 0)
-            self.leases[key] = {
-                "key": key,
-                "worker": worker_id,
-                "deadline": now + self.lease_ttl_s,
-                "attempt": attempt,
-                "granted_unix": now,
-            }
-            if info is not None:
-                info["leased"] = key
-            self._journal("started", key, attempt=attempt, worker=worker_id)
-            self._journal("lease", key, worker=worker_id, attempt=attempt, ttl_s=self.lease_ttl_s)
-            self.dirty = True
-            return {
-                "type": "lease",
-                "key": key,
-                "cell": cell_to_wire(self.cells[key]),
-                "attempt": attempt,
-                "delay_s": backoff_delay(attempt - 1) if attempt else 0.0,
-                "lease_ttl_s": self.lease_ttl_s,
-            }
-
-    def heartbeat(self, worker_id: str, key: str | None) -> dict[str, Any]:
-        with self.lock:
-            now = time.time()
-            info = self.workers.get(worker_id)
-            if info is not None:
-                info["last_seen"] = now
-            self.dirty = True
-            lease = self.leases.get(key) if key is not None else None
-            if lease is None or lease["worker"] != worker_id:
-                return {"type": "expired", "key": key}
-            lease["deadline"] = now + self.lease_ttl_s
-            return {"type": "ack", "key": key}
-
-    def open_for_commit(self, key: str | None) -> bool:
-        """True while ``key`` is a known cell that has not yet finished.
-
-        Lets the handler land side-effects (the shipped events file)
-        *before* ``commit`` marks the cell done — once a cell is done the
-        sweep may complete and merge the timeline at any moment, so
-        nothing may be written for it afterwards."""
-        with self.lock:
-            return key in self.cells and key not in self.done and key not in self.failed
-
-    def commit(self, worker_id: str, key: str | None, payload: Any) -> dict[str, Any]:
-        with self.lock:
-            if key not in self.cells:
-                return {"type": "error", "error": f"unknown cell {key!r}"}
-            if key in self.done or key in self.failed:
-                # Duplicate delivery (an expired lease re-ran elsewhere, or
-                # a resend): idempotent — ack without store/journal writes.
-                self._clear_lease_locked(worker_id, key)
-                return {"type": "ack", "committed": False, "duplicate": True}
-            if not isinstance(payload, dict) or payload.get("key") != key:
-                return {"type": "error", "error": f"payload does not match leased cell {key}"}
-            try:
-                self.store.put(payload)
-            except ValueError as exc:
-                return {"type": "error", "error": str(exc)}
-            self._journal(
-                "finished",
-                key,
-                cached=False,
-                seconds=float(payload.get("duration_s") or 0.0),
-                worker=worker_id,
-            )
-            self.done[key] = "run"
-            self._clear_lease_locked(worker_id, key)
-            info = self.workers.get(worker_id)
-            if info is not None:
-                info["cells_done"] += 1
-                info["last_seen"] = time.time()
-            self.dirty = True
-            return {"type": "ack", "committed": True, "duplicate": False}
-
-    def fail(self, worker_id: str, key: str | None, error: str) -> dict[str, Any]:
-        with self.lock:
-            if key not in self.cells:
-                return {"type": "error", "error": f"unknown cell {key!r}"}
-            self._clear_lease_locked(worker_id, key)
-            if key in self.done or key in self.failed:
-                return {"type": "ack", "requeued": False, "duplicate": True}
-            requeued = self._requeue_locked(key, error)
-            self.dirty = True
-            return {"type": "ack", "requeued": requeued}
-
-    def reap(self, now: float | None = None) -> list[str]:
-        """Expire overdue leases; returns the reclaimed keys."""
-        now = time.time() if now is None else now
-        with self.lock:
-            expired = [k for k, l in self.leases.items() if l["deadline"] < now]
-            for key in expired:
-                lease = self.leases.pop(key)
+            expired = super().reap(now)
+            for lease in expired:
                 self.lease_expiries += 1
                 self._journal(
-                    "lease_expired", key, worker=lease["worker"], attempt=lease["attempt"]
+                    "lease_expired", lease["key"], worker=lease["worker"], attempt=lease["attempt"]
                 )
-                info = self.workers.get(lease["worker"])
-                if info is not None and info.get("leased") == key:
+                info = self.workers[lease["worker"]]
+                if info["leased"] == lease["key"]:
                     info["leased"] = None
-                self._requeue_locked(
-                    key, f"lease expired after {self.lease_ttl_s:g}s without heartbeat"
-                )
-            if expired:
                 self.dirty = True
             return expired
-
-    def _clear_lease_locked(self, worker_id: str, key: str | None) -> None:
-        lease = self.leases.get(key) if key is not None else None
-        if lease is not None:
-            self.leases.pop(key)
-        info = self.workers.get(worker_id)
-        if info is not None and info.get("leased") == key:
-            info["leased"] = None
-
-    def _requeue_locked(self, key: str, error: str) -> bool:
-        """One attempt consumed; re-queue or fail per the retry policy."""
-        attempts = self.attempts.get(key, 0) + 1
-        self.attempts[key] = attempts
-        if attempts <= self.retries:
-            self.pending.append(key)
-            return True
-        self._journal("failed", key, error=error, attempts=attempts)
-        self.failed[key] = error
-        cell = self.cells[key]
-        self.failures.append(
-            {
-                "key": key,
-                "experiment_id": cell.experiment_id,
-                "label": cell.spec.label,
-                "error": error,
-                "attempts": attempts,
-            }
-        )
-        return False
 
     def note_bad_frame(self) -> None:
         with self.lock:
             self.bad_frames += 1
 
-    # -- completion + reporting ------------------------------------------------
-
-    def _complete_locked(self) -> bool:
-        return len(self.done) + len(self.failed) == len(self.cells)
-
-    def complete(self) -> bool:
-        with self.lock:
-            return self._complete_locked()
-
-    def summary(self, wall_s: float) -> dict[str, Any]:
+    def summary(self) -> dict[str, Any]:
         """The run_cells-shaped summary, plus network counters."""
         with self.lock:
-            cached = sum(1 for v in self.done.values() if v == "cached")
-            return {
-                "cells": len(self.cells),
-                "cached": cached,
-                "run": len(self.done) - cached,
-                "failed": len(self.failures),
-                "deferred": 0,
-                "failures": list(self.failures),
-                "wall_s": wall_s,
-                "workers": len(self.workers),
-                "lease_expiries": self.lease_expiries,
-                "bad_frames": self.bad_frames,
-            }
+            return dict(
+                super().summary(), workers=len(self.workers),
+                lease_expiries=self.lease_expiries, bad_frames=self.bad_frames,
+            )
 
     def workers_payload(self) -> dict[str, Any]:
         with self.lock:
@@ -385,25 +160,11 @@ class _SweepState:
                 "lease_ttl_s": self.lease_ttl_s,
                 "pending": len(self.pending),
                 "leases": [
-                    {
-                        "key": l["key"],
-                        "worker": l["worker"],
-                        "attempt": l["attempt"],
-                        "deadline": l["deadline"],
-                        "label": self.cells[l["key"]].spec.label,
-                    }
+                    {**{k: l[k] for k in ("key", "worker", "attempt", "deadline")},
+                     "label": l["cell"].spec.label}
                     for l in self.leases.values()
                 ],
-                "workers": [
-                    {
-                        k: w[k]
-                        for k in (
-                            "id", "host", "pid", "connected_unix",
-                            "last_seen", "leased", "cells_done", "alive",
-                        )
-                    }
-                    for w in self.workers.values()
-                ],
+                "workers": [dict(w) for w in self.workers.values()],
             }
 
 
@@ -437,7 +198,7 @@ class _Handler(socketserver.StreamRequestHandler):
             if close:
                 break
         if worker_id is not None:
-            coordinator.state.release_worker(worker_id, "disconnected")
+            coordinator.state.disconnect(worker_id)
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -455,7 +216,7 @@ class Coordinator:
 
     def __init__(
         self,
-        cells: list[CellSpec] | dict[str, CellSpec],
+        cells: Iterable[CellSpec],
         *,
         store: ResultStore,
         journal: Journal | None = None,
@@ -467,13 +228,6 @@ class Coordinator:
         events: bool = True,
         force: bool = False,
     ):
-        if isinstance(cells, dict):
-            by_key = dict(cells)
-        else:
-            by_key = {}
-            for cell in cells:
-                by_key.setdefault(cell_key(cell), cell)
-        order = sorted(by_key, key=lambda k: -(store.duration(k) or float("inf")))
         self.timeout = timeout
         self.backend = backend
         self.out_dir = Path(out_dir) if out_dir is not None else None
@@ -481,18 +235,12 @@ class Coordinator:
         if events and self.out_dir is not None:
             self.events_dir = self.out_dir / "events"
             self.events_dir.mkdir(parents=True, exist_ok=True)
-        self.state = _SweepState(
-            by_key,
-            order,
-            store=store,
-            journal=journal,
-            retries=retries,
+        self.state = _NetQueue(
+            cells, store=store, journal=journal, retries=retries, force=force,
             lease_ttl_s=lease_ttl_s,
-            force=force,
         )
         self._server: _Server | None = None
         self._thread: threading.Thread | None = None
-        self._started = time.perf_counter()
 
     # -- message dispatch (called from handler threads) ------------------------
 
@@ -521,52 +269,85 @@ class Coordinator:
                     },
                     True,
                 )
-            new_id = self.state.register(
-                message.get("host") or "?", int(message.get("pid") or 0)
-            )
-            return (
-                {
+        elif worker_id is None:
+            return {"type": "error", "error": "register first"}, False
+        elif mtype == "bye":
+            return {"type": "ack"}, True
+        state, key, now = self.state, message.get("key"), time.time()
+        with state.lock:
+            state.dirty = True
+            if mtype == "register":
+                worker_id = f"w{len(state.workers) + 1}"
+                host, pid = str(message.get("host") or "?"), int(message.get("pid") or 0)
+                state.workers[worker_id] = dict(
+                    id=worker_id, host=host, pid=pid, connected_unix=now, last_seen=now,
+                    leased=None, cells_done=0, alive=True,
+                )
+                # A worker that connects just as the last cell commits is
+                # only told "done"; by then the journal may be closed.
+                if state.journal is not None and not state.complete():
+                    state.journal.append("worker", worker=worker_id, host=host, pid=pid)
+                return {
                     "type": "welcome",
                     "schema": NET_SCHEMA,
-                    "worker": new_id,
-                    "lease_ttl_s": self.state.lease_ttl_s,
+                    "worker": worker_id,
+                    "lease_ttl_s": state.lease_ttl_s,
                     "backend": self.backend,
                     "events": self.events_dir is not None,
                     "timeout_s": self.timeout,
                     "package_version": __version__,
-                },
-                False,
-            )
-        if worker_id is None:
-            return {"type": "error", "error": "register first"}, False
-        if mtype == "lease":
-            return self.state.next_lease(worker_id), False
-        if mtype == "heartbeat":
-            return self.state.heartbeat(worker_id, message.get("key")), False
-        if mtype == "result":
-            key = message.get("key")
-            events_text = message.get("events")
-            # Land the events file before commit marks the cell done: the
-            # moment the last cell is done the wait loop may merge the
-            # timeline, so writing after commit races the merge.
-            if (
-                self.events_dir is not None
-                and events_text
-                and isinstance(key, str)
-                and self.state.open_for_commit(key)
-            ):
-                from ..obs.aggregate import write_cell_events
+                }, False
+            info = state.workers[worker_id]
+            info["last_seen"] = now
+            if mtype == "lease":
+                if state.complete():
+                    return {"type": "done"}, False
+                lease = state.lease(worker_id, state.lease_ttl_s)
+                if lease is None:
+                    return {"type": "wait", "pending": 0, "leased": len(state.leases)}, False
+                key = info["leased"] = lease["key"]
+                state._journal(
+                    "lease", key, worker=worker_id, attempt=lease["attempt"],
+                    ttl_s=state.lease_ttl_s,
+                )
+                return {
+                    "type": "lease",
+                    "key": key,
+                    "cell": cell_to_wire(lease["cell"]),
+                    "attempt": lease["attempt"],
+                    "delay_s": lease["delay_s"],
+                    "lease_ttl_s": state.lease_ttl_s,
+                }, False
+            if mtype == "heartbeat":
+                extended = isinstance(key, str) and state.extend(key, worker_id)
+                return {"type": "ack" if extended else "expired", "key": key}, False
+            if mtype not in ("result", "failed"):
+                return {"type": "error", "error": f"unknown message type {mtype!r}"}, False
+            if not isinstance(key, str) or key not in state.cells:
+                return {"type": "error", "error": f"unknown cell {key!r}"}, False
+            if mtype == "failed":
+                requeued = state.fail(key, str(message.get("error")), worker_id)
+                reply = {"type": "ack", "requeued": bool(requeued)}
+                if requeued is None:  # not the lease holder: a stale or repeated report
+                    reply["duplicate"] = True
+            else:
+                # Land the events file before commit marks the cell done: the
+                # moment the last cell is done the wait loop may merge the
+                # timeline, so writing after commit races the merge.
+                events_text = message.get("events")
+                if self.events_dir is not None and events_text and not state.settled(key):
+                    from ..obs.aggregate import write_cell_events
 
-                write_cell_events(self.events_dir, key, str(events_text))
-            return self.state.commit(worker_id, key, message.get("payload")), False
-        if mtype == "failed":
-            return (
-                self.state.fail(worker_id, message.get("key"), str(message.get("error"))),
-                False,
-            )
-        if mtype == "bye":
-            return {"type": "ack"}, True
-        return {"type": "error", "error": f"unknown message type {mtype!r}"}, False
+                    write_cell_events(self.events_dir, key, str(events_text))
+                try:
+                    committed = state.commit(key, message.get("payload"), worker_id)
+                except ValueError as exc:
+                    return {"type": "error", "error": str(exc)}, False
+                info["cells_done"] += int(committed)
+                reply = {"type": "ack", "committed": committed, "duplicate": not committed}
+            if info["leased"] == key:
+                info["leased"] = None
+            return reply, False
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -591,11 +372,11 @@ class Coordinator:
             self._flush_workers_file()
             if self.state.complete():
                 break
-            if deadline_s is not None and time.perf_counter() - self._started > deadline_s:
+            if deadline_s is not None and time.perf_counter() - self.state.started > deadline_s:
                 raise TimeoutError(f"sweep incomplete after {deadline_s:g}s")
             time.sleep(poll)
         self._flush_workers_file(final=True)
-        return self.state.summary(time.perf_counter() - self._started)
+        return self.state.summary()
 
     def stop(self) -> None:
         if self._server is not None:
@@ -653,38 +434,10 @@ def serve_sweep(
     served here can equally be finished locally with ``sweep --resume``
     (the journalled config carries ``workers: 0``).
     """
-    from ..obs.aggregate import merge_events
-    from .sweep import _normalise_overrides, enumerate_sweep, sweepable_experiments
-
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids = [e.upper() for e in experiment_ids] if experiment_ids else sweepable_experiments()
-    overrides = _normalise_overrides(overrides)
-    config = {
-        "experiments": ids,
-        "scale": scale,
-        "overrides": overrides,
-        "workers": 0,  # a plain --resume of this dir runs locally
-        "backend": backend,
-        "events": bool(events),
-        "profile": False,
-        "serve": {"lease_ttl_s": float(lease_ttl_s), "retries": int(retries)},
-    }
-    cells = enumerate_sweep(ids, scale, overrides)
-    store = ResultStore(out_dir / "store")
-    started_unix = time.time()
-    with Journal(out_dir / "journal.jsonl", sweep=config) as journal:
+    def drain(cells: list[CellSpec], store: ResultStore, journal: Journal, out_dir: Path) -> dict:
         coordinator = Coordinator(
-            cells,
-            store=store,
-            journal=journal,
-            out_dir=out_dir,
-            retries=retries,
-            timeout=timeout,
-            lease_ttl_s=lease_ttl_s,
-            backend=backend,
-            events=events,
-            force=force,
+            cells, store=store, journal=journal, out_dir=out_dir, retries=retries,
+            timeout=timeout, lease_ttl_s=lease_ttl_s, backend=backend, events=events, force=force,
         )
         address = coordinator.start(host, port)
         if on_listen is not None:
@@ -693,19 +446,18 @@ def serve_sweep(
             summary = coordinator.wait(poll=poll, deadline_s=deadline_s)
         finally:
             coordinator.stop()
-    if events:
-        summary["timeline"] = merge_events(out_dir / "events")
-    summary.update(
-        experiments=ids,
-        scale=scale,
-        out=str(out_dir),
-        started_unix=started_unix,
-        served={"host": address[0], "port": address[1]},
+        return {**summary, "served": {"host": address[0], "port": address[1]}}
+
+    transport = {
+        "workers": 0,  # a plain --resume of this dir runs locally
+        "backend": backend,
+        "events": bool(events),
+        "profile": False,
+        "serve": {"lease_ttl_s": float(lease_ttl_s), "retries": int(retries)},
+    }
+    return drive_sweep(
+        experiment_ids, out=out, scale=scale, overrides=overrides, transport=transport, drain=drain
     )
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n"
-    )
-    return summary
 
 
 # -- the worker side -----------------------------------------------------------

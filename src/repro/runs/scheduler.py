@@ -1,22 +1,25 @@
-"""Multiprocess cell scheduler: cache-aware, prioritised, self-healing.
+"""Cell scheduling: one lease queue, two transports.
 
-:func:`run_cells` drives a batch of :class:`~repro.runs.store.CellSpec`
-through the content-addressed store and a ``ProcessPoolExecutor``:
+:class:`CellQueue` is the sweep's single scheduling state machine; the
+local process pool (:func:`run_cells`) and the TCP coordinator
+(:mod:`repro.runs.net`) are two transports draining it:
 
 - **cache first** — cells already in the store are journalled
   ``finished (cached)`` without executing (``force=True`` bypasses);
-- **longest-expected-first** — pending cells are submitted to the pool's
-  shared queue ordered by prior duration from the store (unknown cells
-  first: they might be the longest), so idle workers steal the big cells
-  early and the tail of the sweep is short;
+- **longest-expected-first** — pending cells are leased in order of
+  prior duration from the store (unknown cells first: they might be the
+  longest), so idle workers take the big cells early and the tail of the
+  sweep is short;
 - **per-cell timeout** — enforced *inside* the worker via ``SIGALRM``
   (pool futures cannot be cancelled once running); on platforms or
   threads without signal support the timeout degrades to unbounded;
-- **bounded retry with backoff** — a failing cell is resubmitted up to
-  ``retries`` more times, each attempt sleeping an exponentially growing,
-  capped delay first (the msgsim self-healing agents' retransmission
-  idiom); exhausted cells are journalled ``failed`` and the sweep
-  *completes* with a non-zero ``failed`` count instead of aborting.
+- **bounded retry with backoff** — a failed attempt re-queues the cell up
+  to ``retries`` more times, each attempt sleeping an exponentially
+  growing, capped delay first (the msgsim self-healing agents'
+  retransmission idiom); a dead pool worker counts as a released lease,
+  just like a network worker's EOF.  Exhausted cells are journalled
+  ``failed`` and the sweep *completes* with a non-zero ``failed`` count
+  instead of aborting.
 
 Workers execute :func:`execute_cell` — replication is serial inside the
 worker (the cell is the fan-out unit).  A fork-started worker never
@@ -34,10 +37,12 @@ import resource
 import signal
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..core.state import CACHE_STATS
 from ..obs import HUB as _OBS
@@ -45,6 +50,7 @@ from .journal import Journal
 from .store import CellSpec, ResultStore, build_payload, cell_key
 
 __all__ = [
+    "CellQueue",
     "CellTimeout",
     "DEFAULT_TIMEOUT",
     "DEFAULT_RETRIES",
@@ -205,15 +211,214 @@ def execute_cell(
     return build_payload(cell, results, duration_s=duration, telemetry=telemetry)
 
 
-def _journal_cell(journal: Journal | None, record_type: str, key: str, cell: CellSpec, **fields: Any) -> None:
-    if journal is not None:
-        journal.append(
-            record_type,
-            key=key,
-            experiment_id=cell.experiment_id,
-            label=cell.spec.label,
-            **fields,
+class CellQueue:
+    """The lease-queue state machine both sweep transports drive.
+
+    Construction dedupes the cells by key, journals every one
+    ``scheduled``, serves store hits as ``finished (cached)`` and queues
+    the rest longest-expected-first (cells with no prior duration first:
+    they might be the longest); beyond ``max_cells`` they are deferred to
+    a later resume.  A transport then loops :meth:`lease` → execute →
+    :meth:`commit` / :meth:`fail`.  Every attempt that ends without a
+    result — a reported failure, a lease released because its worker is
+    gone, a lease expired by :meth:`reap` — consumes one attempt: the
+    cell re-queues until ``retries`` are spent, then it is journalled
+    ``failed``.
+
+    This is the only writer of ``scheduled``/``started``/``finished``/
+    ``failed`` records.  Every method holds :attr:`lock` (re-entrant, so
+    a subclass may wrap calls), which keeps the journal single-writer
+    across threads.
+    """
+
+    def __init__(
+        self,
+        cells: Iterable[CellSpec],
+        *,
+        store: ResultStore,
+        journal: Journal | None = None,
+        retries: int = DEFAULT_RETRIES,
+        force: bool = False,
+        max_cells: int | None = None,
+    ):
+        self.lock = threading.RLock()
+        self.started = time.perf_counter()
+        self.store = store
+        self.journal = journal
+        self.retries = int(retries)
+        self.cells: dict[str, CellSpec] = {}
+        for cell in cells:
+            self.cells.setdefault(cell_key(cell), cell)
+        self.attempts: dict[str, int] = {}  # key -> attempts consumed
+        self.leases: dict[str, dict[str, Any]] = {}
+        self.done: dict[str, str] = {}  # key -> "cached" | "run"
+        self.failed: dict[str, str] = {}  # key -> error
+        self.failures: list[dict[str, Any]] = []
+        for key, cell in self.cells.items():
+            self._journal("scheduled", key, n_reps=cell.n_reps)
+        _OBS.count("runs.cells_scheduled", len(self.cells))
+        pending = []
+        for key in self.cells:
+            if not force and store.has(key):
+                self.done[key] = "cached"
+                self._journal("finished", key, cached=True)
+                self._event(key, "cached", "runs.cells_cached", seconds=0.0)
+            else:
+                pending.append(key)
+        pending.sort(key=lambda k: -(store.duration(k) or float("inf")))
+        cap = len(pending) if max_cells is None or max_cells < 0 else max_cells
+        self.pending: deque[str] = deque(pending[:cap])
+        self.deferred = pending[cap:]
+
+    def _journal(self, record_type: str, key: str, **fields: Any) -> None:
+        """Append a cell record; fields left ``None`` (a local lease's worker) are omitted."""
+        if self.journal is not None:
+            cell = self.cells[key]
+            self.journal.append(
+                record_type, key=key, experiment_id=cell.experiment_id, label=cell.spec.label,
+                **{k: v for k, v in fields.items() if v is not None},
+            )
+
+    def _event(self, key: str, status: str, counter: str, **fields: Any) -> None:
+        if _OBS.active:
+            cell = self.cells[key]
+            _OBS.count(counter)
+            _OBS.event(
+                "cell",
+                {"key": key, "experiment_id": cell.experiment_id, "label": cell.spec.label,
+                 "status": status, **fields},
+            )
+
+    def settled(self, key: str) -> bool:
+        return key in self.done or key in self.failed
+
+    def lease(self, worker: str | None = None, ttl: float | None = None) -> dict[str, Any] | None:
+        """Grant the next pending cell to ``worker``; ``None`` when none waits.
+
+        The lease carries the cell, its 0-based ``attempt`` and the
+        backoff ``delay_s`` to sleep before executing it.  With a ``ttl``
+        it expires unless extended (:meth:`extend`); without one it never
+        does.
+        """
+        with self.lock:
+            while self.pending:
+                key = self.pending.popleft()
+                if self.settled(key):  # a late commit from an expired lease won
+                    continue
+                attempt = self.attempts.get(key, 0)
+                lease = self.leases[key] = {
+                    "key": key,
+                    "cell": self.cells[key],
+                    "worker": worker,
+                    "attempt": attempt,
+                    "delay_s": backoff_delay(attempt - 1) if attempt else 0.0,
+                    "ttl_s": ttl,
+                    "deadline": None if ttl is None else time.time() + ttl,
+                }
+                self._journal("started", key, attempt=attempt, worker=worker)
+                return lease
+            return None
+
+    def extend(self, key: str, worker: str | None = None) -> bool:
+        """Push ``worker``'s lease on ``key`` one ttl out; False if it is not theirs."""
+        with self.lock:
+            lease = self.leases.get(key)
+            if lease is None or lease["worker"] != worker:
+                return False
+            if lease["ttl_s"] is not None:
+                lease["deadline"] = time.time() + lease["ttl_s"]
+            return True
+
+    def commit(self, key: str, payload: Any, worker: str | None = None) -> bool:
+        """Store ``payload`` and journal ``finished``, at most once per key.
+
+        Returns False for a settled cell (a duplicate delivery: no store
+        or journal write).  A late result from an expired lease still
+        counts if nobody beat it.  Raises ``ValueError`` when the payload
+        is not this cell's or the store refuses it.
+        """
+        with self.lock:
+            if self.settled(key):
+                return False
+            if not isinstance(payload, dict) or payload.get("key") != key:
+                raise ValueError(f"payload does not match leased cell {key}")
+            self.store.put(payload)
+            self.leases.pop(key, None)
+            self.done[key] = "run"
+            seconds = float(payload.get("duration_s") or 0.0)
+            self._journal("finished", key, cached=False, seconds=seconds, worker=worker)
+            self._event(key, "finished", "runs.cells_run", seconds=seconds)
+            return True
+
+    def fail(self, key: str, error: str, worker: str | None = None) -> bool | None:
+        """The lease holder reports a failed attempt: True if re-queued,
+        False if retries are spent.  A report from anyone but the current
+        holder (an expired lease, a resend) changes nothing: ``None``."""
+        with self.lock:
+            lease = self.leases.get(key)
+            if lease is None or lease["worker"] != worker:
+                return None
+            del self.leases[key]
+            return self._consume(key, error)
+
+    def release(self, worker: str | None, error: str) -> list[str]:
+        """``worker`` is gone: each of its leases consumes an attempt now."""
+        with self.lock:
+            keys = [k for k, lease in self.leases.items() if lease["worker"] == worker]
+            for key in keys:
+                del self.leases[key]
+                self._consume(key, error)
+            return keys
+
+    def reap(self, now: float | None = None) -> list[dict[str, Any]]:
+        """Expire the leases whose deadline has passed; returns them."""
+        now = time.time() if now is None else now
+        with self.lock:
+            expired = [
+                lease for lease in self.leases.values()
+                if lease["deadline"] is not None and lease["deadline"] < now
+            ]
+            for lease in expired:
+                del self.leases[lease["key"]]
+                self._consume(
+                    lease["key"], f"lease expired after {lease['ttl_s']:g}s without heartbeat"
+                )
+            return expired
+
+    def _consume(self, key: str, error: str) -> bool:
+        """One attempt spent: re-queue, or journal ``failed`` past ``retries``."""
+        attempts = self.attempts[key] = self.attempts.get(key, 0) + 1
+        if attempts <= self.retries:
+            self.pending.append(key)
+            return True
+        cell = self.cells[key]
+        self.failed[key] = error
+        self.failures.append(
+            {"key": key, "experiment_id": cell.experiment_id, "label": cell.spec.label,
+             "error": error, "attempts": attempts}
         )
+        self._journal("failed", key, error=error, attempts=attempts)
+        self._event(key, "failed", "runs.cells_failed", error=error)
+        return False
+
+    def complete(self) -> bool:
+        """Every cell of this invocation is finished, failed or deferred."""
+        with self.lock:
+            return len(self.done) + len(self.failed) + len(self.deferred) == len(self.cells)
+
+    def summary(self) -> dict[str, Any]:
+        """Cell/cached/run/failed/deferred counts, the failure list, wall time."""
+        with self.lock:
+            cached = sum(1 for v in self.done.values() if v == "cached")
+            return {
+                "cells": len(self.cells),
+                "cached": cached,
+                "run": len(self.done) - cached,
+                "failed": len(self.failures),
+                "deferred": len(self.deferred),
+                "failures": list(self.failures),
+                "wall_s": time.perf_counter() - self.started,
+            }
 
 
 def run_cells(
@@ -243,169 +448,68 @@ def run_cells(
     the workers (see :func:`execute_cell`); like ``backend`` they are
     execution knobs outside the cache key.
     """
-    t_start = time.perf_counter()
-    if events_dir is not None:
-        events_dir = str(events_dir)
-        Path(events_dir).mkdir(parents=True, exist_ok=True)
-    if profile_dir is not None:
-        profile_dir = str(profile_dir)
-        Path(profile_dir).mkdir(parents=True, exist_ok=True)
-    by_key: dict[str, CellSpec] = {}
-    for cell in cells:
-        by_key.setdefault(cell_key(cell), cell)
-    order = list(by_key)
-
+    args: list[Any] = [backend]
+    for root in (events_dir, profile_dir):
+        if root is not None:
+            Path(root).mkdir(parents=True, exist_ok=True)
+        args.append(None if root is None else str(root))
     with _OBS.span("runs.schedule"):
-        for key in order:
-            _journal_cell(journal, "scheduled", key, by_key[key], n_reps=by_key[key].n_reps)
-        _OBS.count("runs.cells_scheduled", len(order))
-
-        cached: list[str] = []
-        pending: list[str] = []
-        for key in order:
-            if not force and store.has(key):
-                cached.append(key)
-                _journal_cell(journal, "finished", key, by_key[key], cached=True)
-                if _OBS.active:
-                    _OBS.count("runs.cells_cached")
-                    _OBS.event(
-                        "cell",
-                        {
-                            "key": key,
-                            "experiment_id": by_key[key].experiment_id,
-                            "label": by_key[key].spec.label,
-                            "status": "cached",
-                            "seconds": 0.0,
-                        },
-                    )
-            else:
-                pending.append(key)
-
-        # Longest-expected-first; cells with no prior duration sort first
-        # (they might be the longest — pessimism keeps the tail short).
-        pending.sort(key=lambda k: -(store.duration(k) or float("inf")))
-        if max_cells is not None and max_cells >= 0:
-            deferred = pending[max_cells:]
-            pending = pending[:max_cells]
+        queue = CellQueue(
+            cells, store=store, journal=journal, retries=retries, force=force, max_cells=max_cells
+        )
+        if (workers or 0) <= 1:
+            while (lease := queue.lease()) is not None:
+                try:
+                    payload = execute_cell(lease["cell"], timeout, lease["delay_s"], *args)
+                except Exception as exc:
+                    queue.fail(lease["key"], repr(exc))
+                else:
+                    queue.commit(lease["key"], payload)
         else:
-            deferred = []
-
-        ran: list[str] = []
-        failures: list[dict[str, Any]] = []
-
-        def on_success(key: str, payload: dict[str, Any]) -> None:
-            store.put(payload)
-            seconds = payload["duration_s"]
-            _journal_cell(journal, "finished", key, by_key[key], cached=False, seconds=seconds)
-            ran.append(key)
-            if _OBS.active:
-                _OBS.count("runs.cells_run")
-                _OBS.event(
-                    "cell",
-                    {
-                        "key": key,
-                        "experiment_id": by_key[key].experiment_id,
-                        "label": by_key[key].spec.label,
-                        "status": "finished",
-                        "seconds": seconds,
-                    },
-                )
-
-        def on_failure(key: str, error: BaseException, attempts: int) -> None:
-            _journal_cell(
-                journal, "failed", key, by_key[key], error=repr(error), attempts=attempts
-            )
-            failures.append(
-                {
-                    "key": key,
-                    "experiment_id": by_key[key].experiment_id,
-                    "label": by_key[key].spec.label,
-                    "error": repr(error),
-                    "attempts": attempts,
-                }
-            )
-            if _OBS.active:
-                _OBS.count("runs.cells_failed")
-                _OBS.event(
-                    "cell",
-                    {
-                        "key": key,
-                        "experiment_id": by_key[key].experiment_id,
-                        "label": by_key[key].spec.label,
-                        "status": "failed",
-                        "error": repr(error),
-                    },
-                )
-
-        pool_size = 0 if workers is None else int(workers)
-        if pool_size <= 1:
-            for key in pending:
-                last_error: BaseException | None = None
-                for attempt in range(retries + 1):
-                    _journal_cell(journal, "started", key, by_key[key], attempt=attempt)
-                    try:
-                        payload = execute_cell(
-                            by_key[key],
-                            timeout,
-                            backoff_delay(attempt - 1) if attempt else 0.0,
-                            backend,
-                            events_dir,
-                            profile_dir,
-                        )
-                    except Exception as exc:
-                        last_error = exc
-                        continue
-                    on_success(key, payload)
-                    last_error = None
-                    break
-                if last_error is not None:
-                    on_failure(key, last_error, attempts=retries + 1)
-        else:
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                futures: dict[Any, tuple[str, int]] = {}
-                for key in pending:  # submission order = priority order
-                    _journal_cell(journal, "started", key, by_key[key], attempt=0)
-                    futures[
-                        pool.submit(
-                            execute_cell, by_key[key], timeout, 0.0, backend, events_dir, profile_dir
-                        )
-                    ] = (key, 0)
-                while futures:
-                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        key, attempt = futures.pop(future)
-                        try:
-                            payload = future.result()
-                        except Exception as exc:
-                            if attempt < retries:
-                                _journal_cell(
-                                    journal, "started", key, by_key[key], attempt=attempt + 1
-                                )
-                                futures[
-                                    pool.submit(
-                                        execute_cell,
-                                        by_key[key],
-                                        timeout,
-                                        backoff_delay(attempt),
-                                        backend,
-                                        events_dir,
-                                        profile_dir,
-                                    )
-                                ] = (key, attempt + 1)
-                            else:
-                                on_failure(key, exc, attempts=retries + 1)
-                            continue
-                        on_success(key, payload)
-
-    wall_s = time.perf_counter() - t_start
+            _drain_pool(queue, int(workers), timeout, args)
+    summary = queue.summary()
     if _OBS.active:
-        _OBS.gauge("runs.wall_s", wall_s)
-    return {
-        "cells": len(order),
-        "cached": len(cached),
-        "run": len(ran),
-        "failed": len(failures),
-        "deferred": len(deferred),
-        "failures": failures,
-        "wall_s": wall_s,
-    }
+        _OBS.gauge("runs.wall_s", summary["wall_s"])
+    return summary
+
+
+def _drain_pool(
+    queue: CellQueue, pool_size: int, timeout: float | None, args: Sequence[Any]
+) -> None:
+    """Lease every pending cell into a process pool (submission order =
+    priority order) and commit or fail each future as it completes.
+
+    Local leases carry no deadline — a running pool future cannot be
+    cancelled; the in-worker ``SIGALRM`` bounds it instead.  A worker that
+    dies (OOM-kill, ``os._exit``) breaks the whole pool: every in-flight
+    lease is released, consuming one attempt each exactly like a network
+    worker's EOF, and a fresh pool carries on.
+    """
+    while not queue.complete():
+        broken: BrokenProcessPool | None = None
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            futures: dict[Any, str] = {}
+            while True:
+                try:
+                    while broken is None and (lease := queue.lease()) is not None:
+                        future = pool.submit(
+                            execute_cell, lease["cell"], timeout, lease["delay_s"], *args
+                        )
+                        futures[future] = lease["key"]
+                except BrokenProcessPool as exc:
+                    broken = exc
+                if not futures:
+                    break
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
+                for future in done:
+                    key = futures.pop(future)
+                    try:
+                        payload = future.result()
+                    except BrokenProcessPool as exc:
+                        broken = exc  # the lease stays held until the release below
+                    except Exception as exc:
+                        queue.fail(key, repr(exc))
+                    else:
+                        queue.commit(key, payload)
+        if broken is not None:
+            queue.release(None, repr(broken))

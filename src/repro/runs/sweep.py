@@ -13,7 +13,9 @@ A sweep directory is self-describing::
 :func:`run_sweep` enumerates the cell decomposition of the requested
 experiments (``ExperimentDef.list_cells`` — nothing simulates during
 enumeration), journals the configuration, and hands the cells to the
-scheduler.  Because finished cells live in the content-addressed store,
+local process pool; :func:`~repro.runs.net.serve_sweep` hands them to the
+TCP coordinator instead, through the same :func:`drive_sweep`.  Because
+finished cells live in the content-addressed store,
 *resume is just re-running the same sweep*: :func:`resume_sweep` reads
 the journalled configuration, re-enumerates identical cells, and every
 finished cell is a cache hit — only unfinished (or failed) cells
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..obs import HUB as _OBS
 from ..obs.aggregate import merge_events
@@ -40,7 +42,9 @@ from .store import CellSpec, ResultStore
 __all__ = [
     "sweepable_experiments",
     "enumerate_sweep",
+    "drive_sweep",
     "run_sweep",
+    "read_sweep_config",
     "resume_sweep",
     "sweep_status",
     "render_status",
@@ -85,6 +89,44 @@ def _normalise_overrides(overrides: dict[str, dict[str, Any]] | None) -> dict[st
     return json.loads(json.dumps(overrides or {}, default=str))
 
 
+def drive_sweep(
+    experiment_ids: list[str] | None,
+    *,
+    out: str | Path,
+    scale: str,
+    overrides: dict[str, dict[str, Any]] | None,
+    transport: dict[str, Any],
+    drain: Callable[[list[CellSpec], ResultStore, Journal, Path], dict[str, Any]],
+) -> dict[str, Any]:
+    """The sweep-directory driver shared by :func:`run_sweep` and
+    :func:`~repro.runs.net.serve_sweep`.
+
+    Enumerates the cells, journals the configuration — experiments,
+    scale and overrides plus the ``transport``'s own knobs, everything a
+    resume needs — and hands cells, store, journal and directory to
+    ``drain``, the transport that empties the cell queue and returns its
+    summary.  Then it merges the shipped per-cell events into the sweep
+    timeline and writes ``summary.json``.
+    """
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ids = [e.upper() for e in experiment_ids] if experiment_ids else sweepable_experiments()
+    overrides = _normalise_overrides(overrides)
+    config = {"experiments": ids, "scale": scale, "overrides": overrides, **transport}
+    cells = enumerate_sweep(ids, scale, overrides)
+    store = ResultStore(out_dir / "store")
+    started_unix = time.time()
+    with Journal(out_dir / "journal.jsonl", sweep=config) as journal:
+        summary = drain(cells, store, journal, out_dir)
+    if config["events"]:
+        summary["timeline"] = merge_events(out_dir / "events")
+    summary.update(experiments=ids, scale=scale, out=str(out_dir), started_unix=started_unix)
+    (out_dir / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n"
+    )
+    return summary
+
+
 def run_sweep(
     experiment_ids: list[str] | None = None,
     *,
@@ -116,51 +158,31 @@ def run_sweep(
     adds per-cell cProfile stats under ``profiles/``.  Both are execution
     knobs: journalled for resume, invisible to cache keys.
     """
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids = [e.upper() for e in experiment_ids] if experiment_ids else sweepable_experiments()
-    overrides = _normalise_overrides(overrides)
-    config = {
-        "experiments": ids,
-        "scale": scale,
-        "overrides": overrides,
-        "workers": workers,
-        "backend": backend,
-        "events": bool(events),
-        "profile": bool(profile),
-    }
-    cells = enumerate_sweep(ids, scale, overrides)
-    store = ResultStore(out_dir / "store")
-    events_dir = out_dir / "events" if events else None
-    profile_dir = out_dir / "profiles" if profile else None
-    started_unix = time.time()
-    with Journal(out_dir / "journal.jsonl", sweep=config) as journal:
+
+    def drain(cells: list[CellSpec], store: ResultStore, journal: Journal, out_dir: Path) -> dict:
         with _OBS.span("runs.sweep"):
-            summary = run_cells(
-                cells,
-                store=store,
-                journal=journal,
-                workers=workers,
-                timeout=timeout,
-                retries=retries,
-                force=force,
-                max_cells=max_cells,
-                backend=backend,
-                events_dir=events_dir,
-                profile_dir=profile_dir,
+            return run_cells(
+                cells, store=store, journal=journal, workers=workers, timeout=timeout,
+                retries=retries, force=force, max_cells=max_cells, backend=backend,
+                events_dir=out_dir / "events" if events else None,
+                profile_dir=out_dir / "profiles" if profile else None,
             )
-    if events_dir is not None:
-        summary["timeline"] = merge_events(events_dir)
-    summary.update(
-        experiments=ids,
-        scale=scale,
-        out=str(out_dir),
-        started_unix=started_unix,
+
+    transport = {
+        "workers": workers, "backend": backend, "events": bool(events), "profile": bool(profile)
+    }
+    return drive_sweep(
+        experiment_ids, out=out, scale=scale, overrides=overrides, transport=transport, drain=drain
     )
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n"
-    )
-    return summary
+
+
+def read_sweep_config(out: str | Path) -> dict[str, Any]:
+    """The configuration journalled by the sweep in ``out`` (for resuming it)."""
+    out_dir = Path(out)
+    config = read_journal(out_dir / "journal.jsonl")["meta"].get("sweep", {})
+    if not config.get("experiments"):
+        raise ValueError(f"{out_dir}: journal header carries no sweep configuration")
+    return config
 
 
 def resume_sweep(
@@ -177,14 +199,10 @@ def resume_sweep(
     invocation enumerates exactly the cells the original scheduled.
     ``workers=None`` reuses the journalled worker count.
     """
-    out_dir = Path(out)
-    data = read_journal(out_dir / "journal.jsonl")
-    config = data["meta"].get("sweep", {})
-    if not config.get("experiments"):
-        raise ValueError(f"{out_dir}: journal header carries no sweep configuration")
+    config = read_sweep_config(out)
     return run_sweep(
         config["experiments"],
-        out=out_dir,
+        out=out,
         scale=config.get("scale", "ci"),
         workers=config.get("workers", 0) if workers is None else workers,
         timeout=timeout,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import time
 
@@ -421,13 +422,14 @@ def test_execute_cell_timeout_raises():
         execute_cell(slow, timeout=0.01)
 
 
-def test_failing_cell_retried_then_failed_without_aborting(tmp_path):
+@pytest.mark.parametrize("workers", [0, 2])
+def test_failing_cell_retried_then_failed_without_aborting(tmp_path, workers):
     cells = [failing_cell(), tiny_cell("survivor")]
     journal_path = tmp_path / "journal.jsonl"
     with Journal(journal_path, sweep={"experiments": []}) as journal:
         summary = run_cells(
             cells, store=ResultStore(tmp_path / "store"), journal=journal,
-            workers=0, timeout=None, retries=2,
+            workers=workers, timeout=None, retries=2,
         )
     assert summary["failed"] == 1 and summary["run"] == 1  # sweep completed
     [failure] = summary["failures"]
@@ -438,6 +440,116 @@ def test_failing_cell_retried_then_failed_without_aborting(tmp_path):
     assert [r["attempt"] for r in started] == [0, 1, 2]
     assert data["cells"][bad_key]["type"] == "failed"
     assert data["cells"][cell_key(tiny_cell("survivor"))]["type"] == "finished"
+
+
+def _die_on_label(cell, *args):
+    """``execute_cell`` stand-in whose pool worker dies on the "die" cell."""
+    if cell.spec.label == "die":
+        os._exit(9)
+    return execute_cell(cell, *args)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+def test_dead_pool_worker_fails_its_cell_without_aborting(tmp_path, monkeypatch):
+    """A pool child that dies (OOM-kill, ``os._exit``) breaks the pool; its
+    in-flight leases are released like a network worker's EOF and a fresh
+    pool carries on, so the sweep still completes."""
+    from concurrent.futures import ProcessPoolExecutor
+    from functools import partial
+
+    from repro.runs import scheduler
+
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(
+        scheduler, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork)
+    )
+    monkeypatch.setattr(scheduler, "execute_cell", _die_on_label)
+    cells = [tiny_cell("die"), tiny_cell("survivor")]
+    journal_path = tmp_path / "journal.jsonl"
+    with Journal(journal_path, sweep={"experiments": []}) as journal:
+        summary = run_cells(
+            cells, store=ResultStore(tmp_path / "store"), journal=journal,
+            workers=2, timeout=None, retries=2,
+        )
+    [dead] = [f for f in summary["failures"] if f["label"] == "die"]
+    assert dead["attempts"] == 3  # first try + 2 retries
+    assert summary["run"] + summary["failed"] == 2
+    records = read_journal(journal_path)["records"]
+    for cell in cells:
+        ends = [
+            r["type"] for r in records
+            if r["key"] == cell_key(cell) and r["type"] in ("finished", "failed")
+        ]
+        assert len(ends) == 1, (cell.spec.label, ends)
+
+
+def test_cell_queue_survives_thread_stress(tmp_path):
+    """8 threads (more than the cores) hammer one queue with random leases,
+    commits, failures, releases and reaps; every cell still settles
+    exactly once and no cell overspends its attempts."""
+    import random
+    import sys
+    import threading
+
+    from repro.runs import CellQueue
+
+    cells = [tiny_cell(f"s{i}") for i in range(48)]
+    payloads = {cell_key(c): execute_cell(c) for c in cells}
+    retries, n_threads = 2, 8
+    journal_path = tmp_path / "journal.jsonl"
+
+    def hammer(queue, seed, deadline):
+        rng, worker, held = random.Random(seed), f"t{seed}", []
+        while time.monotonic() < deadline and not queue.complete():
+            roll = rng.random()
+            if roll < 0.4:
+                lease = queue.lease(worker, rng.choice([None, 1e-4, 10.0]))
+                if lease is not None:
+                    held.append(lease["key"])
+            elif held and roll < 0.6:
+                key = held.pop(rng.randrange(len(held)))
+                queue.commit(key, payloads[key], worker)
+            elif held and roll < 0.85:
+                queue.fail(held.pop(rng.randrange(len(held))), "boom", worker)
+            elif roll < 0.93:
+                queue.release(worker, "gone")
+                held.clear()
+            else:
+                queue.reap()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Journal(journal_path, sweep={"experiments": []}) as journal:
+            queue = CellQueue(
+                cells, store=ResultStore(tmp_path / "store"), journal=journal, retries=retries
+            )
+            deadline = time.monotonic() + 0.5
+            threads = [
+                threading.Thread(target=hammer, args=(queue, i, deadline), daemon=True)
+                for i in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            # Settle whatever the deadline left in flight.
+            for i in range(n_threads):
+                queue.release(f"t{i}", "gone")
+            while (lease := queue.lease()) is not None:
+                queue.commit(lease["key"], payloads[lease["key"]])
+            assert queue.complete()
+    finally:
+        sys.setswitchinterval(switch)
+    records = read_journal(journal_path)["records"]
+    for key in payloads:
+        ends = [r["type"] for r in records if r["key"] == key and r["type"] in ("finished", "failed")]
+        assert len(ends) == 1, (key, ends)
+        assert queue.attempts.get(key, 0) <= retries + 1
 
 
 def test_run_cells_dedupes_identical_cells(tmp_path):

@@ -421,6 +421,77 @@ def test_result_for_wrong_key_is_rejected(coordinator):
     client.close()
 
 
+def test_stale_failure_report_cannot_fail_a_re_leased_cell(tmp_path):
+    """Worker A's lease expires and B re-leases the cell.  A's late
+    ``failed`` is not the holder's report: it consumes no attempt, and
+    B's result is committed and journalled ``finished`` exactly once."""
+    store = ResultStore(tmp_path / "store")
+    journal = Journal(tmp_path / "journal.jsonl")
+    coord = Coordinator(
+        [tiny_cell("stale")], store=store, journal=journal, retries=1, lease_ttl_s=0.1,
+        events=False,
+    )
+    address = coord.start()
+    a, b = RawClient(address), RawClient(address)
+    try:
+        a.register()
+        b.register()
+        key = a.request({"type": "lease"})["key"]
+        assert coord.state.reap(now=time.time() + 1.0)  # A's lease expires
+        stale = {"type": "failed", "key": key, "error": "late"}
+        duplicate = {"type": "ack", "requeued": False, "duplicate": True}
+        # Stale while the cell waits in the queue: ignored, queued once.
+        assert a.request(stale) == duplicate
+        assert list(coord.state.pending) == [key]
+        grant = b.request({"type": "lease"})
+        assert grant["key"] == key and grant["attempt"] == 1
+        # Stale while B holds the lease: B's attempt is untouched.
+        assert a.request(stale) == duplicate
+        assert coord.state.attempts[key] == 1
+        payload = execute_cell(cell_from_wire(grant["cell"]))
+        reply = b.request({"type": "result", "key": key, "payload": payload})
+        assert reply == {"type": "ack", "committed": True, "duplicate": False}
+        assert store.has(key)
+        summary = coord.wait(poll=0.01, deadline_s=30)
+        assert summary["failed"] == 0 and summary["run"] == 1
+        records = read_journal(tmp_path / "journal.jsonl")["records"]
+        ends = [r["type"] for r in records if r.get("key") == key and r["type"] in ("finished", "failed")]
+        assert ends == ["finished"]
+    finally:
+        a.close()
+        b.close()
+        coord.stop()
+        journal.close()
+
+
+def test_late_commit_from_expired_lease_is_never_leased_again(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    journal = Journal(tmp_path / "journal.jsonl")
+    cells = [tiny_cell("late-a"), tiny_cell("late-b", n=24)]
+    coord = Coordinator(
+        cells, store=store, journal=journal, retries=1, lease_ttl_s=0.1, events=False
+    )
+    address = coord.start()
+    a, b = RawClient(address), RawClient(address)
+    try:
+        a.register()
+        b.register()
+        grant = a.request({"type": "lease"})
+        assert coord.state.reap(now=time.time() + 1.0)  # re-queued behind the other cell
+        payload = execute_cell(cell_from_wire(grant["cell"]))
+        reply = a.request({"type": "result", "key": grant["key"], "payload": payload})
+        assert reply["committed"]  # late, but nobody beat it
+        other = b.request({"type": "lease"})
+        assert other["type"] == "lease" and other["key"] != grant["key"]
+        # The committed cell still sits in the queue; it is never re-executed.
+        assert b.request({"type": "lease"})["type"] == "wait"
+    finally:
+        a.close()
+        b.close()
+        coord.stop()
+        journal.close()
+
+
 def test_register_rejects_schema_and_version_mismatch(coordinator):
     coord, address, store, tmp = coordinator
     client = RawClient(address)
