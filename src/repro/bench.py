@@ -1,56 +1,72 @@
-"""Machine-readable engine benchmark harness (``python -m repro bench``).
+"""Machine-readable benchmark harness (``python -m repro bench``).
 
-The convergence-time experiments spend nearly all wall-clock inside the
-engine's round loop, and the ROADMAP's north star is scale — so the perf
-trajectory needs a *machine-readable* baseline that accumulates per PR.
-This harness times:
+Every speed claim in this repo is a cell of this harness, and
+``repro-qoslb trend --gate`` (:mod:`repro.obs.regress`) judges cells
+across artifacts.  A cell is a few named *legs* — zero-argument callables
+timed by the one clock in this module, :func:`time_legs` — plus the
+figures derived from those timings.  Each cell describes itself
+(schema ``bench-engine/v2``)::
 
-- **engine** cells: protocol rounds/second on representative workloads
-  (unit and weighted instances, with and without an access topology, every
-  registered protocol family, synchronous and alpha schedules);
-- **replicate** cells: whole-replication throughput through
-  :func:`repro.sim.parallel.replicate`, the unit the experiment sweeps
-  fan out;
-- **query** cells: ``State.satisfied_mask`` calls/second with the
-  generation-counter cache enabled vs. disabled — the direct measurement
-  of the memoization layer;
-- **runs** cells: the sweep orchestrator's scheduling overhead and its
-  2-worker speedup over serial execution, plus the fully-cached re-run
-  cost (see :mod:`repro.runs`);
-- **obs** cells: the telemetry hub's cost on the headline engine cell,
-  disabled (must be measurement noise, <2% vs. the committed baseline)
-  and enabled with the in-memory ring buffer (budget ≤5%), including the
-  counter-sampled mode (``sample_rate``); see :mod:`repro.obs`;
-- **aggregate** cells: the sweep-timeline merge
-  (:func:`repro.obs.aggregate.merge_events`) over a synthetic 200-cell
-  sweep's per-cell event files, budget-gated per merged event.
+    {"name": "engine/batched/sampling/sync", "kind": "batched",
+     "headline": "speedup_vs_serial", "unit": "x vs serial",
+     "higher_is_better": true,
+     "legs": {"serial": {"seconds": ..., "cpu_seconds": ...},
+              "batched": {"seconds": ..., "cpu_seconds": ...}},
+     "speedup_vs_serial": ..., "user_rounds_per_sec": ..., ...}
 
-Results go to ``BENCH_engine.json`` (repo root by convention; CI uploads
-it as an artifact) plus a human-readable ASCII table on stdout.  Timings
-are wall-clock best-of-``repeats``; the JSON also records the interpreter
-and NumPy versions so regressions can be attributed.
+``headline`` names one of the cell's own numeric fields; trend and gate
+follow it with the declared direction.  ``kind`` is a plain label.
+
+Cell families:
+
+- ``unit/*``, ``weighted/*``, ``access/*`` (engine): protocol
+  rounds/second of one scalar run per registered protocol family,
+  schedule style and instance class;
+- ``replicate/sampling/serial``: whole-replication throughput through
+  :func:`repro.sim.parallel.replicate` on the scalar engine;
+- ``engine/batched/*``: batched vs serial replication of one engine
+  cell's spec, as ``speedup_vs_serial``;
+- ``replicate/hybrid``: hybrid (processes × batch) replication vs the
+  scalar pool and single-process batched;
+- ``query/satisfied-mask``: ``State.satisfied_mask`` calls/second with
+  the generation-counter cache enabled vs disabled;
+- ``runs/overhead``: the sweep orchestrator serial vs 2 workers vs
+  batched, plus a fully cached re-run (see :mod:`repro.runs`);
+- ``obs/aggregate``: the sweep-timeline merge over a synthetic 200-cell
+  sweep's event files;
+- ``obs/overhead@*``: the telemetry hub's per-round cost, disabled,
+  enabled and counter-sampled (see :mod:`repro.obs`);
+- ``engine/huge/*``: one million-user replication under ``tracemalloc``
+  against a pinned memory ceiling (``--scale full`` or ``--only``).
+
+Results go to ``BENCH_engine.json`` (repo root by convention) plus an
+ASCII table on stdout; the JSON also records the interpreter and NumPy
+versions so regressions can be attributed.
 
 Usage::
 
     python -m repro bench                    # smoke scale, BENCH_engine.json
     python -m repro bench --scale full       # larger cells, more repeats
     python -m repro bench --out /tmp/b.json  # custom output path
+    python -m repro bench --out history/     # dated artifact in a directory
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["ENGINE_CELLS", "run_bench", "main"]
+from .obs import provenance_stamp
+from .obs.trend import BENCH_SCHEMA, _fmt
 
+__all__ = ["ENGINE_CELLS", "time_legs", "run_bench", "render_bench", "main"]
 
 # Each engine cell: name + registry names/kwargs, per scale.  The cells
 # deliberately cover unit/weighted instances, complete and restricted
@@ -176,14 +192,82 @@ BATCHED_CELLS: list[tuple[str, str]] = [
     ("engine/batched/neighborhood/sync", "unit/neighborhood/sync"),
 ]
 
+#: The replication workload of the replicate, hybrid and runs cells.
+REPLICATE_WORKLOAD: dict[str, Any] = {
+    "generator": "uniform_slack",
+    "generator_kwargs": {"slack": 0.25},
+    "protocol": "qos-sampling",
+    "schedule": "synchronous",
+}
 
-def _build_cell(cell: dict[str, Any], n: int, m: int):
+#: The engine cell the telemetry-overhead cell instruments.
+OBS_CELL = "unit/sampling-slackrate/sync"
+
+
+def time_legs(
+    legs: dict[str, Callable[[], Any]], *, repeats: int
+) -> tuple[dict[str, dict[str, float]], dict[str, Any]]:
+    """Time a cell's legs: one untimed warm-up each, then interleaved best-of.
+
+    Every leg is called once untimed (imports, allocator growth, pool
+    spin-up), then ``repeats`` rounds call the legs in turn, so machine
+    drift hits all legs alike.  Per leg, ``seconds`` is the best wall
+    time and ``cpu_seconds`` the best CPU time of this process.  Returns
+    those timings plus, per leg, the value its fastest call returned.
+    """
+    for leg in legs.values():
+        leg()
+    timings = {name: {"seconds": float("inf"), "cpu_seconds": float("inf")} for name in legs}
+    values: dict[str, Any] = {}
+    for _ in range(max(1, repeats)):
+        for name, leg in legs.items():
+            wall, cpu = time.perf_counter(), time.process_time()
+            value = leg()
+            cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+            best = timings[name]
+            if wall < best["seconds"]:
+                best["seconds"] = wall
+                values[name] = value
+            best["cpu_seconds"] = min(best["cpu_seconds"], cpu)
+    return timings, values
+
+
+def _cell(
+    kind: str,
+    name: str,
+    headline: str,
+    unit: str,
+    legs: dict[str, dict[str, float]],
+    *,
+    higher_is_better: bool = True,
+    **fields: Any,
+) -> dict[str, Any]:
+    """One self-describing cell: its headline field, unit, direction and legs."""
+    return {
+        "kind": kind,
+        "name": name,
+        "headline": headline,
+        "unit": unit,
+        "higher_is_better": higher_is_better,
+        "legs": legs,
+        **fields,
+    }
+
+
+def _workload(cell: dict[str, Any], n_users: int, n_resources: int) -> dict[str, Any]:
+    return {
+        "generator": cell["generator"],
+        "protocol": cell["protocol"],
+        "schedule": cell["schedule"],
+        "n_users": int(n_users),
+        "n_resources": int(n_resources),
+    }
+
+
+def _build_cell(cell: dict[str, Any], **defaults: int):
     from .registry import build_instance, build_protocol, build_schedule
 
-    gen_kwargs = dict(cell.get("generator_kwargs", {}))
-    gen_kwargs.setdefault("n", n)
-    gen_kwargs.setdefault("m", m)
-    instance = build_instance(cell["generator"], **gen_kwargs)
+    instance = build_instance(cell["generator"], **{**defaults, **cell.get("generator_kwargs", {})})
     proto_kwargs = dict(cell.get("protocol_kwargs", {}))
     if cell["protocol"] == "neighborhood" and "m" not in proto_kwargs:
         proto_kwargs["m"] = instance.n_resources
@@ -192,139 +276,124 @@ def _build_cell(cell: dict[str, Any], n: int, m: int):
     return instance, protocol, schedule
 
 
-def _time_engine_cell(
-    cell: dict[str, Any], *, n: int, m: int, max_rounds: int, repeats: int, seed: int = 0
-) -> dict[str, Any]:
+def _runner(cell: dict[str, Any], *, n: int, m: int, max_rounds: int, seed: int):
+    """The cell's instance and a zero-argument scalar run from a pile start."""
     from .sim.engine import run
 
-    instance, protocol, schedule = _build_cell(cell, n, m)
-    best: dict[str, Any] | None = None
-    for rep in range(repeats):
-        started = time.perf_counter()
-        result = run(
-            instance,
-            protocol,
-            seed=seed,
-            schedule=schedule,
-            max_rounds=max_rounds,
-            initial="pile",
-        )
-        elapsed = time.perf_counter() - started
-        rounds = max(1, result.rounds)
-        sample = {
-            "seconds": elapsed,
-            "rounds": int(result.rounds),
-            "status": result.status,
-            "rounds_per_sec": rounds / elapsed,
-            "user_rounds_per_sec": rounds * instance.n_users / elapsed,
-        }
-        if best is None or sample["rounds_per_sec"] > best["rounds_per_sec"]:
-            best = sample
-    assert best is not None
-    return {
-        "kind": "engine",
-        "name": cell["name"],
-        "generator": cell["generator"],
-        "protocol": cell["protocol"],
-        "schedule": cell["schedule"],
-        "n_users": instance.n_users,
-        "n_resources": instance.n_resources,
-        **best,
-    }
+    instance, protocol, schedule = _build_cell(cell, n=n, m=m)
+    return instance, partial(
+        run, instance, protocol, seed=seed, schedule=schedule, max_rounds=max_rounds,
+        initial="pile",
+    )
 
 
-def _time_huge_cell(cell: dict[str, Any], *, seed: int = 0) -> dict[str, Any]:
+def _spec(cell: dict[str, Any], *, n: int, m: int, max_rounds: int, label: str):
+    from .sim.parallel import RunSpec
+
+    return RunSpec(
+        generator=cell["generator"],
+        generator_kwargs={"n": n, "m": m, **cell.get("generator_kwargs", {})},
+        protocol=cell["protocol"],
+        protocol_kwargs=dict(cell.get("protocol_kwargs", {})),
+        schedule=cell["schedule"],
+        schedule_kwargs=dict(cell.get("schedule_kwargs", {})),
+        initial="pile",
+        max_rounds=max_rounds,
+        label=label,
+    )
+
+
+def _engine_cell(
+    cell: dict[str, Any], *, n: int, m: int, max_rounds: int, repeats: int, seed: int = 0
+) -> dict[str, Any]:
+    instance, one_run = _runner(cell, n=n, m=m, max_rounds=max_rounds, seed=seed)
+    legs, values = time_legs({"run": one_run}, repeats=repeats)
+    result, seconds = values["run"], legs["run"]["seconds"]
+    rounds = max(1, result.rounds)
+    return _cell(
+        "engine", cell["name"], "rounds_per_sec", "rounds/s", legs,
+        **_workload(cell, instance.n_users, instance.n_resources),
+        seconds=seconds,
+        rounds=int(result.rounds),
+        status=result.status,
+        rounds_per_sec=rounds / seconds,
+        user_rounds_per_sec=rounds * instance.n_users / seconds,
+    )
+
+
+def _huge_cell(cell: dict[str, Any], *, seed: int = 0, repeats: int = 1) -> dict[str, Any]:
     """One million-user replication, timed and memory-audited.
 
-    The run is wrapped in ``tracemalloc`` (NumPy registers its data
-    allocations with it), so ``peak_traced_bytes`` is the cell-local
-    allocation peak the pinned ceiling is stated over.  ``peak_rss_bytes``
+    The leg (instance build + run) is wrapped in ``tracemalloc`` (NumPy
+    registers its data allocations with it), so ``peak_traced_bytes`` is
+    the cell-local allocation peak the pinned ceiling is stated over, and
+    the cell's headline (lower is better).  ``peak_rss_bytes``
     (``ru_maxrss``) rides along for context but is process-monotonic —
     earlier cells in a full harness run inflate it — so the ceiling check
-    uses the traced number.  One timed repetition: at this size a single
-    run is seconds of work and best-of-N would double the harness cost
-    for a cell whose headline metric is memory, not nanoseconds.
+    uses the traced number.
     """
     import resource
     import tracemalloc
 
-    from .registry import build_instance, build_protocol, build_schedule
     from .sim.engine import run
 
-    tracemalloc.start()
-    try:
-        started = time.perf_counter()
-        instance = build_instance(cell["generator"], **dict(cell["generator_kwargs"]))
-        protocol = build_protocol(cell["protocol"], **dict(cell.get("protocol_kwargs", {})))
-        schedule = build_schedule(cell["schedule"], **dict(cell.get("schedule_kwargs", {})))
-        result = run(
-            instance,
-            protocol,
-            seed=seed,
-            schedule=schedule,
-            max_rounds=cell["max_rounds"],
-            initial="pile",
-        )
-        elapsed = time.perf_counter() - started
-        peak_traced = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    peak_rss = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
+    def traced_run():
+        tracemalloc.start()
+        try:
+            instance, protocol, schedule = _build_cell(cell)
+            result = run(
+                instance, protocol, seed=seed, schedule=schedule,
+                max_rounds=cell["max_rounds"], initial="pile",
+            )
+            return instance, result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    legs, values = time_legs({"run": traced_run}, repeats=repeats)
+    instance, result, peak_traced = values["run"]
+    seconds = legs["run"]["seconds"]
     ceiling = int(cell["memory_ceiling_bytes"])
     rounds = max(1, result.rounds)
-    return {
-        "kind": "huge",
-        "name": cell["name"],
-        "generator": cell["generator"],
-        "protocol": cell["protocol"],
-        "schedule": cell["schedule"],
-        "n_users": instance.n_users,
-        "n_resources": instance.n_resources,
-        "seconds": elapsed,
-        "rounds": int(result.rounds),
-        "status": result.status,
-        "rounds_per_sec": rounds / elapsed,
-        "user_rounds_per_sec": rounds * instance.n_users / elapsed,
-        "peak_traced_bytes": int(peak_traced),
-        "peak_rss_bytes": peak_rss,
-        "memory_ceiling_bytes": ceiling,
-        "within_ceiling": bool(peak_traced <= ceiling),
-    }
-
-
-def _time_replicate_cell(*, n: int, m: int, max_rounds: int, reps: int) -> dict[str, Any]:
-    from .sim.parallel import RunSpec, replicate
-
-    spec = RunSpec(
-        generator="uniform_slack",
-        generator_kwargs={"n": n, "m": m, "slack": 0.25},
-        protocol="qos-sampling",
-        initial="pile",
-        max_rounds=max_rounds,
-        label="bench-replicate",
+    return _cell(
+        "huge", cell["name"], "peak_traced_bytes", "B", legs, higher_is_better=False,
+        **_workload(cell, instance.n_users, instance.n_resources),
+        seconds=seconds,
+        rounds=int(result.rounds),
+        status=result.status,
+        rounds_per_sec=rounds / seconds,
+        user_rounds_per_sec=rounds * instance.n_users / seconds,
+        peak_traced_bytes=int(peak_traced),
+        peak_rss_bytes=int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024,
+        memory_ceiling_bytes=ceiling,
+        within_ceiling=bool(peak_traced <= ceiling),
     )
-    started = time.perf_counter()
+
+
+def _replicate_cell(
+    *, n: int, m: int, max_rounds: int, reps: int, repeats: int
+) -> dict[str, Any]:
+    from .sim.parallel import replicate
+
+    spec = _spec(REPLICATE_WORKLOAD, n=n, m=m, max_rounds=max_rounds, label="bench-replicate")
     # Pinned to the scalar engine: this cell *is* the serial baseline the
     # batched cells are compared against.
-    results = replicate(spec, reps, base_seed=0, workers=0, backend="serial")
-    elapsed = time.perf_counter() - started
-    return {
-        "kind": "replicate",
-        "name": "replicate/sampling/serial",
-        "generator": "uniform_slack",
-        "protocol": "qos-sampling",
-        "schedule": "synchronous",
-        "n_users": n,
-        "n_resources": m,
-        "reps": reps,
-        "seconds": elapsed,
-        "reps_per_sec": reps / elapsed,
-        "total_rounds": int(sum(r.rounds for r in results)),
-        "statuses": sorted({r.status for r in results}),
-    }
+    legs, values = time_legs(
+        {"serial": partial(replicate, spec, reps, base_seed=0, workers=0, backend="serial")},
+        repeats=repeats,
+    )
+    results, seconds = values["serial"], legs["serial"]["seconds"]
+    return _cell(
+        "replicate", "replicate/sampling/serial", "reps_per_sec", "reps/s", legs,
+        **_workload(REPLICATE_WORKLOAD, n, m),
+        reps=reps,
+        seconds=seconds,
+        reps_per_sec=reps / seconds,
+        total_rounds=int(sum(r.rounds for r in results)),
+        statuses=sorted({r.status for r in results}),
+    )
 
 
-def _time_hybrid_cell(
+def _hybrid_cell(
     *,
     n: int,
     m: int,
@@ -344,66 +413,39 @@ def _time_hybrid_cell(
     tooling and CI can condition the beats-both-legs expectation on it —
     on one core the hybrid backend degenerates to plain batched by design.
     """
-    from .sim.parallel import RunSpec, _default_workers, replicate
+    from .sim.parallel import _default_workers, replicate
 
-    spec = RunSpec(
-        generator="uniform_slack",
-        generator_kwargs={"n": n, "m": m, "slack": 0.25},
-        protocol="qos-sampling",
-        initial="pile",
-        max_rounds=max_rounds,
-        label="bench-hybrid",
-    )
+    spec = _spec(REPLICATE_WORKLOAD, n=n, m=m, max_rounds=max_rounds, label="bench-hybrid")
     n_workers = _default_workers() if workers is None else int(workers)
-    n_shards = min(max(1, n_workers), reps)
-
-    # Untimed warm-up per leg (imports, pool spin-up), then interleaved
-    # best-of-``repeats`` so machine-speed drift hits all legs alike.
-    replicate(spec, reps, base_seed=0, backend="batched")
-    if n_shards >= 2:
-        replicate(spec, reps, base_seed=0, workers=n_workers, backend="hybrid")
-    pool_seconds = float("inf")
-    batched_seconds = float("inf")
-    hybrid_seconds = float("inf")
-    hybrid_results: list[Any] = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        replicate(spec, reps, base_seed=0, workers=n_workers, backend="serial")
-        pool_seconds = min(pool_seconds, time.perf_counter() - started)
-        started = time.perf_counter()
-        replicate(spec, reps, base_seed=0, backend="batched")
-        batched_seconds = min(batched_seconds, time.perf_counter() - started)
-        started = time.perf_counter()
-        results = replicate(spec, reps, base_seed=0, workers=n_workers, backend="hybrid")
-        elapsed = time.perf_counter() - started
-        if elapsed < hybrid_seconds:
-            hybrid_seconds = elapsed
-            hybrid_results = results
-    total_rounds = max(1, sum(r.rounds for r in hybrid_results))
-    hybrid_urps = total_rounds * n / hybrid_seconds
-    return {
-        "kind": "hybrid",
-        "name": "replicate/hybrid",
-        "generator": "uniform_slack",
-        "protocol": "qos-sampling",
-        "schedule": "synchronous",
-        "n_users": n,
-        "n_resources": m,
-        "reps": reps,
-        "workers": n_shards,
-        "seconds": hybrid_seconds,
-        "pool_seconds": pool_seconds,
-        "batched_seconds": batched_seconds,
-        "rounds": int(total_rounds),
-        "rounds_per_sec": total_rounds / hybrid_seconds,
-        "user_rounds_per_sec": hybrid_urps,
-        "speedup_vs_pool": pool_seconds / hybrid_seconds,
-        "speedup_vs_batched": batched_seconds / hybrid_seconds,
-        "statuses": sorted({r.status for r in hybrid_results}),
-    }
+    rep = partial(replicate, spec, reps, base_seed=0)
+    legs, values = time_legs(
+        {
+            "pool": partial(rep, workers=n_workers, backend="serial"),
+            "batched": partial(rep, backend="batched"),
+            "hybrid": partial(rep, workers=n_workers, backend="hybrid"),
+        },
+        repeats=repeats,
+    )
+    seconds = legs["hybrid"]["seconds"]
+    total_rounds = max(1, sum(r.rounds for r in values["hybrid"]))
+    return _cell(
+        "hybrid", "replicate/hybrid", "user_rounds_per_sec", "user-rounds/s", legs,
+        **_workload(REPLICATE_WORKLOAD, n, m),
+        reps=reps,
+        workers=min(max(1, n_workers), reps),
+        seconds=seconds,
+        pool_seconds=legs["pool"]["seconds"],
+        batched_seconds=legs["batched"]["seconds"],
+        rounds=int(total_rounds),
+        rounds_per_sec=total_rounds / seconds,
+        user_rounds_per_sec=total_rounds * n / seconds,
+        speedup_vs_pool=legs["pool"]["seconds"] / seconds,
+        speedup_vs_batched=legs["batched"]["seconds"] / seconds,
+        statuses=sorted({r.status for r in values["hybrid"]}),
+    )
 
 
-def _time_batched_cell(
+def _batched_cell(
     name: str,
     cell: dict[str, Any],
     *,
@@ -413,84 +455,59 @@ def _time_batched_cell(
     repeats: int,
     reps: int = BATCH_REPS,
 ) -> dict[str, Any]:
-    """Batched-vs-serial replication throughput on one sampling cell.
+    """Batched-vs-serial replication throughput on one engine cell's spec.
 
-    Both sides replicate the same :class:`RunSpec` ``reps`` times in one
-    process; the serial side is pinned to the scalar engine, the batched
-    side runs the whole batch lockstep.  The two backends draw from
-    different bit generators, so total rounds differ slightly — the
-    comparison normalizes to ``user_rounds_per_sec`` (simulated user-round
-    throughput), the unit the ≥3x claim is stated in.
+    Both legs replicate the same :class:`RunSpec` ``reps`` times in one
+    process; the serial leg is pinned to the scalar engine, the batched
+    leg runs the whole batch lockstep.  Replication is bit-identical per
+    rep across the two backends, so both legs simulate the same
+    user-rounds and ``speedup_vs_serial`` (the ratio of simulated
+    user-round throughputs, the unit the ≥3x claim is stated in) is a
+    pure wall-clock ratio.
     """
-    from .sim.parallel import RunSpec, replicate
+    from .sim.parallel import replicate
 
-    gen_kwargs = dict(cell.get("generator_kwargs", {}))
-    gen_kwargs.setdefault("n", n)
-    gen_kwargs.setdefault("m", m)
-    spec = RunSpec(
-        generator=cell["generator"],
-        generator_kwargs=gen_kwargs,
-        protocol=cell["protocol"],
-        protocol_kwargs=dict(cell.get("protocol_kwargs", {})),
-        schedule=cell["schedule"],
-        schedule_kwargs=dict(cell.get("schedule_kwargs", {})),
-        initial="pile",
-        max_rounds=max_rounds,
-        label=f"bench-{name}",
+    spec = _spec(cell, n=n, m=m, max_rounds=max_rounds, label=f"bench-{name}")
+    rep = partial(replicate, spec, reps, base_seed=0)
+    legs, values = time_legs(
+        {
+            "serial": partial(rep, workers=0, backend="serial"),
+            "batched": partial(rep, backend="batched"),
+        },
+        repeats=repeats,
+    )
+    seconds, serial_seconds = legs["batched"]["seconds"], legs["serial"]["seconds"]
+    batched_rounds = max(1, sum(r.rounds for r in values["batched"]))
+    serial_rounds = max(1, sum(r.rounds for r in values["serial"]))
+    batched_urps = batched_rounds * n / seconds
+    serial_urps = serial_rounds * n / serial_seconds
+    return _cell(
+        "batched", name, "speedup_vs_serial", "x vs serial", legs,
+        **_workload(cell, n, m),
+        serial_cell=cell["name"],
+        reps=reps,
+        seconds=seconds,
+        serial_seconds=serial_seconds,
+        rounds=int(batched_rounds),
+        serial_rounds=int(serial_rounds),
+        rounds_per_sec=batched_rounds / seconds,
+        user_rounds_per_sec=batched_urps,
+        serial_user_rounds_per_sec=serial_urps,
+        speedup_vs_serial=batched_urps / serial_urps,
+        statuses=sorted({r.status for r in values["batched"]}),
     )
 
-    # Interleave the two legs (serial, batched, serial, batched, ...) and
-    # take best-of each: machine-speed drift then hits both legs alike and
-    # the reported ratio stays stable across runs.  One untimed warm-up
-    # pair absorbs first-call import/allocation costs.
-    replicate(spec, reps, base_seed=0, workers=0, backend="serial")
-    replicate(spec, reps, base_seed=0, backend="batched")
-    serial_seconds = float("inf")
-    best_seconds = float("inf")
-    serial_results: list[Any] = []
-    batched_results: list[Any] = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        results = replicate(spec, reps, base_seed=0, workers=0, backend="serial")
-        elapsed = time.perf_counter() - started
-        if elapsed < serial_seconds:
-            serial_seconds = elapsed
-            serial_results = results
-        started = time.perf_counter()
-        results = replicate(spec, reps, base_seed=0, backend="batched")
-        elapsed = time.perf_counter() - started
-        if elapsed < best_seconds:
-            best_seconds = elapsed
-            batched_results = results
-    serial_rounds = max(1, sum(r.rounds for r in serial_results))
-    batched_rounds = max(1, sum(r.rounds for r in batched_results))
 
-    serial_urps = serial_rounds * n / serial_seconds
-    batched_urps = batched_rounds * n / best_seconds
-    return {
-        "kind": "batched",
-        "name": name,
-        "serial_cell": cell["name"],
-        "generator": cell["generator"],
-        "protocol": cell["protocol"],
-        "schedule": cell["schedule"],
-        "n_users": n,
-        "n_resources": m,
-        "reps": reps,
-        "seconds": best_seconds,
-        "serial_seconds": serial_seconds,
-        "rounds": int(batched_rounds),
-        "serial_rounds": int(serial_rounds),
-        "rounds_per_sec": batched_rounds / best_seconds,
-        "user_rounds_per_sec": batched_urps,
-        "serial_user_rounds_per_sec": serial_urps,
-        "speedup_vs_serial": batched_urps / serial_urps,
-        "statuses": sorted({r.status for r in batched_results}),
-    }
-
-
-def _time_obs_cell(
-    cell: dict[str, Any], *, n: int, m: int, max_rounds: int, repeats: int, seed: int = 0
+def _obs_cell(
+    cell: dict[str, Any],
+    *,
+    n: int,
+    m: int,
+    max_rounds: int,
+    repeats: int,
+    seed: int = 0,
+    iters: int = 20_000,
+    sample_rate: int = 16,
 ) -> dict[str, Any]:
     """Telemetry overhead on one engine cell: hub disabled vs enabled.
 
@@ -505,58 +522,27 @@ def _time_obs_cell(
     machine (observed run-to-run CPU-time noise here is ±10% with
     multi-second load epochs; the ratio of two such measurements flaps
     between -25% and +30%).  So the cell records both end-to-end
-    throughput numbers (best-of-``repeats``, interleaved, CPU time) for
+    throughput numbers (the ``disabled``/``enabled`` legs, CPU time) for
     trend tracking, but derives ``overhead_pct`` from a *direct*
-    measurement: a tight loop timing exactly what the engine adds per
-    round when the hub is enabled (the reused ``engine.round`` +
-    ``engine.protocol-step`` span pair plus one ``round`` event) minus
-    the disabled-side cost (null spans + ``active`` guard), divided by
-    the cell's per-round time.  The tiny pure-Python loop amortizes over
-    tens of thousands of iterations and is stable to a few percent
-    *relative* — a few hundredths of a point on the reported overhead —
-    where the end-to-end ratio is unusable.
+    measurement: three ``loop_*`` legs time a tight loop of exactly what
+    the engine adds per round (the reused ``engine.round`` +
+    ``engine.protocol-step`` span pair plus the guarded ``round`` event)
+    with the hub disabled, enabled and counter-sampled.  Each per-round
+    cost is that leg's ``cpu_seconds / iters``; the overhead is the
+    enabled minus the disabled cost, divided by the cell's per-round time.
     """
     from .obs import HUB
-    from .sim.engine import run
+    from .obs.hub import HEARTBEAT_INTERVAL_S, PROGRESS_INTERVAL_S
 
-    instance, protocol, schedule = _build_cell(cell, n, m)
+    instance, one_run = _runner(cell, n=n, m=m, max_rounds=max_rounds, seed=seed)
 
-    def one_run() -> tuple[float, Any]:
-        started = time.process_time()
-        result = run(
-            instance,
-            protocol,
-            seed=seed,
-            schedule=schedule,
-            max_rounds=max_rounds,
-            initial="pile",
-        )
-        elapsed = time.process_time() - started
-        return elapsed, result
-
-    best_off = float("inf")
-    best_on = float("inf")
-    last_result = None
-    counters: dict[str, float] = {}
-    for _ in range(repeats):
-        t_off, result = one_run()
-        best_off = min(best_off, t_off)
+    def enabled_run():
         with HUB.enabled(label="bench-obs"):
-            t_on, result = one_run()
-            sample_counters = dict(HUB.counters)
-        if t_on < best_on:
-            best_on = t_on
-            counters = sample_counters
-        last_result = result
-    assert last_result is not None
-    rounds = max(1, last_result.rounds)
+            return one_run(), dict(HUB.counters)
 
-    def per_round_cost(iters: int = 50_000) -> float:
-        from .obs.hub import HEARTBEAT_INTERVAL_S, PROGRESS_INTERVAL_S
-
+    def round_loop():
         round_span = HUB.span("engine.round")
         step_span = HUB.span("engine.protocol-step")
-        started = time.process_time()
         for i in range(iters):
             with round_span:
                 with step_span:
@@ -581,75 +567,82 @@ def _time_obs_cell(
                             "messages": 0,
                         },
                     )
-        return (time.process_time() - started) / iters
 
-    cost_off = per_round_cost()  # null spans + guard: the disabled tax
-    with HUB.enabled(label="bench-obs-micro"):
-        cost_on = per_round_cost()
-    sample_rate = 16
-    with HUB.enabled(label="bench-obs-micro-sampled", sample_rate=sample_rate):
-        cost_sampled = per_round_cost()
-    round_seconds = best_off / rounds
-    overhead_pct = 100.0 * max(0.0, cost_on - cost_off) / round_seconds
-    overhead_pct_sampled = 100.0 * max(0.0, cost_sampled - cost_off) / round_seconds
+    def enabled_loop(**config: Any):
+        def leg():
+            with HUB.enabled(label="bench-obs-micro", **config):
+                round_loop()
+            HUB.ring.clear()  # free this leg's events inside its own timing
 
-    return {
-        "kind": "obs",
-        "name": f"obs/overhead@{cell['name']}",
-        "generator": cell["generator"],
-        "protocol": cell["protocol"],
-        "schedule": cell["schedule"],
-        "n_users": instance.n_users,
-        "n_resources": instance.n_resources,
-        "seconds": best_on,
-        "rounds": int(last_result.rounds),
-        "status": last_result.status,
-        "enabled_rounds_per_sec": rounds / best_on,
-        "disabled_rounds_per_sec": rounds / best_off,
-        "per_round_cost_enabled_us": cost_on * 1e6,
-        "per_round_cost_disabled_us": cost_off * 1e6,
-        "per_round_cost_sampled_us": cost_sampled * 1e6,
-        "sample_rate": sample_rate,
-        "overhead_pct": overhead_pct,
-        "overhead_pct_sampled": overhead_pct_sampled,
-        "cache_hits": int(counters.get("state.cache_hits", 0)),
-        "cache_misses": int(counters.get("state.cache_misses", 0)),
+        return leg
+
+    legs, values = time_legs(
+        {
+            "disabled": one_run,
+            "enabled": enabled_run,
+            "loop_disabled": round_loop,
+            "loop_enabled": enabled_loop(),
+            "loop_sampled": enabled_loop(sample_rate=sample_rate),
+        },
+        repeats=repeats,
+    )
+    result, counters = values["enabled"]
+    rounds = max(1, result.rounds)
+    cost = {
+        leg: legs[f"loop_{leg}"]["cpu_seconds"] / iters
+        for leg in ("disabled", "enabled", "sampled")
     }
+    round_seconds = legs["disabled"]["cpu_seconds"] / rounds
+    return _cell(
+        "obs", f"obs/overhead@{cell['name']}", "enabled_rounds_per_sec", "rounds/s", legs,
+        **_workload(cell, instance.n_users, instance.n_resources),
+        seconds=legs["enabled"]["seconds"],
+        rounds=int(result.rounds),
+        status=result.status,
+        enabled_rounds_per_sec=rounds / legs["enabled"]["cpu_seconds"],
+        disabled_rounds_per_sec=rounds / legs["disabled"]["cpu_seconds"],
+        per_round_cost_enabled_us=cost["enabled"] * 1e6,
+        per_round_cost_disabled_us=cost["disabled"] * 1e6,
+        per_round_cost_sampled_us=cost["sampled"] * 1e6,
+        sample_rate=sample_rate,
+        overhead_pct=100.0 * max(0.0, cost["enabled"] - cost["disabled"]) / round_seconds,
+        overhead_pct_sampled=100.0 * max(0.0, cost["sampled"] - cost["disabled"]) / round_seconds,
+        cache_hits=int(counters.get("state.cache_hits", 0)),
+        cache_misses=int(counters.get("state.cache_misses", 0)),
+    )
 
 
-def _time_runs_cell(*, n: int, m: int, max_rounds: int, reps: int) -> dict[str, Any]:
+def _runs_cell(
+    *, n: int, m: int, max_rounds: int, reps: int, repeats: int
+) -> dict[str, Any]:
     """Sweep-orchestrator overhead: serial vs 2-worker vs batched vs cached.
 
-    Four independent cells run through :func:`repro.runs.run_cells` four
-    times into throwaway stores: ``workers=1`` with the scalar engine
-    (serial baseline), ``workers=2`` scalar (the documented speedup claim
-    — embarrassingly parallel cells should approach 2x minus pool
-    spin-up), ``workers=1`` with the batched engine (one process, whole
-    batch lockstep), and a cached re-run on the 2-worker store (pure
-    store-lookup cost, ~free).
+    Four independent cells run through :func:`repro.runs.run_cells`:
+    ``workers=1`` with the scalar engine (serial baseline), ``workers=2``
+    scalar (the documented speedup claim — embarrassingly parallel cells
+    should approach 2x minus pool spin-up), ``workers=1`` with the
+    batched engine (one process, whole batch lockstep), and a cached
+    re-run (pure store-lookup cost, ~free).  Every call of the first
+    three legs writes into a fresh store, so no timed call hits the
+    cache; the cached leg reads a store filled before timing starts.
     """
+    import itertools
     import shutil
     import tempfile
 
     from .runs import run_cells
     from .runs.store import CellSpec, ResultStore
-    from .sim.parallel import RunSpec
 
     # The slack-proportional rate converges slowly, so every rep burns the
     # whole round budget — deterministic work heavy enough that two workers
     # amortize the pool spin-up (the speedup claim needs real work to split).
     cell_n, cell_m = max(512, n // 2), max(16, m // 2)
     n_reps = max(8, 2 * reps)
+    workload = {**REPLICATE_WORKLOAD, "protocol_kwargs": {"rate": {"name": "slack-proportional"}}}
     cells = [
         CellSpec(
-            spec=RunSpec(
-                generator="uniform_slack",
-                generator_kwargs={"n": cell_n, "m": cell_m, "slack": 0.25},
-                protocol="qos-sampling",
-                protocol_kwargs={"rate": {"name": "slack-proportional"}},
-                initial="pile",
-                max_rounds=max_rounds,
-                label=f"bench-runs-{i}",
+            spec=_spec(
+                workload, n=cell_n, m=cell_m, max_rounds=max_rounds, label=f"bench-runs-{i}"
             ),
             n_reps=n_reps,
             base_seed=i,
@@ -658,54 +651,46 @@ def _time_runs_cell(*, n: int, m: int, max_rounds: int, reps: int) -> dict[str, 
     ]
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-runs-"))
+    fresh = itertools.count()
+
+    def fresh_sweep(workers: int, backend: str):
+        return lambda: run_cells(
+            cells, store=ResultStore(tmp / f"store-{next(fresh)}"), workers=workers,
+            timeout=None, backend=backend,
+        )
+
     try:
-        started = time.perf_counter()
-        run_cells(
-            cells, store=ResultStore(tmp / "serial"), workers=1, timeout=None,
-            backend="serial",
+        filled = ResultStore(tmp / "cached")
+        run_cells(cells, store=filled, workers=1, timeout=None, backend="batched")
+        legs, values = time_legs(
+            {
+                "serial": fresh_sweep(1, "serial"),
+                "2w": fresh_sweep(2, "serial"),
+                "batched": fresh_sweep(1, "batched"),
+                "cached": lambda: run_cells(cells, store=filled, workers=2, timeout=None),
+            },
+            repeats=repeats,
         )
-        seconds = time.perf_counter() - started
-
-        store_2w = ResultStore(tmp / "parallel")
-        started = time.perf_counter()
-        run_cells(cells, store=store_2w, workers=2, timeout=None, backend="serial")
-        seconds_2w = time.perf_counter() - started
-
-        started = time.perf_counter()
-        run_cells(
-            cells, store=ResultStore(tmp / "batched"), workers=1, timeout=None,
-            backend="batched",
-        )
-        batched_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        cached_summary = run_cells(cells, store=store_2w, workers=2, timeout=None)
-        cached_seconds = time.perf_counter() - started
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-
-    return {
-        "kind": "runs",
-        "name": "runs/overhead",
-        "generator": "uniform_slack",
-        "protocol": "qos-sampling",
-        "schedule": "synchronous",
-        "n_users": cell_n,
-        "n_resources": cell_m,
-        "cells": len(cells),
-        "reps": n_reps,
-        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "seconds": seconds,
-        "seconds_2w": seconds_2w,
-        "speedup_2w": seconds / seconds_2w if seconds_2w else float("inf"),
-        "batched_seconds": batched_seconds,
-        "speedup_batched": seconds / batched_seconds if batched_seconds else float("inf"),
-        "cached_seconds": cached_seconds,
-        "cached_cells": cached_summary["cached"],
-    }
+    seconds = legs["serial"]["seconds"]
+    return _cell(
+        "runs", "runs/overhead", "speedup_2w", "x speedup", legs,
+        **_workload(workload, cell_n, cell_m),
+        cells=len(cells),
+        reps=n_reps,
+        cpus=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        seconds=seconds,
+        seconds_2w=legs["2w"]["seconds"],
+        speedup_2w=seconds / legs["2w"]["seconds"],
+        batched_seconds=legs["batched"]["seconds"],
+        speedup_batched=seconds / legs["batched"]["seconds"],
+        cached_seconds=legs["cached"]["seconds"],
+        cached_cells=values["cached"]["cached"],
+    )
 
 
-def _time_aggregate_cell(
+def _aggregate_cell(
     *, cells: int = 200, events_per_cell: int = 50, repeats: int = 3
 ) -> dict[str, Any]:
     """Timeline-merge cost on a synthetic 200-cell sweep's event files.
@@ -713,8 +698,8 @@ def _time_aggregate_cell(
     Builds ``cells`` per-cell ``obs-events/v1`` files (one meta header +
     heartbeats/rounds each, one file torn mid-record — the tolerance path
     must be on the timed path, it always runs in production), then times
-    :func:`repro.obs.aggregate.merge_events` best-of-``repeats``.  The
-    headline ``events_per_sec`` is the merge's throughput; the derived
+    :func:`repro.obs.aggregate.merge_events`.  The headline
+    ``events_per_sec`` is the merge's throughput; the derived
     ``per_event_cost_us`` is what the budget test pins.
     """
     import shutil
@@ -754,55 +739,54 @@ def _time_aggregate_cell(
         with (events_dir / f"cell-{0:032x}.jsonl").open("a") as fh:
             fh.write('{"type": "round", "t": 1.0, "trunc')  # torn final line
 
-        best = float("inf")
-        summary: dict[str, Any] = {}
-        for _ in range(repeats):
-            started = time.perf_counter()
-            summary = merge_events(events_dir, out=tmp / "timeline.jsonl")
-            elapsed = time.perf_counter() - started
-            best = min(best, elapsed)
+        legs, values = time_legs(
+            {"merge": lambda: merge_events(events_dir, out=tmp / "timeline.jsonl")},
+            repeats=repeats,
+        )
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    summary, seconds = values["merge"], legs["merge"]["seconds"]
     records = max(1, summary.get("records", 0))
-    return {
-        "kind": "aggregate",
-        "name": "obs/aggregate",
-        "cells": cells,
-        "records": int(summary.get("records", 0)),
-        "bad_lines": int(summary.get("bad_lines", 0)),
-        "seconds": best,
-        "events_per_sec": records / best,
-        "per_event_cost_us": best / records * 1e6,
-    }
+    return _cell(
+        "aggregate", "obs/aggregate", "events_per_sec", "events/s", legs,
+        cells=cells,
+        records=int(summary.get("records", 0)),
+        bad_lines=int(summary.get("bad_lines", 0)),
+        seconds=seconds,
+        events_per_sec=records / seconds,
+        per_event_cost_us=seconds / records * 1e6,
+    )
 
 
-def _time_query_cell(*, n: int, m: int, calls: int = 200) -> dict[str, Any]:
+def _query_cell(*, n: int, m: int, repeats: int, calls: int = 200) -> dict[str, Any]:
     from .core.state import State, caching_disabled
     from .registry import build_instance
 
     instance = build_instance("uniform_slack", n=n, m=m, slack=0.25)
     state = State.uniform_random(instance, np.random.default_rng(0))
 
-    def measure() -> float:
+    def cached():
         state.invalidate_caches()
-        started = time.perf_counter()
         for _ in range(calls):
             state.satisfied_mask()
-        return calls / (time.perf_counter() - started)
 
-    cached = measure()
-    with caching_disabled():
-        uncached = measure()
-    return {
-        "kind": "query",
-        "name": "query/satisfied-mask",
-        "n_users": n,
-        "n_resources": m,
-        "calls": calls,
-        "cached_calls_per_sec": cached,
-        "uncached_calls_per_sec": uncached,
-        "cache_speedup": cached / uncached if uncached else float("inf"),
-    }
+    def uncached():
+        with caching_disabled():
+            for _ in range(calls):
+                state.satisfied_mask()
+
+    legs, _ = time_legs({"cached": cached, "uncached": uncached}, repeats=repeats)
+    cached_rate = calls / legs["cached"]["seconds"]
+    uncached_rate = calls / legs["uncached"]["seconds"]
+    return _cell(
+        "query", "query/satisfied-mask", "cache_speedup", "x speedup", legs,
+        n_users=n,
+        n_resources=m,
+        calls=calls,
+        cached_calls_per_sec=cached_rate,
+        uncached_calls_per_sec=uncached_rate,
+        cache_speedup=cached_rate / uncached_rate,
+    )
 
 
 def _cell_filter(only: str | None):
@@ -835,195 +819,87 @@ def run_bench(
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; known: {sorted(SCALES)}")
     params = SCALES[scale]
-    n, m = params["n"], params["m"]
+    sized = {"n": params["n"], "m": params["m"], "max_rounds": params["max_rounds"]}
     n_repeats = params["repeats"] if repeats is None else int(repeats)
+    engine = {c["name"]: c for c in ENGINE_CELLS}
+
+    # (name, build) per cell, in payload order; ``only`` picks by name
+    # before anything runs.
+    plan: list[tuple[str, Callable[[], dict[str, Any]]]] = [
+        (name, partial(_engine_cell, cell, **sized, repeats=n_repeats, seed=seed))
+        for name, cell in engine.items()
+    ]
+    plan.append(
+        (
+            "replicate/sampling/serial",
+            partial(_replicate_cell, **sized, reps=params["reps"], repeats=n_repeats),
+        )
+    )
+    plan += [
+        (name, partial(_batched_cell, name, engine[serial], **sized, repeats=max(n_repeats, 5)))
+        for name, serial in BATCHED_CELLS
+    ]
+    plan += [
+        ("replicate/hybrid", partial(_hybrid_cell, **sized, repeats=n_repeats)),
+        (
+            "query/satisfied-mask",
+            partial(_query_cell, n=sized["n"], m=sized["m"], repeats=n_repeats),
+        ),
+        ("runs/overhead", partial(_runs_cell, **sized, reps=params["reps"], repeats=n_repeats)),
+        ("obs/aggregate", partial(_aggregate_cell, repeats=max(n_repeats, 3))),
+        (
+            f"obs/overhead@{OBS_CELL}",
+            partial(
+                _obs_cell, engine[OBS_CELL], n=sized["n"], m=sized["m"],
+                max_rounds=4 * sized["max_rounds"], repeats=max(n_repeats, 5), seed=seed,
+            ),
+        ),
+    ]
+    if only is not None or scale == "full":
+        plan += [(cell["name"], partial(_huge_cell, cell, seed=seed)) for cell in HUGE_CELLS]
     want = _cell_filter(only)
+    cells = [build() for name, build in plan if want(name)]
 
-    cells: list[dict[str, Any]] = []
-    for cell in ENGINE_CELLS:
-        if want(cell["name"]):
-            cells.append(
-                _time_engine_cell(
-                    cell,
-                    n=n,
-                    m=m,
-                    max_rounds=params["max_rounds"],
-                    repeats=n_repeats,
-                    seed=seed,
-                )
-            )
-    if want("replicate/sampling/serial"):
-        cells.append(
-            _time_replicate_cell(
-                n=n, m=m, max_rounds=params["max_rounds"], reps=params["reps"]
-            )
-        )
-    for batched_name, serial_name in BATCHED_CELLS:
-        if want(batched_name):
-            cells.append(
-                _time_batched_cell(
-                    batched_name,
-                    next(c for c in ENGINE_CELLS if c["name"] == serial_name),
-                    n=n,
-                    m=m,
-                    max_rounds=params["max_rounds"],
-                    repeats=max(n_repeats, 5),
-                )
-            )
-    if want("replicate/hybrid"):
-        cells.append(
-            _time_hybrid_cell(
-                n=n,
-                m=m,
-                max_rounds=params["max_rounds"],
-                repeats=n_repeats,
-                reps=BATCH_REPS,
-            )
-        )
-    if want("query/satisfied-mask"):
-        cells.append(_time_query_cell(n=n, m=m))
-    if want("runs/overhead"):
-        cells.append(
-            _time_runs_cell(n=n, m=m, max_rounds=params["max_rounds"], reps=params["reps"])
-        )
-    if want("obs/aggregate"):
-        cells.append(_time_aggregate_cell(repeats=max(n_repeats, 3)))
-    if want("obs/overhead@unit/sampling-slackrate/sync"):
-        cells.append(
-            _time_obs_cell(
-                next(c for c in ENGINE_CELLS if c["name"] == "unit/sampling-slackrate/sync"),
-                n=n,
-                m=m,
-                max_rounds=4 * params["max_rounds"],
-                repeats=max(n_repeats, 5),
-                seed=seed,
-            )
-        )
-    include_huge = only is not None or scale == "full"
-    if include_huge:
-        for cell in HUGE_CELLS:
-            if want(cell["name"]):
-                cells.append(_time_huge_cell(cell, seed=seed))
-
-    from .obs import provenance_stamp
-
+    provenance = provenance_stamp(seed_key=str(seed))
     payload = {
-        "schema": "bench-engine/v1",
-        "created_unix": time.time(),
+        "schema": BENCH_SCHEMA,
         "scale": scale,
         "seed": seed,
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-        "provenance": provenance_stamp(seed_key=str(seed)),
+        **{key: provenance[key] for key in ("created_unix", "python", "numpy", "platform")},
+        "provenance": provenance,
         "cells": cells,
     }
-    out_path = Path(out)
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
 
 def render_bench(payload: dict[str, Any]) -> str:
-    """Human-readable table of one harness run."""
+    """Human-readable table of one harness run: one generic row per cell."""
     from .analysis.tables import render_table
 
-    rows = []
-    for c in payload["cells"]:
-        if c["kind"] == "engine":
-            metric = f"{c['rounds_per_sec']:,.0f} rounds/s"
-            detail = f"{c['rounds']} rounds, {c['status']}"
-        elif c["kind"] == "replicate":
-            metric = f"{c['reps_per_sec']:,.2f} reps/s"
-            detail = f"{c['reps']} reps, {c['total_rounds']} rounds"
-        elif c["kind"] == "batched":
-            metric = f"x{c['speedup_vs_serial']:.2f} vs serial"
-            detail = (
-                f"{c['reps']} reps lockstep, "
-                f"{c['user_rounds_per_sec']:,.0f} user-rounds/s "
-                f"(serial {c['serial_user_rounds_per_sec']:,.0f})"
-            )
-        elif c["kind"] == "hybrid":
-            metric = f"x{c['speedup_vs_batched']:.2f} vs batched"
-            detail = (
-                f"{c['reps']} reps over {c['workers']} shard(s), "
-                f"{c['user_rounds_per_sec']:,.0f} user-rounds/s; "
-                f"pool {c['pool_seconds']:.2f}s, "
-                f"batched {c['batched_seconds']:.2f}s (x{c['speedup_vs_pool']:.2f} vs pool)"
-            )
-        elif c["kind"] == "aggregate":
-            metric = f"{c['events_per_sec']:,.0f} events/s"
-            detail = (
-                f"{c['cells']} cells, {c['records']:,} records merged, "
-                f"{c['per_event_cost_us']:.1f}us/event, "
-                f"{c['bad_lines']} torn line(s) tolerated"
-            )
-        elif c["kind"] == "obs":
-            metric = f"{c['overhead_pct']:+.2f}% overhead"
-            detail = (
-                f"{c['enabled_rounds_per_sec']:,.0f} on / "
-                f"{c['disabled_rounds_per_sec']:,.0f} off rounds/s; "
-                f"{c['overhead_pct_sampled']:+.2f}% @1/{c['sample_rate']}"
-            )
-        elif c["kind"] == "huge":
-            metric = f"{c['user_rounds_per_sec']:,.0f} user-rounds/s"
-            mib = 1024 * 1024
-            verdict = "OK" if c["within_ceiling"] else "OVER"
-            detail = (
-                f"peak {c['peak_traced_bytes'] / mib:,.1f} MiB traced "
-                f"(ceiling {c['memory_ceiling_bytes'] / mib:,.0f} MiB, {verdict}), "
-                f"rss {c['peak_rss_bytes'] / mib:,.0f} MiB; "
-                f"{c['rounds']} rounds, {c['status']}"
-            )
-        elif c["kind"] == "runs":
-            metric = f"x{c['speedup_2w']:.2f} @2 workers"
-            detail = (
-                f"{c['cells']} cells: {c['seconds']:.2f}s serial, "
-                f"{c['seconds_2w']:.2f}s 2w, "
-                f"{c['batched_seconds']:.2f}s batched (x{c['speedup_batched']:.2f}), "
-                f"{c['cached_seconds']:.3f}s cached"
-            )
-        else:
-            metric = f"{c['cached_calls_per_sec']:,.0f} calls/s"
-            detail = f"cache speedup x{c['cache_speedup']:,.0f}"
-        rows.append(
-            [
-                c["name"],
-                c.get("n_users", ""),
-                c.get("n_resources", ""),
-                f"{c['seconds']:.3f}" if "seconds" in c else "",
-                metric,
-                detail,
-            ]
-        )
+    rows = [
+        [
+            c["name"],
+            c.get("n_users", ""),
+            c.get("n_resources", ""),
+            c["headline"],
+            f"{_fmt(float(c[c['headline']]))} {c['unit']}",
+            ", ".join(f"{leg} {t['seconds']:.3g}" for leg, t in c["legs"].items()),
+        ]
+        for c in payload["cells"]
+    ]
     title = (
         f"engine benchmark — scale={payload['scale']}, "
         f"python {payload['python']}, numpy {payload['numpy']}"
     )
-    return render_table(["cell", "n", "m", "seconds", "throughput", "notes"], rows, title=title)
+    return render_table(["cell", "n", "m", "headline", "value", "legs (s)"], rows, title=title)
 
 
 def main(argv: list[str] | None = None) -> int:
-    import argparse
+    """``python -m repro.bench [...]``, the same as ``repro-qoslb bench [...]``."""
+    from .cli import main as cli_main
 
-    parser = argparse.ArgumentParser(prog="repro-qoslb bench")
-    parser.add_argument("--scale", choices=sorted(SCALES), default="smoke")
-    parser.add_argument("--out", default="BENCH_engine.json")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--only",
-        default=None,
-        help="run only cells whose name matches this glob/prefix "
-        "(e.g. 'engine/huge')",
-    )
-    args = parser.parse_args(argv)
-    payload = run_bench(
-        scale=args.scale, out=args.out, repeats=args.repeats, seed=args.seed,
-        only=args.only,
-    )
-    print(render_bench(payload))
-    print(f"[wrote {args.out}]")
-    return 0
+    return cli_main(["bench", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,6 +14,7 @@ Installed as ``repro-qoslb`` (also ``python -m repro``)::
     repro-qoslb run F1 --store sweep/store --render-only     # figures, no compute
     repro-qoslb runs gc sweep/ --max-age 30 --max-bytes 512M # LRU store pruning
     repro-qoslb bench --scale smoke          # perf harness -> BENCH_engine.json
+    repro-qoslb bench --out bench-history/   # dated artifact into an existing directory
     repro-qoslb trend BENCH_*.json           # perf trend across bench artifacts
     repro-qoslb trend bench-history/ --gate  # statistical perf-regression verdict
     repro-qoslb runs watch sweep/            # live dashboard over a running sweep
@@ -555,14 +556,15 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import render_bench, run_bench
 
-    out = args.out
-    if args.history:
+    out = Path(args.out)
+    if out.is_dir():
         # Dated artifact into a history directory — `trend <dir>` reads them
-        # back in chronological (= lexicographic) order.
-        history = Path(args.history)
-        history.mkdir(parents=True, exist_ok=True)
-        stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-        out = str(history / f"BENCH_engine-{stamp}.json")
+        # back in chronological (= lexicographic) order; microseconds keep
+        # two fast runs in the same second apart.
+        from datetime import datetime, timezone
+
+        stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S.%fZ")
+        out = out / f"BENCH_engine-{stamp}.json"
     payload = run_bench(
         scale=args.scale, out=out, repeats=args.repeats, seed=args.seed, only=args.only
     )
@@ -857,11 +859,10 @@ def main(argv: list[str] | None = None) -> int:
         "bench", help="engine perf harness -> BENCH_engine.json + table"
     )
     p_bench.add_argument("--scale", choices=("smoke", "full"), default="smoke")
-    p_bench.add_argument("--out", default="BENCH_engine.json")
     p_bench.add_argument(
-        "--history",
-        metavar="DIR",
-        help="write a dated artifact into this directory instead of --out",
+        "--out",
+        default="BENCH_engine.json",
+        help="artifact path; an existing directory receives a dated BENCH_engine-*.json",
     )
     p_bench.add_argument("--repeats", type=int, default=None)
     p_bench.add_argument("--seed", type=int, default=0)

@@ -1,6 +1,6 @@
 """Statistical perf-regression gate over bench artifact history.
 
-``repro-qoslb bench --history`` accumulates dated ``bench-engine/v1``
+``repro-qoslb bench --out DIR`` accumulates dated ``bench-engine/v2``
 artifacts; :func:`gate` splits such a series into *baseline* (every
 artifact but the newest) and *candidate* (the newest) and asks, per
 bench cell, whether the candidate's headline metric moved outside the
@@ -9,8 +9,9 @@ noise band of the baseline:
 - the band is ``max(band, 3 * relative std of the baseline series)`` —
   a cell whose history is noisy earns a wider band than the floor
   (default 10%), so repeat variance does not page anyone;
-- direction comes from the metric: throughput/speedup metrics regress
-  downward, the fallback ``seconds`` metric regresses upward;
+- metric and direction come from the cell payload: each cell names its
+  ``headline`` field and declares ``higher_is_better`` (throughputs and
+  speedups regress downward, a memory peak regresses upward);
 - verdicts are ``ok`` / ``regressed`` / ``improved`` / ``no-baseline``
   (nothing to compare against: new cell, all-NaN history, or a zero
   center that admits no ratio) / ``no-data`` (the candidate itself lacks
@@ -39,10 +40,6 @@ GATE_SCHEMA = "bench-gate/v1"
 #: Noise-band floor: a cell must move more than this fraction (or 3x its
 #: own baseline variability, whichever is wider) to change verdict.
 DEFAULT_BAND = 0.10
-
-#: Metrics where a *larger* value is worse (everything in ``_METRICS``
-#: is higher-is-better; only the fallback wall-clock metric inverts).
-_LOWER_IS_BETTER = {"seconds"}
 
 
 def _median(values: list[float]) -> float:
@@ -80,6 +77,7 @@ def gate_cells(
             "kind": row["kind"],
             "metric": row["metric"],
             "unit": row["unit"],
+            "higher_is_better": row["higher_is_better"],
             "candidate": candidate if math.isfinite(candidate) else None,
             "baseline_n": len(baseline),
             "center": None,
@@ -104,8 +102,10 @@ def gate_cells(
             verdicts.append(verdict)
             continue
         band_eff = max(float(band), 3.0 * _rel_std(baseline, center))
-        ratio = candidate / center
-        if row["metric"] in _LOWER_IS_BETTER:
+        # ratio > 1 is always better: invert lower-is-better headlines.
+        if row["higher_is_better"]:
+            ratio = candidate / center
+        else:
             ratio = center / candidate if candidate else float("inf")
         if ratio < 1.0 - band_eff:
             verdict["verdict"] = "regressed"

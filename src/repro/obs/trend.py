@@ -1,11 +1,12 @@
 """Trend renderer over a series of ``BENCH_engine.json`` artifacts.
 
-The benchmark harness accumulates one ``bench-engine/v1`` file per PR (CI
+The benchmark harness writes one ``bench-engine/v2`` file per run (CI
 uploads them as artifacts); this module turns a *directory or list* of
-those files into the missing piece — a per-cell trend table showing how
-rounds/sec, replicate throughput, the cache speedup and the telemetry
-overhead moved across the series.  Rendering is pure ASCII
-(:mod:`repro.viz.ascii`), usable in CI logs and terminals alike.
+those files into a per-cell trend table.  Every cell declares its own
+``headline`` field, ``unit`` and ``higher_is_better`` direction, so the
+table follows whatever each cell says matters — rounds/sec, a speedup,
+a memory peak — with no table of cell kinds here.  Rendering is pure
+ASCII (:mod:`repro.viz.ascii`), usable in CI logs and terminals alike.
 
 CLI: ``repro-qoslb trend [paths...]`` (defaults to ``BENCH_engine*.json``
 in the current directory).
@@ -17,23 +18,14 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
-__all__ = ["load_bench_artifacts", "trend_rows", "render_trend"]
+__all__ = ["BENCH_SCHEMA", "load_bench_artifacts", "trend_rows", "render_trend"]
 
-#: Cell kind -> (headline metric key, display unit, higher-is-better)
-_METRICS: dict[str, tuple[str, str]] = {
-    "engine": ("rounds_per_sec", "rounds/s"),
-    "replicate": ("reps_per_sec", "reps/s"),
-    "batched": ("speedup_vs_serial", "x vs serial"),
-    "hybrid": ("user_rounds_per_sec", "user-rounds/s"),
-    "query": ("cache_speedup", "x speedup"),
-    "obs": ("enabled_rounds_per_sec", "rounds/s"),
-    "runs": ("speedup_2w", "x speedup"),
-    "aggregate": ("events_per_sec", "events/s"),
-}
+#: Bench payload schema identifier (frozen; see tests/test_obs.py).
+BENCH_SCHEMA = "bench-engine/v2"
 
 
 def load_bench_artifacts(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
-    """Load and chronologically sort ``bench-engine/v1`` payloads.
+    """Load and chronologically sort ``bench-engine/v2`` payloads.
 
     Files with a different ``schema`` raise — mixing incompatible formats
     into one trend silently would be worse than failing loudly.
@@ -42,8 +34,11 @@ def load_bench_artifacts(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
     for p in paths:
         payload = json.loads(Path(p).read_text())
         schema = payload.get("schema")
-        if schema != "bench-engine/v1":
-            raise ValueError(f"{p}: expected schema bench-engine/v1, got {schema!r}")
+        if schema != BENCH_SCHEMA:
+            raise ValueError(
+                f"{p}: expected schema {BENCH_SCHEMA}, got {schema!r}; "
+                "regenerate it with `repro-qoslb bench`"
+            )
         payload["_path"] = str(p)
         payloads.append(payload)
     if not payloads:
@@ -53,35 +48,36 @@ def load_bench_artifacts(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
 
 
 def trend_rows(payloads: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """One row per cell name: the metric series across the artifact series.
+    """One row per cell name: its headline series across the artifacts.
 
-    A cell absent from an artifact (older harness revisions) contributes
-    NaN at that position, so sparklines stay aligned with the series.
+    Metric, unit and direction come from the cell itself, as declared in
+    the newest artifact that has it.  A cell absent from an artifact
+    contributes NaN at that position, so sparklines stay aligned with the
+    series.
     """
-    order: list[str] = []
-    kinds: dict[str, str] = {}
-    for payload in payloads:
-        for cell in payload.get("cells") or []:
-            name = cell.get("name")
-            if name is not None and name not in kinds:
-                order.append(name)
-                kinds[name] = cell.get("kind", "?")
+    by_name = [{c["name"]: c for c in payload.get("cells") or []} for payload in payloads]
+    newest: dict[str, dict[str, Any]] = {}  # first-seen order, newest declaration
+    for cells in by_name:
+        newest.update(cells)
     rows = []
-    for name in order:
-        kind = kinds[name]
-        metric_key, unit = _METRICS.get(kind, ("seconds", "s"))
+    for name, cell in newest.items():
+        metric = cell["headline"]
         series: list[float] = []
-        for payload in payloads:
-            hit = next(
-                (c for c in payload.get("cells") or [] if c.get("name") == name), None
-            )
-            value = hit.get(metric_key) if hit is not None else None
+        for cells in by_name:
+            value = cells[name].get(metric) if name in cells else None
             try:
                 series.append(float("nan") if value is None else float(value))
             except (TypeError, ValueError):
                 series.append(float("nan"))
         rows.append(
-            {"name": name, "kind": kind, "metric": metric_key, "unit": unit, "series": series}
+            {
+                "name": name,
+                "kind": cell.get("kind"),
+                "metric": metric,
+                "unit": cell["unit"],
+                "higher_is_better": bool(cell["higher_is_better"]),
+                "series": series,
+            }
         )
     return rows
 

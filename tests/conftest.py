@@ -15,6 +15,15 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture(scope="session")
+def bench_payload(tmp_path_factory):
+    """One smoke-scale bench harness run shared by every test that reads it."""
+    from repro.bench import run_bench
+
+    out = tmp_path_factory.mktemp("bench") / "BENCH_engine.json"
+    return run_bench(scale="smoke", out=str(out), repeats=1), out
+
+
 @pytest.fixture
 def small_uniform():
     """12 users, 4 identical machines, threshold 4 (generous: 4*4 >= 12)."""

@@ -10,8 +10,6 @@ field by field, plus one hardcoded snapshot pin so both engines drifting
 *together* is also caught.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -296,21 +294,21 @@ def test_batched_throughput_3x_on_smoke_workload():
         max_rounds=64,
         label="stress-batch",
     )
+    from repro.bench import time_legs
+
     reps = 32
-    replicate(s, reps, base_seed=0, workers=0, backend="serial")  # warm-up
-    replicate(s, reps, base_seed=0, backend="batched")
-    serial_best = batched_best = float("inf")
-    for _ in range(5):  # interleaved best-of: machine drift hits both legs
-        t0 = time.perf_counter()
-        serial_res = replicate(s, reps, base_seed=0, workers=0, backend="serial")
-        serial_best = min(serial_best, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        batched_res = replicate(s, reps, base_seed=0, backend="batched")
-        batched_best = min(batched_best, time.perf_counter() - t0)
+    best, results = time_legs(
+        {
+            "serial": lambda: replicate(s, reps, base_seed=0, workers=0, backend="serial"),
+            "batched": lambda: replicate(s, reps, base_seed=0, backend="batched"),
+        },
+        repeats=5,
+    )
+    serial_res, batched_res = results["serial"], results["batched"]
     assert [summary(r) for r in serial_res] == [summary(r) for r in batched_res]
     rounds = sum(r.rounds for r in serial_res)
-    serial_urps = rounds * 2000 / serial_best
-    batched_urps = rounds * 2000 / batched_best
+    serial_urps = rounds * 2000 / best["serial"]["seconds"]
+    batched_urps = rounds * 2000 / best["batched"]["seconds"]
     assert batched_urps >= 3.0 * serial_urps, (
         f"batched {batched_urps:,.0f} vs serial {serial_urps:,.0f} user-rounds/s"
     )
@@ -595,22 +593,22 @@ def test_hybrid_beats_both_pure_legs_on_multicore():
         max_rounds=64,
         label="stress-hybrid",
     )
+    from repro.bench import time_legs
+
     reps = 32
     workers = min(4, cores)
-    replicate(s, reps, base_seed=0, workers=workers, backend="serial")  # warm-up
-    replicate(s, reps, base_seed=0, backend="batched")
-    replicate(s, reps, base_seed=0, workers=workers, backend="hybrid")
-    pool_best = batched_best = hybrid_best = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
-        pool_res = replicate(s, reps, base_seed=0, workers=workers, backend="serial")
-        pool_best = min(pool_best, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        batched_res = replicate(s, reps, base_seed=0, backend="batched")
-        batched_best = min(batched_best, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        hybrid_res = replicate(s, reps, base_seed=0, workers=workers, backend="hybrid")
-        hybrid_best = min(hybrid_best, time.perf_counter() - t0)
+    best, results = time_legs(
+        {
+            "pool": lambda: replicate(s, reps, base_seed=0, workers=workers, backend="serial"),
+            "batched": lambda: replicate(s, reps, base_seed=0, backend="batched"),
+            "hybrid": lambda: replicate(s, reps, base_seed=0, workers=workers, backend="hybrid"),
+        },
+        repeats=5,
+    )
+    pool_res, batched_res, hybrid_res = results["pool"], results["batched"], results["hybrid"]
+    pool_best, batched_best, hybrid_best = (
+        best[leg]["seconds"] for leg in ("pool", "batched", "hybrid")
+    )
     assert [summary(r) for r in hybrid_res] == [summary(r) for r in pool_res]
     assert [summary(r) for r in hybrid_res] == [summary(r) for r in batched_res]
     assert hybrid_best < pool_best, (

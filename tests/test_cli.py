@@ -144,14 +144,12 @@ def test_simulate_obs_out_and_trace_report(tmp_path, capsys):
     assert "counter totals" in out
 
 
-def test_trend_command(tmp_path, capsys, monkeypatch):
-    from repro.bench import run_bench
-
+def test_trend_command(tmp_path, capsys, monkeypatch, bench_payload):
+    payload, _ = bench_payload
     a = tmp_path / "BENCH_a.json"
     b = tmp_path / "BENCH_b.json"
-    run_bench(scale="smoke", out=str(a), repeats=1)
-    run_bench(scale="smoke", out=str(b), repeats=1)
-    capsys.readouterr()  # drop bench chatter
+    for path, created in ((a, 100.0), (b, 200.0)):
+        path.write_text(json.dumps({**payload, "created_unix": created}))
     assert main(["trend", str(a), str(b)]) == 0
     out = capsys.readouterr().out
     assert "bench trend" in out
@@ -229,9 +227,12 @@ def test_run_with_store_caches_cells(tmp_path, capsys):
 def test_bench_history_and_trend_directory(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     history = tmp_path / "bench-history"
-    for _ in range(2):
+    history.mkdir()
+    # An existing directory as --out receives a dated artifact; two fast
+    # runs inside one second must not overwrite each other.
+    for only in ("query/satisfied-mask", "unit/sampling/sync"):
         assert main(["bench", "--scale", "smoke", "--repeats", "1",
-                     "--history", str(history)]) == 0
+                     "--only", only, "--out", str(history)]) == 0
     artifacts = sorted(history.glob("BENCH_engine-*.json"))
     assert len(artifacts) == 2
     assert all(a.name.endswith("Z.json") for a in artifacts)
@@ -240,4 +241,5 @@ def test_bench_history_and_trend_directory(tmp_path, capsys, monkeypatch):
     assert main(["trend", str(history)]) == 0
     out = capsys.readouterr().out
     assert "2 artifact(s)" in out
-    assert "runs/overhead" in out
+    assert "query/satisfied-mask" in out
+    assert "unit/sampling/sync" in out

@@ -221,9 +221,9 @@ def test_huge_cell_fits_memory_ceiling():
     """One n = 10^6 replication completes, satisfies, and stays inside the
     pinned memory ceiling — the CI guardrail runs this same cell via
     ``python -m repro bench --only engine/huge``."""
-    from repro.bench import HUGE_CELLS, _time_huge_cell
+    from repro.bench import HUGE_CELLS, _huge_cell
 
-    payload = _time_huge_cell(HUGE_CELLS[0])
+    payload = _huge_cell(HUGE_CELLS[0])
     assert payload["status"] == "satisfying"
     assert payload["within_ceiling"], (
         f"peak {payload['peak_traced_bytes']:,} B over ceiling "

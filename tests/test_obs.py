@@ -5,7 +5,7 @@ no-op (shared null span, nothing recorded), enable/disable bracket a
 well-formed ``obs-events/v1`` JSONL file, span aggregates nest and sum
 correctly, provenance stamps carry the pinned fields, and the two CLI-
 facing renderers (``trend``, ``trace-report``) work on real payloads.
-The frozen-format tests pin the ``obs-events/v1`` and ``bench-engine/v1``
+The frozen-format tests pin the ``obs-events/v1`` and ``bench-engine/v2``
 schema fields so accidental renames fail loudly here rather than in a
 consumer parsing last month's artifact.
 """
@@ -332,20 +332,14 @@ def test_trace_carries_provenance(small_uniform):
     assert "spec_seed_key" in prov
 
 
-# -- bench payload & frozen bench-engine/v1 schema -----------------------------
-
-
-@pytest.fixture(scope="module")
-def bench_payload(tmp_path_factory):
-    from repro.bench import run_bench
-
-    out = tmp_path_factory.mktemp("bench") / "BENCH_engine.json"
-    return run_bench(scale="smoke", out=str(out), repeats=1), out
+# -- bench payload & frozen bench-engine/v2 schema -----------------------------
 
 
 def test_frozen_bench_engine_schema(bench_payload):
+    import math
+
     payload, _ = bench_payload
-    assert payload["schema"] == "bench-engine/v1"
+    assert payload["schema"] == "bench-engine/v2"
     assert set(payload) >= {
         "schema",
         "created_unix",
@@ -359,6 +353,17 @@ def test_frozen_bench_engine_schema(bench_payload):
     }
     for f in PROVENANCE_FIELDS:
         assert f in payload["provenance"]
+    for cell in payload["cells"]:
+        # every cell is self-describing: a finite numeric headline of its
+        # own, a unit, a direction, and at least one timed leg
+        assert set(cell) >= {"kind", "name", "headline", "unit", "higher_is_better", "legs"}
+        value = cell[cell["headline"]]
+        assert isinstance(value, (int, float)) and not isinstance(value, bool)
+        assert math.isfinite(value), cell["name"]
+        assert isinstance(cell["higher_is_better"], bool)
+        assert cell["legs"]
+        for leg in cell["legs"].values():
+            assert set(leg) >= {"seconds", "cpu_seconds"}
     kinds = {c["kind"] for c in payload["cells"]}
     assert kinds == {
         "engine",
@@ -451,7 +456,7 @@ def test_bench_runs_cell_cached_rerun_is_free(bench_payload):
 
 def _synthetic_bench(path, created, rps):
     payload = {
-        "schema": "bench-engine/v1",
+        "schema": "bench-engine/v2",
         "created_unix": created,
         "scale": "smoke",
         "seed": 0,
@@ -463,12 +468,27 @@ def _synthetic_bench(path, created, rps):
             {
                 "kind": "engine",
                 "name": "unit/sampling/sync",
+                "headline": "rounds_per_sec",
+                "unit": "rounds/s",
+                "higher_is_better": True,
+                "legs": {"run": {"seconds": 0.1, "cpu_seconds": 0.1}},
                 "seconds": 0.1,
                 "rounds": 10,
                 "rounds_per_sec": rps,
                 "status": "satisfying",
             },
-            {"kind": "query", "name": "query/satisfied_mask", "cache_speedup": 20.0},
+            {
+                "kind": "query",
+                "name": "query/satisfied_mask",
+                "headline": "cache_speedup",
+                "unit": "x speedup",
+                "higher_is_better": True,
+                "legs": {
+                    "cached": {"seconds": 0.01, "cpu_seconds": 0.01},
+                    "uncached": {"seconds": 0.2, "cpu_seconds": 0.2},
+                },
+                "cache_speedup": 20.0,
+            },
         ],
     }
     path.write_text(json.dumps(payload))
@@ -494,6 +514,24 @@ def test_trend_rejects_wrong_schema(tmp_path):
     bad.write_text(json.dumps({"schema": "something-else", "cells": []}))
     with pytest.raises(ValueError):
         load_bench_artifacts([bad])
+    # v1 artifacts carry no headline declarations: fail loudly, say how to fix
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps({"schema": "bench-engine/v1", "cells": []}))
+    with pytest.raises(ValueError, match="regenerate"):
+        load_bench_artifacts([old])
+
+
+def test_trend_reads_headline_from_newest_declaration(tmp_path):
+    a = _synthetic_bench(tmp_path / "a.json", 100.0, 1000.0)
+    payload = json.loads(a.read_text())
+    payload["created_unix"] = 200.0
+    engine = payload["cells"][0]
+    engine.update(headline="seconds", unit="s", higher_is_better=False)
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(payload))
+    row = next(r for r in trend_rows(load_bench_artifacts([a, b])) if r["kind"] == "engine")
+    assert (row["metric"], row["unit"], row["higher_is_better"]) == ("seconds", "s", False)
+    assert row["series"] == [0.1, 0.1]
 
 
 def test_trend_handles_missing_cells(tmp_path):
@@ -708,6 +746,50 @@ def test_gate_ok_on_unchanged_history(tmp_path):
     d = _synthetic_bench(tmp_path / "d.json", 400.0, 1500.0)
     up = gate([a, b, d])
     assert up["verdict"] == "ok" and "unit/sampling/sync" in up["improved"]
+
+
+def _huge_bench(path, created, peak):
+    """A v2 payload holding one memory-headlined million-user cell."""
+    payload = json.loads(_synthetic_bench(path, created, 1000.0).read_text())
+    payload["cells"] = [
+        {
+            "kind": "huge",
+            "name": "engine/huge/sampling/sync",
+            "headline": "peak_traced_bytes",
+            "unit": "B",
+            "higher_is_better": False,
+            "legs": {"run": {"seconds": 2.0, "cpu_seconds": 2.0}},
+            "seconds": 2.0,
+            "peak_traced_bytes": peak,
+        }
+    ]
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_gate_lower_is_better_headline_rising_regresses(tmp_path):
+    from repro.obs import gate
+
+    # same wall-clock, 20% more traced memory: the declared headline decides
+    a = _huge_bench(tmp_path / "a.json", 100.0, 80_000_000)
+    b = _huge_bench(tmp_path / "b.json", 200.0, 96_000_000)
+    result = gate([a, b])
+    assert result["verdict"] == "regressed"
+    assert result["regressed"] == ["engine/huge/sampling/sync"]
+    (cell,) = result["cells"]
+    assert cell["metric"] == "peak_traced_bytes" and cell["higher_is_better"] is False
+    assert cell["ratio"] == pytest.approx(80 / 96)
+
+
+def test_gate_lower_is_better_headline_falling_improves(tmp_path):
+    from repro.obs import gate
+
+    a = _huge_bench(tmp_path / "a.json", 100.0, 80_000_000)
+    b = _huge_bench(tmp_path / "b.json", 200.0, 60_000_000)
+    result = gate([a, b])
+    assert result["verdict"] == "ok"
+    assert result["improved"] == ["engine/huge/sampling/sync"]
+    assert result["cells"][0]["verdict"] == "improved"
 
 
 def test_gate_noisy_baseline_widens_band(tmp_path):

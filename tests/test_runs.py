@@ -940,7 +940,7 @@ def _usable_cpus() -> int:
 @pytest.mark.stress
 @pytest.mark.skipif(_usable_cpus() < 2, reason="needs >= 2 usable CPU cores")
 def test_two_workers_measurably_faster_on_multicore():
-    from repro.bench import _time_runs_cell
+    from repro.bench import _runs_cell
 
-    cell = _time_runs_cell(n=4096, m=64, max_rounds=128, reps=4)
+    cell = _runs_cell(n=4096, m=64, max_rounds=128, reps=4, repeats=1)
     assert cell["speedup_2w"] > 1.1
