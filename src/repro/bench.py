@@ -22,6 +22,9 @@ Cell families:
 - ``unit/*``, ``weighted/*``, ``access/*`` (engine): protocol
   rounds/second of one scalar run per registered protocol family,
   schedule style and instance class;
+- ``engine/step/sampling/sync``: one synchronous
+  ``QoSSamplingProtocol.step`` round on a copy of the pile state, as
+  user-rounds/second (the per-round cost, without a run around it);
 - ``replicate/sampling/serial``: whole-replication throughput through
   :func:`repro.sim.parallel.replicate` on the scalar engine;
 - ``engine/batched/*``: batched vs serial replication of one engine
@@ -200,6 +203,9 @@ REPLICATE_WORKLOAD: dict[str, Any] = {
     "schedule": "synchronous",
 }
 
+#: The one-round cell and the ENGINE_CELLS entry whose workload it steps.
+STEP_CELL: tuple[str, str] = ("engine/step/sampling/sync", "unit/sampling/sync")
+
 #: The engine cell the telemetry-overhead cell instruments.
 OBS_CELL = "unit/sampling-slackrate/sync"
 
@@ -318,6 +324,34 @@ def _engine_cell(
         status=result.status,
         rounds_per_sec=rounds / seconds,
         user_rounds_per_sec=rounds * instance.n_users / seconds,
+    )
+
+
+def _step_cell(
+    name: str, cell: dict[str, Any], *, n: int, m: int, repeats: int, seed: int = 0
+) -> dict[str, Any]:
+    """One synchronous protocol round from a fresh copy of the pile state."""
+    from .core.state import State
+
+    instance, protocol, _ = _build_cell(cell, n=n, m=m)
+    rng = np.random.default_rng(seed)
+    protocol.reset(instance, rng)
+    pile = State.worst_case_pile(instance)
+    active = np.ones(instance.n_users, dtype=bool)
+
+    def one_round():
+        state = pile.copy()
+        protocol.step(state, active, rng)
+        return state
+
+    legs, values = time_legs({"step": one_round}, repeats=repeats)
+    seconds = legs["step"]["seconds"]
+    return _cell(
+        "step", name, "user_rounds_per_sec", "user-rounds/s", legs,
+        **_workload(cell, instance.n_users, instance.n_resources),
+        seconds=seconds,
+        n_satisfied=int(values["step"].n_satisfied),
+        user_rounds_per_sec=instance.n_users / seconds,
     )
 
 
@@ -829,6 +863,16 @@ def run_bench(
         (name, partial(_engine_cell, cell, **sized, repeats=n_repeats, seed=seed))
         for name, cell in engine.items()
     ]
+    step, stepped = STEP_CELL
+    plan.append(
+        (
+            step,
+            partial(
+                _step_cell, step, engine[stepped], n=sized["n"], m=sized["m"],
+                repeats=n_repeats, seed=seed,
+            ),
+        )
+    )
     plan.append(
         (
             "replicate/sampling/serial",

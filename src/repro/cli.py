@@ -94,16 +94,27 @@ def _store_context(store_arg: str | None, *, render_only: bool = False):
     return use_store(store_arg, render_only=render_only)
 
 
+def _workers_override(exp, workers: int | None) -> dict:
+    """``--workers`` for runners that take a pool size (F8, F11–F13 and T3
+    take none and run serially), decided from the runner's signature."""
+    import inspect
+
+    takes_workers = "workers" in inspect.signature(exp.fn).parameters
+    return {"workers": workers} if workers is not None and takes_workers else {}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .experiments import run_experiment
+    from .experiments import get_experiment
     from .runs.store import MissingCellError
     from .sim.parallel import set_default_backend
 
     if args.render_only and not args.store:
         raise SystemExit("--render-only needs --store DIR (the sweep store to render from)")
-    overrides = _kv_args(args.set or [])
-    if args.workers is not None:
-        overrides.setdefault("workers", args.workers)
+    try:
+        exp = get_experiment(args.experiment)
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from None
+    overrides = {**_workers_override(exp, args.workers), **_kv_args(args.set or [])}
     if args.backend is not None:
         # Process-wide default so every cell of the experiment picks it up
         # without threading a knob through each runner signature.
@@ -111,7 +122,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     started = time.time()
     try:
         with _store_context(args.store, render_only=args.render_only):
-            result = run_experiment(args.experiment, args.scale, **overrides)
+            result = exp.run(args.scale, **overrides)
     except MissingCellError as exc:
         raise SystemExit(f"render-only: {exc.args[0]}") from exc
     print(result.render())
@@ -129,18 +140,11 @@ def _cmd_all(args: argparse.Namespace) -> int:
         set_default_backend(args.backend)
     failures = []
     with _store_context(args.store):
-        for eid in sorted(EXPERIMENTS):
+        for eid, exp in sorted(EXPERIMENTS.items()):
             print(f"\n=== {eid} ===")
             try:
                 started = time.time()
-                overrides = {}
-                if args.workers is not None:
-                    overrides["workers"] = args.workers
-                try:
-                    result = EXPERIMENTS[eid].run(args.scale, **overrides)
-                except TypeError:
-                    # Experiments without a workers knob (F8, T3) run serially.
-                    result = EXPERIMENTS[eid].run(args.scale)
+                result = exp.run(args.scale, **_workers_override(exp, args.workers))
                 print(result.render())
                 print(f"[{time.time() - started:.1f}s]")
                 if args.out:

@@ -3,7 +3,8 @@
 Each experiment is a plain function (see the per-module docstrings for the
 claim being reproduced) plus two parameter presets:
 
-- ``ci`` — seconds-scale, used by the ``benchmarks/`` suite;
+- ``ci`` — seconds-scale, the CLI default (``tests/test_experiments.py``
+  checks each experiment's shape claims at smaller presets);
 - ``full`` — the sizes recorded in ``EXPERIMENTS.md`` (minutes-scale),
   launched via ``python -m repro run <ID> --scale full``.
 """
@@ -56,6 +57,7 @@ __all__ = [
     "ExperimentResult",
     "ExperimentDef",
     "EXPERIMENTS",
+    "get_experiment",
     "run_experiment",
     "cell",
     "cell_spec",
@@ -286,9 +288,16 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
 }
 
 
-def run_experiment(experiment_id: str, scale: str = "ci", **overrides: Any) -> ExperimentResult:
-    """Run one experiment by id at the given scale."""
+def get_experiment(experiment_id: str) -> ExperimentDef:
+    """The experiment with this id (case-insensitive); ``KeyError`` names the known ids."""
     key = experiment_id.upper()
     if key not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[key].run(scale, **overrides)
+        raise KeyError(
+            f"unknown experiment {experiment_id!r}; known: {', '.join(sorted(EXPERIMENTS))}"
+        )
+    return EXPERIMENTS[key]
+
+
+def run_experiment(experiment_id: str, scale: str = "ci", **overrides: Any) -> ExperimentResult:
+    """Run one experiment by id at the given scale."""
+    return get_experiment(experiment_id).run(scale, **overrides)

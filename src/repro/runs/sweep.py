@@ -64,14 +64,12 @@ def enumerate_sweep(
     overrides: dict[str, dict[str, Any]] | None = None,
 ) -> list[CellSpec]:
     """All cells of the requested experiments (nothing is executed)."""
-    from ..experiments import EXPERIMENTS
+    from ..experiments import get_experiment
 
     cells: list[CellSpec] = []
     for eid in experiment_ids:
-        key = eid.upper()
-        if key not in EXPERIMENTS:
-            raise KeyError(f"unknown experiment {eid!r}; known: {sorted(EXPERIMENTS)}")
-        definition = EXPERIMENTS[key]
+        definition = get_experiment(eid)
+        key = definition.experiment_id
         if definition.cells is None:
             raise ValueError(
                 f"{key} has no cell decomposition (its runner drives simulations "

@@ -171,8 +171,17 @@ def test_bad_kv_arg():
 
 
 def test_unknown_experiment():
-    with pytest.raises(KeyError):
+    with pytest.raises(SystemExit, match="unknown experiment 'ZZ'; known: F1, F10") as exc:
         main(["run", "ZZ"])
+    assert "T5" in str(exc.value.code)
+
+
+def test_run_experiment_without_workers_knob_accepts_workers(capsys):
+    # F8's runner takes no pool size: --workers is dropped, not passed on.
+    args = ["run", "F8", "--workers", "2", "--set", "failure_counts=1,", "--set", "n=64"]
+    args += ["--set", "m=8", "--set", "n_reps=2", "--set", "settle_rounds=20"]
+    assert main(args) == 0
+    assert "F8" in capsys.readouterr().out
 
 
 # -- sweep orchestration -------------------------------------------------------

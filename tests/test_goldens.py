@@ -1,0 +1,61 @@
+"""The frozen kernel reference: ``tests/goldens/kernel_grid.json``.
+
+Every case replays through the scalar engine and, where a batched kernel
+exists, through ``run_batch``, as written and under ``set_user_chunk(17)``
+(which forces the chunked code paths), and must reproduce the stored
+summary and final-assignment digest exactly.  The reference was recorded
+from the scalar engine by ``tests/goldens/regenerate.py``; regenerate it
+deliberately, never to silence a failure.
+"""
+
+import json
+
+import pytest
+
+from goldens.regenerate import (
+    GOLDEN_PATH,
+    MAX_ROUNDS,
+    SEEDS,
+    build,
+    grid,
+    record,
+    run_case,
+)
+from repro.core.memory import set_user_chunk
+from repro.core.memory import user_chunk as current_chunk
+from repro.sim.batch import _kernel_support, batch_events_support, run_batch
+
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+CASES = grid()
+
+
+@pytest.fixture(params=[None, 17], ids=["default-chunk", "chunk-17"])
+def user_chunk(request):
+    previous = set_user_chunk(request.param or current_chunk())
+    yield
+    set_user_chunk(previous)
+
+
+def test_grid_matches_the_reference():
+    assert [c["id"] for c in CASES] == list(GOLDEN), (
+        "grid and kernel_grid.json disagree: regenerate deliberately"
+    )
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
+def test_case_replays(case, user_chunk):
+    expected = GOLDEN[case["id"]]
+    assert run_case(case) == expected
+
+    instance, protocol, schedule, events = build(case)
+    if _kernel_support(protocol, schedule) or batch_events_support(events):
+        return
+    batch = run_batch(
+        instance, protocol, seeds=list(SEEDS), schedule=schedule,
+        max_rounds=MAX_ROUNDS, initial=case["initial"], events=events,
+    )
+    got = [
+        record(result, batch.final_assignment[i])
+        for i, result in enumerate(batch.decompose())
+    ]
+    assert got == expected

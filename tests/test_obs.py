@@ -367,6 +367,7 @@ def test_frozen_bench_engine_schema(bench_payload):
     kinds = {c["kind"] for c in payload["cells"]}
     assert kinds == {
         "engine",
+        "step",
         "replicate",
         "batched",
         "hybrid",
@@ -377,6 +378,10 @@ def test_frozen_bench_engine_schema(bench_payload):
     }
     engine = next(c for c in payload["cells"] if c["kind"] == "engine")
     assert set(engine) >= {"name", "seconds", "rounds", "rounds_per_sec", "status"}
+    step = next(c for c in payload["cells"] if c["kind"] == "step")
+    assert step["name"] == "engine/step/sampling/sync"
+    assert set(step) >= {"n_users", "n_resources", "seconds", "n_satisfied", "user_rounds_per_sec"}
+    assert step["n_satisfied"] > 0  # the round moved users off the pile
     batched = next(c for c in payload["cells"] if c["kind"] == "batched")
     assert set(batched) >= {
         "name",
