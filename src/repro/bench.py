@@ -158,12 +158,13 @@ SCALES: dict[str, dict[str, int]] = {
 }
 
 #: Pinned peak-tracemalloc budget for one million-user replication
-#: (instance build + full run).  Measured ~78 MB after the dtype/memory
-#: audit (narrow index arrays, chunked mover math); 96 MiB leaves
-#: headroom for allocator jitter while still catching any full-width
-#: int64 regression (pre-audit layouts blow well past it).  CI's
-#: guardrail fails at 1.2x this value.
-HUGE_MEMORY_CEILING_BYTES = 96 * 1024 * 1024
+#: (instance build + full run).  Measured 58.2 MiB (61.1 MB) once the
+#: scalar round ran the shared one-row kernels (74.4 MiB before, with
+#: the separate scalar protocol bodies); 64 MiB leaves ~10% headroom for
+#: NumPy-version jitter while still catching any full-width per-mover
+#: regression (pre-audit layouts blow well past it).  CI's guardrail
+#: fails at 1.2x this value.
+HUGE_MEMORY_CEILING_BYTES = 64 * 1024 * 1024
 
 #: Million-user single-replication cells (the ROADMAP's scale milestone).
 #: Run at ``--scale full`` or when selected explicitly via ``--only``;

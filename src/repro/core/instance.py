@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .latency import IdentityLatency, LatencyFunction, LatencyProfile
-from .memory import index_dtype, iter_chunks
+from .memory import csr_offsets, index_dtype, iter_chunks
 
 __all__ = ["AccessMap", "Instance"]
 
@@ -49,8 +49,7 @@ class AccessMap:
         if np.any(counts == 0):
             bad = int(np.nonzero(counts == 0)[0][0])
             raise ValueError(f"user {bad} has no accessible resource")
-        offsets = np.zeros(n_users + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        offsets = csr_offsets(counts)
         choices = np.empty(int(offsets[-1]), dtype=np.int64)
         for u, a in enumerate(allowed):
             arr = np.asarray(sorted(set(int(r) for r in a)), dtype=np.int64)
@@ -156,9 +155,7 @@ class AccessMap:
         # nonzero walks rows in order, columns ascending within a row —
         # exactly the CSR invariant from_csr validates.
         _, cols = np.nonzero(matrix)
-        offsets = np.zeros(matrix.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls.from_csr(cols, offsets, matrix.shape[1])
+        return cls.from_csr(cols, csr_offsets(counts), matrix.shape[1])
 
     def allowed(self, u: int) -> np.ndarray:
         """Resources accessible to user ``u`` (sorted)."""
@@ -252,7 +249,10 @@ class Instance:
         thresholds = np.asarray(self.thresholds, dtype=np.float64)
         if thresholds.ndim != 1 or thresholds.size == 0:
             raise ValueError("thresholds must be a non-empty 1-D array")
-        if np.any(thresholds <= 0) or not np.all(np.isfinite(thresholds)):
+        # min/max propagate NaN, so two reductions per array check
+        # positivity and finiteness and also tell whether it is uniform.
+        q_lo, q_hi = thresholds.min(), thresholds.max()
+        if not (q_lo > 0 and np.isfinite(q_hi)):
             raise ValueError("thresholds must be positive and finite")
         object.__setattr__(self, "thresholds", thresholds)
 
@@ -265,9 +265,11 @@ class Instance:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != thresholds.shape:
             raise ValueError("weights must match thresholds in shape")
-        if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
+        w_lo, w_hi = weights.min(), weights.max()
+        if not (w_lo > 0 and np.isfinite(w_hi)):
             raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_uniform", (bool(q_lo == q_hi), bool(w_lo == w_hi == 1.0)))
 
         if self.access is not None:
             if self.access.n_users != thresholds.size:
@@ -291,8 +293,13 @@ class Instance:
         return len(self.latencies)
 
     @property
+    def uniform_thresholds(self) -> bool:
+        """True when every user has the same threshold."""
+        return self._uniform[0]
+
+    @property
     def unit_weights(self) -> bool:
-        return bool(np.all(self.weights == 1.0))
+        return self._uniform[1]
 
     @property
     def identical_resources(self) -> bool:

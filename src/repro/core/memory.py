@@ -41,8 +41,9 @@ User-axis chunking
 
 :func:`iter_chunks` yields ``(start, stop)`` spans of at most
 :func:`user_chunk` elements.  Hot-path kernels that would otherwise build
-several full-width temporaries (the scalar ``State.would_satisfy``, the
-batched probe/commit math) loop over these spans, writing into
+several full-width temporaries (the kernels' probe math in
+:mod:`repro.core.protocols.kernels`, ``State.would_satisfy``, the
+contention bincount) loop over these spans, writing into
 preallocated outputs so per-round scratch is bounded by the chunk size
 regardless of ``n``.  Only *elementwise* work may be chunked — anything
 with cross-element reductions in float (weighted bincounts, sums) must
@@ -64,6 +65,7 @@ from typing import Iterator
 import numpy as np
 
 __all__ = [
+    "csr_offsets",
     "index_dtype",
     "wide_dtypes",
     "user_chunk",
@@ -101,6 +103,19 @@ def index_dtype(bound: int) -> np.dtype:
     if bound <= 2**31:
         return np.dtype(np.int32)
     return np.dtype(np.int64)
+
+
+def csr_offsets(counts) -> np.ndarray:
+    """CSR offsets of per-row ``counts``: ``[0, c0, c0 + c1, ...]`` in int64.
+
+    The offsets index a flat array whose length can pass ``2**31`` while
+    every single count stays small, so they are accumulated in int64 and
+    never narrowed, whatever the width of ``counts``.
+    """
+    counts = np.asarray(counts)
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, dtype=np.int64, out=offsets[1:])
+    return offsets
 
 
 @contextmanager

@@ -17,6 +17,12 @@ deliberately narrow so that the information each protocol uses is auditable:
 Sequential algorithms (best response) override :meth:`Protocol.step`
 directly, because Gauss–Seidel-style sweeps apply moves immediately rather
 than simultaneously.
+
+The four sample-then-commit protocols (sampling, multi-probe, permit,
+neighbourhood) share one ``propose``:
+:class:`~repro.core.protocols.kernels.SampleCommitProtocol` runs their
+round math, which exists once in :mod:`repro.core.protocols.kernels`, on
+a one-row view of the state.
 """
 
 from __future__ import annotations

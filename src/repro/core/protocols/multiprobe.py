@@ -22,17 +22,20 @@ al.'s use of multiple samples in selfish load balancing.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..state import State
-from .base import Proposal, Protocol
+from .kernels import SampleCommitProtocol
 from .rates import ConstantRate, MigrationRateRule
 
 __all__ = ["MultiProbeProtocol"]
 
 
-class MultiProbeProtocol(Protocol):
-    """Sample ``d`` resources per activation; move to the best satisfying one."""
+class MultiProbeProtocol(SampleCommitProtocol):
+    """Sample ``d`` resources per activation; move to the best satisfying one.
+
+    The round is the ``"multiprobe"`` kernel of
+    :mod:`repro.core.protocols.kernels`.
+    """
+
+    kernel = "multiprobe"
 
     def __init__(
         self,
@@ -49,51 +52,6 @@ class MultiProbeProtocol(Protocol):
     def phases(self) -> int:
         """Each activation contacts ``d`` resources (message accounting)."""
         return self.d
-
-    def reset(self, instance, rng):
-        self.rate.reset(instance, rng)
-
-    def propose(self, state: State, active: np.ndarray, rng: np.random.Generator) -> Proposal:
-        inst = state.instance
-        movers = np.nonzero(active & ~state.satisfied_mask())[0]
-        if movers.size == 0:
-            return Proposal.empty()
-
-        k = movers.size
-        if inst.access is None:
-            candidates = rng.integers(0, inst.n_resources, size=(k, self.d))
-        else:
-            flat = inst.access.sample(np.repeat(movers, self.d), rng)
-            candidates = flat.reshape(k, self.d)
-
-        # Evaluate all probes at once: latency each target would have after
-        # this user's solo arrival.  (Unit weights add the scalar instead
-        # of materialising a k*d weight array — same IEEE sums.)
-        w_m = inst.weights[movers]
-        w = 1.0 if np.all(w_m == 1.0) else np.repeat(w_m, self.d)
-        flat_targets = candidates.reshape(-1)
-        lat = inst.latencies.evaluate_at(
-            flat_targets, state.loads[flat_targets] + w
-        ).reshape(k, self.d)
-
-        own = state.assignment[movers]
-        q = inst.thresholds[movers]
-        valid = (lat <= q[:, None]) & (candidates != own[:, None])
-        # Max headroom = min post-arrival latency among valid probes.
-        lat_masked = np.where(valid, lat, np.inf)
-        best_idx = np.argmin(lat_masked, axis=1)
-        rows = np.arange(k)
-        has_valid = valid[rows, best_idx]
-        movers = movers[has_valid]
-        targets = candidates[rows, best_idx][has_valid]
-        if movers.size == 0:
-            return Proposal.empty()
-
-        commit = self.rate.commit_mask(state, movers, targets, rng)
-        return Proposal(movers[commit], targets[commit])
-
-    def observe(self, state, moved_users):
-        self.rate.observe(state, moved_users)
 
     def describe(self):
         out = super().describe()

@@ -25,9 +25,8 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from ..memory import iter_chunks
-from ..state import State
-from .base import Proposal, Protocol
+from ..memory import csr_offsets, iter_chunks
+from .kernels import SampleCommitProtocol
 from .rates import ConstantRate, MigrationRateRule
 
 __all__ = ["ResourceGraph", "NeighborhoodSamplingProtocol"]
@@ -53,8 +52,7 @@ class ResourceGraph:
         degs = np.asarray([graph.degree[r] for r in range(n_resources)], dtype=np.int64)
         if np.any(degs == 0) and n_resources > 1:
             raise ValueError("every resource needs at least one neighbour")
-        self.offsets = np.zeros(n_resources + 1, dtype=np.int64)
-        np.cumsum(degs, out=self.offsets[1:])
+        self.offsets = csr_offsets(degs)
         self.neighbors = np.empty(int(self.offsets[-1]), dtype=np.int64)
         for r in range(n_resources):
             nbrs = sorted(graph.neighbors(r))
@@ -82,8 +80,14 @@ class ResourceGraph:
         return self.neighbors[self.offsets[r] : self.offsets[r + 1]]
 
 
-class NeighborhoodSamplingProtocol(Protocol):
-    """Sampling protocol with one-hop visibility on a resource graph."""
+class NeighborhoodSamplingProtocol(SampleCommitProtocol):
+    """Sampling protocol with one-hop visibility on a resource graph.
+
+    The round is the ``"neighborhood"`` kernel of
+    :mod:`repro.core.protocols.kernels`.
+    """
+
+    kernel = "neighborhood"
 
     def __init__(self, graph: ResourceGraph, rate: MigrationRateRule | None = None):
         self.graph = graph
@@ -93,29 +97,7 @@ class NeighborhoodSamplingProtocol(Protocol):
     def reset(self, instance, rng):
         if self.graph.n_resources != instance.n_resources:
             raise ValueError("resource graph size does not match the instance")
-        self.rate.reset(instance, rng)
-
-    def propose(self, state: State, active: np.ndarray, rng: np.random.Generator) -> Proposal:
-        movers = np.nonzero(active & ~state.satisfied_mask())[0]
-        if movers.size == 0:
-            return Proposal.empty()
-        inst = state.instance
-        targets = self.graph.sample_neighbor(state.assignment[movers], rng)
-        not_self = targets != state.assignment[movers]
-        ok = state.would_satisfy(movers, targets) & not_self
-        # The resource graph knows nothing about per-user accessibility:
-        # drop probes of forbidden resources (the probe is wasted, like a
-        # self-sample) instead of proposing an invalid migration.
-        if inst.access is not None:
-            ok &= inst.access.contains(movers, targets)
-        movers, targets = movers[ok], targets[ok]
-        if movers.size == 0:
-            return Proposal.empty()
-        commit = self.rate.commit_mask(state, movers, targets, rng)
-        return Proposal(movers[commit], targets[commit])
-
-    def observe(self, state, moved_users):
-        self.rate.observe(state, moved_users)
+        super().reset(instance, rng)
 
     def is_quiescent(self, state):
         """Quiescent iff no unsatisfied user's *one-hop* neighbourhood has a

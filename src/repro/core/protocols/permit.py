@@ -37,87 +37,26 @@ motivated by the balls-into-bins literature's two-choice/committee tricks.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..state import State
-from .base import Proposal, Protocol
+from .kernels import SampleCommitProtocol
 
 __all__ = ["PermitProtocol"]
 
 
-class PermitProtocol(Protocol):
-    """Probe/grant protocol with resource-side contention resolution."""
+class PermitProtocol(SampleCommitProtocol):
+    """Probe/grant protocol with resource-side contention resolution.
+
+    The round is the ``"permit"`` kernel of
+    :mod:`repro.core.protocols.kernels`: one sort of the probes by
+    (target, threshold descending) and segment arithmetic find each
+    resource's granted prefix.
+    """
 
     name = "permit"
+    kernel = "permit"
 
     #: Communication rounds per protocol round (probe + grant).
     phases = 2
-
-    def propose(self, state: State, active: np.ndarray, rng: np.random.Generator) -> Proposal:
-        inst = state.instance
-        movers = np.nonzero(active & ~state.satisfied_mask())[0]
-        if movers.size == 0:
-            return Proposal.empty()
-
-        if inst.access is None:
-            targets = rng.integers(0, inst.n_resources, size=movers.size)
-        else:
-            targets = inst.access.sample(movers, rng)
-        own = state.assignment[movers]
-        probing = targets != own
-        movers, targets = movers[probing], targets[probing]
-        if movers.size == 0:
-            return Proposal.empty()
-
-        # Smallest threshold among *satisfied* residents of each resource:
-        # the binding constraint a grant must not violate.
-        sat = state.satisfied_mask()
-        resident_min = np.full(inst.n_resources, np.inf)
-        if np.any(sat):
-            np.minimum.at(
-                resident_min, state.assignment[sat], inst.thresholds[sat]
-            )
-
-        # Group probes by target, each group sorted by threshold descending.
-        q = inst.thresholds[movers]
-        order = np.lexsort((-q, targets))
-        movers, targets, q = movers[order], targets[order], q[order]
-
-        # One pass of segment arithmetic over the sorted probe list replaces
-        # the per-resource Python scan.  A probe's grant condition is
-        # ell_r(load + cum granted weight) <= min(res_min, its q); each
-        # resource grants the prefix of its group strictly before the first
-        # violated condition (positions past it are evaluated but cannot
-        # affect that minimum).
-        P = movers.size
-        seg_start = np.empty(P, dtype=bool)
-        seg_start[0] = True
-        np.not_equal(targets[1:], targets[:-1], out=seg_start[1:])
-        starts = np.flatnonzero(seg_start)
-        seg_id = np.cumsum(seg_start) - 1
-        within = np.arange(P) - starts[seg_id]
-
-        gw = inst.weights[movers]
-        if np.all(gw == 1.0):
-            # Unit weights: the integer rank + 1 is the exact float64
-            # cumulative sum of 1.0s.
-            cum_w = (within + 1).astype(np.float64)
-        else:
-            # Per-segment cumsum keeps each group's scalar summation order.
-            cum_w = np.empty(P, dtype=np.float64)
-            bnd = np.append(starts, P)
-            for si in range(starts.size):
-                a, b = bnd[si], bnd[si + 1]
-                np.cumsum(gw[a:b], out=cum_w[a:b])
-
-        lat = inst.latencies.evaluate_at(targets, state.loads[targets] + cum_w)
-        cond = lat <= np.minimum(resident_min[targets], q)
-        fail = np.where(cond, P, within)
-        first_fail = np.minimum.reduceat(fail, starts)
-        sel = np.flatnonzero(within < first_fail[seg_id])
-        if sel.size == 0:
-            return Proposal.empty()
-        return Proposal(movers[sel], targets[sel])
 
     def is_quiescent(self, state: State) -> bool:
         """Grants are polite moves, so the protocol is silent exactly at

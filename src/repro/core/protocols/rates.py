@@ -19,6 +19,11 @@ surface of experiment F6:
   commit probability after each migration that still leaves the user
   unsatisfied (overshoot), recover multiplicatively after quiet rounds.
   Needs one float of per-user state and no extra communication.
+
+The classes here hold the parameters (and the backoff rule's per-user
+vector, created by ``reset``); the commit math itself is in
+:mod:`repro.core.protocols.kernels`, shared by every protocol and the
+lockstep engine.
 """
 
 from __future__ import annotations
@@ -41,40 +46,17 @@ __all__ = [
 class MigrationRateRule(ABC):
     """Decides which of the would-be migrants commit this round.
 
-    Rules should implement :meth:`commit_probs` — a *pure* per-user commit
-    probability vector.  The default :meth:`commit_mask` then compares one
-    batched uniform draw against it, and protocols that pre-draw their
-    round's uniforms (the sampling protocol) can skip the extra RNG call
-    entirely.  Rules whose randomness cannot be expressed as independent
-    per-user Bernoulli draws override :meth:`commit_mask` instead and
-    return ``None`` from :meth:`commit_probs`.
+    A rule is a parameter carrier: the commit math of the three rules
+    below lives once, in :mod:`repro.core.protocols.kernels`, shared by
+    every protocol and by the lockstep engine.  A new rule needs a kernel
+    there; the protocols reject a rule without one at ``reset`` with a
+    :class:`ValueError` naming it.
     """
 
     name: str = "rate"
 
     def reset(self, instance: Instance, rng: np.random.Generator) -> None:
         """(Re-)initialise per-run rule state."""
-
-    def commit_probs(
-        self, state: State, users: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray | None:
-        """Per-user commit probabilities, or ``None`` for custom randomness."""
-        return None
-
-    def commit_mask(
-        self,
-        state: State,
-        users: np.ndarray,
-        targets: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Boolean mask over ``users``: who actually migrates."""
-        probs = self.commit_probs(state, users, targets)
-        if probs is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} must implement commit_probs or commit_mask"
-            )
-        return rng.random(users.size) < probs
 
     def observe(self, state: State, moved_users: np.ndarray) -> None:
         """Called after the round's moves are applied."""
@@ -91,10 +73,6 @@ class ConstantRate(MigrationRateRule):
             raise ValueError(f"p must be in (0, 1], got {p}")
         self.p = float(p)
         self.name = f"const({p:g})"
-
-    def commit_probs(self, state, users, targets):
-        # uniform draws live in [0, 1), so p == 1 commits everybody.
-        return np.full(users.size, self.p)
 
     def describe(self):
         return {"name": self.name, "p": self.p}
@@ -123,21 +101,6 @@ class SlackProportionalRate(MigrationRateRule):
         if not (0.0 < floor <= 1.0):
             raise ValueError("floor must be in (0, 1]")
         self.floor = float(floor)
-
-    def commit_probs(self, state, users, targets):
-        inst = state.instance
-        q = inst.thresholds[users]
-        # Free capacity of the target w.r.t. each user's own threshold —
-        # one grouped capacity_vec call instead of a per-user Python loop.
-        caps = inst.latencies.capacities_at(targets, q).astype(np.float64)
-        free = np.maximum(0.0, caps - state.loads[targets])
-        # Local contention: unsatisfied users on own resource.
-        unsat = ~state.satisfied_mask()
-        unsat_per_res = np.bincount(
-            state.assignment[unsat], minlength=inst.n_resources
-        )
-        contention = np.maximum(unsat_per_res[state.assignment[users]], 1)
-        return np.clip(free / contention, self.floor, 1.0)
 
     def describe(self):
         return {"name": self.name, "floor": self.floor}
@@ -181,25 +144,12 @@ class AdaptiveBackoffRate(MigrationRateRule):
     def reset(self, instance, rng):
         self._p = np.full(instance.n_users, self.p0)
 
-    def commit_probs(self, state, users, targets):
-        if self._p is None:  # tolerate use without explicit reset
-            self._p = np.full(state.instance.n_users, self.p0)
-        return self._p[users]
-
     def observe(self, state, moved_users):
         if self._p is None:
             return
-        # Users that sat out this round recover toward p0=1...
-        quiet = np.ones(self._p.size, dtype=bool)
-        if moved_users.size:
-            quiet[moved_users] = False
-        self._p[quiet] = np.minimum(self._p[quiet] * self.recover, 1.0)
-        if moved_users.size == 0:
-            return
-        # ...while movers that are *still* unsatisfied (collision) back off.
-        still_unsat = ~state.satisfied_mask()
-        collided = moved_users[still_unsat[moved_users]]
-        self._p[collided] = np.maximum(self._p[collided] * self.backoff, self.floor)
+        from .kernels import backoff_update
+
+        backoff_update(self, self._p, moved_users, ~state.satisfied_mask()[moved_users])
 
     def describe(self):
         return {

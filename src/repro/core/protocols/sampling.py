@@ -23,16 +23,13 @@ criterion of the whole experiment suite.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..state import State
-from .base import Proposal, Protocol
+from .kernels import SampleCommitProtocol
 from .rates import ConstantRate, MigrationRateRule
 
 __all__ = ["QoSSamplingProtocol"]
 
 
-class QoSSamplingProtocol(Protocol):
+class QoSSamplingProtocol(SampleCommitProtocol):
     """Uniform sampling + conservative check + damped commitment.
 
     Parameters
@@ -40,11 +37,17 @@ class QoSSamplingProtocol(Protocol):
     rate:
         Migration-rate rule; default ``ConstantRate(0.5)``.
     resample_on_self:
-        When a user samples its own (unsatisfying) resource the probe is
-        wasted; with this flag the engine does *not* redraw — wasted probes
-        are part of the model's round accounting.  Kept as an explicit
-        parameter so the ablation can quantify the (small) effect.
+        By default a user that samples its own (unsatisfying) resource
+        wastes the probe — wasted probes are part of the model's round
+        accounting.  With this flag it redraws such probes up to four
+        times.  Kept as an explicit parameter so the ablation can quantify
+        the (small) effect.
+
+    The round itself is the ``"sampling"`` kernel of
+    :mod:`repro.core.protocols.kernels`.
     """
+
+    kernel = "sampling"
 
     def __init__(
         self,
@@ -55,55 +58,6 @@ class QoSSamplingProtocol(Protocol):
         self.rate = rate if rate is not None else ConstantRate(0.5)
         self.resample_on_self = bool(resample_on_self)
         self.name = f"qos-sampling[{self.rate.name}]"
-
-    def reset(self, instance, rng):
-        self.rate.reset(instance, rng)
-
-    def propose(self, state: State, active: np.ndarray, rng: np.random.Generator) -> Proposal:
-        inst = state.instance
-        movers = np.nonzero(active & ~state.satisfied_mask())[0]
-        if movers.size == 0:
-            return Proposal.empty()
-
-        if inst.access is None:
-            targets = rng.integers(0, inst.n_resources, size=movers.size)
-        else:
-            targets = inst.access.sample(movers, rng)
-
-        if self.resample_on_self:
-            own = state.assignment[movers]
-            clash = targets == own
-            for _ in range(4):  # a few redraws; leftovers just waste the probe
-                if not np.any(clash):
-                    break
-                idx = np.nonzero(clash)[0]
-                if inst.access is None:
-                    targets[idx] = rng.integers(0, inst.n_resources, size=idx.size)
-                else:
-                    targets[idx] = inst.access.sample(movers[idx], rng)
-                clash = targets == own
-
-        # One batched uniform draw covering every mover, taken *before* the
-        # satisfaction filter: the round consumes exactly two RNG calls
-        # (targets + uniforms) regardless of how many probes succeed, and
-        # Bernoulli-style rate rules reduce to a pure probability lookup.
-        uniforms = rng.random(movers.size)
-
-        not_self = targets != state.assignment[movers]
-        ok = state.would_satisfy(movers, targets) & not_self
-        movers, targets, uniforms = movers[ok], targets[ok], uniforms[ok]
-        if movers.size == 0:
-            return Proposal.empty()
-
-        probs = self.rate.commit_probs(state, movers, targets)
-        if probs is None:  # custom rule with its own randomness
-            commit = self.rate.commit_mask(state, movers, targets, rng)
-        else:
-            commit = uniforms < probs
-        return Proposal(movers[commit], targets[commit])
-
-    def observe(self, state, moved_users):
-        self.rate.observe(state, moved_users)
 
     def describe(self):
         d = super().describe()

@@ -14,17 +14,18 @@ RNG stream contract
 -------------------
 
 Each replication owns an independent generator stream (integer seeds go
-through ``numpy.random.default_rng``, exactly like the scalar path) and
-the batched engine makes that stream's calls in **exactly the scalar
-engine's order and sizes** (initial-state draw, then per executed round:
-the alpha activation mask, the mover target/probe draws, the commit
-uniforms — in each kernel's scalar order).  All arithmetic between draws
-is elementwise-identical IEEE float work, so the scalar engine fed the
-*same* stream reproduces a batched replication **bit for bit** — and
-because :func:`replicate_batched` derives the same per-rep integer seeds
-as the serial path, ``backend="serial"`` and ``backend="batched"``
-produce **bit-identical** per-rep results, not just distributionally
-equivalent ones.  The differential tests pin both.
+through ``numpy.random.default_rng``, exactly like the scalar path).  The
+round math is not copied here: every round calls the protocol's kernel in
+:mod:`repro.core.protocols.kernels` — the same code ``Protocol.propose``
+runs on a one-row view — over the live rows, and the kernel makes each
+row's draws in a lone run's order and sizes (the alpha activation mask
+first, drawn here like :class:`~repro.sim.schedule.AlphaSchedule` draws
+it, then the kernel's own target/probe and commit draws).  So the scalar
+engine fed the *same* stream reproduces a batched replication **bit for
+bit** — and because :func:`replicate_batched` derives the same per-rep
+integer seeds as the serial path, ``backend="serial"`` and
+``backend="batched"`` produce **bit-identical** per-rep results.  The
+frozen kernel goldens and the differential tests pin both.
 
 Termination is per-replication via an ``alive`` mask: a replication that
 satisfies, goes quiescent, or exhausts the budget leaves the batch and
@@ -34,9 +35,10 @@ run's, which is what makes mixed-length batches replayable.
 Kernel coverage
 ---------------
 
-Batched kernels exist for four protocol families —
-:class:`~repro.core.protocols.QoSSamplingProtocol` (without
-``resample_on_self``), :class:`~repro.core.protocols.MultiProbeProtocol`,
+The lockstep loop runs the four kernel protocols —
+:class:`~repro.core.protocols.QoSSamplingProtocol` (with or without
+``resample_on_self``, whose redraws happen inside the kernel's per-row
+draw loop), :class:`~repro.core.protocols.MultiProbeProtocol`,
 :class:`~repro.core.protocols.PermitProtocol`, and
 :class:`~repro.core.protocols.NeighborhoodSamplingProtocol` — under the
 constant, slack-proportional and adaptive-backoff rate rules (the permit
@@ -46,8 +48,8 @@ events batch too (:func:`batch_events_support`): resource failures and
 recoveries, user arrivals, and explicit-user departures apply per
 replication at round boundaries with the scalar event code itself, so
 churn/failure schedules keep their bit-exact RNG contract.  Everything
-else — other protocol families, custom rates, partition/staggered
-schedules, per-rep instance seeding, random-count departures —
+else — other protocol families (and subclasses of the four), partition/
+staggered schedules, per-rep instance seeding, random-count departures —
 transparently falls back to the scalar engine via
 :func:`~repro.sim.parallel.replicate`'s backend selection; see
 :func:`batch_support` for the reason a given spec is not batchable.
@@ -61,16 +63,9 @@ from typing import Sequence
 import numpy as np
 
 from ..core.instance import Instance
-from ..core.memory import index_dtype, iter_chunks
-from ..core.protocols.multiprobe import MultiProbeProtocol
-from ..core.protocols.neighborhood import NeighborhoodSamplingProtocol
-from ..core.protocols.permit import PermitProtocol
-from ..core.protocols.rates import (
-    AdaptiveBackoffRate,
-    ConstantRate,
-    SlackProportionalRate,
-)
-from ..core.protocols.sampling import QoSSamplingProtocol
+from ..core.memory import index_dtype
+from ..core.protocols.kernels import Kernel, kernel_kind, rate_support
+from ..core.protocols.rates import AdaptiveBackoffRate, ConstantRate
 from ..core.state import State
 from ..obs import HUB as _OBS
 from ..obs.hub import HEARTBEAT_INTERVAL_S, PROGRESS_INTERVAL_S
@@ -94,10 +89,7 @@ __all__ = [
     "replicate_batched",
 ]
 
-#: Rate rules with a batched commit kernel.
-_KERNEL_RATES = (ConstantRate, SlackProportionalRate, AdaptiveBackoffRate)
-
-#: Spec-level protocol names with a batched kernel (see ``_kernel_kind``).
+#: Spec-level protocol names with a batched kernel (see ``kernel_kind``).
 _KERNEL_PROTOCOL_NAMES = ("qos-sampling", "multi-probe", "permit", "neighborhood")
 
 
@@ -157,34 +149,13 @@ class BatchRunResult:
         return out
 
 
-def _kernel_kind(protocol) -> str | None:
-    """Which batched kernel runs this protocol instance (None = no kernel).
-
-    Exact-type checks on purpose: a subclass may override ``propose`` and
-    silently diverge from the vectorized math, so it falls back to the
-    scalar engine instead.
-    """
-    t = type(protocol)
-    if t is QoSSamplingProtocol:
-        return "sampling"
-    if t is MultiProbeProtocol:
-        return "multiprobe"
-    if t is PermitProtocol:
-        return "permit"
-    if t is NeighborhoodSamplingProtocol:
-        return "neighborhood"
-    return None
-
-
 def _kernel_support(protocol, schedule) -> str | None:
     """Why this protocol/schedule pair has no batched kernel (None = it has)."""
-    kind = _kernel_kind(protocol)
+    kind = kernel_kind(protocol)
     if kind is None:
         return f"protocol {getattr(protocol, 'name', protocol)!r} has no batched kernel"
-    if kind == "sampling" and protocol.resample_on_self:
-        return "resample_on_self makes the per-round draw count data-dependent"
-    if kind != "permit" and type(protocol.rate) not in _KERNEL_RATES:
-        return f"rate {protocol.rate.name!r} has no batched kernel"
+    if kind != "permit" and (reason := rate_support(protocol.rate)):
+        return reason
     if type(schedule) not in (SynchronousSchedule, AlphaSchedule):
         return f"schedule {schedule.name!r} has no batched kernel"
     return None
@@ -247,8 +218,8 @@ def batch_support(spec) -> str | None:
         except Exception as exc:
             return f"spec does not build: {exc!r}"
         rate = rate if rate is not None else ConstantRate(0.5)
-        if type(rate) not in _KERNEL_RATES:
-            return f"rate {rate.name!r} has no batched kernel"
+        if reason := rate_support(rate):
+            return reason
         if type(schedule) not in (SynchronousSchedule, AlphaSchedule):
             return f"schedule {schedule.name!r} has no batched kernel"
         return None
@@ -287,14 +258,25 @@ def _batch_initial(
     return assignment
 
 
-class _BatchEngine:
-    """One lockstep batch: live-row state plus the per-kernel round step.
+def _flat_assignment(assignment: np.ndarray, m: int) -> np.ndarray:
+    """``row * m + r`` per (row, user): values span ``[0, R * m)``, stored
+    in the narrowest width that holds that bound."""
+    R = assignment.shape[0]
+    asgF = assignment.astype(index_dtype(R * m))
+    asgF += (np.arange(R, dtype=np.int64) * m)[:, None].astype(asgF.dtype)
+    return asgF
 
-    Live-batch state arrays hold only still-running replications and are
-    compacted whenever one dies, so steady-state rounds never
-    gather/scatter the full batch.  ``rows`` maps live positions back to
-    replication ids; ``assignment`` (full ``R`` rows) is refreshed on
-    death.  ``asgF`` carries each live row's flat offset (position * m)
+
+class _BatchEngine:
+    """One lockstep batch: live-row state, events and results.
+
+    Each round's protocol step is the shared
+    :class:`~repro.core.protocols.kernels.Kernel` over the live rows; this
+    class owns everything around it.  Live-batch state arrays hold only
+    still-running replications and are compacted whenever one dies, so
+    steady-state rounds never gather/scatter the full batch.  ``rows``
+    maps live positions back to replication ids; ``assignment`` (full
+    ``R`` rows) is refreshed on death.  ``asgF`` carries each live row's flat offset (position * m)
     baked into the values, so every per-mover gather/scatter is one flat
     ``take``/put.  While events are pending every replication stays live
     (the scalar engine neither satisfies nor goes quiescent with events
@@ -317,11 +299,8 @@ class _BatchEngine:
         self.kind = kind
         self.schedule = schedule
         self.max_rounds = max_rounds
-        self.rate = getattr(protocol, "rate", None)
-        self.backoff = type(self.rate) is AdaptiveBackoffRate
+        self.backoff = type(getattr(protocol, "rate", None)) is AdaptiveBackoffRate
         self.phases = int(getattr(protocol, "phases", 1))
-        self.d = int(getattr(protocol, "d", 1))
-        self.graph = getattr(protocol, "graph", None)
         self.alpha_draws = isinstance(schedule, AlphaSchedule) and schedule.alpha < 1.0
         self.alpha = schedule.alpha if isinstance(schedule, AlphaSchedule) else 1.0
         self.events = sorted(events, key=lambda e: e.round_index)
@@ -351,44 +330,14 @@ class _BatchEngine:
 
     def _bind_instance(self, instance: Instance) -> None:
         self.instance = instance
-        n, m, R = instance.n_users, instance.n_resources, self.R
-        self.n, self.m = n, m
-        thresholds = instance.thresholds
-        weights = instance.weights
-        profile = instance.latencies
-        self.thresholds = thresholds
-        self.weights = weights
-        self.profile = profile
-        self.access = instance.access
-        self.affine = profile.is_affine
-        self.slopes, self.offsets = profile._slopes, profile._offsets
-        # Uniformity specializations: homogeneous thresholds/weights/latencies
-        # collapse per-mover gathers into scalar broadcasts.  Every branch
-        # they gate computes bit-identical values to the general path
-        # (1.0 * x + 0.0 only ever feeds comparisons, where the zero sign
-        # cannot matter).
-        self.uthr = n > 0 and bool((thresholds == thresholds[0]).all())
-        self.q0 = float(thresholds[0]) if self.uthr else 0.0
-        self.uw = bool((weights == 1.0).all())
-        self.u_affine = (
-            self.affine
-            and m > 0
-            and bool((self.slopes == self.slopes[0]).all())
-            and bool((self.offsets == self.offsets[0]).all())
-        )
-        self.s0 = float(self.slopes[0]) if self.u_affine else 0.0
-        self.o0 = float(self.offsets[0]) if self.u_affine else 0.0
-        self.identity = self.u_affine and self.s0 == 1.0 and self.o0 == 0.0
-        # Row-independent per-user/per-resource lookups, tiled once so a flat
-        # position into the (A, n)/(A, m) live block indexes them directly.
-        self.wF = None if self.uw else np.tile(weights, R)
-        self.thrF = None if self.uthr else np.tile(thresholds, R)
-        aff_general = self.affine and not self.u_affine
-        self.slF = np.tile(self.slopes, R) if aff_general else None
-        self.offF = np.tile(self.offsets, R) if aff_general else None
-        self.capRF = None  # lazy per-resource capacity tile (slack + uniform q)
-        # Reused per-round scratch, sliced to the live count.
-        self.usr_buf = np.empty((R, n), dtype=np.float64)
+        n, R = instance.n_users, self.R
+        self.n, self.m = n, instance.n_resources
+        self.kernel = Kernel(instance, self.protocol, rows=R)
+        # Reused per-round scratch, sliced to the live count: the float
+        # rows serve the per-user latency gather (non-uniform thresholds)
+        # and the alpha draws.
+        need_usr = not self.kernel.uthr or self.alpha_draws
+        self.usr_buf = np.empty((R, n), dtype=np.float64) if need_usr else None
         self.unsat_buf = np.empty((R, n), dtype=bool)
         self.act_buf = np.empty((R, n), dtype=bool) if self.alpha_draws else None
 
@@ -396,19 +345,15 @@ class _BatchEngine:
         """(Re-)stack assignment/load/rate state; every replication is live."""
         R, m = self.R, self.m
         self.assignment = assignment
-        # Flat values span [0, R*m); the dtype audit stores them in the
-        # narrowest width that holds that bound.
-        asgF = assignment.astype(index_dtype(R * m))
-        asgF += self.row_off[:, None].astype(asgF.dtype)
-        self.asgF = asgF
+        self.asgF = _flat_assignment(assignment, m)
         ld = np.empty((R, m), dtype=np.float64)
         for i in range(R):  # per-row bincount: same bucket order as State
-            ld[i] = np.bincount(assignment[i], weights=self.weights, minlength=m)
+            ld[i] = np.bincount(assignment[i], weights=self.instance.weights, minlength=m)
         self.ld = ld
         # The scalar engine's protocol.reset/schedule.reset consume no RNG
         # for the supported kernels; the only per-run rate state is the
         # backoff probability vector, kept stacked here.
-        self.P = np.full((R, self.n), self.rate.p0) if self.backoff else None
+        self.P = np.full((R, self.n), self.protocol.rate.p0) if self.backoff else None
 
     # -- events ---------------------------------------------------------------
 
@@ -441,7 +386,7 @@ class _BatchEngine:
                 new_rows.append(np.asarray(st_k.assignment))
             if (
                 self.kind == "neighborhood"
-                and self.graph.n_resources != new_instance.n_resources
+                and self.protocol.graph.n_resources != new_instance.n_resources
             ):  # mirrors NeighborhoodSamplingProtocol.reset's validation
                 raise ValueError("resource graph size does not match the instance")
             self._bind_instance(new_instance)
@@ -456,355 +401,19 @@ class _BatchEngine:
         if applied:
             self.quiescence_dirty[:] = True
 
-    # -- latency helpers ------------------------------------------------------
-
     def _res_latencies(self) -> np.ndarray:
         ld = self.ld
-        if self.affine:
-            return self.slopes * ld + self.offsets
+        profile = self.instance.latencies
+        if profile.is_affine:
+            return profile._slopes * ld + profile._offsets
         out = np.empty_like(ld)
         for k in range(ld.shape[0]):  # grouped evaluation, one row at a time
-            out[k] = self.profile.evaluate(ld[k])
+            out[k] = profile.evaluate(ld[k])
         return out
-
-    def _probe_latency(self, t_probe, tf_probe, hyp):
-        """``ell_t(hyp)`` per probe — only ever fed to comparisons."""
-        if self.identity:
-            return hyp
-        if self.u_affine:
-            return self.s0 * hyp + self.o0
-        if self.affine:
-            return self.slF.take(tf_probe) * hyp + self.offF.take(tf_probe)
-        return self.profile.evaluate_at(t_probe, hyp)
-
-    # -- commit machinery -----------------------------------------------------
-
-    def _slack_probs(self, t_v, tf_v, of_v, u_pos_v, unsat, pos, A):
-        """SlackProportionalRate.commit_probs, batchwide and bit-identical."""
-        m = self.m
-        ldf = self.ld.reshape(-1)
-        if self.uthr:
-            if self.capRF is None:  # per-resource capacity at the one q
-                cap_row = self.profile.capacities_at(
-                    np.arange(m, dtype=np.int64), np.full(m, self.q0)
-                ).astype(np.float64)
-                self.capRF = np.tile(cap_row, self.R)
-            caps = self.capRF.take(tf_v)
-        else:
-            caps = self.profile.capacities_at(
-                t_v, self.thrF.take(u_pos_v)
-            ).astype(np.float64)
-        free = np.maximum(0.0, caps - ldf.take(tf_v))
-        # contention: unsatisfied users per current resource, batchwide
-        if self.uthr and self.uw:
-            # uniform q + unit weights: everyone on an over-threshold
-            # resource is unsatisfied, and a mover's own resource is over
-            # threshold — so the unsatisfied count there is just its load
-            # count, already tracked in ``ld``.
-            contention = np.maximum(ldf.take(of_v), 1.0)
-        else:
-            # (without alpha masking the mover positions are exactly the
-            # unsatisfied positions, so the scan is already done)
-            unsat_pos = pos if not self.alpha_draws else np.flatnonzero(unsat)
-            asg_flat = self.asgF.reshape(-1)
-            # Integer bincounts are exact, so accumulating per chunk is
-            # bit-identical to one whole-width pass (memory contract).
-            occ = np.zeros(A * m, dtype=np.int64)
-            for cs, ce in iter_chunks(unsat_pos.size):
-                occ += np.bincount(
-                    asg_flat.take(unsat_pos[cs:ce]), minlength=A * m
-                )
-            contention = np.maximum(occ.take(of_v), 1)
-        return np.clip(free / contention, self.rate.floor, 1.0)
-
-    def _commit_uniforms(self, valid_pos: np.ndarray, A: int) -> np.ndarray:
-        """Per-rep commit uniforms, in each stream's scalar order.
-
-        The scalar protocols call ``rate.commit_mask`` only when at least
-        one valid mover survived the filters (``propose`` returns early
-        otherwise), so replications with zero valid movers draw nothing.
-        """
-        cnt = np.bincount(valid_pos // self.n, minlength=A)
-        unif = np.empty(valid_pos.size, dtype=np.float64)
-        off = 0
-        for k in range(A):
-            c = int(cnt[k])
-            if c == 0:
-                continue
-            unif[off : off + c] = self.live_rngs[k].random(c)
-            off += c
-        return unif
-
-    def _commit_select(self, valid_pos, valid_t, valid_tf, unsat, pos, A):
-        """Rate-rule commit over the valid movers (multi-probe/neighborhood)."""
-        if valid_pos.size == 0:
-            z = np.empty(0, dtype=np.int64)
-            return z, z, z
-        unif = self._commit_uniforms(valid_pos, A)
-        rate = self.rate
-        if type(rate) is ConstantRate:
-            keep = unif < rate.p
-        elif self.backoff:
-            keep = unif < self.P.reshape(-1).take(valid_pos)
-        else:
-            of_v = self.asgF.reshape(-1).take(valid_pos)
-            probs = self._slack_probs(
-                valid_t, valid_tf, of_v, valid_pos, unsat, pos, A
-            )
-            keep = unif < probs
-        idx = np.flatnonzero(keep)
-        return valid_pos.take(idx), valid_t.take(idx), valid_tf.take(idx)
-
-    # -- kernels (each returns committed (flat users, resources, flat targets))
-
-    def _kernel_sampling(self, pos, counts, bounds, rkm, unsat, A):
-        M = pos.size
-        m, n = self.m, self.n
-        t = np.empty(M, dtype=np.int64)
-        unif = np.empty(M, dtype=np.float64)
-        u_all = pos % n if self.access is not None else None
-        for k in range(A):
-            s, e = bounds[k], bounds[k + 1]
-            if s == e:  # the scalar propose draws nothing for 0 movers
-                continue
-            rng = self.live_rngs[k]
-            if self.access is None:
-                t[s:e] = rng.integers(0, m, size=e - s)
-            else:
-                t[s:e] = self.access.sample(u_all[s:e], rng)
-            unif[s:e] = rng.random(e - s)
-
-        # The committed set is one AND of independent masks — commit,
-        # moving, would-satisfy — so when the commit probability needs no
-        # would-satisfy math (constant/backoff rates) it runs first and
-        # the latency math only touches its survivors.
-        rate = self.rate
-        asg_flat = self.asgF.reshape(-1)
-        ldf = self.ld.reshape(-1)
-        if type(rate) is ConstantRate:
-            cand = np.flatnonzero(unif < rate.p)
-        elif self.backoff:
-            cand = np.flatnonzero(unif < self.P.reshape(-1).take(pos))
-        else:
-            cand = None  # slack-proportional: probabilities need the math
-
-        if cand is not None:
-            pos_c, t_c, rkm_c = pos.take(cand), t.take(cand), rkm.take(cand)
-            # The probe math here is purely elementwise per mover, so it
-            # streams over chunks (bit-exact by construction) and only the
-            # surviving indices are kept full-width.
-            parts = []
-            for cs, ce in iter_chunks(pos_c.size):
-                p_ch, t_ch = pos_c[cs:ce], t_c[cs:ce]
-                tf_ch = rkm_c[cs:ce] + t_ch
-                moving = tf_ch != asg_flat.take(p_ch)
-                hyp = ldf.take(tf_ch) + (
-                    np.where(moving, 1.0, 0.0)
-                    if self.uw
-                    else np.where(moving, self.wF.take(p_ch), 0.0)
-                )
-                lat = self._probe_latency(t_ch, tf_ch, hyp)
-                thr_c = self.q0 if self.uthr else self.thrF.take(p_ch)
-                part = np.flatnonzero((lat <= thr_c) & moving)
-                if cs:
-                    part += cs
-                parts.append(part)
-            if not parts:
-                idx = np.empty(0, dtype=np.int64)
-            elif len(parts) == 1:
-                idx = parts[0]
-            else:
-                idx = np.concatenate(parts)
-            fu_f, t_f = pos_c.take(idx), t_c.take(idx)
-            tf_f = rkm_c.take(idx) + t_f
-        else:
-            tf = rkm + t
-            of = asg_flat.take(pos)
-            moving = tf != of
-            hyp = ldf.take(tf) + (
-                np.where(moving, 1.0, 0.0)
-                if self.uw
-                else np.where(moving, self.wF.take(pos), 0.0)
-            )
-            lat = self._probe_latency(t, tf, hyp)
-            thr_all = self.q0 if self.uthr else self.thrF.take(pos)
-            oidx = np.flatnonzero((lat <= thr_all) & moving)
-            pos_o, tf_o, of_o, t_o = (
-                pos.take(oidx), tf.take(oidx), of.take(oidx), t.take(oidx)
-            )
-            probs = self._slack_probs(t_o, tf_o, of_o, pos_o, unsat, pos, A)
-            idx = np.flatnonzero(unif.take(oidx) < probs)
-            fu_f, tf_f, t_f = pos_o.take(idx), tf_o.take(idx), t_o.take(idx)
-        return fu_f, t_f, tf_f
-
-    def _kernel_multiprobe(self, pos, counts, bounds, rkm, unsat, A):
-        M = pos.size
-        m, n, d = self.m, self.n, self.d
-        cand = np.empty(M * d, dtype=np.int64)
-        u_all = pos % n if self.access is not None else None
-        for k in range(A):
-            s, e = bounds[k], bounds[k + 1]
-            if s == e:
-                continue
-            rng = self.live_rngs[k]
-            if self.access is None:
-                # size=(k, d) fills row-major: the stream consumption and
-                # the flattened values equal the scalar (k, d) draw exactly.
-                cand[s * d : e * d] = rng.integers(0, m, size=(e - s, d)).reshape(-1)
-            else:
-                cand[s * d : e * d] = self.access.sample(
-                    np.repeat(u_all[s:e], d), rng
-                )
-        rkm_d = np.repeat(rkm, d)
-        tfc = rkm_d + cand  # flat probe targets, (M*d,)
-        asg_flat = self.asgF.reshape(-1)
-        ldf = self.ld.reshape(-1)
-        # The scalar protocol adds the mover's weight unconditionally (even
-        # for own-resource probes — those are masked out below, not here).
-        hyp = ldf.take(tfc) + (
-            1.0 if self.uw else np.repeat(self.wF.take(pos), d)
-        )
-        lat = self._probe_latency(cand, tfc, hyp).reshape(M, d)
-        ownF = asg_flat.take(pos)
-        thr = self.q0 if self.uthr else self.thrF.take(pos)[:, None]
-        valid = (lat <= thr) & (tfc.reshape(M, d) != ownF.astype(np.int64)[:, None])
-        # Max headroom = min post-arrival latency among valid probes.
-        lat_masked = np.where(valid, lat, np.inf)
-        best = np.argmin(lat_masked, axis=1)
-        ar = np.arange(M)
-        has = valid[ar, best]
-        vidx = np.flatnonzero(has)
-        valid_pos = pos.take(vidx)
-        valid_tf = tfc[ar * d + best].take(vidx)
-        valid_t = valid_tf - rkm.take(vidx)
-        return self._commit_select(valid_pos, valid_t, valid_tf, unsat, pos, A)
-
-    def _kernel_neighborhood(self, pos, counts, bounds, rkm, unsat, A):
-        M = pos.size
-        n = self.n
-        asg_flat = self.asgF.reshape(-1)
-        own_r = asg_flat.take(pos).astype(np.int64) - rkm
-        t = np.empty(M, dtype=np.int64)
-        for k in range(A):
-            s, e = bounds[k], bounds[k + 1]
-            if s == e:
-                continue
-            t[s:e] = self.graph.sample_neighbor(own_r[s:e], self.live_rngs[k])
-        tf = rkm + t
-        not_self = t != own_r
-        ldf = self.ld.reshape(-1)
-        # Mirrors State.would_satisfy: a self-probe evaluates the target at
-        # its *current* load (the user already counts), others add weight.
-        hyp = ldf.take(tf) + (
-            np.where(not_self, 1.0, 0.0)
-            if self.uw
-            else np.where(not_self, self.wF.take(pos), 0.0)
-        )
-        lat = self._probe_latency(t, tf, hyp)
-        ok = lat <= (self.q0 if self.uthr else self.thrF.take(pos))
-        ok &= not_self
-        if self.access is not None:
-            # The resource graph knows nothing about per-user accessibility:
-            # drop probes of forbidden resources (wasted, like a self-sample).
-            ok &= self.access.contains(pos % n, t)
-        vidx = np.flatnonzero(ok)
-        return self._commit_select(
-            pos.take(vidx), t.take(vidx), tf.take(vidx), unsat, pos, A
-        )
-
-    def _kernel_permit(self, pos, counts, bounds, rkm, unsat, A):
-        M = pos.size
-        m, n = self.m, self.n
-        t = np.empty(M, dtype=np.int64)
-        u_all = pos % n if self.access is not None else None
-        for k in range(A):
-            s, e = bounds[k], bounds[k + 1]
-            if s == e:
-                continue
-            rng = self.live_rngs[k]
-            if self.access is None:
-                t[s:e] = rng.integers(0, m, size=e - s)
-            else:
-                t[s:e] = self.access.sample(u_all[s:e], rng)
-        asg_flat = self.asgF.reshape(-1)
-        tf = rkm + t
-        pidx = np.flatnonzero(tf != asg_flat.take(pos))
-        if pidx.size == 0:
-            z = np.empty(0, dtype=np.int64)
-            return z, z, z
-        pos_p, t_p, tf_p = pos.take(pidx), t.take(pidx), tf.take(pidx)
-
-        # Smallest threshold among *satisfied* residents of each (rep,
-        # resource): the binding constraint a grant must not violate.
-        # min over a set of floats is order-independent, so any exact
-        # accumulation matches the scalar np.minimum.at.
-        Am = A * m
-        resF = np.full(Am, np.inf)
-        sat_pos = np.flatnonzero(~unsat)
-        if sat_pos.size:
-            sat_asg = asg_flat.take(sat_pos)
-            if self.uthr:
-                # uniform q: occupied-by-a-satisfied-user == min equals q0
-                occ = np.bincount(sat_asg, minlength=Am)
-                resF[occ > 0] = self.q0
-            else:
-                np.minimum.at(resF, sat_asg, self.thrF.take(sat_pos))
-
-        # Group probes by (rep, target), each group sorted by threshold
-        # descending.  Flat targets separate replications, so one global
-        # sort reproduces every rep's scalar lexsort exactly (stable sorts,
-        # identical keys within a rep).
-        if self.uthr:
-            order = np.argsort(tf_p, kind="stable")
-            q_s = self.q0
-        else:
-            q_p = self.thrF.take(pos_p)
-            order = np.lexsort((-q_p, tf_p))
-            q_s = q_p.take(order)
-        pos_s, t_s, tf_s = pos_p.take(order), t_p.take(order), tf_p.take(order)
-        P2 = pos_s.size
-        seg_start = np.empty(P2, dtype=bool)
-        seg_start[0] = True
-        np.not_equal(tf_s[1:], tf_s[:-1], out=seg_start[1:])
-        starts = np.flatnonzero(seg_start)
-        seg_id = np.cumsum(seg_start) - 1
-        within = np.arange(P2, dtype=np.int64) - starts[seg_id]
-
-        # Cumulative granted weight within each group.  Unit weights:
-        # the integer rank + 1 is the exact float64 sum of 1.0s.  General
-        # weights: per-segment cumsum keeps the scalar summation order.
-        if self.uw:
-            cw = (within + 1).astype(np.float64)
-        else:
-            gw = self.wF.take(pos_s)
-            cw = np.empty(P2, dtype=np.float64)
-            bnd = np.append(starts, P2)
-            for si in range(starts.size):
-                a, b = bnd[si], bnd[si + 1]
-                np.cumsum(gw[a:b], out=cw[a:b])
-
-        ldf = self.ld.reshape(-1)
-        x = ldf.take(tf_s) + cw
-        latv = self._probe_latency(t_s, tf_s, x)
-        bound = np.minimum(resF.take(tf_s), q_s)
-        cond = latv <= bound
-        # Largest prefix before the first violation: both sides are
-        # monotone, so the scalar's early-exit scan grants exactly the
-        # entries ranked before the first failing one.
-        fail = np.where(cond, P2, within)
-        first_fail = np.minimum.reduceat(fail, starts)
-        gidx = np.flatnonzero(within < first_fail[seg_id])
-        return pos_s.take(gidx), t_s.take(gidx), tf_s.take(gidx)
 
     # -- the round loop -------------------------------------------------------
 
     def run(self) -> None:
-        kernel = {
-            "sampling": self._kernel_sampling,
-            "multiprobe": self._kernel_multiprobe,
-            "permit": self._kernel_permit,
-            "neighborhood": self._kernel_neighborhood,
-        }[self.kind]
         max_rounds = self.max_rounds
         n_events = len(self.events)
 
@@ -818,16 +427,19 @@ class _BatchEngine:
             n, m = self.n, self.m
             row_off = self.row_off
             asgF, ld = self.asgF, self.ld
+            kernel = self.kernel
 
             res_lat = self._res_latencies()
-            if self.uthr:
+            if kernel.uthr:
                 # Uniform threshold: mark bad *resources* once, then one bool
                 # gather — 1/8th the bandwidth of the float gather + compare.
-                res_bad = res_lat > self.q0
+                res_bad = res_lat > kernel.q0
                 unsat = np.take(res_bad.reshape(-1), asgF, out=self.unsat_buf[:A])
             else:
                 usr_lat = np.take(res_lat.reshape(-1), asgF, out=self.usr_buf[:A])
-                unsat = np.greater(usr_lat, self.thresholds, out=self.unsat_buf[:A])
+                unsat = np.greater(
+                    usr_lat, self.instance.thresholds, out=self.unsat_buf[:A]
+                )
             n_unsat = np.count_nonzero(unsat, axis=1)
 
             # Same liveness contract as the scalar engine: wall-clock
@@ -914,22 +526,29 @@ class _BatchEngine:
             self.total_messages[rows] += counts * self.phases
 
             pos = np.flatnonzero(movers_src)  # flat (row, user) mover positions
+            P = None if self.P is None else self.P.reshape(-1)
             if pos.size:
-                bounds = np.zeros(A + 1, dtype=np.int64)
-                np.cumsum(counts, out=bounds[1:])
-                rkm = np.repeat(row_off[:A], counts)  # per-mover row offset
-                fu_f, t_f, tf_f = kernel(pos, counts, bounds, rkm, unsat, A)
+                bounds = rkm = None  # one row: flat positions are users
+                if A > 1:
+                    bounds = np.zeros(A + 1, dtype=np.int64)
+                    np.cumsum(counts, out=bounds[1:])
+                    rkm = np.repeat(row_off[:A], counts)  # per-mover row offset
+                fu_f, t_f, tf_f = kernel.propose(
+                    asgF.reshape(-1), ld.reshape(-1), unsat.reshape(-1), pos,
+                    self.live_rngs, bounds, rkm, P,
+                )
+                del pos, bounds, rkm
                 n_committed = np.bincount(fu_f // n, minlength=A)
                 if fu_f.size:
                     asg_flat = asgF.reshape(-1)
                     of_f = asg_flat.take(fu_f)
-                    if self.uw:
+                    if kernel.uw:
                         # unit weights: plain integer bincounts; the integer
                         # count equals the serial sum of 1.0s exactly
                         sub = np.bincount(of_f, minlength=A * m)
                         add = np.bincount(tf_f, minlength=A * m)
                     else:
-                        w_f = self.wF.take(fu_f)
+                        w_f = kernel.wF.take(fu_f)
                         sub = np.bincount(of_f, weights=w_f, minlength=A * m)
                         add = np.bincount(tf_f, weights=w_f, minlength=A * m)
                     ld_flat = ld.reshape(-1)
@@ -943,24 +562,7 @@ class _BatchEngine:
                 n_committed = np.zeros(A, dtype=np.int64)
 
             if self.backoff:
-                # Mirrors AdaptiveBackoffRate.observe: quiet users recover,
-                # movers keep p, movers *still* unsatisfied post-move back
-                # off (from the original p, not the recovered one).
-                rate = self.rate
-                recovered = np.minimum(self.P * rate.recover, 1.0)
-                if fu_f.size:
-                    p_moved = self.P.reshape(-1).take(fu_f)
-                    recovered.reshape(-1)[fu_f] = p_moved
-                    post_lat = self._probe_latency(
-                        t_f, tf_f, ld.reshape(-1).take(tf_f)
-                    )
-                    collided = post_lat > (
-                        self.q0 if self.uthr else self.thrF.take(fu_f)
-                    )
-                    recovered.reshape(-1)[fu_f[collided]] = np.maximum(
-                        p_moved[collided] * rate.backoff, rate.floor
-                    )
-                self.P = recovered
+                kernel.observe_backoff(P, ld.reshape(-1), fu_f, t_f, tf_f)
 
             # -- per-rep quiescence (idle rounds only; same dirty dance) -----
             moved_rows = n_committed > 0
@@ -1044,7 +646,7 @@ def run_batch(
     engine = _BatchEngine(
         instance,
         protocol,
-        _kernel_kind(protocol),
+        kernel_kind(protocol),
         schedule,
         rngs,
         max_rounds,

@@ -114,6 +114,7 @@ def test_backends_bit_identical_per_rep():
         {},
         {"protocol_kwargs": {"rate": {"name": "slack-proportional"}}},
         {"schedule": "alpha", "schedule_kwargs": {"alpha": 0.5}, "initial": "random"},
+        {"protocol_kwargs": {"resample_on_self": True}},
     ):
         s = spec(**over)
         serial = replicate(s, 8, base_seed=5, workers=0, backend="serial")
@@ -189,6 +190,7 @@ def test_batch_support_reasons():
             protocol="neighborhood",
             protocol_kwargs={"topology": "ring", "m": 8, "rate": {"name": "slack-proportional"}},
         ),
+        spec(protocol_kwargs={"resample_on_self": True}),
     ):
         assert batch_support(kernel_spec) is None, kernel_spec.protocol
         assert batch_supported(kernel_spec), kernel_spec.protocol
@@ -196,7 +198,6 @@ def test_batch_support_reasons():
         "protocol": spec(protocol="best-response"),
         "schedule": spec(schedule="partition", schedule_kwargs={"k": 2}),
         "instance": spec(instance_seed_key="per-rep"),
-        "resample": spec(protocol_kwargs={"resample_on_self": True}),
         "initial": spec(initial="spread"),
         "topology": spec(
             protocol="neighborhood", protocol_kwargs={"topology": "moebius", "m": 8}

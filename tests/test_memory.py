@@ -12,15 +12,18 @@ import pytest
 
 from repro.core.instance import AccessMap, Instance
 from repro.core.memory import (
+    csr_offsets,
     index_dtype,
     iter_chunks,
     set_user_chunk,
     user_chunk,
     wide_dtypes,
 )
-from repro.core.protocols import QoSSamplingProtocol
+from repro.core.protocols import PermitProtocol, QoSSamplingProtocol
+from repro.core.protocols.kernels import rank_dtype
+from repro.core.protocols.neighborhood import ResourceGraph
 from repro.registry import build_instance
-from repro.sim.batch import run_batch
+from repro.sim.batch import _flat_assignment, run_batch
 from repro.sim.engine import run
 
 
@@ -209,6 +212,91 @@ class TestSparseAccess:
         inst = build_instance("sparse_access", n=64, m=8, degree=3, slack=0.4, rng=1)
         result = run(inst, QoSSamplingProtocol(), seed=2, initial="pile", max_rounds=2000)
         assert result.status == "satisfying"
+
+
+# ---------------------------------------------------------------------------
+# Overflow boundaries: every narrowed or accumulated index straddling
+# 2**15 and 2**31, with stub-sized inputs (nothing of the bound's size).
+# ---------------------------------------------------------------------------
+
+
+class TestOverflowBoundaries:
+    @pytest.mark.parametrize(
+        "counts,dtype",
+        [([2**15 - 1, 1, 1], np.int16), ([2**31 - 2, 1, 1], np.int32)],
+    )
+    def test_csr_offsets_accumulate_in_int64(self, counts, dtype):
+        offsets = csr_offsets(np.asarray(counts, dtype=dtype))
+        assert offsets.dtype == np.int64
+        assert offsets.tolist() == [0, counts[0], counts[0] + 1, counts[0] + 2]
+
+    def test_resource_graph_offsets_are_csr(self):
+        import networkx as nx
+
+        graph = ResourceGraph(nx.star_graph(5), 6)
+        assert graph.offsets.dtype == np.int64
+        assert graph.offsets.tolist() == csr_offsets([5, 1, 1, 1, 1, 1]).tolist()
+
+    @pytest.mark.parametrize(
+        "n_users,m,key_dtype",
+        [
+            (2**7, 2**8, np.int16),  # n * m = 2**15: largest key 2**15 - 1
+            (2**7, 2**8 + 1, np.int32),
+            (2**15, 2**16, np.int32),  # n * m = 2**31: largest key 2**31 - 1
+            (2**15, 2**16 + 1, np.int64),
+        ],
+    )
+    def test_access_keys_at_the_boundary(self, n_users, m, key_dtype):
+        # Every user may use only the last resource, so the flat keys
+        # u * m + r reach n * m - 1, the largest the bound allows.
+        choices = np.full(n_users, m - 1, dtype=np.int64)
+        amap = AccessMap.from_csr(choices, np.arange(n_users + 1), m)
+        assert amap._keys.dtype == key_dtype
+        last = n_users - 1
+        got = amap.contains(np.array([last, last, 0]), np.array([m - 1, m - 2, m - 1]))
+        assert got.tolist() == [True, False, True]
+        assert amap.contains_one(last, m - 1) and not amap.contains_one(last, m - 2)
+
+    @pytest.mark.parametrize(
+        "R,m,flat_dtype",
+        [
+            (2, 2**14, np.int16),  # R * m = 2**15
+            (2, 2**14 + 1, np.int32),
+            (2, 2**30, np.int32),  # R * m = 2**31
+            (2, 2**30 + 1, np.int64),
+        ],
+    )
+    def test_flat_assignment_at_the_boundary(self, R, m, flat_dtype):
+        assignment = np.full((R, 1), m - 1, dtype=index_dtype(m))
+        flat = _flat_assignment(assignment, m)
+        assert flat.dtype == flat_dtype
+        assert flat[:, 0].tolist() == [k * m + m - 1 for k in range(R)]
+
+    @pytest.mark.parametrize(
+        "n_probes,width",
+        [(2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)],
+    )
+    def test_permit_ranks_hold_the_sentinel(self, n_probes, width):
+        ranks = rank_dtype(n_probes)
+        assert ranks == np.dtype(width)
+        assert int(np.int64(n_probes).astype(ranks)) == n_probes
+
+    def test_permit_ranks_cross_int16_bit_identically(self):
+        """A permit round from the pile with about 2**15 + 1500 probes (a
+        1/64 share of the 2**15 + 2048 users probe their own resource)
+        runs on int32 ranks and matches the all-int64 layout exactly."""
+        inst = build_instance("uniform_slack", n=2**15 + 2048, m=64, slack=0.25)
+
+        def final():
+            result = run(inst, PermitProtocol(), seed=3, initial="pile", max_rounds=2,
+                         keep_state=True)
+            return result.total_moves, result.final_state.assignment.astype(np.int64)
+
+        narrow = final()
+        with wide_dtypes():
+            wide = final()
+        assert narrow[0] > 2**14
+        assert narrow[0] == wide[0] and np.array_equal(narrow[1], wide[1])
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,13 @@ from repro.core.protocols.neighborhood import (
 from repro.core.protocols.rates import (
     AdaptiveBackoffRate,
     ConstantRate,
+    MigrationRateRule,
     SlackProportionalRate,
 )
+from repro.core.protocols.sampling import QoSSamplingProtocol
 from repro.core.state import State
+from repro.registry import build_protocol
+from repro.sim.engine import run
 from repro.workloads.topology import ring_graph
 
 
@@ -128,24 +132,41 @@ class TestNeighborhoodProtocol:
         assert proto2.is_quiescent(state2) is True
 
 
+def _propose(rate, state, seed):
+    """One synchronous sampling proposal under ``rate`` on a fresh stream."""
+    proto = QoSSamplingProtocol(rate)
+    rng = np.random.default_rng(seed)
+    proto.reset(state.instance, rng)
+    return proto.propose(state, np.ones(state.instance.n_users, dtype=bool), rng)
+
+
+def _eligible(state, seed):
+    """Movers whose probe would satisfy them, from the proposal's own target draw."""
+    users = state.unsatisfied_users()
+    targets = np.random.default_rng(seed).integers(0, state.instance.n_resources, users.size)
+    ok = (targets != state.assignment[users]) & state.would_satisfy(users, targets)
+    return users[ok], targets[ok]
+
+
 class TestRates:
     def test_constant_rate_statistics(self, small_uniform):
-        rng = np.random.default_rng(0)
-        rate = ConstantRate(0.5)
         state = State.worst_case_pile(small_uniform)
-        users = np.arange(12)
-        targets = np.ones(12, dtype=np.int64)
-        total = sum(
-            int(rate.commit_mask(state, users, targets, rng).sum())
-            for _ in range(500)
-        )
-        assert 2700 < total < 3300  # expectation 3000
+        committed = eligible = 0
+        for seed in range(500):
+            proposal = _propose(ConstantRate(0.5), state, seed)
+            users, _ = _eligible(state, seed)
+            assert np.isin(proposal.users, users).all()
+            committed += proposal.size
+            eligible += users.size
+        assert 0.45 < committed / eligible < 0.55  # expectation 1/2
 
-    def test_constant_rate_p1_commits_all(self, small_uniform, rng):
-        rate = ConstantRate(1.0)
+    def test_constant_rate_p1_commits_all(self, small_uniform):
         state = State.worst_case_pile(small_uniform)
-        mask = rate.commit_mask(state, np.arange(12), np.ones(12, dtype=np.int64), rng)
-        assert mask.all()
+        for seed in range(20):
+            proposal = _propose(ConstantRate(1.0), state, seed)
+            users, targets = _eligible(state, seed)
+            assert np.array_equal(proposal.users, users)
+            assert np.array_equal(proposal.targets, targets)
 
     def test_constant_rate_validation(self):
         with pytest.raises(ValueError):
@@ -153,14 +174,15 @@ class TestRates:
         with pytest.raises(ValueError):
             ConstantRate(1.5)
 
-    def test_slack_proportional_bounds(self, small_uniform, rng):
-        rate = SlackProportionalRate(floor=0.1)
-        rate.reset(small_uniform, rng)
+    def test_slack_proportional_bounds(self, small_uniform):
         state = State.worst_case_pile(small_uniform)
-        users = np.arange(12)
-        targets = np.full(12, 1, dtype=np.int64)
-        mask = rate.commit_mask(state, users, targets, rng)
-        assert mask.dtype == bool and mask.shape == (12,)
+        proposal = _propose(SlackProportionalRate(floor=0.1), state, 3)
+        users, targets = _eligible(state, 3)
+        assert proposal.users.dtype == proposal.targets.dtype == np.int64
+        assert proposal.users.shape == proposal.targets.shape == (proposal.size,)
+        keep = np.isin(users, proposal.users)
+        assert np.array_equal(proposal.users, users[keep])
+        assert np.array_equal(proposal.targets, targets[keep])
 
     def test_adaptive_backoff_punishes_collisions(self, small_uniform, rng):
         rate = AdaptiveBackoffRate(p0=1.0, backoff=0.5)
@@ -181,6 +203,46 @@ class TestRates:
         state = State.worst_case_pile(small_uniform)
         rate.observe(state, np.arange(12))
         assert np.all(rate._p >= 0.25)
+
+    def test_backoff_steps_equal_run(self):
+        """N Protocol.step calls on one stream equal run(max_rounds=N): same
+        final assignment and the same per-user backoff vector on the rate."""
+        inst = Instance.identical_machines(np.full(48, 3.0), 16)
+        n_rounds = 6
+
+        def protocol():
+            return QoSSamplingProtocol(AdaptiveBackoffRate(p0=0.9, backoff=0.5, recover=1.5))
+
+        via_run = protocol()
+        result = run(inst, via_run, seed=11, max_rounds=n_rounds, initial="pile",
+                     keep_state=True)
+        stepped = protocol()
+        rng = np.random.default_rng(11)
+        state = State.worst_case_pile(inst)
+        stepped.reset(inst, rng)
+        steps = 0
+        while steps < n_rounds and not state.is_satisfying():
+            stepped.step(state, np.ones(inst.n_users, dtype=bool), rng)
+            steps += 1
+        assert steps == result.rounds and steps > 1
+        assert np.array_equal(state.assignment, result.final_state.assignment)
+        assert np.array_equal(stepped.rate._p, via_run.rate._p)
+        assert not np.all(stepped.rate._p == 0.9)  # the vector did move
+
+    def test_rate_without_kernel_rejected_at_reset(self, small_uniform, rng):
+        class HalfRate(MigrationRateRule):
+            name = "half"
+
+        for name, kwargs in (
+            ("qos-sampling", {}),
+            ("multi-probe", {"d": 2}),
+            ("neighborhood", {"topology": "ring", "m": 4}),
+        ):
+            proto = build_protocol(name, rate=HalfRate(), **kwargs)
+            with pytest.raises(ValueError, match="'half'"):
+                proto.reset(small_uniform, rng)
+            with pytest.raises(ValueError, match="'half'"):
+                run(small_uniform, proto, seed=0, max_rounds=3)
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
