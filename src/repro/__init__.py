@@ -95,7 +95,6 @@ from .sim import (
     replicate,
     run,
     run_batch,
-    set_default_backend,
 )
 
 __version__ = "1.1.0"
@@ -170,7 +169,6 @@ __all__ = [
     "BatchRunResult",
     "batch_support",
     "batch_supported",
-    "set_default_backend",
     "Recorder",
     "Trace",
     "SynchronousSchedule",

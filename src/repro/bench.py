@@ -25,16 +25,16 @@ Cell families:
 - ``engine/step/sampling/sync``: one synchronous
   ``QoSSamplingProtocol.step`` round on a copy of the pile state, as
   user-rounds/second (the per-round cost, without a run around it);
-- ``replicate/sampling/serial``: whole-replication throughput through
-  :func:`repro.sim.parallel.replicate` on the scalar engine;
-- ``engine/batched/*``: batched vs serial replication of one engine
-  cell's spec, as ``speedup_vs_serial``;
-- ``replicate/hybrid``: hybrid (processes × batch) replication vs the
-  scalar pool and single-process batched;
+- ``replicate/sampling/serial``: whole-replication throughput of the
+  scalar reference (:func:`repro.sim.parallel.run_spec` per rep);
+- ``engine/batched/*``: :func:`repro.sim.batch.replicate_batched` vs the
+  scalar reference on one engine cell's spec, as ``speedup_vs_serial``;
+- ``replicate/hybrid``: :func:`repro.sim.parallel.replicate` over the
+  process pool (processes × batch) vs single-process batched;
 - ``query/satisfied-mask``: ``State.satisfied_mask`` calls/second with
   the generation-counter cache enabled vs disabled;
-- ``runs/overhead``: the sweep orchestrator serial vs 2 workers vs
-  batched, plus a fully cached re-run (see :mod:`repro.runs`);
+- ``runs/overhead``: the sweep orchestrator on 1 vs 2 workers, plus a
+  fully cached re-run (see :mod:`repro.runs`);
 - ``obs/aggregate``: the sweep-timeline merge over a synthetic 200-cell
   sweep's event files;
 - ``obs/overhead@*``: the telemetry hub's per-round cost, disabled,
@@ -404,18 +404,22 @@ def _huge_cell(cell: dict[str, Any], *, seed: int = 0, repeats: int = 1) -> dict
     )
 
 
+def _scalar_reps(spec, reps: int, base_seed: int = 0) -> list:
+    """The scalar reference: every replication through the round loop,
+    seeded exactly as :func:`~repro.sim.parallel.replicate` seeds it."""
+    from .sim.parallel import rep_seed, run_spec, spec_seed_key
+
+    key = spec_seed_key(spec)
+    return [run_spec(spec, rep_seed(base_seed, key, i)) for i in range(reps)]
+
+
 def _replicate_cell(
     *, n: int, m: int, max_rounds: int, reps: int, repeats: int
 ) -> dict[str, Any]:
-    from .sim.parallel import replicate
-
     spec = _spec(REPLICATE_WORKLOAD, n=n, m=m, max_rounds=max_rounds, label="bench-replicate")
-    # Pinned to the scalar engine: this cell *is* the serial baseline the
-    # batched cells are compared against.
-    legs, values = time_legs(
-        {"serial": partial(replicate, spec, reps, base_seed=0, workers=0, backend="serial")},
-        repeats=repeats,
-    )
+    # The scalar engine: this cell *is* the serial baseline the batched
+    # cells are compared against.
+    legs, values = time_legs({"serial": partial(_scalar_reps, spec, reps)}, repeats=repeats)
     results, seconds = values["serial"], legs["serial"]["seconds"]
     return _cell(
         "replicate", "replicate/sampling/serial", "reps_per_sec", "reps/s", legs,
@@ -437,27 +441,25 @@ def _hybrid_cell(
     reps: int = BATCH_REPS,
     workers: int | None = None,
 ) -> dict[str, Any]:
-    """Hybrid (processes × batch) replication vs its two pure legs.
+    """Hybrid (processes × batch) replication vs single-process batched.
 
-    Times three backends replicating the same spec ``reps`` times: the
-    scalar process pool, the single-process batched engine, and the hybrid
-    composition (batched shards across the pool).  All three produce
-    bit-identical per-rep results, so the comparison is pure wall-clock.
-    The pool-backed legs only help with ≥2 cores; the payload records the
-    shard count the hybrid leg actually ran with (``workers``) so trend
-    tooling and CI can condition the beats-both-legs expectation on it —
-    on one core the hybrid backend degenerates to plain batched by design.
+    The ``hybrid`` leg is :func:`~repro.sim.parallel.replicate` over the
+    default pool, which shards the batch across processes; the ``batched``
+    leg runs the whole batch in one process.  Both produce bit-identical
+    per-rep results, so the comparison is pure wall-clock.  The payload
+    records the shard count the hybrid leg actually ran with (``workers``)
+    so trend tooling and CI can condition the expectation on it — on one
+    core ``replicate`` runs plain batched by design.
     """
-    from .sim.parallel import _default_workers, replicate
+    from .sim.batch import replicate_batched
+    from .sim.parallel import _pool_size, replicate
 
     spec = _spec(REPLICATE_WORKLOAD, n=n, m=m, max_rounds=max_rounds, label="bench-hybrid")
-    n_workers = _default_workers() if workers is None else int(workers)
-    rep = partial(replicate, spec, reps, base_seed=0)
+    n_workers = _pool_size(workers)
     legs, values = time_legs(
         {
-            "pool": partial(rep, workers=n_workers, backend="serial"),
-            "batched": partial(rep, backend="batched"),
-            "hybrid": partial(rep, workers=n_workers, backend="hybrid"),
+            "batched": partial(replicate_batched, spec, reps, base_seed=0),
+            "hybrid": partial(replicate, spec, reps, base_seed=0, workers=n_workers),
         },
         repeats=repeats,
     )
@@ -469,12 +471,10 @@ def _hybrid_cell(
         reps=reps,
         workers=min(max(1, n_workers), reps),
         seconds=seconds,
-        pool_seconds=legs["pool"]["seconds"],
         batched_seconds=legs["batched"]["seconds"],
         rounds=int(total_rounds),
         rounds_per_sec=total_rounds / seconds,
         user_rounds_per_sec=total_rounds * n / seconds,
-        speedup_vs_pool=legs["pool"]["seconds"] / seconds,
         speedup_vs_batched=legs["batched"]["seconds"] / seconds,
         statuses=sorted({r.status for r in values["hybrid"]}),
     )
@@ -493,21 +493,19 @@ def _batched_cell(
     """Batched-vs-serial replication throughput on one engine cell's spec.
 
     Both legs replicate the same :class:`RunSpec` ``reps`` times in one
-    process; the serial leg is pinned to the scalar engine, the batched
-    leg runs the whole batch lockstep.  Replication is bit-identical per
-    rep across the two backends, so both legs simulate the same
-    user-rounds and ``speedup_vs_serial`` (the ratio of simulated
-    user-round throughputs, the unit the ≥3x claim is stated in) is a
-    pure wall-clock ratio.
+    process; the serial leg is the scalar reference, the batched leg runs
+    the whole batch lockstep.  Replication is bit-identical per rep across
+    the two engines, so both legs simulate the same user-rounds and
+    ``speedup_vs_serial`` (the ratio of simulated user-round throughputs,
+    the unit the ≥3x claim is stated in) is a pure wall-clock ratio.
     """
-    from .sim.parallel import replicate
+    from .sim.batch import replicate_batched
 
     spec = _spec(cell, n=n, m=m, max_rounds=max_rounds, label=f"bench-{name}")
-    rep = partial(replicate, spec, reps, base_seed=0)
     legs, values = time_legs(
         {
-            "serial": partial(rep, workers=0, backend="serial"),
-            "batched": partial(rep, backend="batched"),
+            "serial": partial(_scalar_reps, spec, reps),
+            "batched": partial(replicate_batched, spec, reps, base_seed=0),
         },
         repeats=repeats,
     )
@@ -650,16 +648,16 @@ def _obs_cell(
 def _runs_cell(
     *, n: int, m: int, max_rounds: int, reps: int, repeats: int
 ) -> dict[str, Any]:
-    """Sweep-orchestrator overhead: serial vs 2-worker vs batched vs cached.
+    """Sweep-orchestrator overhead: 1 worker vs 2 workers vs cached.
 
     Four independent cells run through :func:`repro.runs.run_cells`:
-    ``workers=1`` with the scalar engine (serial baseline), ``workers=2``
-    scalar (the documented speedup claim — embarrassingly parallel cells
-    should approach 2x minus pool spin-up), ``workers=1`` with the
-    batched engine (one process, whole batch lockstep), and a cached
-    re-run (pure store-lookup cost, ~free).  Every call of the first
-    three legs writes into a fresh store, so no timed call hits the
-    cache; the cached leg reads a store filled before timing starts.
+    ``workers=1`` (the baseline), ``workers=2`` (the documented speedup
+    claim — embarrassingly parallel cells should approach 2x minus pool
+    spin-up), and a cached re-run (pure store-lookup cost, ~free).  Each
+    cell runs on the engine :func:`~repro.sim.parallel.replicate` picks
+    for it (batched).  Every call of the first two legs writes into a
+    fresh store, so no timed call hits the cache; the cached leg reads a
+    store filled before timing starts.
     """
     import itertools
     import shutil
@@ -671,8 +669,8 @@ def _runs_cell(
     # The slack-proportional rate converges slowly, so every rep burns the
     # whole round budget — deterministic work heavy enough that two workers
     # amortize the pool spin-up (the speedup claim needs real work to split).
-    cell_n, cell_m = max(512, n // 2), max(16, m // 2)
-    n_reps = max(8, 2 * reps)
+    cell_n, cell_m = max(1024, n), max(16, m)
+    n_reps = max(12, 3 * reps)
     workload = {**REPLICATE_WORKLOAD, "protocol_kwargs": {"rate": {"name": "slack-proportional"}}}
     cells = [
         CellSpec(
@@ -688,27 +686,26 @@ def _runs_cell(
     tmp = Path(tempfile.mkdtemp(prefix="bench-runs-"))
     fresh = itertools.count()
 
-    def fresh_sweep(workers: int, backend: str):
+    def fresh_sweep(workers: int):
         return lambda: run_cells(
             cells, store=ResultStore(tmp / f"store-{next(fresh)}"), workers=workers,
-            timeout=None, backend=backend,
+            timeout=None,
         )
 
     try:
         filled = ResultStore(tmp / "cached")
-        run_cells(cells, store=filled, workers=1, timeout=None, backend="batched")
+        run_cells(cells, store=filled, workers=1, timeout=None)
         legs, values = time_legs(
             {
-                "serial": fresh_sweep(1, "serial"),
-                "2w": fresh_sweep(2, "serial"),
-                "batched": fresh_sweep(1, "batched"),
+                "1w": fresh_sweep(1),
+                "2w": fresh_sweep(2),
                 "cached": lambda: run_cells(cells, store=filled, workers=2, timeout=None),
             },
             repeats=repeats,
         )
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    seconds = legs["serial"]["seconds"]
+    seconds = legs["1w"]["seconds"]
     return _cell(
         "runs", "runs/overhead", "speedup_2w", "x speedup", legs,
         **_workload(workload, cell_n, cell_m),
@@ -718,8 +715,6 @@ def _runs_cell(
         seconds=seconds,
         seconds_2w=legs["2w"]["seconds"],
         speedup_2w=seconds / legs["2w"]["seconds"],
-        batched_seconds=legs["batched"]["seconds"],
-        speedup_batched=seconds / legs["batched"]["seconds"],
         cached_seconds=legs["cached"]["seconds"],
         cached_cells=values["cached"]["cached"],
     )

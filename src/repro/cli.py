@@ -106,7 +106,6 @@ def _workers_override(exp, workers: int | None) -> dict:
 def _cmd_run(args: argparse.Namespace) -> int:
     from .experiments import get_experiment
     from .runs.store import MissingCellError
-    from .sim.parallel import set_default_backend
 
     if args.render_only and not args.store:
         raise SystemExit("--render-only needs --store DIR (the sweep store to render from)")
@@ -115,10 +114,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise SystemExit(exc.args[0]) from None
     overrides = {**_workers_override(exp, args.workers), **_kv_args(args.set or [])}
-    if args.backend is not None:
-        # Process-wide default so every cell of the experiment picks it up
-        # without threading a knob through each runner signature.
-        set_default_backend(args.backend)
     started = time.time()
     try:
         with _store_context(args.store, render_only=args.render_only):
@@ -134,10 +129,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_all(args: argparse.Namespace) -> int:
     from .experiments import EXPERIMENTS
-    from .sim.parallel import set_default_backend
 
-    if args.backend is not None:
-        set_default_backend(args.backend)
     failures = []
     with _store_context(args.store):
         for eid, exp in sorted(EXPERIMENTS.items()):
@@ -190,10 +182,10 @@ def _serve_sweep_cli(args: argparse.Namespace, *, timeout, retries) -> dict:
     if args.resume:
         # Coordinator restart: re-serve the journalled configuration from
         # the same sweep dir — committed cells are cache hits.
-        if args.experiments or args.set or args.backend is not None or args.no_events:
+        if args.experiments or args.set or args.no_events:
             raise SystemExit(
                 "--resume reuses the journalled configuration; drop the "
-                "experiment ids / --set / --backend / --no-events overrides"
+                "experiment ids / --set / --no-events overrides"
             )
         try:
             config = read_sweep_config(args.resume)
@@ -203,7 +195,6 @@ def _serve_sweep_cli(args: argparse.Namespace, *, timeout, retries) -> dict:
         ids = config["experiments"]
         scale = config.get("scale", "ci")
         overrides = config.get("overrides") or {}
-        backend = config.get("backend")
         events = bool(config.get("events", True))
     else:
         shared, per_exp = _sweep_overrides(args.set or [])
@@ -212,7 +203,7 @@ def _serve_sweep_cli(args: argparse.Namespace, *, timeout, retries) -> dict:
         unknown = set(per_exp) - set(ids)
         if unknown:
             raise SystemExit(f"--set targets experiments not in this sweep: {sorted(unknown)}")
-        out, scale, backend, events = args.out, args.scale, args.backend, not args.no_events
+        out, scale, events = args.out, args.scale, not args.no_events
     return serve_sweep(
         ids,
         out=out,
@@ -223,7 +214,6 @@ def _serve_sweep_cli(args: argparse.Namespace, *, timeout, retries) -> dict:
         retries=retries,
         timeout=timeout,
         lease_ttl_s=DEFAULT_LEASE_TTL_S if args.lease_ttl is None else args.lease_ttl,
-        backend=backend,
         events=events,
         force=args.force,
         on_listen=lambda addr: print(
@@ -253,10 +243,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.serve:
             summary = _serve_sweep_cli(args, timeout=timeout, retries=retries)
         elif args.resume:
-            if args.experiments or args.set or args.backend is not None or args.no_events or args.profile:
+            if args.experiments or args.set or args.no_events or args.profile:
                 raise SystemExit(
                     "--resume reuses the journalled configuration; drop the "
-                    "experiment ids / --set / --backend / --no-events / --profile overrides"
+                    "experiment ids / --set / --no-events / --profile overrides"
                 )
             summary = resume_sweep(
                 args.resume,
@@ -282,7 +272,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 retries=retries,
                 max_cells=args.max_cells,
                 overrides=overrides,
-                backend=args.backend,
                 events=not args.no_events,
                 profile=args.profile,
             )
@@ -411,7 +400,6 @@ def _cmd_runs_worker(args: argparse.Namespace) -> int:
     try:
         report = run_worker(
             args.connect,
-            backend=args.backend,
             poll=args.poll,
             max_cells=args.max_cells,
         )
@@ -618,12 +606,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", help="directory for .txt/.json outputs")
     p_run.add_argument("--workers", type=int, default=None, help="process pool size")
     p_run.add_argument(
-        "--backend",
-        choices=("auto", "batched", "serial", "hybrid"),
-        default=None,
-        help="replication engine (auto = batched where supported)",
-    )
-    p_run.add_argument(
         "--set",
         action="append",
         metavar="KEY=VALUE",
@@ -646,12 +628,6 @@ def main(argv: list[str] | None = None) -> int:
     p_all.add_argument("--scale", choices=("ci", "full"), default="ci")
     p_all.add_argument("--out", help="directory for .txt/.json outputs")
     p_all.add_argument("--workers", type=int, default=None)
-    p_all.add_argument(
-        "--backend",
-        choices=("auto", "batched", "serial", "hybrid"),
-        default=None,
-        help="replication engine (auto = batched where supported)",
-    )
     p_all.add_argument("--store", metavar="DIR", help="content-addressed cell store")
     p_all.set_defaults(fn=_cmd_all)
 
@@ -675,12 +651,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         help="process pool size (0/1 = serial; --resume defaults to the journalled count)",
-    )
-    p_sweep.add_argument(
-        "--backend",
-        choices=("auto", "batched", "serial", "hybrid"),
-        default=None,
-        help="per-cell replication engine; journalled, so --resume reuses it",
     )
     p_sweep.add_argument(
         "--force", action="store_true", help="recompute cells even when cached"
@@ -803,13 +773,6 @@ def main(argv: list[str] | None = None) -> int:
         required=True,
         metavar="HOST:PORT",
         help="the coordinator's runs-net/v1 address",
-    )
-    p_worker.add_argument(
-        "--backend",
-        choices=("auto", "batched", "serial", "hybrid"),
-        default=None,
-        help="override the coordinator's replication engine for this worker "
-        "(payloads are backend-agnostic)",
     )
     p_worker.add_argument(
         "--poll",

@@ -66,16 +66,14 @@ def cell_spec(
     workers: int | None = 0,
     label: str = "",
     seed_key: str | None = None,
-    backend: str | None = None,
 ) -> CellSpec:
     """The :class:`~repro.runs.store.CellSpec` a :func:`cell` call resolves to.
 
-    Same signature as :func:`cell` (``workers`` and ``backend`` are
-    accepted and ignored — they are execution knobs, not part of the
-    cell's identity), so runners and their ``*_cells`` decompositions
-    share one source of truth.
+    Same signature as :func:`cell` (``workers`` is accepted and ignored —
+    it is an execution knob, not part of the cell's identity), so runners
+    and their ``*_cells`` decompositions share one source of truth.
     """
-    del workers, backend  # execution hints; never part of the cell identity
+    del workers  # execution hint; never part of the cell identity
     spec = RunSpec(
         generator=generator,
         generator_kwargs=generator_kwargs or {},
@@ -153,14 +151,12 @@ def cell(
     workers: int | None = 0,
     label: str = "",
     seed_key: str | None = None,
-    backend: str | None = None,
 ) -> list[RunResult]:
     """Run one experiment cell (a spec replicated ``n_reps`` times).
 
-    ``backend`` selects the replication engine (``"auto"``/``"batched"``/
-    ``"serial"``; see :func:`repro.sim.parallel.replicate`).  Like
-    ``workers`` it is an execution knob: stored ``runs-cell/v1`` payloads
-    are backend-agnostic and cache keys ignore it.
+    ``workers`` is an execution knob (see
+    :func:`repro.sim.parallel.replicate`): stored ``runs-cell/v1``
+    payloads are engine-agnostic and cache keys ignore it.
 
     ``initial`` defaults to the adversarial pile start: convergence *time*
     is only interesting from far away (random initial states of slack
@@ -225,7 +221,6 @@ def cell(
             base_seed=base_seed,
             workers=workers,
             seed_key=seed_key,
-            backend=backend,
         )
     elapsed = time.perf_counter() - started
     if store is not None:

@@ -1,4 +1,4 @@
-"""Distributed sweep backend: the network transport of the cell queue.
+"""Distributed sweeps: the network transport of the cell queue.
 
 One queue, two transports: :class:`~repro.runs.scheduler.CellQueue`
 schedules every sweep; :func:`~repro.runs.scheduler.run_cells` drains it
@@ -224,12 +224,10 @@ class Coordinator:
         retries: int = DEFAULT_RETRIES,
         timeout: float | None = DEFAULT_TIMEOUT,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-        backend: str | None = None,
         events: bool = True,
         force: bool = False,
     ):
         self.timeout = timeout
-        self.backend = backend
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.events_dir: Path | None = None
         if events and self.out_dir is not None:
@@ -292,7 +290,6 @@ class Coordinator:
                     "schema": NET_SCHEMA,
                     "worker": worker_id,
                     "lease_ttl_s": state.lease_ttl_s,
-                    "backend": self.backend,
                     "events": self.events_dir is not None,
                     "timeout_s": self.timeout,
                     "package_version": __version__,
@@ -417,7 +414,6 @@ def serve_sweep(
     retries: int = DEFAULT_RETRIES,
     timeout: float | None = DEFAULT_TIMEOUT,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-    backend: str | None = None,
     events: bool = True,
     force: bool = False,
     poll: float = 0.2,
@@ -437,7 +433,7 @@ def serve_sweep(
     def drain(cells: list[CellSpec], store: ResultStore, journal: Journal, out_dir: Path) -> dict:
         coordinator = Coordinator(
             cells, store=store, journal=journal, out_dir=out_dir, retries=retries,
-            timeout=timeout, lease_ttl_s=lease_ttl_s, backend=backend, events=events, force=force,
+            timeout=timeout, lease_ttl_s=lease_ttl_s, events=events, force=force,
         )
         address = coordinator.start(host, port)
         if on_listen is not None:
@@ -450,7 +446,6 @@ def serve_sweep(
 
     transport = {
         "workers": 0,  # a plain --resume of this dir runs locally
-        "backend": backend,
         "events": bool(events),
         "profile": False,
         "serve": {"lease_ttl_s": float(lease_ttl_s), "retries": int(retries)},
@@ -512,15 +507,14 @@ def _heartbeat_loop(
 def run_worker(
     connect: Any,
     *,
-    backend: str | None = None,
     poll: float = 0.5,
     max_cells: int | None = None,
 ) -> dict[str, Any]:
     """Execute leased cells from a coordinator until it says ``done``.
 
     ``connect`` is ``"host:port"`` (or an ``(host, port)`` tuple).
-    ``backend`` overrides the coordinator's journalled choice for this
-    worker only — payloads are backend-agnostic either way.  ``poll`` is
+    Unknown ``welcome`` fields (older coordinators also sent a
+    replication ``backend``) are ignored.  ``poll`` is
     the idle re-ask period while other workers hold the last leases;
     ``max_cells`` bounds this worker's share (mainly for tests).
 
@@ -549,8 +543,6 @@ def run_worker(
             raise RuntimeError(f"registration rejected: {welcome.get('error', welcome)}")
         worker_id = welcome.get("worker")
         lease_ttl = float(welcome.get("lease_ttl_s") or DEFAULT_LEASE_TTL_S)
-        if backend is None:
-            backend = welcome.get("backend")
         timeout = welcome.get("timeout_s")
         ship_events = bool(welcome.get("events"))
         # A silent coordinator means a dead one: block no longer than a
@@ -592,7 +584,6 @@ def run_worker(
                         cell,
                         timeout,
                         delay,
-                        backend,
                         events_tmp.name if events_tmp is not None else None,
                         None,
                     )

@@ -10,8 +10,8 @@ conversation is strictly request/response, worker-initiated:
 worker sends    meaning                                          coordinator replies
 ==============  ===============================================  =========================
 ``register``    hello: schema, host, pid, package version        ``welcome`` (worker id,
-                                                                 lease ttl, backend,
-                                                                 events flag, timeout)
+                                                                 lease ttl, events
+                                                                 flag, timeout)
 ``lease``       give me a cell                                   ``lease`` (cell + attempt
                                                                  + backoff delay) /
                                                                  ``wait`` / ``done``

@@ -21,8 +21,8 @@ local process pool (:func:`run_cells`) and the TCP coordinator
   ``failed`` and the sweep *completes* with a non-zero ``failed`` count
   instead of aborting.
 
-Workers execute :func:`execute_cell` — replication is serial inside the
-worker (the cell is the fan-out unit).  A fork-started worker never
+Workers execute :func:`execute_cell` — replication stays in the worker's
+process (the cell is the fan-out unit).  A fork-started worker never
 inherits the parent's enabled hub (the hub disarms itself after fork, see
 :mod:`repro.obs.hub`); instead, when the sweep ships events, each worker
 enables its *own* per-cell JSONL sink under ``<sweep_dir>/events/`` and
@@ -46,6 +46,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from ..core.state import CACHE_STATS
 from ..obs import HUB as _OBS
+from ..sim.parallel import replicate_engine
 from .journal import Journal
 from .store import CellSpec, ResultStore, build_payload, cell_key
 
@@ -120,17 +121,14 @@ def execute_cell(
     cell: CellSpec,
     timeout: float | None = None,
     delay: float = 0.0,
-    backend: str | None = None,
     events_dir: str | Path | None = None,
     profile_dir: str | Path | None = None,
 ) -> dict[str, Any]:
     """Worker entry point: one cell to a ``runs-cell/v1`` payload.
 
     ``delay`` is the retry backoff, slept in the worker so the parent's
-    collection loop never blocks.  ``backend`` selects the replication
-    engine inside the worker (payloads stay backend-agnostic).  No store
-    I/O happens here — the parent owns the store, keeping writes
-    single-process and atomic.
+    collection loop never blocks.  No store I/O happens here — the parent
+    owns the store, keeping writes single-process and atomic.
 
     ``events_dir`` enables this process's telemetry hub onto a per-cell
     JSONL sink ``<events_dir>/cell-<key>.jsonl`` for the duration of the
@@ -143,7 +141,9 @@ def execute_cell(
     ``<profile_dir>/cell-<key>.pstats``) and ``tracemalloc`` (peak into
     the telemetry block).  Every executed cell records a resource
     profile regardless: wall seconds, ``getrusage`` user/sys CPU deltas,
-    max RSS, and state-cache hit/miss deltas.
+    max RSS, state-cache hit/miss deltas, and the ``engine`` that ran it
+    with the ``fallback`` reason when that engine is scalar (see
+    :func:`~repro.sim.parallel.replicate_engine`).
     """
     if delay > 0:
         time.sleep(delay)
@@ -176,7 +176,7 @@ def execute_cell(
             if profiler is not None:
                 profiler.enable()
             try:
-                results = cell.run(backend=backend)
+                results = cell.run()
             finally:
                 if profiler is not None:
                     profiler.disable()
@@ -196,6 +196,8 @@ def execute_cell(
         root.mkdir(parents=True, exist_ok=True)
         profile_path = root / f"cell-{key}.pstats"
         profiler.dump_stats(profile_path)
+    # CellSpec.run replicates in-process, so no pool enters the decision.
+    engine, fallback = replicate_engine(cell.spec, cell.n_reps)
     telemetry = {
         "wall_s": duration,
         "cpu_user_s": ru1.ru_utime - ru0.ru_utime,
@@ -207,6 +209,8 @@ def execute_cell(
         "peak_traced_bytes": peak_traced,
         "events_file": events_path.name if events_path is not None else None,
         "profile_file": profile_path.name if profile_path is not None else None,
+        "engine": engine,
+        "fallback": fallback,
     }
     return build_payload(cell, results, duration_s=duration, telemetry=telemetry)
 
@@ -431,7 +435,6 @@ def run_cells(
     retries: int = DEFAULT_RETRIES,
     force: bool = False,
     max_cells: int | None = None,
-    backend: str | None = None,
     events_dir: str | Path | None = None,
     profile_dir: str | Path | None = None,
 ) -> dict[str, Any]:
@@ -442,13 +445,11 @@ def run_cells(
     execute this invocation — the rest are journalled ``scheduled`` only
     and picked up by a later resume (an operational budget knob, also the
     deterministic interruption used by the resumability tests).
-    ``backend`` is forwarded to every :func:`execute_cell` call; payloads
-    and cache keys do not depend on it.  ``events_dir``/``profile_dir``
-    turn on per-cell event shipping and cProfile+tracemalloc profiling in
-    the workers (see :func:`execute_cell`); like ``backend`` they are
-    execution knobs outside the cache key.
+    ``events_dir``/``profile_dir`` turn on per-cell event shipping and
+    cProfile+tracemalloc profiling in the workers (see
+    :func:`execute_cell`); they are execution knobs outside the cache key.
     """
-    args: list[Any] = [backend]
+    args: list[Any] = []
     for root in (events_dir, profile_dir):
         if root is not None:
             Path(root).mkdir(parents=True, exist_ok=True)

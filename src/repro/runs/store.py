@@ -94,7 +94,9 @@ class MissingCellError(KeyError):
 #: older sweeps simply lack it, readers must treat it as optional, and it
 #: never feeds the cache key (wall clocks and rusage are provenance, not
 #: results).  ``peak_traced_bytes``, ``events_file`` and ``profile_file``
-#: are ``None`` unless the corresponding opt-in was active.
+#: are ``None`` unless the corresponding opt-in was active; ``engine`` is
+#: the replication engine that ran the cell and ``fallback`` why it was
+#: scalar (``None`` when a batched kernel ran).
 TELEMETRY_FIELDS = (
     "wall_s",
     "cpu_user_s",
@@ -106,6 +108,8 @@ TELEMETRY_FIELDS = (
     "peak_traced_bytes",
     "events_file",
     "profile_file",
+    "engine",
+    "fallback",
 )
 
 
@@ -132,20 +136,14 @@ class CellSpec:
             "seed_key": self.seed_key,
         }
 
-    def run(self, backend: str | None = None) -> list[RunResult]:
-        """Execute the cell in one process (the scheduler's in-worker path).
-
-        ``backend`` picks the replication engine (see
-        :func:`~repro.sim.parallel.replicate`); it is an execution knob
-        only — the stored payload and cache key are backend-agnostic.
-        """
+    def run(self) -> list[RunResult]:
+        """Execute the cell in one process (the scheduler's in-worker path)."""
         return replicate(
             self.spec,
             self.n_reps,
             base_seed=self.base_seed,
             workers=0,
             seed_key=self.seed_key,
-            backend=backend,
         )
 
 

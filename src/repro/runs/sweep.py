@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -136,7 +137,6 @@ def run_sweep(
     retries: int = DEFAULT_RETRIES,
     max_cells: int | None = None,
     overrides: dict[str, dict[str, Any]] | None = None,
-    backend: str | None = None,
     events: bool = True,
     profile: bool = False,
 ) -> dict[str, Any]:
@@ -144,9 +144,7 @@ def run_sweep(
 
     Invoking the same sweep twice is idempotent: the second run is 100%
     cache hits.  Killing it mid-flight loses at most the in-flight cells;
-    the journal and store keep everything finished.  ``backend`` selects
-    the per-cell replication engine (journalled alongside ``workers`` so a
-    resume re-uses it; stored payloads are backend-agnostic).
+    the journal and store keep everything finished.
 
     ``events`` (default on) ships per-cell telemetry: every worker writes
     ``events/cell-<key>.jsonl`` while running its cell, and after the
@@ -161,14 +159,12 @@ def run_sweep(
         with _OBS.span("runs.sweep"):
             return run_cells(
                 cells, store=store, journal=journal, workers=workers, timeout=timeout,
-                retries=retries, force=force, max_cells=max_cells, backend=backend,
+                retries=retries, force=force, max_cells=max_cells,
                 events_dir=out_dir / "events" if events else None,
                 profile_dir=out_dir / "profiles" if profile else None,
             )
 
-    transport = {
-        "workers": workers, "backend": backend, "events": bool(events), "profile": bool(profile)
-    }
+    transport = {"workers": workers, "events": bool(events), "profile": bool(profile)}
     return drive_sweep(
         experiment_ids, out=out, scale=scale, overrides=overrides, transport=transport, drain=drain
     )
@@ -207,9 +203,9 @@ def resume_sweep(
         retries=retries,
         max_cells=max_cells,
         overrides=config.get("overrides") or {},
-        backend=config.get("backend"),
-        # Older journals predate these knobs; default to shipping events
-        # (matching run_sweep) and never auto-profiling.
+        # Older journals predate these knobs (and may still name a
+        # replication backend, which is ignored); default to shipping
+        # events (matching run_sweep) and never auto-profiling.
         events=bool(config.get("events", True)),
         profile=bool(config.get("profile", False)),
     )
@@ -250,9 +246,10 @@ def _fold_telemetry(store: ResultStore) -> dict[str, Any]:
     Payloads from sweeps that predate the telemetry block simply don't
     contribute (``cells_with_telemetry`` says how many did).  ``slowest``
     is the top-5 cells by wall seconds — the first place to look when a
-    sweep's tail drags.
+    sweep's tail drags; ``engines`` tallies cells per replication engine.
     """
     cells_with = 0
+    engines: Counter[str] = Counter()
     cpu_user = cpu_sys = wall = 0.0
     cache_hits = cache_misses = rounds = 0
     slowest: list[dict[str, Any]] = []
@@ -270,6 +267,8 @@ def _fold_telemetry(store: ResultStore) -> dict[str, Any]:
         cache_hits += int(telemetry.get("cache_hits") or 0)
         cache_misses += int(telemetry.get("cache_misses") or 0)
         rounds += int(telemetry.get("rounds") or 0)
+        if telemetry.get("engine"):
+            engines[telemetry["engine"]] += 1
         slowest.append(
             {
                 "key": key,
@@ -287,6 +286,7 @@ def _fold_telemetry(store: ResultStore) -> dict[str, Any]:
         "cache_hits": cache_hits,
         "cache_misses": cache_misses,
         "rounds": rounds,
+        "engines": dict(sorted(engines.items())),
         "slowest": slowest[:5],
     }
 
@@ -322,6 +322,10 @@ def render_status(status: dict[str, Any]) -> str:
             f"{tele['rounds']} rounds, "
             f"state cache {tele['cache_hits']}/{tele['cache_hits'] + tele['cache_misses']} hits"
         )
+        if tele.get("engines"):
+            notes.append(
+                "engines: " + ", ".join(f"{n} {e}" for e, n in tele["engines"].items())
+            )
         for cell in tele.get("slowest", []):
             notes.append(
                 f"  slow: {cell['wall_s']:8.3f}s  {cell['experiment_id']:<6} "

@@ -18,7 +18,7 @@ from .events import (
 )
 from .metrics import Recorder, Trajectory
 from .opensystem import OpenSystemResult, run_open_system
-from .parallel import RunSpec, replicate, run_spec, set_default_backend
+from .parallel import RunSpec, replicate, run_spec
 from .rng import derive_rng, make_rng, seed_from_key, spawn_rngs
 from .schedule import (
     AlphaSchedule,
@@ -38,7 +38,6 @@ __all__ = [
     "RunSpec",
     "replicate",
     "run_spec",
-    "set_default_backend",
     "BatchRunResult",
     "run_batch",
     "batch_support",

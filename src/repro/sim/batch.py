@@ -22,10 +22,10 @@ row's draws in a lone run's order and sizes (the alpha activation mask
 first, drawn here like :class:`~repro.sim.schedule.AlphaSchedule` draws
 it, then the kernel's own target/probe and commit draws).  So the scalar
 engine fed the *same* stream reproduces a batched replication **bit for
-bit** — and because :func:`replicate_batched` derives the same per-rep
-integer seeds as the serial path, ``backend="serial"`` and
-``backend="batched"`` produce **bit-identical** per-rep results.  The
-frozen kernel goldens and the differential tests pin both.
+bit** — and because :func:`replicate_batched` derives its per-rep integer
+seeds with the scalar path's :func:`~repro.sim.parallel.rep_seed`, a cell
+has **bit-identical** per-rep results on either engine.  The frozen
+kernel goldens and the differential tests pin both.
 
 Termination is per-replication via an ``alive`` mask: a replication that
 satisfies, goes quiescent, or exhausts the budget leaves the batch and
@@ -50,9 +50,9 @@ replication at round boundaries with the scalar event code itself, so
 churn/failure schedules keep their bit-exact RNG contract.  Everything
 else — other protocol families (and subclasses of the four), partition/
 staggered schedules, per-rep instance seeding, random-count departures —
-transparently falls back to the scalar engine via
-:func:`~repro.sim.parallel.replicate`'s backend selection; see
-:func:`batch_support` for the reason a given spec is not batchable.
+transparently runs on the scalar engine instead (see
+:func:`~repro.sim.parallel.replicate_engine`); :func:`batch_support`
+names the reason a given spec is not batchable.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class BatchRunResult:
     Per-rep arrays are indexed by replication; :meth:`decompose` lowers the
     batch into the per-rep :class:`~repro.sim.engine.RunResult` summaries
     the experiment layer (and the ``runs-cell/v1`` store) consume, so
-    downstream code never sees which backend produced a cell.
+    downstream code never sees which engine produced a cell.
     """
 
     statuses: list[str]
@@ -185,7 +185,7 @@ def batch_support(spec) -> str | None:
     """Why ``spec`` cannot run on the batched engine — ``None`` if it can.
 
     The decision is a pure function of the spec (no instance is built), so
-    backend auto-selection is deterministic across processes and resumes.
+    engine selection is deterministic across processes and resumes.
     """
     if spec.initial not in ("random", "pile"):
         return f"initial={spec.initial!r} (batched engine supports 'random'/'pile')"
@@ -444,7 +444,7 @@ class _BatchEngine:
 
             # Same liveness contract as the scalar engine: wall-clock
             # throttled heartbeat/progress so a sweep worker running the
-            # batched backend is never dark to the coordinator.
+            # batched engine is never dark to the coordinator.
             if _OBS.active:
                 if _OBS.every("cell.heartbeat", HEARTBEAT_INTERVAL_S):
                     _OBS.event(
@@ -683,20 +683,21 @@ def replicate_batched(
 ) -> list[RunResult]:
     """Batched analogue of :func:`~repro.sim.parallel.replicate`.
 
-    Seeds are derived exactly as the serial path derives them (same
-    ``seed_from_key`` chain including the per-rep ``"run"`` subkey) and
-    feed the same ``default_rng`` stream construction, so a batched cell
-    is not merely replayable rep-by-rep — its per-rep results are
-    bit-identical to what ``backend="serial"`` would produce.  Raises for
-    specs without a batched kernel; ``replicate`` handles the graceful
-    fallback.
+    Seeds are derived exactly as the scalar path derives them (same
+    :func:`~repro.sim.parallel.rep_seed` chain including the per-rep
+    ``"run"`` subkey) and feed the same ``default_rng`` stream
+    construction, so a batched cell is not merely replayable rep-by-rep —
+    its per-rep results are bit-identical to a
+    :func:`~repro.sim.parallel.run_spec` loop over the same seeds.  Raises
+    for specs without a batched kernel; ``replicate`` runs those on the
+    scalar engine.
 
     ``rep_indices`` runs an arbitrary slice of a larger replication set:
     seeds are derived from the given global indices instead of
-    ``range(n_reps)``, which is how the hybrid backend shards one logical
-    batch across processes without changing any per-rep stream.
+    ``range(n_reps)``, which is how ``replicate`` shards one logical batch
+    across processes without changing any per-rep stream.
     """
-    from .parallel import _spec_components, spec_seed_key
+    from .parallel import _spec_components, rep_seed, spec_seed_key
 
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -710,7 +711,7 @@ def replicate_batched(
         if len(indices) != n_reps:
             raise ValueError("rep_indices must have exactly n_reps entries")
     key = seed_key if seed_key is not None else spec_seed_key(spec)
-    rep_seeds = [seed_from_key(base_seed, key, str(i)) for i in indices]
+    rep_seeds = [rep_seed(base_seed, key, i) for i in indices]
     # instance_seed_key == "fixed" (enforced above): the instance does not
     # depend on the replication seed, so one build serves the whole batch.
     instance, protocol, schedule = _spec_components(spec, rep_seeds[0])

@@ -1,4 +1,4 @@
-"""Replicated runs, optionally fanned out across processes or batched.
+"""Replicated runs, batched where a kernel exists and sharded over a pool.
 
 Convergence times of randomized dynamics are distributions; every figure
 row aggregates dozens of replications.  This module runs them:
@@ -10,21 +10,21 @@ row aggregates dozens of replications.  This module runs them:
 - :func:`run_spec` — execute one replication of a spec (module-level, so
   process pools can import it).
 - :func:`replicate` — run ``n_reps`` replications with independent spawned
-  seeds: on the vectorized batched engine (:mod:`repro.sim.batch`) when
-  the spec supports it, serially, on a
-  :class:`~concurrent.futures.ProcessPoolExecutor`, or — the hybrid
-  backend — sharded across the pool with each shard batched.
+  seeds.  There is one path: the replication indices split into
+  contiguous shards, each shard runs on the vectorized batched engine
+  (:mod:`repro.sim.batch`) when the spec has a kernel and the cell holds
+  at least two replications, and on the scalar engine otherwise; one
+  shard runs in-process, several go to a
+  :class:`~concurrent.futures.ProcessPoolExecutor`.
+  :func:`replicate_engine` names the engine this picks.
 
 Per the HPC guides, parallelism is process-based (the work is pure Python
-+ NumPy and releases no GIL).  On the scalar path the fan-out unit is a
-whole replication — large enough that pickling overhead is negligible.
-The batched backend sidesteps the per-replication Python round loop
-entirely by stacking all replications into ``(R, n)`` arrays; the hybrid
-backend composes the two axes (processes × lockstep batch), sharding the
-replication set contiguously and running each shard through
-:func:`~repro.sim.batch.replicate_batched` with its *global* replication
-indices — per-rep seeds depend only on those indices, so the result is
-bit-identical to every other backend regardless of shard count.  See
++ NumPy and releases no GIL).  The batched engine sidesteps the
+per-replication Python round loop entirely by stacking a shard's
+replications into ``(R, n)`` arrays.  Every replication's seed derives
+from its *global* index (:func:`rep_seed`), so the per-rep results are
+bit-identical whichever engine ran them and however the set was sharded:
+the engine changes how long a cell takes, never what it computes.  See
 :mod:`repro.sim.batch` for the RNG stream contract and kernel coverage.
 """
 
@@ -45,38 +45,15 @@ __all__ = [
     "RunSpec",
     "run_spec",
     "replicate",
+    "replicate_engine",
+    "rep_seed",
     "spec_seed_key",
-    "set_default_backend",
 ]
-
-#: Backend used when ``replicate`` is called without an explicit one.
-#: ``"auto"`` picks the batched engine whenever the spec supports it.
-_DEFAULT_BACKEND = "auto"
-
-_BACKENDS = ("auto", "batched", "serial", "hybrid")
 
 #: Does GENERATORS[name] accept an ``rng`` kwarg?  The signature probe is
 #: pure reflection on a fixed registry, so it is cached per generator name
 #: instead of re-running once per replication.
 _GEN_ACCEPTS_RNG: dict[str, bool] = {}
-
-
-def set_default_backend(backend: str) -> str:
-    """Set the process-wide default ``replicate`` backend; returns the old one.
-
-    ``"auto"`` (the default) selects the batched engine for supported
-    specs (sharded across the process pool when one is requested),
-    ``"batched"`` forces the single-process batched engine where
-    possible, ``"hybrid"`` forces the processes × batch composition,
-    ``"serial"`` always uses the scalar engine (optionally fanned out
-    over processes).
-    """
-    global _DEFAULT_BACKEND
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = backend
-    return previous
 
 
 @dataclass(frozen=True)
@@ -120,7 +97,7 @@ def _spec_components(spec: RunSpec, seed: int):
 
     Shared by the scalar per-replication path (:func:`run_spec`) and the
     batched path (:func:`repro.sim.batch.replicate_batched`), so both
-    backends simulate the *same* instance for a given spec and seed.
+    engines simulate the *same* instance for a given spec and seed.
     """
     # Imported here so worker processes initialise lazily and the module
     # import graph stays cycle-free (registry imports workloads/protocols).
@@ -164,40 +141,71 @@ def run_spec(spec: RunSpec, seed: int) -> RunResult:
     )
 
 
-def _default_workers() -> int:
-    cpus = os.cpu_count() or 1
-    return max(1, min(cpus - 1, 8))
+def rep_seed(base_seed: int, key: str, index: int) -> int:
+    """Root seed of replication ``index`` of the cell seeded by ``key``.
+
+    The one derivation both engines use: :func:`run_spec` and
+    :func:`~repro.sim.batch.replicate_batched` receive the same integer for
+    the same global index, which is the whole bit-identity argument.
+    """
+    return seed_from_key(base_seed, key, str(index))
 
 
-def _run_batched_shard(
-    spec: RunSpec, indices: list[int], base_seed: int, seed_key: str
+def _pool_size(workers: int | None) -> int:
+    """Process count ``workers`` asks for (``None`` = ``min(cpus - 1, 8)``)."""
+    if workers is None:
+        return max(1, min((os.cpu_count() or 1) - 1, 8))
+    return int(workers)
+
+
+def replicate_engine(
+    spec: RunSpec, n_reps: int, workers: int | None = 0
+) -> tuple[str, str | None]:
+    """The engine :func:`replicate` runs, and why it is scalar if it is.
+
+    Returns ``(engine, fallback)``: ``"batched"`` when the spec has a
+    batched kernel and there are at least two replications, ``"hybrid"``
+    when such a batch is additionally sharded over a pool of two or more
+    processes, otherwise ``"serial"`` with ``fallback`` saying why (the
+    :func:`~repro.sim.batch.batch_support` reason, or a single
+    replication).  ``fallback`` is ``None`` whenever a kernel runs.
+    """
+    if n_reps < 2:
+        return "serial", "single replication"
+    from .batch import batch_support
+
+    reason = batch_support(spec)
+    if reason is not None:
+        return "serial", reason
+    return ("hybrid" if _pool_size(workers) >= 2 else "batched"), None
+
+
+def _run_shard(
+    spec: RunSpec, indices: range, base_seed: int, seed_key: str, batched: bool
 ) -> list[RunResult]:
-    """One hybrid shard: batch the given *global* replication indices.
+    """Run the given *global* replication indices of one cell.
 
     Module-level so process pools can pickle it.  Seeds derive from the
-    global indices (not the shard-local positions), which is the whole
-    bit-identity argument: resharding changes who computes a replication,
-    never what it computes.
+    global indices (not the shard-local positions), so resharding changes
+    who computes a replication, never what it computes.
     """
-    from .batch import replicate_batched
+    if batched:
+        from .batch import replicate_batched
 
-    return replicate_batched(
-        spec,
-        len(indices),
-        base_seed=base_seed,
-        seed_key=seed_key,
-        rep_indices=indices,
-    )
+        return replicate_batched(
+            spec, len(indices), base_seed=base_seed, seed_key=seed_key, rep_indices=indices
+        )
+    return [run_spec(spec, rep_seed(base_seed, seed_key, i)) for i in indices]
 
 
-def _shard_indices(n_reps: int, n_shards: int) -> list[list[int]]:
+def _shard_indices(n_reps: int, n_shards: int) -> list[range]:
     """Split ``range(n_reps)`` into ``n_shards`` contiguous, near-even shards."""
     base, extra = divmod(n_reps, n_shards)
     shards = []
     start = 0
     for j in range(n_shards):
         size = base + (1 if j < extra else 0)
-        shards.append(list(range(start, start + size)))
+        shards.append(range(start, start + size))
         start += size
     return shards
 
@@ -222,103 +230,55 @@ def replicate(
     base_seed: int = 0,
     workers: int | None = 0,
     seed_key: str | None = None,
-    backend: str | None = None,
 ) -> list[RunResult]:
     """Run ``n_reps`` independent replications of ``spec``.
 
-    ``backend`` selects the execution engine: ``"auto"`` (the default, via
-    :func:`set_default_backend`) runs supported specs on the vectorized
-    batched engine when there is more than one replication — sharded
-    across the process pool (the *hybrid* composition) whenever a pool is
-    requested via ``workers``; ``"batched"`` forces the single-process
-    batched engine wherever the spec supports it (falling back to the
-    scalar path otherwise); ``"hybrid"`` forces the processes × batch
-    composition (degenerating to plain batched when only one shard makes
-    sense, and to the scalar pool when the spec has no kernel);
-    ``"serial"`` always uses the scalar engine.  ``workers=0`` (default)
-    means no pool — the right choice inside tests and small benches;
-    ``workers=None`` picks ``min(cpus - 1, 8)``; any other value sets the
-    pool size explicitly.  ``workers`` is ignored by ``backend="batched"``
-    (one process does the whole batch).
+    The engine follows from the spec and the pool (see
+    :func:`replicate_engine`): specs with a batched kernel run their
+    replications lockstep, everything else — and a lone replication —
+    runs the scalar round loop.  ``workers=0`` (default) means no pool —
+    the right choice inside tests and small benches; ``workers=None``
+    picks ``min(cpus - 1, 8)``; any other value sets the pool size.  With
+    a pool of two or more, the replications split into contiguous shards:
+    one per process when batched, four per process when scalar (so a
+    slow replication does not idle the rest of the pool).
 
     Seeds are derived from ``base_seed`` plus :func:`spec_seed_key`, so
     every distinct configuration gets its own stream.  Pass an explicit
     ``seed_key`` to opt in to **common random numbers**: cells sharing the
     same ``seed_key`` and ``base_seed`` see identical seed streams, the
     right design for paired protocol comparisons on one workload.  Seed
-    derivation *and* stream construction are backend-independent (both
-    paths run ``default_rng`` on the same derived integers), so per-rep
-    results are bit-identical across backends — which is why the backend
-    is not part of a cell's identity in the run store.
+    derivation *and* stream construction are engine-independent (both
+    engines run ``default_rng`` on the same :func:`rep_seed` integers), so
+    per-rep results are bit-identical whichever engine ran them — which is
+    why the engine is not part of a cell's identity in the run store.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
-    backend = backend if backend is not None else _DEFAULT_BACKEND
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
-
-    batched = False
-    hybrid = False
-    if backend in ("batched", "hybrid") or (backend == "auto" and n_reps >= 2):
-        from .batch import batch_supported
-
-        if batch_supported(spec):
-            if backend == "batched":
-                batched = True
-            else:
-                # auto/hybrid: shard across the pool when one is wanted.
-                pool_size = _default_workers() if workers is None else int(workers)
-                n_shards = min(max(1, pool_size), n_reps)
-                if n_shards >= 2:
-                    hybrid = True
-                else:
-                    batched = True
-        # An unsupported spec under backend="hybrid" degrades to the
-        # scalar pool below — same graceful fallback as "batched"/"auto".
-
+    engine, _ = replicate_engine(spec, n_reps, workers)
+    batched = engine != "serial"
+    pool = _pool_size(workers)
+    n_shards = 1 if pool < 2 else min(n_reps, pool if batched else 4 * pool)
+    shards = _shard_indices(n_reps, n_shards)
     key = seed_key if seed_key is not None else spec_seed_key(spec)
+    # Telemetry: worker processes inherit a *disabled* hub, so a sharded
+    # call records the replicate-level span and counters only.
     with _OBS.span("parallel.replicate"):
-        if hybrid:
-            serial = False
-            shards = _shard_indices(n_reps, n_shards)
-            with ProcessPoolExecutor(max_workers=n_shards) as pool:
-                shard_results = list(
-                    pool.map(
-                        _run_batched_shard,
-                        [spec] * n_shards,
-                        shards,
-                        [base_seed] * n_shards,
-                        [key] * n_shards,
-                    )
-                )
-            # Contiguous shards in submission order: concatenation restores
-            # global replication order.
-            results = [r for shard in shard_results for r in shard]
-        elif batched:
-            from .batch import replicate_batched
-
-            serial = False
-            results = replicate_batched(
-                spec, n_reps, base_seed=base_seed, seed_key=key
-            )
+        if n_shards == 1:
+            results = _run_shard(spec, shards[0], base_seed, key, batched)
         else:
-            seeds = [seed_from_key(base_seed, key, str(i)) for i in range(n_reps)]
-            serial = workers == 0 or workers == 1 or n_reps == 1
-            # Telemetry: worker processes inherit a *disabled* hub, so the
-            # fanned-out path records the replicate-level span and counters
-            # only; serial replication additionally nests one engine.run
-            # span per rep.
-            if serial:
-                results = [run_spec(spec, s) for s in seeds]
-            else:
-                pool_size = _default_workers() if workers is None else int(workers)
-                with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                    # One explicit chunk per worker: the spec is pickled
-                    # once per chunk instead of once per replication.
-                    chunksize = max(1, n_reps // (pool_size * 4))
-                    results = list(
-                        pool.map(run_spec, [spec] * n_reps, seeds, chunksize=chunksize)
-                    )
+            with ProcessPoolExecutor(max_workers=min(pool, n_shards)) as executor:
+                parts = executor.map(
+                    _run_shard,
+                    [spec] * n_shards,
+                    shards,
+                    [base_seed] * n_shards,
+                    [key] * n_shards,
+                    [batched] * n_shards,
+                )
+                # Contiguous shards in submission order: concatenation
+                # restores global replication order.
+                results = [r for part in parts for r in part]
     if _OBS.active:
         _OBS.count("parallel.replications", n_reps)
         _OBS.event(
@@ -328,8 +288,8 @@ def replicate(
                 "protocol": spec.protocol,
                 "generator": spec.generator,
                 "n_reps": n_reps,
-                "serial": serial,
-                "backend": "hybrid" if hybrid else ("batched" if batched else "serial"),
+                "serial": not batched and n_shards == 1,
+                "backend": engine,
                 "statuses": sorted({r.status for r in results}),
             },
         )

@@ -2,9 +2,10 @@
 
 The central contract (see ``repro.sim.batch``) is that each batched
 replication is **bit-identical** to a scalar run fed the same generator
-stream, and — because both backends derive the same per-rep seeds and
-build the same ``default_rng`` streams — that ``backend="serial"`` and
-``backend="batched"`` produce identical per-rep results.  The grid here
+stream, and — because both engines derive the same per-rep seeds and
+build the same ``default_rng`` streams — that ``replicate`` and
+``replicate_batched`` reproduce the scalar ``run_spec`` reference per
+rep, whichever engine ``replicate`` picks.  The grid here
 is therefore stronger than a statistical match: it asserts equality
 field by field, plus one hardcoded snapshot pin so both engines drifting
 *together* is also caught.
@@ -21,7 +22,14 @@ from repro.sim.batch import (
     run_batch,
 )
 from repro.sim.engine import run
-from repro.sim.parallel import RunSpec, replicate, set_default_backend
+from repro.sim.parallel import (
+    RunSpec,
+    rep_seed,
+    replicate,
+    replicate_engine,
+    run_spec,
+    spec_seed_key,
+)
 
 GENERATORS = [
     ("uniform_slack", {"slack": 0.35}),
@@ -63,6 +71,12 @@ def summary(r):
         r.satisfying_round,
         r.seed,
     )
+
+
+def scalar_reference(s, n_reps, base_seed):
+    """The per-rep results of ``s``, one scalar ``run_spec`` at a time."""
+    key = spec_seed_key(s)
+    return [run_spec(s, rep_seed(base_seed, key, i)) for i in range(n_reps)]
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +123,7 @@ def test_bit_parity_vs_scalar(gen_name, gen_kwargs, rate, sched_name, sched_kwar
 
 
 def test_backends_bit_identical_per_rep():
-    """replicate() gives the same per-rep results on either backend."""
+    """replicate() and replicate_batched() match the scalar reference per rep."""
     for over in (
         {},
         {"protocol_kwargs": {"rate": {"name": "slack-proportional"}}},
@@ -117,9 +131,11 @@ def test_backends_bit_identical_per_rep():
         {"protocol_kwargs": {"resample_on_self": True}},
     ):
         s = spec(**over)
-        serial = replicate(s, 8, base_seed=5, workers=0, backend="serial")
-        batched = replicate(s, 8, base_seed=5, backend="batched")
+        serial = scalar_reference(s, 8, base_seed=5)
+        batched = replicate_batched(s, 8, base_seed=5)
+        auto = replicate(s, 8, base_seed=5, workers=0)
         assert [summary(r) for r in serial] == [summary(r) for r in batched]
+        assert [summary(r) for r in serial] == [summary(r) for r in auto]
 
 
 def test_exact_equality_pin():
@@ -135,13 +151,13 @@ def test_exact_equality_pin():
         ("satisfying", 3, 51, 123, 64, 3, 7955678236725011288),
         ("satisfying", 3, 54, 117, 64, 3, 8917795225446092046),
     ]
-    for backend in ("serial", "batched"):
+    for engine in (scalar_reference, replicate_batched, replicate):
         got = [
             (r.status, r.rounds, r.total_moves, r.total_messages, r.n_satisfied,
              r.satisfying_round, r.seed)
-            for r in replicate(s, 4, base_seed=2026, backend=backend)
+            for r in engine(s, 4, base_seed=2026)
         ]
-        assert got == expected, backend
+        assert got == expected, engine.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +227,9 @@ def test_batch_support_reasons():
 
 def test_unsupported_spec_falls_back_to_serial():
     s = spec(schedule="partition", schedule_kwargs={"k": 2})
-    via_batched = replicate(s, 4, base_seed=3, backend="batched")
-    via_serial = replicate(s, 4, base_seed=3, workers=0, backend="serial")
-    assert [summary(r) for r in via_batched] == [summary(r) for r in via_serial]
+    via_replicate = replicate(s, 4, base_seed=3)
+    via_serial = scalar_reference(s, 4, base_seed=3)
+    assert [summary(r) for r in via_replicate] == [summary(r) for r in via_serial]
 
 
 def test_run_batch_rejects_unsupported_protocol():
@@ -236,22 +252,45 @@ def test_run_batch_validation():
 
 
 def test_single_rep_batched_matches_serial():
-    # backend="batched" honors R=1; "auto" routes R=1 to the scalar path.
+    # replicate_batched honors R=1; replicate routes R=1 to the scalar path.
     s = spec()
-    one_serial = replicate(s, 1, base_seed=9, workers=0, backend="serial")
-    one_batched = replicate(s, 1, base_seed=9, backend="batched")
-    one_auto = replicate(s, 1, base_seed=9, backend="auto")
+    one_serial = scalar_reference(s, 1, base_seed=9)
+    one_batched = replicate_batched(s, 1, base_seed=9)
+    one_auto = replicate(s, 1, base_seed=9)
     assert summary(one_serial[0]) == summary(one_batched[0]) == summary(one_auto[0])
 
 
-def test_set_default_backend_roundtrip():
-    previous = set_default_backend("serial")
-    try:
-        assert set_default_backend("auto") == "serial"
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_default_backend("gpu")
-    finally:
-        set_default_backend(previous)
+@pytest.mark.parametrize(
+    "over,n_reps,workers,engine,fallback",
+    [
+        ({}, 4, 0, "batched", None),
+        ({}, 1, 0, "serial", "single replication"),
+        ({"protocol": "best-response"}, 1, 0, "serial", "single replication"),
+        ({"protocol": "best-response"}, 4, 0, "serial", "no batched kernel"),
+        ({"protocol": "best-response"}, 4, 2, "serial", "no batched kernel"),
+        ({}, 4, 2, "hybrid", None),
+    ],
+    ids=["kernel-R4", "kernel-R1", "no-kernel-R1", "no-kernel-R4", "no-kernel-pool", "kernel-pool"],
+)
+def test_replicate_engine_decision_table(over, n_reps, workers, engine, fallback):
+    """replicate picks its engine from the spec, R and the pool alone —
+    the obs event names it — and every row reproduces the scalar reference."""
+    from repro.obs import HUB
+
+    s = spec(max_rounds=200, **over)
+    picked, reason = replicate_engine(s, n_reps, workers)
+    assert picked == engine
+    if fallback is None:
+        assert reason is None
+    else:
+        assert fallback in reason
+    with HUB.enabled():
+        got = replicate(s, n_reps, base_seed=4, workers=workers)
+        [event] = [e for e in HUB.ring if e["type"] == "replicate"]
+    assert event["backend"] == engine
+    assert event["serial"] == (engine == "serial" and workers == 0)
+    expected = scalar_reference(s, n_reps, base_seed=4)
+    assert [summary(r) for r in got] == [summary(r) for r in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +315,8 @@ def test_decompose_fields():
 def test_max_rounds_zero_round_satisfaction():
     # A trivially feasible instance satisfies at round 0 on both engines.
     s = spec(generator_kwargs={"n": 4, "m": 8, "slack": 0.9}, max_rounds=0, initial="random")
-    for backend in ("serial", "batched"):
-        for r in replicate(s, 3, base_seed=1, backend=backend):
+    for engine in (scalar_reference, replicate_batched):
+        for r in engine(s, 3, base_seed=1):
             assert r.status == "satisfying"
             assert r.rounds == 0 and r.satisfying_round == 0
 
@@ -300,8 +339,8 @@ def test_batched_throughput_3x_on_smoke_workload():
     reps = 32
     best, results = time_legs(
         {
-            "serial": lambda: replicate(s, reps, base_seed=0, workers=0, backend="serial"),
-            "batched": lambda: replicate(s, reps, base_seed=0, backend="batched"),
+            "serial": lambda: scalar_reference(s, reps, base_seed=0),
+            "batched": lambda: replicate_batched(s, reps, base_seed=0),
         },
         repeats=5,
     )
@@ -316,20 +355,20 @@ def test_batched_throughput_3x_on_smoke_workload():
 
 
 # ---------------------------------------------------------------------------
-# Degenerate edges: both backends agree where the round loop barely runs.
+# Degenerate edges: both engines agree where the round loop barely runs.
 # ---------------------------------------------------------------------------
 
 
 class TestDegenerateEdges:
-    """Backend parity at the boundaries: empty round budget, a single
+    """Engine parity at the boundaries: empty round budget, a single
     resource (nowhere to move), and a start state that already satisfies."""
 
     def test_max_rounds_zero_infeasible_parity(self):
         # Pile start on a tight instance cannot satisfy at round 0; both
-        # backends must stop immediately with the same accounting.
+        # engines must stop immediately with the same accounting.
         s = spec(max_rounds=0, initial="pile")
-        serial = replicate(s, 3, base_seed=5, workers=0, backend="serial")
-        batched = replicate(s, 3, base_seed=5, backend="batched")
+        serial = scalar_reference(s, 3, base_seed=5)
+        batched = replicate_batched(s, 3, base_seed=5)
         assert [summary(r) for r in serial] == [summary(r) for r in batched]
         for r in serial:
             assert r.status == "max_rounds" and r.rounds == 0
@@ -345,8 +384,8 @@ class TestDegenerateEdges:
             max_rounds=50,
         )
         for r_s, r_b in zip(
-            replicate(generous, 2, base_seed=9, workers=0, backend="serial"),
-            replicate(generous, 2, base_seed=9, backend="batched"),
+            scalar_reference(generous, 2, base_seed=9),
+            replicate_batched(generous, 2, base_seed=9),
         ):
             assert summary(r_s) == summary(r_b)
             assert r_s.status == "satisfying" and r_s.rounds == 0
@@ -358,23 +397,23 @@ class TestDegenerateEdges:
             max_rounds=25,
         )
         for r_s, r_b in zip(
-            replicate(jammed, 2, base_seed=9, workers=0, backend="serial"),
-            replicate(jammed, 2, base_seed=9, backend="batched"),
+            scalar_reference(jammed, 2, base_seed=9),
+            replicate_batched(jammed, 2, base_seed=9),
         ):
             assert summary(r_s) == summary(r_b)
             assert r_s.status in ("max_rounds", "quiescent")
             assert r_s.total_moves == 0
 
     def test_all_satisfied_initial_with_budget_parity(self):
-        # Already-satisfying start with rounds to spare: both backends
+        # Already-satisfying start with rounds to spare: both engines
         # report round-0 satisfaction without consuming the budget.
         s = spec(
             generator_kwargs={"n": 4, "m": 8, "slack": 0.9},
             initial="random",
             max_rounds=100,
         )
-        serial = replicate(s, 3, base_seed=2, workers=0, backend="serial")
-        batched = replicate(s, 3, base_seed=2, backend="batched")
+        serial = scalar_reference(s, 3, base_seed=2)
+        batched = replicate_batched(s, 3, base_seed=2)
         assert [summary(r) for r in serial] == [summary(r) for r in batched]
         for r in serial:
             assert r.status == "satisfying"
@@ -533,7 +572,7 @@ def test_run_batch_rejects_unsupported_events():
 
 
 # ---------------------------------------------------------------------------
-# Hybrid backend: sharding across a pool never changes a single bit.
+# Hybrid sharding across a pool never changes a single bit.
 # ---------------------------------------------------------------------------
 
 
@@ -542,14 +581,9 @@ def test_hybrid_bit_identical_across_worker_counts():
     split — including the degenerate 1-shard batched path — reproduces the
     serial results exactly."""
     s = spec()
-    expected = [
-        summary(r) for r in replicate(s, 9, base_seed=7, workers=0, backend="serial")
-    ]
+    expected = [summary(r) for r in scalar_reference(s, 9, base_seed=7)]
     for workers in (1, 2, 3, 5, None):
-        got = [
-            summary(r)
-            for r in replicate(s, 9, base_seed=7, workers=workers, backend="hybrid")
-        ]
+        got = [summary(r) for r in replicate(s, 9, base_seed=7, workers=workers)]
         assert got == expected, f"workers={workers}"
 
 
@@ -559,15 +593,10 @@ def test_hybrid_bit_identical_under_chunking():
     from repro.core.memory import set_user_chunk
 
     s = spec(protocol_kwargs={"rate": {"name": "slack-proportional"}})
-    expected = [
-        summary(r) for r in replicate(s, 6, base_seed=3, workers=0, backend="serial")
-    ]
+    expected = [summary(r) for r in scalar_reference(s, 6, base_seed=3)]
     previous = set_user_chunk(17)
     try:
-        got = [
-            summary(r)
-            for r in replicate(s, 6, base_seed=3, workers=2, backend="hybrid")
-        ]
+        got = [summary(r) for r in replicate(s, 6, base_seed=3, workers=2)]
     finally:
         set_user_chunk(previous)
     assert got == expected
@@ -575,16 +604,18 @@ def test_hybrid_bit_identical_under_chunking():
 
 def test_hybrid_falls_back_on_unsupported_spec():
     s = spec(schedule="partition", schedule_kwargs={"k": 2})
-    via_hybrid = replicate(s, 4, base_seed=3, workers=2, backend="hybrid")
-    via_serial = replicate(s, 4, base_seed=3, workers=0, backend="serial")
+    via_hybrid = replicate(s, 4, base_seed=3, workers=2)
+    via_serial = scalar_reference(s, 4, base_seed=3)
     assert [summary(r) for r in via_hybrid] == [summary(r) for r in via_serial]
 
 
 @pytest.mark.stress
 def test_hybrid_beats_both_pure_legs_on_multicore():
-    """The ISSUE claim: at R=32 on >=2 cores the hybrid backend beats the
-    scalar pool outright and at least matches single-process batched."""
+    """At R=32 on >=2 cores, replicate over a pool (processes x batch)
+    beats the scalar engine on the same pool outright and at least matches
+    single-process batched."""
     import os
+    from concurrent.futures import ProcessPoolExecutor
 
     cores = os.cpu_count() or 1
     if cores < 2:
@@ -598,11 +629,18 @@ def test_hybrid_beats_both_pure_legs_on_multicore():
 
     reps = 32
     workers = min(4, cores)
+    key = spec_seed_key(s)
+    seeds = [rep_seed(0, key, i) for i in range(reps)]
+
+    def scalar_pool():
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_spec, [s] * reps, seeds, chunksize=reps // (4 * workers)))
+
     best, results = time_legs(
         {
-            "pool": lambda: replicate(s, reps, base_seed=0, workers=workers, backend="serial"),
-            "batched": lambda: replicate(s, reps, base_seed=0, backend="batched"),
-            "hybrid": lambda: replicate(s, reps, base_seed=0, workers=workers, backend="hybrid"),
+            "pool": scalar_pool,
+            "batched": lambda: replicate_batched(s, reps, base_seed=0),
+            "hybrid": lambda: replicate(s, reps, base_seed=0, workers=workers),
         },
         repeats=5,
     )
@@ -636,7 +674,7 @@ def test_narrow_dtypes_bit_identical_to_wide(
 ):
     """The int16/int32 audit is invisible: the same stream through the
     pre-audit all-int64 layout (``wide_dtypes``) and the narrowed layout
-    yields identical trajectories on both backends."""
+    yields identical trajectories on both engines."""
     from repro.core.memory import wide_dtypes
 
     def legs(seed):

@@ -278,6 +278,8 @@ def test_msgsim_instrumentation(small_uniform):
 
 
 def test_replicate_instrumentation():
+    from dataclasses import replace
+
     from repro.sim.parallel import RunSpec, replicate
 
     spec = RunSpec(
@@ -286,16 +288,17 @@ def test_replicate_instrumentation():
         initial="pile",
         max_rounds=500,
     )
+    # A spec without a batched kernel replicates on the scalar engine.
     with HUB.enabled():
-        replicate(spec, 3, base_seed=0, workers=0, backend="serial")
+        replicate(replace(spec, protocol="best-response"), 3, base_seed=0, workers=0)
     assert HUB.counters["parallel.replications"] == 3
     assert HUB.counters["engine.runs"] == 3  # serial path nests engine spans
     assert HUB.span_stats["parallel.replicate"][0] == 1
 
     # The batched engine is one vectorized call, not nested engine spans:
-    # replicate-level telemetry only, with the backend recorded on the event.
+    # replicate-level telemetry only, with the engine recorded on the event.
     with HUB.enabled():
-        replicate(spec, 3, base_seed=0, backend="batched")
+        replicate(spec, 3, base_seed=0)
     assert HUB.counters["parallel.replications"] == 3
     assert "engine.runs" not in HUB.counters
     events = [e for e in HUB.ring if e["type"] == "replicate"]
@@ -399,10 +402,8 @@ def test_frozen_bench_engine_schema(bench_payload):
         "reps",
         "workers",
         "seconds",
-        "pool_seconds",
         "batched_seconds",
         "user_rounds_per_sec",
-        "speedup_vs_pool",
         "speedup_vs_batched",
     }
     runs = next(c for c in payload["cells"] if c["kind"] == "runs")
@@ -413,8 +414,6 @@ def test_frozen_bench_engine_schema(bench_payload):
         "seconds",
         "seconds_2w",
         "speedup_2w",
-        "batched_seconds",
-        "speedup_batched",
         "cached_seconds",
         "cached_cells",
     }

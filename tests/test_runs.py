@@ -163,9 +163,9 @@ def test_executed_cell_records_resource_profile():
     from repro.runs.scheduler import execute_cell
     from repro.runs.store import TELEMETRY_FIELDS
 
-    # Serial backend: the scalar engine exercises the state cache, making
-    # the hit/miss deltas assertable.
-    payload = execute_cell(tiny_cell(), None, 0.0, "serial")
+    # One replication runs on the scalar engine, which exercises the state
+    # cache, making the hit/miss deltas assertable.
+    payload = execute_cell(tiny_cell(n_reps=1), None, 0.0)
     telemetry = payload["telemetry"]
     assert set(telemetry) == set(TELEMETRY_FIELDS)
     assert telemetry["wall_s"] > 0
@@ -177,6 +177,8 @@ def test_executed_cell_records_resource_profile():
     assert telemetry["events_file"] is None
     assert telemetry["profile_file"] is None
     assert telemetry["peak_traced_bytes"] is None
+    assert telemetry["engine"] == "serial"
+    assert telemetry["fallback"] == "single replication"
 
 
 def test_executed_cell_ships_events_and_profile(tmp_path):
@@ -188,7 +190,7 @@ def test_executed_cell_ships_events_and_profile(tmp_path):
     cell = tiny_cell()
     events_dir = tmp_path / "events"
     profile_dir = tmp_path / "profiles"
-    payload = execute_cell(cell, None, 0.0, None, str(events_dir), str(profile_dir))
+    payload = execute_cell(cell, None, 0.0, str(events_dir), str(profile_dir))
     key = payload["key"]
     events_path = events_dir / f"cell-{key}.jsonl"
     assert events_path.exists()
@@ -714,15 +716,17 @@ def test_sweep_status_surfaces_telemetry(tmp_path):
     telemetry = status["telemetry"]
     assert telemetry["cells_with_telemetry"] == 3
     assert telemetry["wall_s"] > 0 and telemetry["cpu_user_s"] >= 0
-    # batched-backend cells bypass the scalar cache; counters fold to ints
+    # batched cells bypass the scalar cache; counters fold to ints
     assert telemetry["cache_misses"] >= 0 and telemetry["cache_hits"] >= 0
     assert telemetry["rounds"] > 0
+    assert telemetry["engines"] == {"batched": 3}  # every F1 cell has a kernel
     slowest = telemetry["slowest"]
     assert 1 <= len(slowest) <= 5
     assert slowest == sorted(slowest, key=lambda s: -s["wall_s"])
     assert {"key", "experiment_id", "label", "wall_s"} <= set(slowest[0])
     text = render_status(status)
     assert "telemetry" in text and "slow" in text
+    assert "engines: 3 batched" in text
 
 
 def test_sweep_ships_events_and_merges_timeline(tmp_path):
@@ -772,6 +776,30 @@ def test_resume_reuses_journalled_events_and_profile_config(tmp_path):
 
     assert len(cell_event_files(out / "events")) == 3  # resume kept shipping
     assert len(list((out / "profiles").glob("*.pstats"))) == 3  # and profiling
+
+
+def test_resume_ignores_journalled_backend_of_older_sweeps(tmp_path, capsys):
+    """Journals written while sweeps still took a replication backend
+    carry it in their config line; ``sweep --resume`` ignores the key and
+    finishes with the same store as an uninterrupted sweep."""
+    from repro.cli import main
+
+    out = tmp_path / "old"
+    run_sweep(["F1"], out=out, workers=0, timeout=None, max_cells=1, overrides=F1_OVERRIDES)
+    journal = out / "journal.jsonl"
+    header, *rest = journal.read_text().splitlines(keepends=True)
+    meta = json.loads(header)
+    meta["sweep"]["backend"] = "serial"
+    journal.write_text(json.dumps(meta) + "\n" + "".join(rest))
+
+    assert main(["sweep", "--resume", str(out)]) == 0
+    assert "2 run, 0 failed" in capsys.readouterr().out
+    ref = tmp_path / "ref"
+    run_sweep(["F1"], out=ref, workers=0, timeout=None, overrides=F1_OVERRIDES)
+    old, fresh = ResultStore(out / "store"), ResultStore(ref / "store")
+    assert old.keys() == fresh.keys() != []
+    for key in old.keys():
+        assert old.get(key)["results"] == fresh.get(key)["results"]
 
 
 # -- fork/spawn hygiene --------------------------------------------------------

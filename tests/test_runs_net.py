@@ -506,6 +506,29 @@ def test_register_rejects_schema_and_version_mismatch(coordinator):
     client2.close()
 
 
+def test_worker_ignores_backend_in_welcome_of_older_coordinators(coordinator):
+    """Coordinators that still journalled a replication backend sent it in
+    ``welcome``; ``run_worker`` ignores the field and executes as usual."""
+    coord, address, store, tmp = coordinator
+    dispatch, welcomes = coord.dispatch, []
+
+    def old_dispatch(worker_id, message):
+        reply, close = dispatch(worker_id, message)
+        if reply.get("type") == "welcome":
+            reply = {**reply, "backend": "serial"}
+            welcomes.append(reply)
+        return reply, close
+
+    coord.dispatch = old_dispatch
+    thread, box = run_worker_thread(address)
+    thread.join(120)
+    assert "error" not in box, box.get("error")
+    assert [w["backend"] for w in welcomes] == ["serial"]
+    assert box["report"]["executed"] == 2 and box["report"]["failed"] == 0
+    assert coord.wait(poll=0.05, deadline_s=30)["run"] == 2
+    assert len(store.keys()) == 2
+
+
 def test_late_worker_after_completion_is_told_done(tmp_path):
     # A worker can connect in the moment between the last commit and the
     # server shutting down, when the journal is already closed.
