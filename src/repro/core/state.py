@@ -23,6 +23,11 @@ that every mutation — construction, :meth:`apply_migrations`,
 and all call sites share the result.  Cached arrays are returned with
 ``writeable=False``; callers that need a scratch buffer must copy.
 
+With uniform thresholds ``satisfied_mask()`` compares the m resource
+latencies against ``q`` and gathers the resulting bools by assignment, so
+the n-long float ``user_latencies()`` is built only when a caller asks
+for it.
+
 The contract for code that mutates ``state.loads`` or ``state.assignment``
 directly (none in this library — events and the open-system runner build
 fresh states) is to call :meth:`invalidate_caches` afterwards.  The cache
@@ -241,11 +246,21 @@ class State:
         )
 
     def satisfied_mask(self) -> np.ndarray:
-        """Boolean mask: is each user's QoS requirement met? (cached, read-only)"""
-        return self.cached(
-            "satisfied_mask",
-            lambda s: _frozen(s.user_latencies() <= s.instance.thresholds),
-        )
+        """Boolean mask: is each user's QoS requirement met? (cached, read-only)
+
+        With uniform thresholds the comparison runs once per *resource* and
+        one bool gather maps it to users — the same float comparison, so
+        ties match the per-user path bit for bit, without an n-long float
+        temporary.
+        """
+        return self.cached("satisfied_mask", lambda s: _frozen(s._satisfied()))
+
+    def _satisfied(self) -> np.ndarray:
+        inst = self.instance
+        if inst.uniform_thresholds:
+            ok = self.resource_latencies() <= inst.thresholds[0]
+            return np.take(ok, self.assignment)
+        return self.user_latencies() <= inst.thresholds
 
     def unsatisfied_users(self) -> np.ndarray:
         return np.nonzero(~self.satisfied_mask())[0]
@@ -308,7 +323,8 @@ class State:
 
         Self-moves (target equals current resource) are ignored.  Returns
         the number of users that actually changed resource.  Loads are
-        updated incrementally with two weighted bincounts — O(#movers + m).
+        updated incrementally with two weighted bincounts — O(#movers + m);
+        the "each user moves at most once" check adds one n-byte seen-mask.
 
         Every pair is validated — user and target in range, target
         accessible under the instance's access topology — with the same
@@ -325,7 +341,12 @@ class State:
             raise ValueError("user index out of range")
         if targets.min() < 0 or targets.max() >= self.instance.n_resources:
             raise ValueError("target references an out-of-range resource")
-        if np.unique(users).size != users.size:
+        # After the range checks (a negative index must not wrap) and
+        # before any mutation (the call stays atomic): an n-byte seen-mask
+        # counts distinct movers in any order, with no sort or hash.
+        seen = np.zeros(self.instance.n_users, dtype=bool)
+        seen[users] = True
+        if np.count_nonzero(seen) != users.size:
             raise ValueError("a user may migrate at most once per application")
         if self.instance.access is not None:
             ok = self.instance.access.contains(users, targets)

@@ -106,6 +106,80 @@ def test_apply_migrations_duplicate_user_rejected(small_uniform):
         state.apply_migrations(np.asarray([0, 0]), np.asarray([1, 2]))
 
 
+def _assert_rejected_untouched(state, users, targets):
+    before = (state.assignment.copy(), state.loads.copy(), state.version)
+    with pytest.raises(ValueError, match="at most once"):
+        state.apply_migrations(users, targets)
+    np.testing.assert_array_equal(state.assignment, before[0])
+    np.testing.assert_array_equal(state.loads, before[1])
+    assert state.version == before[2]
+
+
+def test_apply_migrations_duplicate_at_end_of_sorted_batch(small_uniform):
+    state = State(small_uniform, np.asarray([0] * 12))
+    _assert_rejected_untouched(
+        state, np.asarray([1, 4, 6, 9, 11, 11]), np.asarray([1, 2, 3, 1, 2, 3])
+    )
+
+
+def test_apply_migrations_duplicate_in_unsorted_batch(small_uniform):
+    state = State(small_uniform, np.asarray([0] * 12))
+    _assert_rejected_untouched(
+        state, np.asarray([7, 2, 9, 0, 2, 5]), np.asarray([1, 1, 2, 2, 3, 3])
+    )
+
+
+def test_apply_migrations_one_duplicate_among_many_movers():
+    n = 100_001
+    inst = Instance.identical_machines(np.full(n, 64.0), 4096)
+    state = State(inst, np.zeros(n, dtype=np.int64))
+    rng = np.random.default_rng(3)
+    users = rng.permutation(n)[:100_000]
+    users = np.insert(users, 54_321, users[12_345])
+    targets = rng.integers(1, inst.n_resources, size=users.size)
+    _assert_rejected_untouched(state, users, targets)
+
+
+def test_apply_migrations_accepts_distinct_unsorted_movers(small_uniform):
+    # permit proposes movers grouped by target segment, not sorted by user
+    state = State(small_uniform, np.asarray([0] * 12))
+    users = np.asarray([7, 2, 9, 0, 11, 5])
+    targets = np.asarray([1, 1, 2, 2, 3, 3])
+    assert state.apply_migrations(users, targets) == 6
+    np.testing.assert_array_equal(state.assignment[users], targets)
+    assert_valid_state(state)
+
+
+def _explicit_satisfied(state):
+    return state.resource_latencies()[state.assignment] <= state.instance.thresholds
+
+
+def test_satisfied_mask_uniform_threshold_tie():
+    # r1 carries load 4 == q exactly: its users are satisfied (<=, not <).
+    inst = Instance.identical_machines(np.full(12, 4.0), 4)
+    assert inst.uniform_thresholds
+    state = State(inst, np.asarray([0] * 5 + [1] * 4 + [2] * 3))
+    assert state.resource_latencies()[1] == 4.0
+    mask = state.satisfied_mask()
+    np.testing.assert_array_equal(mask, _explicit_satisfied(state))
+    assert mask[5:9].all() and not mask[:5].any()
+    # r0 drops to the tie, r1 overshoots; the cached mask must follow.
+    state.apply_migrations(np.asarray([0]), np.asarray([1]))
+    mask = state.satisfied_mask()
+    np.testing.assert_array_equal(mask, _explicit_satisfied(state))
+    assert mask[1:5].all() and not mask[[0, 5, 6, 7, 8]].any()
+
+
+def test_satisfied_mask_non_uniform_thresholds():
+    thresholds = np.asarray([3.0, 4.0, 2.0, 5.0, 4.0, 3.0, 1.0, 2.0])
+    inst = Instance.identical_machines(thresholds, 3)
+    assert not inst.uniform_thresholds
+    state = State(inst, np.asarray([0, 0, 0, 1, 1, 1, 1, 2]))
+    np.testing.assert_array_equal(state.satisfied_mask(), _explicit_satisfied(state))
+    state.apply_migrations(np.asarray([3, 6]), np.asarray([2, 2]))
+    np.testing.assert_array_equal(state.satisfied_mask(), _explicit_satisfied(state))
+
+
 def test_apply_migrations_empty(small_uniform):
     state = State(small_uniform, np.asarray([0] * 12))
     assert state.apply_migrations(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)) == 0
