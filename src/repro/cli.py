@@ -94,15 +94,6 @@ def _store_context(store_arg: str | None, *, render_only: bool = False):
     return use_store(store_arg, render_only=render_only)
 
 
-def _workers_override(exp, workers: int | None) -> dict:
-    """``--workers`` for runners that take a pool size (F8, F11–F13 and T3
-    take none and run serially), decided from the runner's signature."""
-    import inspect
-
-    takes_workers = "workers" in inspect.signature(exp.fn).parameters
-    return {"workers": workers} if workers is not None and takes_workers else {}
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from .experiments import get_experiment
     from .runs.store import MissingCellError
@@ -113,7 +104,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         exp = get_experiment(args.experiment)
     except KeyError as exc:
         raise SystemExit(exc.args[0]) from None
-    overrides = {**_workers_override(exp, args.workers), **_kv_args(args.set or [])}
+    overrides = {"workers": args.workers, **_kv_args(args.set or [])}
     started = time.time()
     try:
         with _store_context(args.store, render_only=args.render_only):
@@ -136,7 +127,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
             print(f"\n=== {eid} ===")
             try:
                 started = time.time()
-                result = exp.run(args.scale, **_workers_override(exp, args.workers))
+                result = exp.run(args.scale, workers=args.workers)
                 print(result.render())
                 print(f"[{time.time() - started:.1f}s]")
                 if args.out:
@@ -604,7 +595,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("experiment", help="experiment id (F1..F13, T1..T5)")
     p_run.add_argument("--scale", choices=("ci", "full"), default="ci")
     p_run.add_argument("--out", help="directory for .txt/.json outputs")
-    p_run.add_argument("--workers", type=int, default=None, help="process pool size")
+    p_run.add_argument("--workers", type=int, default=0, help="process pool size")
     p_run.add_argument(
         "--set",
         action="append",
@@ -627,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
     p_all = sub.add_parser("all", help="run the whole suite")
     p_all.add_argument("--scale", choices=("ci", "full"), default="ci")
     p_all.add_argument("--out", help="directory for .txt/.json outputs")
-    p_all.add_argument("--workers", type=int, default=None)
+    p_all.add_argument("--workers", type=int, default=0)
     p_all.add_argument("--store", metavar="DIR", help="content-addressed cell store")
     p_all.set_defaults(fn=_cmd_all)
 

@@ -443,17 +443,19 @@ class LatencyProfile:
         return cls([SpeedScaledLatency(s) for s in speeds])
 
     def evaluate(self, loads: np.ndarray) -> np.ndarray:
-        """``ell_r(loads[r])`` for every resource, as a float array."""
+        """``ell_r(loads[..., r])`` for every resource, as a float array of
+        the shape of ``loads`` — one load vector ``(m,)`` or a stack of
+        them ``(..., m)``."""
         loads = np.asarray(loads)
-        if loads.shape != (len(self.functions),):
+        if loads.ndim == 0 or loads.shape[-1] != len(self.functions):
             raise ValueError(
-                f"loads must have shape ({len(self.functions)},), got {loads.shape}"
+                f"loads must have shape (..., {len(self.functions)}), got {loads.shape}"
             )
         if self._affine:
             return self._slopes * loads + self._offsets
-        out = np.empty(len(self.functions))
+        out = np.empty(loads.shape)
         for f, idx in self._groups:
-            out[idx] = f(loads[idx].astype(np.float64))
+            out[..., idx] = f(loads[..., idx].astype(np.float64))
         return out
 
     def evaluate_at(self, resources: np.ndarray, loads: np.ndarray) -> np.ndarray:

@@ -17,41 +17,19 @@ from typing import Any, Callable
 from ..obs import HUB as _OBS
 from .common import (
     ExperimentResult,
+    _cell_pool,
     cell,
     cell_spec,
     collecting_cells,
     convergence_stats,
     enumerate_cells,
 )
-from .extensions import f10_cells, f10_multi_probe, f11_fluid_limit, f12_churn
-from .heterogeneity import (
-    f4_cells,
-    f4_hetero_users,
-    f5_cells,
-    f5_hetero_resources,
-    t2_cells,
-    t2_infeasible,
-)
-from .protocols_table import f6_cells, f6_rate_ablation, t1_cells, t1_protocols
-from .robustness import (
-    f7_asynchrony,
-    f7_cells,
-    f8_failures,
-    f9_cells,
-    f9_topology,
-    f13_msg_loss,
-)
-from .scaling import (
-    f1_cells,
-    f1_scaling_n,
-    f2_cells,
-    f2_slack,
-    f3_cells,
-    f3_scaling_m,
-    f14_cells,
-    f14_scaling_huge,
-)
-from .validation import t3_msgsim, t4_cells, t4_drift_and_oblivious, t5_cells, t5_tail
+from .extensions import f10_multi_probe, f11_fluid_limit, f12_churn
+from .heterogeneity import f4_hetero_users, f5_hetero_resources, t2_infeasible
+from .protocols_table import f6_rate_ablation, t1_protocols
+from .robustness import f7_asynchrony, f8_failures, f9_topology, f13_msg_loss
+from .scaling import f1_scaling_n, f2_slack, f3_scaling_m, f14_scaling_huge
+from .validation import t3_msgsim, t4_cells, t4_drift_and_oblivious, t5_tail
 
 __all__ = [
     "ExperimentResult",
@@ -90,13 +68,15 @@ __all__ = [
 class ExperimentDef:
     """An experiment plus its CI and full-scale parameter presets.
 
-    ``cells`` — when set — is the experiment's *cell decomposition*: a
-    function with the runner's signature returning the
-    :class:`~repro.runs.store.CellSpec` list the runner would execute,
-    without simulating anything.  The sweep orchestrator
-    (:mod:`repro.runs`) schedules those cells; experiments whose runners
-    drive simulations directly (F8, F11, F12, F13, T3) leave it ``None``
-    and are not sweepable.
+    Runners build tables; this class decides how their cells enumerate
+    and execute.  ``cells`` is the experiment's *cell decomposition*:
+    ``cells(fn, **params)`` returns the :class:`~repro.runs.store.CellSpec`
+    list ``fn(**params)`` would execute, without simulating anything.  The
+    default, :func:`enumerate_cells`, dry-runs the runner; T4 supplies its
+    own (:func:`t4_cells`) because its drift half would simulate.  The
+    sweep orchestrator (:mod:`repro.runs`) schedules those cells;
+    experiments whose runners drive simulations directly (F8, F11, F12,
+    F13, T3) set it to ``None`` and are not sweepable.
     """
 
     experiment_id: str
@@ -104,7 +84,7 @@ class ExperimentDef:
     description: str
     ci: dict[str, Any] = field(default_factory=dict)
     full: dict[str, Any] = field(default_factory=dict)
-    cells: Callable[..., list] | None = None
+    cells: Callable[..., list] | None = enumerate_cells
 
     def _preset(self, scale: str, overrides: dict[str, Any]) -> dict[str, Any]:
         if scale not in ("ci", "full"):
@@ -113,9 +93,13 @@ class ExperimentDef:
         kwargs.update(overrides)
         return kwargs
 
-    def run(self, scale: str = "ci", **overrides: Any) -> ExperimentResult:
+    def run(
+        self, scale: str = "ci", *, workers: int | None = 0, **overrides: Any
+    ) -> ExperimentResult:
+        """Run at ``scale``; every cell replicates on ``workers`` (see
+        :func:`repro.sim.parallel.replicate`).  Direct runners ignore it."""
         kwargs = self._preset(scale, overrides)
-        with _OBS.span("experiments.run"):
+        with _OBS.span("experiments.run"), _cell_pool(workers):
             return self.fn(**kwargs)
 
     def list_cells(self, scale: str = "ci", **overrides: Any) -> list:
@@ -127,7 +111,8 @@ class ExperimentDef:
             )
         kwargs = self._preset(scale, overrides)
         return [
-            replace(c, experiment_id=self.experiment_id) for c in self.cells(**kwargs)
+            replace(c, experiment_id=self.experiment_id)
+            for c in self.cells(self.fn, **kwargs)
         ]
 
 
@@ -138,7 +123,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "convergence rounds vs n (log growth)",
         ci={"ns": (250, 500, 1000, 2000, 4000), "n_reps": 7},
         full={"ns": (250, 500, 1000, 2000, 4000, 8000, 16000, 32000), "n_reps": 25},
-        cells=f1_cells,
     ),
     "F2": ExperimentDef(
         "F2",
@@ -146,7 +130,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "convergence rounds vs slack (tight is hard)",
         ci={"n": 1024, "m": 32, "n_reps": 7},
         full={"n": 8192, "m": 256, "n_reps": 25},
-        cells=f2_cells,
     ),
     "F3": ExperimentDef(
         "F3",
@@ -154,7 +137,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "convergence rounds vs m at fixed load factor",
         ci={"ms": (8, 16, 32, 64), "n_reps": 7},
         full={"ms": (8, 16, 32, 64, 128, 256, 512), "n_reps": 25},
-        cells=f3_cells,
     ),
     "F4": ExperimentDef(
         "F4",
@@ -162,7 +144,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "heterogeneous threshold profiles",
         ci={"n": 1024, "m": 32, "n_reps": 5, "max_rounds": 20_000},
         full={"n": 8192, "m": 256, "n_reps": 20},
-        cells=f4_cells,
     ),
     "F5": ExperimentDef(
         "F5",
@@ -170,7 +151,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "heterogeneous resources (speeds, convex, M/M/1)",
         ci={"n": 1024, "m": 32, "n_reps": 5, "max_rounds": 20_000},
         full={"n": 8192, "m": 256, "n_reps": 20},
-        cells=f5_cells,
     ),
     "F6": ExperimentDef(
         "F6",
@@ -178,7 +158,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "migration-rate rule ablation (U-shape)",
         ci={"ps": (0.125, 0.5, 1.0), "n": 1024, "m": 32, "n_reps": 7},
         full={"n": 8192, "m": 256, "n_reps": 25},
-        cells=f6_cells,
     ),
     "F7": ExperimentDef(
         "F7",
@@ -186,7 +165,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "activation schedules (1/alpha slowdown)",
         ci={"alphas": (1.0, 0.25), "partitions": (4,), "n": 1024, "m": 32, "n_reps": 7},
         full={"n": 8192, "m": 256, "n_reps": 25},
-        cells=f7_cells,
     ),
     "F8": ExperimentDef(
         "F8",
@@ -194,6 +172,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "crash/recovery self-stabilisation",
         ci={"failure_counts": (1, 4), "n": 1024, "m": 32, "n_reps": 5, "settle_rounds": 50},
         full={"n": 8192, "m": 256, "n_reps": 20},
+        cells=None,
     ),
     "F9": ExperimentDef(
         "F9",
@@ -207,7 +186,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
             "max_rounds": 50_000,
         },
         full={"n": 4096, "m": 64, "n_reps": 20},
-        cells=f9_cells,
     ),
     "F10": ExperimentDef(
         "F10",
@@ -215,7 +193,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "power of d choices: probes vs rounds vs messages (extension)",
         ci={"ds": (1, 2, 4), "n": 1024, "m": 32, "n_reps": 7},
         full={"n": 8192, "m": 256, "n_reps": 25},
-        cells=f10_cells,
     ),
     "F11": ExperimentDef(
         "F11",
@@ -223,6 +200,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "fluid-limit validation: discrete -> mean-field as n grows (extension)",
         ci={"ns": (500, 2000, 8000), "n_reps": 5},
         full={"ns": (1000, 4000, 16000, 64000, 256000), "n_reps": 15},
+        cells=None,
     ),
     "F12": ExperimentDef(
         "F12",
@@ -230,6 +208,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "steady-state QoS under churn vs offered load (extension)",
         ci={"rhos": (0.6, 0.95, 1.2), "m": 16, "q": 8, "rounds": 300, "warmup": 80, "n_reps": 3},
         full={"n_reps": 10},
+        cells=None,
     ),
     "F13": ExperimentDef(
         "F13",
@@ -237,6 +216,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "self-healing message protocol under loss/duplication/reordering",
         ci={"p_losses": (0.0, 0.05, 0.2), "n": 96, "m": 8, "n_reps": 3, "max_time": 600.0},
         full={"n": 512, "m": 32, "n_reps": 10},
+        cells=None,
     ),
     "T1": ExperimentDef(
         "T1",
@@ -244,7 +224,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "protocol comparison table",
         ci={"n": 1024, "m": 32, "n_reps": 5, "max_rounds": 5_000},
         full={"n": 8192, "m": 256, "n_reps": 20},
-        cells=t1_cells,
     ),
     "T2": ExperimentDef(
         "T2",
@@ -252,7 +231,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "infeasible instances vs OPT_sat",
         ci={"overload_factors": (1.25, 2.0), "m": 16, "q": 8, "n_reps": 5},
         full={"m": 64, "q": 16, "n_reps": 20},
-        cells=t2_cells,
     ),
     "T3": ExperimentDef(
         "T3",
@@ -260,6 +238,7 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "round engine vs message-passing execution",
         ci={"n": 192, "m": 16, "n_reps": 5},
         full={"n": 1024, "m": 64, "n_reps": 20},
+        cells=None,
     ),
     "F14": ExperimentDef(
         "F14",
@@ -267,7 +246,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "huge-n scaling law: rounds vs n across 10^3..10^6 (one replication per decade point)",
         ci={"ns": (1_000, 4_000, 16_000), "n_reps": 3},
         full={"ns": (1_000, 10_000, 100_000, 1_000_000), "n_reps": 5},
-        cells=f14_cells,
     ),
     "T5": ExperimentDef(
         "T5",
@@ -275,7 +253,6 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
         "convergence-time distribution: w.h.p. bound + geometric tail",
         ci={"slacks": (0.25,), "n": 512, "m": 16, "n_reps": 250, "delta": 0.1},
         full={"n_reps": 2000, "delta": 0.05},
-        cells=t5_cells,
     ),
     "T4": ExperimentDef(
         "T4",

@@ -63,17 +63,23 @@ def cell_spec(
     initial: str = "pile",
     n_reps: int = 10,
     base_seed: int = 0,
-    workers: int | None = 0,
     label: str = "",
     seed_key: str | None = None,
 ) -> CellSpec:
-    """The :class:`~repro.runs.store.CellSpec` a :func:`cell` call resolves to.
+    """The :class:`~repro.runs.store.CellSpec` of one experiment cell (a
+    spec replicated ``n_reps`` times); :func:`cell` takes these arguments.
 
-    Same signature as :func:`cell` (``workers`` is accepted and ignored —
-    it is an execution knob, not part of the cell's identity), so runners
-    and their ``*_cells`` decompositions share one source of truth.
+    ``initial`` defaults to the adversarial pile start: convergence *time*
+    is only interesting from far away (random initial states of slack
+    instances are often already nearly satisfying).
+
+    ``seed_key`` opts into **common random numbers**: paired designs that
+    compare protocol arms on the *same* workload should pass one key per
+    workload so every arm replays the same seed stream and the contrast is
+    protocol-only (see :func:`repro.sim.parallel.replicate`).  Leave it
+    ``None`` for unpaired sweeps — each configuration then draws its own
+    independent stream.
     """
-    del workers  # execution hint; never part of the cell identity
     spec = RunSpec(
         generator=generator,
         generator_kwargs=generator_kwargs or {},
@@ -86,6 +92,23 @@ def cell_spec(
         label=label,
     )
     return CellSpec(spec=spec, n_reps=n_reps, base_seed=base_seed, seed_key=seed_key)
+
+
+# Pool size for cell()'s replicate calls, set by ExperimentDef.run: an
+# execution setting like the active store, never part of a cell's identity.
+_POOL_WORKERS: int | None = 0
+
+
+@contextmanager
+def _cell_pool(workers: int | None) -> Iterator[None]:
+    """Run every :func:`cell` inside on ``replicate(..., workers=workers)``."""
+    global _POOL_WORKERS
+    previous = _POOL_WORKERS
+    _POOL_WORKERS = workers
+    try:
+        yield
+    finally:
+        _POOL_WORKERS = previous
 
 
 # Dry-run collector: while set, cell() records CellSpecs instead of
@@ -112,7 +135,9 @@ def collecting_cells() -> Iterator[list[CellSpec]]:
 
 
 def enumerate_cells(fn, **params: Any) -> list[CellSpec]:
-    """The cell decomposition of a cell-based runner (nothing simulates)."""
+    """The cell decomposition of a cell-based runner: the :func:`cell`
+    calls of a dry run of ``fn(**params)`` (nothing simulates).  The
+    default :attr:`~repro.experiments.ExperimentDef.cells`."""
     with collecting_cells() as cells:
         fn(**params)
     return list(cells)
@@ -136,38 +161,13 @@ def _placeholder_result(spec: RunSpec, index: int) -> RunResult:
     )
 
 
-def cell(
-    *,
-    generator: str,
-    generator_kwargs: dict | None = None,
-    protocol: str = "qos-sampling",
-    protocol_kwargs: dict | None = None,
-    schedule: str = "synchronous",
-    schedule_kwargs: dict | None = None,
-    max_rounds: int = 100_000,
-    initial: str = "pile",
-    n_reps: int = 10,
-    base_seed: int = 0,
-    workers: int | None = 0,
-    label: str = "",
-    seed_key: str | None = None,
-) -> list[RunResult]:
-    """Run one experiment cell (a spec replicated ``n_reps`` times).
+def cell(**kwargs: Any) -> list[RunResult]:
+    """Run one experiment cell: ``kwargs`` are :func:`cell_spec`'s.
 
-    ``workers`` is an execution knob (see
-    :func:`repro.sim.parallel.replicate`): stored ``runs-cell/v1``
+    The replications run on the pool size of the enclosing
+    :meth:`~repro.experiments.ExperimentDef.run` (see
+    :func:`repro.sim.parallel.replicate`); stored ``runs-cell/v1``
     payloads are engine-agnostic and cache keys ignore it.
-
-    ``initial`` defaults to the adversarial pile start: convergence *time*
-    is only interesting from far away (random initial states of slack
-    instances are often already nearly satisfying).
-
-    ``seed_key`` opts into **common random numbers**: paired designs that
-    compare protocol arms on the *same* workload should pass one key per
-    workload so every arm replays the same seed stream and the contrast is
-    protocol-only (see :func:`repro.sim.parallel.replicate`).  Leave it
-    ``None`` for unpaired sweeps — each configuration then draws its own
-    independent stream.
 
     Two orthogonal contexts intercept the call: inside
     :func:`collecting_cells` the cell is recorded, not run; inside
@@ -175,23 +175,11 @@ def cell(
     consulted first and written back on a miss, making repeated renders
     incremental over prior sweeps.
     """
-    cs = cell_spec(
-        generator=generator,
-        generator_kwargs=generator_kwargs,
-        protocol=protocol,
-        protocol_kwargs=protocol_kwargs,
-        schedule=schedule,
-        schedule_kwargs=schedule_kwargs,
-        max_rounds=max_rounds,
-        initial=initial,
-        n_reps=n_reps,
-        base_seed=base_seed,
-        label=label,
-        seed_key=seed_key,
-    )
+    cs = cell_spec(**kwargs)
+    spec, n_reps = cs.spec, cs.n_reps
     if _CELL_COLLECTOR is not None:
         _CELL_COLLECTOR.append(cs)
-        return [_placeholder_result(cs.spec, i) for i in range(n_reps)]
+        return [_placeholder_result(spec, i) for i in range(n_reps)]
 
     store = active_store()
     if store is not None:
@@ -201,14 +189,19 @@ def cell(
                 _OBS.count("experiments.cells_cached")
                 _OBS.event(
                     "cell",
-                    {"label": label, "protocol": protocol, "n_reps": n_reps, "cached": True},
+                    {
+                        "label": spec.label,
+                        "protocol": spec.protocol,
+                        "n_reps": n_reps,
+                        "cached": True,
+                    },
                 )
             return hit
         if render_only_active():
             from ..runs.store import MissingCellError, cell_key
 
             raise MissingCellError(
-                f"store has no results for cell {label or protocol!r} "
+                f"store has no results for cell {spec.label or spec.protocol!r} "
                 f"(key {cell_key(cs)}); render-only mode refuses to recompute — "
                 f"sweep this experiment first"
             )
@@ -216,11 +209,7 @@ def cell(
     started = time.perf_counter()
     with _OBS.span("experiments.cell"):
         results = replicate(
-            cs.spec,
-            n_reps,
-            base_seed=base_seed,
-            workers=workers,
-            seed_key=seed_key,
+            spec, n_reps, base_seed=cs.base_seed, workers=_POOL_WORKERS, seed_key=cs.seed_key
         )
     elapsed = time.perf_counter() - started
     if store is not None:
@@ -230,9 +219,9 @@ def cell(
         _OBS.event(
             "cell",
             {
-                "label": label,
-                "generator": generator,
-                "protocol": protocol,
+                "label": spec.label,
+                "generator": spec.generator,
+                "protocol": spec.protocol,
                 "n_reps": n_reps,
                 "cached": False,
                 "seconds": elapsed,

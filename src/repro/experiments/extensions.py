@@ -23,9 +23,9 @@ from ..registry import build_instance, build_protocol
 from ..sim.engine import run as run_engine
 from ..sim.metrics import Recorder
 from ..sim.rng import seed_from_key
-from .common import ExperimentResult, cell, convergence_stats, enumerate_cells
+from .common import ExperimentResult, cell, convergence_stats
 
-__all__ = ["f10_multi_probe", "f11_fluid_limit", "f12_churn", "f10_cells"]
+__all__ = ["f10_multi_probe", "f11_fluid_limit", "f12_churn"]
 
 
 def f10_multi_probe(
@@ -36,7 +36,6 @@ def f10_multi_probe(
     slack: float = 0.05,
     n_reps: int = 15,
     max_rounds: int = 20_000,
-    workers: int | None = 0,
 ) -> ExperimentResult:
     """Figure F10: probe count ``d`` vs rounds and message bill.
 
@@ -74,7 +73,6 @@ def f10_multi_probe(
                 protocol_kwargs={"d": d},
                 n_reps=n_reps,
                 max_rounds=max_rounds,
-                workers=workers,
                 label=f"f10-d{d}",
             )
         )
@@ -284,8 +282,3 @@ def f12_churn(
         findings=findings,
         extra={"stats": stats},
     )
-
-
-def f10_cells(**params):
-    """Cell decomposition of :func:`f10_multi_probe` (nothing simulates)."""
-    return enumerate_cells(f10_multi_probe, **params)

@@ -8,16 +8,9 @@ import numpy as np
 
 from ..baselines.centralized import opt_satisfied
 from ..registry import build_instance
-from .common import ExperimentResult, cell, convergence_stats, enumerate_cells
+from .common import ExperimentResult, cell, convergence_stats
 
-__all__ = [
-    "f4_hetero_users",
-    "f4_cells",
-    "f5_hetero_resources",
-    "f5_cells",
-    "t2_infeasible",
-    "t2_cells",
-]
+__all__ = ["f4_hetero_users", "f5_hetero_resources", "t2_infeasible"]
 
 
 def f4_hetero_users(
@@ -27,7 +20,6 @@ def f4_hetero_users(
     demanding_frac: float = 0.25,
     n_reps: int = 15,
     max_rounds: int = 50_000,
-    workers: int | None = 0,
     protocols: Sequence[str] = ("qos-sampling", "permit", "best-response"),
 ) -> ExperimentResult:
     """Figure F4: heterogeneous threshold profiles.
@@ -110,7 +102,6 @@ def f4_hetero_users(
                     n_reps=n_reps,
                     max_rounds=max_rounds,
                     initial=init,
-                    workers=workers,
                     label=f"f4-{wl_label}-{proto}",
                     seed_key=f"f4/{wl_label}",
                 )
@@ -150,7 +141,6 @@ def f5_hetero_resources(
     m: int = 128,
     n_reps: int = 15,
     max_rounds: int = 50_000,
-    workers: int | None = 0,
     protocols: Sequence[str] = ("qos-sampling", "permit"),
 ) -> ExperimentResult:
     """Figure F5: heterogeneous resources (speeds, convex, queueing).
@@ -193,7 +183,6 @@ def f5_hetero_resources(
                     protocol=proto,
                     n_reps=n_reps,
                     max_rounds=max_rounds,
-                    workers=workers,
                     label=f"f5-{wl_label}-{proto}",
                     seed_key=f"f5/{wl_label}",
                 )
@@ -228,7 +217,6 @@ def t2_infeasible(
     q: int = 16,
     n_reps: int = 10,
     max_rounds: int = 20_000,
-    workers: int | None = 0,
     protocols: Sequence[str] = ("qos-sampling", "permit", "best-response"),
 ) -> ExperimentResult:
     """Table T2: over-subscribed instances vs the OPT_sat bound.
@@ -254,6 +242,9 @@ def t2_infeasible(
       of anarchy.
 
     All runs go quiescent (the engine proves no move is available).
+    Enumerating the cells simulates nothing but still builds each
+    overloaded instance to price OPT_sat — about a millisecond per
+    instance at ci sizes.
     """
     headers = [
         "n/(m*q)",
@@ -282,7 +273,6 @@ def t2_infeasible(
                     n_reps=n_reps,
                     max_rounds=max_rounds,
                     initial=initial,
-                    workers=workers,
                     label=f"t2-{factor}-{initial}-{proto}",
                     seed_key=f"t2/{factor}/{initial}",
                 )
@@ -317,23 +307,3 @@ def t2_infeasible(
         findings=findings,
         extra={"stats": stats_map},
     )
-
-
-def f4_cells(**params):
-    """Cell decomposition of :func:`f4_hetero_users` (nothing simulates)."""
-    return enumerate_cells(f4_hetero_users, **params)
-
-
-def f5_cells(**params):
-    """Cell decomposition of :func:`f5_hetero_resources` (nothing simulates)."""
-    return enumerate_cells(f5_hetero_resources, **params)
-
-
-def t2_cells(**params):
-    """Cell decomposition of :func:`t2_infeasible`.
-
-    No cell simulates, but the enumeration does build each overloaded
-    instance to price its OPT_sat witness — one O(m*n) segment DP per
-    instance, about a millisecond at ci sizes.
-    """
-    return enumerate_cells(t2_infeasible, **params)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .common import ExperimentResult, cell, convergence_stats, enumerate_cells
+from .common import ExperimentResult, cell, convergence_stats
 
-__all__ = ["t1_protocols", "f6_rate_ablation", "DEFAULT_PROTOCOLS", "t1_cells", "f6_cells"]
+__all__ = ["t1_protocols", "f6_rate_ablation", "DEFAULT_PROTOCOLS"]
 
 #: (label, protocol name, protocol kwargs) rows of the T1 table.
 DEFAULT_PROTOCOLS: list[tuple[str, str, dict]] = [
@@ -28,7 +28,6 @@ def t1_protocols(
     protocols: Sequence[tuple[str, str, dict]] | None = None,
     n_reps: int = 15,
     max_rounds: int = 20_000,
-    workers: int | None = 0,
 ) -> ExperimentResult:
     """Table T1: all protocols on one uniform low-slack instance.
 
@@ -66,7 +65,6 @@ def t1_protocols(
                 protocol_kwargs=kwargs,
                 n_reps=n_reps,
                 max_rounds=max_rounds,
-                workers=workers,
                 label=f"t1-{label}",
                 seed_key="t1/uniform-low-slack",
             )
@@ -113,7 +111,6 @@ def f6_rate_ablation(
     slack: float = 0.05,
     n_reps: int = 15,
     max_rounds: int = 20_000,
-    workers: int | None = 0,
 ) -> ExperimentResult:
     """Figure F6: migration-rate rule ablation on a low-slack instance.
 
@@ -136,7 +133,6 @@ def f6_rate_ablation(
                 protocol_kwargs=protocol_kwargs,
                 n_reps=n_reps,
                 max_rounds=max_rounds,
-                workers=workers,
                 label=f"f6-{label}",
                 seed_key="f6/uniform-low-slack",
             )
@@ -177,13 +173,3 @@ def f6_rate_ablation(
         findings=findings,
         extra={"medians": medians},
     )
-
-
-def t1_cells(**params):
-    """Cell decomposition of :func:`t1_protocols` (nothing simulates)."""
-    return enumerate_cells(t1_protocols, **params)
-
-
-def f6_cells(**params):
-    """Cell decomposition of :func:`f6_rate_ablation` (nothing simulates)."""
-    return enumerate_cells(f6_rate_ablation, **params)

@@ -13,9 +13,9 @@ from ..registry import build_instance, build_protocol
 from ..sim.engine import run
 from ..sim.events import ResourceFailure
 from ..analysis.stats import summarize
-from .common import ExperimentResult, cell, convergence_stats, enumerate_cells
+from .common import ExperimentResult, cell, convergence_stats
 
-__all__ = ["f7_asynchrony", "f8_failures", "f9_topology", "f13_msg_loss", "f7_cells", "f9_cells"]
+__all__ = ["f7_asynchrony", "f8_failures", "f9_topology", "f13_msg_loss"]
 
 
 def f7_asynchrony(
@@ -26,7 +26,6 @@ def f7_asynchrony(
     m: int = 128,
     slack: float = 0.25,
     n_reps: int = 15,
-    workers: int | None = 0,
     protocol: str = "qos-sampling",
 ) -> ExperimentResult:
     """Figure F7: activation schedules vs convergence time.
@@ -49,7 +48,6 @@ def f7_asynchrony(
                 schedule=schedule,
                 schedule_kwargs=schedule_kwargs,
                 n_reps=n_reps,
-                workers=workers,
                 label=f"f7-{label}",
             )
         )
@@ -170,7 +168,6 @@ def f9_topology(
     slack: float = 0.4,
     n_reps: int = 15,
     max_rounds: int = 200_000,
-    workers: int | None = 0,
 ) -> ExperimentResult:
     """Figure F9: one-hop visibility on resource graphs.
 
@@ -191,7 +188,6 @@ def f9_topology(
                 protocol_kwargs={"topology": topo, "m": m},
                 n_reps=n_reps,
                 max_rounds=max_rounds,
-                workers=workers,
                 label=f"f9-{topo}",
             )
         )
@@ -363,13 +359,3 @@ def f13_msg_loss(
             "medians": medians,
         },
     )
-
-
-def f7_cells(**params):
-    """Cell decomposition of :func:`f7_asynchrony` (nothing simulates)."""
-    return enumerate_cells(f7_asynchrony, **params)
-
-
-def f9_cells(**params):
-    """Cell decomposition of :func:`f9_topology` (nothing simulates)."""
-    return enumerate_cells(f9_topology, **params)

@@ -12,18 +12,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..analysis.scaling import classify_growth
-from .common import ExperimentResult, cell, convergence_stats, enumerate_cells
+from .common import ExperimentResult, cell, convergence_stats
 
-__all__ = [
-    "f1_scaling_n",
-    "f1_cells",
-    "f2_slack",
-    "f2_cells",
-    "f3_scaling_m",
-    "f3_cells",
-    "f14_scaling_huge",
-    "f14_cells",
-]
+__all__ = ["f1_scaling_n", "f2_slack", "f3_scaling_m", "f14_scaling_huge"]
 
 
 def f1_scaling_n(
@@ -32,7 +23,6 @@ def f1_scaling_n(
     users_per_resource: int = 32,
     slack: float = 0.25,
     n_reps: int = 15,
-    workers: int | None = 0,
     protocol: str = "qos-sampling",
 ) -> ExperimentResult:
     """Figure F1: rounds to satisfaction vs ``n`` (fixed slack, fixed n/m).
@@ -51,7 +41,6 @@ def f1_scaling_n(
                 generator_kwargs={"n": n, "m": m, "slack": slack},
                 protocol=protocol,
                 n_reps=n_reps,
-                workers=workers,
                 label=f"f1-n{n}",
             )
         )
@@ -93,7 +82,6 @@ def f2_slack(
     n: int = 4096,
     m: int = 128,
     n_reps: int = 15,
-    workers: int | None = 0,
     protocol: str = "qos-sampling",
 ) -> ExperimentResult:
     """Figure F2: rounds to satisfaction vs multiplicative slack.
@@ -122,7 +110,6 @@ def f2_slack(
                 **gen,
                 protocol=protocol,
                 n_reps=n_reps,
-                workers=workers,
                 label=f"f2-s{s}",
             )
         )
@@ -160,7 +147,6 @@ def f3_scaling_m(
     users_per_resource: int = 32,
     slack: float = 0.25,
     n_reps: int = 15,
-    workers: int | None = 0,
     protocol: str = "qos-sampling",
 ) -> ExperimentResult:
     """Figure F3: rounds vs ``m`` at a fixed load factor ``n/m``.
@@ -179,7 +165,6 @@ def f3_scaling_m(
                 generator_kwargs={"n": n, "m": m, "slack": slack},
                 protocol=protocol,
                 n_reps=n_reps,
-                workers=workers,
                 label=f"f3-m{m}",
             )
         )
@@ -215,7 +200,6 @@ def f14_scaling_huge(
     users_per_resource: int = 100,
     slack: float = 0.25,
     n_reps: int = 5,
-    workers: int | None = 0,
     protocol: str = "qos-sampling",
     max_rounds: int = 512,
 ) -> ExperimentResult:
@@ -226,8 +210,8 @@ def f14_scaling_huge(
     adversarial pile start should stay logarithmic in ``n`` across three
     decades, into the million-user regime the dtype/memory audit makes
     simulable in one replication.  Runs through the sweep orchestrator
-    like every cell-based experiment (``f14_cells``), so a full-scale
-    sweep is resumable and its largest cells are cached individually.
+    like every cell-based experiment, so a full-scale sweep is resumable
+    and its largest cells are cached individually.
     ``max_rounds`` is a guardrail, not a horizon — pile starts satisfy in
     tens of rounds at these sizes.
     """
@@ -243,7 +227,6 @@ def f14_scaling_huge(
                 protocol=protocol,
                 max_rounds=max_rounds,
                 n_reps=n_reps,
-                workers=workers,
                 label=f"f14-n{n}",
             )
         )
@@ -280,23 +263,3 @@ def f14_scaling_huge(
         findings=findings,
         extra={"medians": medians, "ns": list(ns), "verdict": verdict},
     )
-
-
-def f1_cells(**params):
-    """Cell decomposition of :func:`f1_scaling_n` (nothing simulates)."""
-    return enumerate_cells(f1_scaling_n, **params)
-
-
-def f2_cells(**params):
-    """Cell decomposition of :func:`f2_slack` (nothing simulates)."""
-    return enumerate_cells(f2_slack, **params)
-
-
-def f3_cells(**params):
-    """Cell decomposition of :func:`f3_scaling_m` (nothing simulates)."""
-    return enumerate_cells(f3_scaling_m, **params)
-
-
-def f14_cells(**params):
-    """Cell decomposition of :func:`f14_scaling_huge` (nothing simulates)."""
-    return enumerate_cells(f14_scaling_huge, **params)

@@ -14,9 +14,9 @@ from ..core.potential import overload_potential, unsatisfied_count
 from ..msgsim.runner import run_message_sim
 from ..registry import build_instance, build_protocol
 from ..sim.engine import run
-from .common import ExperimentResult, cell, cell_spec, convergence_stats, enumerate_cells
+from .common import ExperimentResult, cell, cell_spec, convergence_stats
 
-__all__ = ["t3_msgsim", "t4_drift_and_oblivious", "t4_cells", "t5_tail", "t5_cells"]
+__all__ = ["t3_msgsim", "t4_drift_and_oblivious", "t4_cells", "t5_tail"]
 
 
 def t3_msgsim(
@@ -160,20 +160,23 @@ def _t4_overload_arms(
 
 
 def t4_cells(
+    _fn,
     *,
     n: int = 2048,
     m: int = 64,
     n_drift_runs: int = 8,
     n_reps: int = 10,
     max_rounds: int = 20_000,
-    workers: int | None = 0,
 ) -> list:
-    """Cell decomposition of T4's part (b) — the three overload arms.
+    """T4's :attr:`~repro.experiments.ExperimentDef.cells`: the three
+    overload arms of part (b).
 
-    Part (a) (drift estimation) has no cell shape and is excluded; the
-    signature still accepts the full preset (``n_drift_runs`` ignored).
+    Part (a) (drift estimation) has no cell shape and would simulate in a
+    dry run of the runner, so the arms come from
+    :func:`_t4_overload_arms` instead; the runner argument and
+    ``n_drift_runs`` are accepted and ignored.
     """
-    del n_drift_runs, workers
+    del n_drift_runs
     _, _, arms = _t4_overload_arms(n=n, m=m, n_reps=n_reps, max_rounds=max_rounds)
     return [cell_spec(**kwargs) for _, _, kwargs in arms]
 
@@ -185,7 +188,6 @@ def t4_drift_and_oblivious(
     n_drift_runs: int = 8,
     n_reps: int = 10,
     max_rounds: int = 20_000,
-    workers: int | None = 0,
 ) -> ExperimentResult:
     """Table T4: (a) the drift premise, (b) QoS-awareness vs balancing.
 
@@ -250,7 +252,7 @@ def t4_drift_and_oblivious(
     opt_sat = (m - 1) * q
     oblivious_stats = None
     for label, proto, kwargs in arms:
-        stats = convergence_stats(cell(**kwargs, workers=workers))
+        stats = convergence_stats(cell(**kwargs))
         if proto == "selfish-rebalance":
             oblivious_stats = stats
         satisfied_users = stats["satisfied_fraction_mean"] * n_over
@@ -292,7 +294,6 @@ def t5_tail(
     m: int = 64,
     n_reps: int = 400,
     delta: float = 0.1,
-    workers: int | None = 0,
 ) -> "ExperimentResult":
     """Table T5: the convergence-time *distribution* (w.h.p. claims).
 
@@ -331,7 +332,6 @@ def t5_tail(
             generator="uniform_slack",
             generator_kwargs={"n": n, "m": m, "slack": slack},
             n_reps=n_reps,
-            workers=workers,
             label=f"t5-{slack}",
         )
         rounds = np.asarray(
@@ -375,8 +375,3 @@ def t5_tail(
         findings=findings,
         extra={"tails": tails},
     )
-
-
-def t5_cells(**params):
-    """Cell decomposition of :func:`t5_tail` (nothing simulates)."""
-    return enumerate_cells(t5_tail, **params)

@@ -173,7 +173,12 @@ def sweep_snapshot(out: str | Path, *, now: float | None = None) -> dict[str, An
     executed = len(durations)
     throughput = executed / elapsed if elapsed > 0 else None
     config = data["meta"].get("sweep", {})
-    workers = max(1, int(config.get("workers") or 0) or 1)
+    # A served sweep journals ``workers: 0``; its parallelism is the
+    # coordinator's live worker table.
+    if worker_table is not None:
+        workers = max(1, sum(1 for w in worker_rows if w["alive"]))
+    else:
+        workers = max(1, int(config.get("workers") or 0))
     mean_s = sum(durations) / executed if executed else None
     eta_s = remaining * mean_s / workers if (remaining and mean_s is not None) else None
 

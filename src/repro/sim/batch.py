@@ -401,15 +401,18 @@ class _BatchEngine:
         if applied:
             self.quiescence_dirty[:] = True
 
-    def _res_latencies(self) -> np.ndarray:
-        ld = self.ld
-        profile = self.instance.latencies
-        if profile.is_affine:
-            return profile._slopes * ld + profile._offsets
-        out = np.empty_like(ld)
-        for k in range(ld.shape[0]):  # grouped evaluation, one row at a time
-            out[k] = profile.evaluate(ld[k])
-        return out
+    def _retire(self, keep: np.ndarray) -> None:
+        """Keep only the live rows ``keep`` marks: compact the rows, loads,
+        flat assignment (re-based to the kept rows' offsets), backoff
+        probabilities and RNG streams."""
+        kept_off = self.row_off[: self.rows.size][keep]
+        self.rows, self.ld = self.rows[keep], self.ld[keep]
+        asgF = self.asgF[keep]
+        asgF -= (kept_off - self.row_off[: self.rows.size])[:, None]
+        self.asgF = asgF
+        if self.backoff:
+            self.P = self.P[keep]
+        self.live_rngs = [g for g, kp in zip(self.live_rngs, keep) if kp]
 
     # -- the round loop -------------------------------------------------------
 
@@ -429,7 +432,7 @@ class _BatchEngine:
             asgF, ld = self.asgF, self.ld
             kernel = self.kernel
 
-            res_lat = self._res_latencies()
+            res_lat = self.instance.latencies.evaluate(ld)
             if kernel.uthr:
                 # Uniform threshold: mark bad *resources* once, then one bool
                 # gather — 1/8th the bandwidth of the float gather + compare.
@@ -486,18 +489,11 @@ class _BatchEngine:
                 self.n_satisfied_final[dead] = n
                 self.assignment[dead] = asgF[done] - row_off[:A][done][:, None]
                 keep = ~done
-                kept_off = row_off[:A][keep]
-                rows, ld, n_unsat = rows[keep], ld[keep], n_unsat[keep]
+                self._retire(keep)
+                rows, asgF, ld = self.rows, self.asgF, self.ld
+                n_unsat = n_unsat[keep]
                 unsat = unsat[keep]  # copies out of the scratch buffer
-                asgF = asgF[keep]
                 A = rows.size
-                asgF -= (kept_off - row_off[:A])[:, None]  # re-base flat offsets
-                if self.backoff:
-                    self.P = self.P[keep]
-                self.live_rngs = [
-                    g for g, kp in zip(self.live_rngs, keep) if kp
-                ]
-                self.rows, self.asgF, self.ld = rows, asgF, ld
                 if A == 0:
                     break
             if round_index == max_rounds:
@@ -586,17 +582,7 @@ class _BatchEngine:
                     elif verdict is False:
                         self.quiescence_dirty[r] = False
                 if dead_q.any():
-                    keep = ~dead_q
-                    kept_off = row_off[:A][keep]
-                    rows, ld = rows[keep], ld[keep]
-                    asgF = asgF[keep]
-                    asgF -= (kept_off - row_off[: rows.size])[:, None]
-                    if self.backoff:
-                        self.P = self.P[keep]
-                    self.live_rngs = [
-                        g for g, kp in zip(self.live_rngs, keep) if kp
-                    ]
-                    self.rows, self.asgF, self.ld = rows, asgF, ld
+                    self._retire(~dead_q)
 
 
 def run_batch(

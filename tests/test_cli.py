@@ -184,6 +184,26 @@ def test_run_experiment_without_workers_knob_accepts_workers(capsys):
     assert "F8" in capsys.readouterr().out
 
 
+def test_run_workers_shards_cells_and_keeps_the_table(capsys):
+    # --workers reaches every cell as replicate(..., workers=N): the
+    # kernel cells go hybrid, and the table is the serial one.
+    from repro.obs import HUB
+
+    args = ["run", "F1", "--set", "ns=64,128,256", "--set", "users_per_resource=16"]
+    args += ["--set", "n_reps=3"]
+
+    def table(out):
+        return [line for line in out.splitlines() if not line.startswith("[")]
+
+    assert main(args + ["--workers", "0"]) == 0
+    serial = table(capsys.readouterr().out)
+    with HUB.enabled():
+        assert main(args + ["--workers", "2"]) == 0
+        backends = [e["backend"] for e in HUB.ring if e["type"] == "replicate"]
+    assert backends == ["hybrid"] * 3
+    assert table(capsys.readouterr().out) == serial
+
+
 # -- sweep orchestration -------------------------------------------------------
 
 

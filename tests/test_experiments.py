@@ -19,6 +19,7 @@ from repro.experiments import (
     t3_msgsim,
     t4_drift_and_oblivious,
 )
+from repro.runs import ResultStore, run_cells, sweepable_experiments, use_store
 
 
 MICRO = {
@@ -85,6 +86,20 @@ def test_experiment_runs_and_is_well_formed(eid):
         assert len(row) == len(result.headers)
     text = result.render()
     assert eid in text
+
+
+@pytest.mark.parametrize("eid", sweepable_experiments())
+def test_cell_decomposition_covers_the_render(eid, tmp_path):
+    """``ExperimentDef.cells`` (the default dry run, or T4's own) lists
+    every cell the runner reads: a store filled from it alone renders
+    under ``render_only`` to the text of a direct run."""
+    exp = EXPERIMENTS[eid]
+    store = ResultStore(tmp_path)
+    summary = run_cells(exp.list_cells("ci", **MICRO[eid]), store=store, timeout=None)
+    assert summary["run"] and not summary["failed"]
+    with use_store(store, render_only=True):
+        rendered = exp.run("ci", **MICRO[eid]).render()
+    assert rendered == exp.run("ci", **MICRO[eid]).render()
 
 
 def test_invalid_scale_and_id():

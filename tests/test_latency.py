@@ -155,6 +155,21 @@ class TestLatencyProfile:
         expected = np.asarray([f(float(x)) for f, x in zip(fns, loads)])
         assert np.allclose(profile.evaluate(loads), expected)
 
+    @pytest.mark.parametrize(
+        "fns",
+        [
+            [IdentityLatency(), SpeedScaledLatency(2.0), AffineLatency(0.5, 1.0)],
+            [MM1Latency(8.0), PolynomialLatency(degree=2), MM1Latency(8.0)],
+        ],
+        ids=["affine", "mm1-polynomial"],
+    )
+    def test_stacked_evaluation_equals_row_by_row(self, fns):
+        profile = LatencyProfile(fns)
+        loads = np.arange(12, dtype=np.float64).reshape(4, 3)  # MM1 overloads too
+        rows = np.stack([profile.evaluate(row) for row in loads])
+        np.testing.assert_array_equal(profile.evaluate(loads), rows)
+        np.testing.assert_array_equal(profile.evaluate(loads[None]), rows[None])
+
     def test_evaluate_at_per_entry(self):
         profile = LatencyProfile.related([1.0, 2.0])
         resources = np.asarray([0, 1, 1, 0])
@@ -176,6 +191,10 @@ class TestLatencyProfile:
         profile = LatencyProfile.identical(3)
         with pytest.raises(ValueError):
             profile.evaluate(np.zeros(4))
+        with pytest.raises(ValueError):
+            profile.evaluate(np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            profile.evaluate(np.float64(1.0))
         with pytest.raises(ValueError):
             profile.evaluate_at(np.asarray([0]), np.asarray([1.0, 2.0]))
 

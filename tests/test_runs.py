@@ -935,6 +935,38 @@ def test_watch_snapshot_mid_flight(tmp_path):
     assert "running cells" in text and "n=c" in text
 
 
+def test_watch_eta_divides_by_alive_network_workers(tmp_path):
+    """A served sweep journals ``workers: 0``; the ETA divides the
+    remaining work by the alive rows of the coordinator's worker table."""
+    from repro.runs import sweep_snapshot
+    from repro.runs.net import WORKERS_NAME, WORKERS_SCHEMA
+
+    out = tmp_path / "sweep"
+    keys = [c * 32 for c in "abcdefg"]
+    with Journal(out / "journal.jsonl", sweep={"workers": 0}) as journal:
+        for key in keys:
+            journal.append("scheduled", key=key, experiment_id="F1", label=key[0])
+        journal.append("finished", key=keys[0], experiment_id="F1", label="a", seconds=4.0)
+    # One finished (4 s), six pending: 24 s of work left.
+    assert sweep_snapshot(out)["eta_s"] == pytest.approx(24.0)
+
+    table = {
+        "schema": WORKERS_SCHEMA,
+        "workers": [
+            {"id": f"w{i}", "alive": i < 3, "cells_done": 0} for i in range(4)
+        ],
+        "leases": [],
+    }
+    (out / WORKERS_NAME).write_text(json.dumps(table))
+    snapshot = sweep_snapshot(out)
+    assert sum(w["alive"] for w in snapshot["workers"]) == 3
+    assert snapshot["eta_s"] == pytest.approx(8.0)
+
+    table["workers"] = [{"id": "w0", "alive": False}]
+    (out / WORKERS_NAME).write_text(json.dumps(table))
+    assert sweep_snapshot(out)["eta_s"] == pytest.approx(24.0)  # at least one
+
+
 def test_watch_flags_failures_and_returns_nonzero(tmp_path):
     from repro.runs import watch
 
