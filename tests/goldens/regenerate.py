@@ -13,8 +13,9 @@ generators and rate rules (``permit`` takes no rate), the schedules
 synchronous, alpha(0.6) and partition(2), and the initials random and
 pile; the staggered schedule (one user per round, so nearly every run
 spends the whole round budget) with each protocol's default rate only;
-plus that file's event-injection cases and ``resample_on_self``.  Two
-seeds per case.
+plus that file's event-injection cases and ``resample_on_self``; then
+blind-random (``jump_p`` 1 and 0.4) and naive-greedy over the generators,
+all four schedules and both initials.  Two seeds per case.
 
 Usage::
 
@@ -52,6 +53,13 @@ SCHEDULES = [
     ("staggered", {}),
 ]
 INITIALS = ("random", "pile")
+#: The undamped and uninformed baselines, recorded from their scalar
+#: bodies before they ran on the sampling and blind kernels.
+UNINFORMED = [
+    ("blind-random", {}),
+    ("blind-random", {"jump_p": 0.4}),
+    ("naive-greedy", {}),
+]
 
 
 def _protocols() -> list[tuple[str, dict]]:
@@ -105,6 +113,13 @@ def grid() -> list[dict]:
               initial, False)
         for gen, gen_kwargs in GENERATORS
         for sched, sched_kwargs in SCHEDULES[:2]
+        for initial in INITIALS
+    ]
+    cases += [
+        _case(gen, gen_kwargs, proto, proto_kwargs, sched, sched_kwargs, initial, False)
+        for gen, gen_kwargs in GENERATORS
+        for proto, proto_kwargs in UNINFORMED
+        for sched, sched_kwargs in SCHEDULES
         for initial in INITIALS
     ]
     return cases
