@@ -144,6 +144,12 @@ ENGINE_CELLS: list[dict[str, Any]] = [
         "schedule": "synchronous",
     },
     {
+        "name": "unit/blind-random/sync",
+        "generator": "uniform_slack",
+        "protocol": "blind-random",
+        "schedule": "synchronous",
+    },
+    {
         "name": "unit/sweep-best-response/sync",
         "generator": "uniform_slack",
         "protocol": "sweep-best-response",

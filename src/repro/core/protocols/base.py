@@ -18,8 +18,8 @@ Sequential algorithms (best response) override :meth:`Protocol.step`
 directly, because Gauss–Seidel-style sweeps apply moves immediately rather
 than simultaneously.
 
-The four sample-then-commit protocols (sampling, multi-probe, permit,
-neighbourhood) share one ``propose``:
+The six sample-then-commit protocols (sampling, multi-probe, permit,
+neighbourhood, naive greedy, blind random) share one ``propose``:
 :class:`~repro.core.protocols.kernels.SampleCommitProtocol` runs their
 round math, which exists once in :mod:`repro.core.protocols.kernels`, on
 a one-row view of the state.

@@ -1,13 +1,18 @@
-"""The sample-then-commit kernels: the one copy of four protocols' round math.
+"""The sample-then-commit kernels: the one copy of six protocols' round math.
 
-:class:`~repro.core.protocols.QoSSamplingProtocol`,
+:class:`~repro.core.protocols.QoSSamplingProtocol` (and
+:class:`~repro.core.protocols.NaiveGreedyProtocol`, its rate-1 case),
 :class:`~repro.core.protocols.MultiProbeProtocol`,
 :class:`~repro.core.protocols.PermitProtocol` and
 :class:`~repro.core.protocols.NeighborhoodSamplingProtocol` share one round
 shape: every unsatisfied active user draws one or more probe targets,
 keeps the ones that would satisfy it, and commits with a probability given
 by the migration-rate rule (the permit protocol's grant scan replaces the
-rate).  :class:`Kernel` holds that math once, over ``A`` stacked rows:
+rate).  :class:`~repro.core.protocols.BlindRandomProtocol` is the shape
+with the check left out: a mover keeps its jump with probability
+``jump_p`` and draws one target, its own resource included.
+:class:`Kernel` holds that math once — five kernels — over ``A`` stacked
+rows:
 
 - ``asg`` is the flat ``(A * n,)`` assignment whose values carry each
   row's offset (``row * m + r``), so a flat mover position ``row * n + u``
@@ -28,7 +33,9 @@ passes ``bounds`` (each row's slice of ``pos``) and ``rkm`` (each mover's
 row offset).
 
 Each kernel returns the committed ``(flat positions, resources, flat
-targets)``.  Every value a kernel computes is elementwise IEEE work or an
+targets)``; only the blind kernel's may include a mover's own resource
+(``Kernel.self_targets``), which the round counts as an attempt and not
+as a move.  Every value a kernel computes is elementwise IEEE work or an
 exact integer reduction, so a row's result does not depend on ``A``, on
 the chunk span, or on the index widths.
 """
@@ -128,6 +135,10 @@ class Kernel:
         self.const_p = rate.p if type(rate) is ConstantRate else None
         self.backoff = type(rate) is AdaptiveBackoffRate
         self.d = int(getattr(protocol, "d", 1))
+        self.jump_p = float(getattr(protocol, "jump_p", 1.0))
+        # Only the blind kernel returns self-targets (its round counts them
+        # as attempts), so only its rounds pay the gather that drops them.
+        self.self_targets = self.kind == "blind"
         self.graph = getattr(protocol, "graph", None)
         self.resample = bool(getattr(protocol, "resample_on_self", False))
 
@@ -406,6 +417,29 @@ class Kernel:
             pos, t, rkm = self._keep(ok, pos, t, rkm)
         return self._commit(asg, ld, unsat, rngs, P, pos, t, rkm)
 
+    def _blind(self, asg, ld, unsat, pos, rngs, bounds=None, rkm=None, P=None):
+        """Jump without looking: each mover keeps its jump with probability
+        ``jump_p``, then draws one accessible target.  Self-jumps stay in
+        the committed set."""
+        M, jump_p = pos.size, self.jump_p
+        t = np.empty(M, dtype=np.int64)
+        jumps = np.ones(M, dtype=bool) if jump_p < 1.0 else None
+        users = self._users(pos, rkm)
+        for k, s, e in self._spans(bounds, M):
+            rng = rngs[k]
+            u = None if users is None else users[s:e]
+            if jumps is None:
+                t[s:e] = self._draw(rng, u, e - s)
+                continue
+            keep = np.less(rng.random(e - s), jump_p, out=jumps[s:e])
+            c = int(np.count_nonzero(keep))
+            if c:  # a row with no jumper draws no target
+                t[s:e][keep] = self._draw(rng, None if u is None else u[keep], c)
+        del users
+        if jumps is not None:
+            pos, t, rkm = self._keep(jumps.nonzero()[0], pos, t, rkm)
+        return pos, t, t if rkm is None else rkm + t
+
     def _permit(self, asg, ld, unsat, pos, rngs, bounds=None, rkm=None, P=None):
         M = pos.size
         t = np.empty(M, dtype=np.int64)
@@ -498,11 +532,11 @@ class Kernel:
 
 
 class SampleCommitProtocol(Protocol):
-    """Base of the four kernel protocols: ``propose`` runs the kernel at A = 1.
+    """Base of the six kernel protocols: ``propose`` runs the kernel at A = 1.
 
     Subclasses name their kernel (``kernel = "sampling"``, ...) and carry
-    its parameters — ``rate``, and ``d``, ``graph`` or
-    ``resample_on_self`` where they apply.  The kernel is built once per
+    its parameters — ``rate``, and ``d``, ``graph``, ``resample_on_self``
+    or ``jump_p`` where they apply.  The kernel is built once per
     instance and reads ``State.assignment`` and ``State.loads`` in place.
     """
 

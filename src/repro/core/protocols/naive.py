@@ -13,13 +13,15 @@ These protocols exist to *fail* instructively:
   feasible instances (the chain is irreducible over assignments), but the
   hitting time is exponential in general — the "no information" lower
   anchor for the protocol-comparison table.
+
+Both rounds are kernels of :mod:`repro.core.protocols.kernels`: naive
+greedy is the ``"sampling"`` kernel at rate 1, blind random the
+``"blind"`` kernel, so either runs lockstep on the batched engine.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .base import Proposal, Protocol
+from .kernels import SampleCommitProtocol
 from .rates import ConstantRate
 from .sampling import QoSSamplingProtocol
 
@@ -29,38 +31,28 @@ __all__ = ["NaiveGreedyProtocol", "BlindRandomProtocol"]
 class NaiveGreedyProtocol(QoSSamplingProtocol):
     """Sampling protocol with commitment probability 1 (herding-prone)."""
 
+    kernel = "sampling"
+
     def __init__(self):
         super().__init__(rate=ConstantRate(1.0))
         self.name = "naive-greedy"
 
 
-class BlindRandomProtocol(Protocol):
+class BlindRandomProtocol(SampleCommitProtocol):
     """Unsatisfied users teleport to a uniformly random accessible resource.
 
     ``jump_p`` damps the jumps (default 1: always jump).  No load
-    information is used at all.
+    information is used at all.  The round is the ``"blind"`` kernel; a
+    jump to the user's own resource counts as an attempt, not a move.
     """
+
+    kernel = "blind"
 
     def __init__(self, jump_p: float = 1.0):
         if not (0.0 < jump_p <= 1.0):
             raise ValueError("jump_p must be in (0, 1]")
         self.jump_p = float(jump_p)
         self.name = f"blind-random({jump_p:g})"
-
-    def propose(self, state, active, rng):
-        inst = state.instance
-        movers = np.nonzero(active & ~state.satisfied_mask())[0]
-        if movers.size == 0:
-            return Proposal.empty()
-        if self.jump_p < 1.0:
-            movers = movers[rng.random(movers.size) < self.jump_p]
-            if movers.size == 0:
-                return Proposal.empty()
-        if inst.access is None:
-            targets = rng.integers(0, inst.n_resources, size=movers.size)
-        else:
-            targets = inst.access.sample(movers, rng)
-        return Proposal(movers, targets)
 
     def is_quiescent(self, state):
         # Blind jumping keeps moving while anyone is unsatisfied; it only

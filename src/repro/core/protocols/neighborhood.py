@@ -35,7 +35,9 @@ __all__ = ["ResourceGraph", "NeighborhoodSamplingProtocol"]
 class ResourceGraph:
     """Flat adjacency view of an undirected resource graph."""
 
-    __slots__ = ("n_resources", "neighbors", "offsets", "_spans", "_bounds", "_any_isolated")
+    __slots__ = (
+        "n_resources", "neighbors", "offsets", "_spans", "_bounds", "_degree", "_any_isolated"
+    )
 
     def __init__(self, graph: nx.Graph, n_resources: int):
         if graph.number_of_nodes() != n_resources or set(graph.nodes) != set(
@@ -58,9 +60,14 @@ class ResourceGraph:
             nbrs = sorted(graph.neighbors(r))
             self.neighbors[self.offsets[r] : self.offsets[r + 1]] = nbrs
         # Per-resource degree and RNG bound, precomputed so the per-round
-        # sampling hot path is two takes + one rng call.
+        # sampling hot path is at most two takes + one rng call.
         self._spans = np.diff(self.offsets)
         self._bounds = np.maximum(self._spans, 1)
+        # On a regular graph (ring, random-regular, complete) the one
+        # degree is a scalar bound: the same stream as the per-resource
+        # bounds, drawn without the gather and the array-bound path.
+        uniform = n_resources > 0 and bool(np.all(self._bounds == self._bounds[0]))
+        self._degree = int(self._bounds[0]) if uniform else None
         self._any_isolated = bool(np.any(self._spans == 0))
 
     def sample_neighbor(
@@ -69,7 +76,8 @@ class ResourceGraph:
         """One uniform neighbour per listed resource (vectorized)."""
         resources = np.asarray(resources, dtype=np.int64)
         lo = self.offsets.take(resources)
-        pos = lo + rng.integers(0, self._bounds.take(resources))
+        high = self._bounds.take(resources) if self._degree is None else self._degree
+        pos = lo + rng.integers(0, high, size=resources.shape)
         out = self.neighbors.take(pos)
         if self._any_isolated:
             # Isolated resources (only possible when m == 1) sample themselves.

@@ -35,20 +35,22 @@ run's, which is what makes mixed-length batches replayable.
 Kernel coverage
 ---------------
 
-The lockstep loop runs the four kernel protocols —
+The lockstep loop runs the six kernel protocols —
 :class:`~repro.core.protocols.QoSSamplingProtocol` (with or without
 ``resample_on_self``, whose redraws happen inside the kernel's per-row
 draw loop), :class:`~repro.core.protocols.MultiProbeProtocol`,
-:class:`~repro.core.protocols.PermitProtocol`, and
-:class:`~repro.core.protocols.NeighborhoodSamplingProtocol` — under the
-constant, slack-proportional and adaptive-backoff rate rules (the permit
-protocol's grant rule has no rate), with synchronous and alpha schedules,
+:class:`~repro.core.protocols.PermitProtocol`,
+:class:`~repro.core.protocols.NeighborhoodSamplingProtocol`,
+:class:`~repro.core.protocols.NaiveGreedyProtocol` and
+:class:`~repro.core.protocols.BlindRandomProtocol` — under the constant,
+slack-proportional and adaptive-backoff rate rules (the permit grant rule
+and blind jumping have no rate), with synchronous and alpha schedules,
 complete or restricted access maps, and any latency profile.  Scheduled
 events batch too (:func:`batch_events_support`): resource failures and
 recoveries, user arrivals, and explicit-user departures apply per
 replication at round boundaries with the scalar event code itself, so
 churn/failure schedules keep their bit-exact RNG contract.  Everything
-else — other protocol families (and subclasses of the four), partition/
+else — other protocol families (and subclasses of the six), partition/
 staggered schedules, per-rep instance seeding, random-count departures —
 transparently runs on the scalar engine instead (see
 :func:`~repro.sim.parallel.replicate_engine`); :func:`batch_support`
@@ -90,7 +92,14 @@ __all__ = [
 ]
 
 #: Spec-level protocol names with a batched kernel (see ``kernel_kind``).
-_KERNEL_PROTOCOL_NAMES = ("qos-sampling", "multi-probe", "permit", "neighborhood")
+_KERNEL_PROTOCOL_NAMES = (
+    "qos-sampling",
+    "multi-probe",
+    "permit",
+    "neighborhood",
+    "naive-greedy",
+    "blind-random",
+)
 
 
 @dataclass
@@ -154,7 +163,8 @@ def _kernel_support(protocol, schedule) -> str | None:
     kind = kernel_kind(protocol)
     if kind is None:
         return f"protocol {getattr(protocol, 'name', protocol)!r} has no batched kernel"
-    if kind != "permit" and (reason := rate_support(protocol.rate)):
+    rate = getattr(protocol, "rate", None)
+    if rate is not None and (reason := rate_support(rate)):
         return reason
     if type(schedule) not in (SynchronousSchedule, AlphaSchedule):
         return f"schedule {schedule.name!r} has no batched kernel"
@@ -534,10 +544,16 @@ class _BatchEngine:
                     self.live_rngs, bounds, rkm, P,
                 )
                 del pos, bounds, rkm
-                n_committed = np.bincount(fu_f // n, minlength=A)
+                n_attempts = n_moved = np.bincount(fu_f // n, minlength=A)
+                asg_flat = asgF.reshape(-1)
+                of_f = asg_flat.take(fu_f)
+                if kernel.self_targets:
+                    # A self-jump is an attempt, not a move (apply_migrations
+                    # drops it on the scalar engine).
+                    mv = (of_f != tf_f).nonzero()[0]
+                    fu_f, t_f, tf_f, of_f = (a.take(mv) for a in (fu_f, t_f, tf_f, of_f))
+                    n_moved = np.bincount(fu_f // n, minlength=A)
                 if fu_f.size:
-                    asg_flat = asgF.reshape(-1)
-                    of_f = asg_flat.take(fu_f)
                     if kernel.uw:
                         # unit weights: plain integer bincounts; the integer
                         # count equals the serial sum of 1.0s exactly
@@ -551,21 +567,20 @@ class _BatchEngine:
                     ld_flat -= sub  # (ld - sub) + add: the scalar IEEE order
                     ld_flat += add
                     asg_flat[fu_f] = tf_f
-                self.total_moves[rows] += n_committed
-                self.total_attempts[rows] += n_committed
+                self.total_moves[rows] += n_moved
+                self.total_attempts[rows] += n_attempts
             else:
                 fu_f = tf_f = t_f = np.empty(0, dtype=np.int64)
-                n_committed = np.zeros(A, dtype=np.int64)
+                n_attempts = n_moved = np.zeros(A, dtype=np.int64)
 
             if self.backoff:
                 kernel.observe_backoff(P, ld.reshape(-1), fu_f, t_f, tf_f)
 
             # -- per-rep quiescence (idle rounds only; same dirty dance) -----
-            moved_rows = n_committed > 0
-            self.quiescence_dirty[rows[moved_rows]] = True
+            self.quiescence_dirty[rows[n_moved > 0]] = True
             if has_pending:
                 continue  # the scalar engine defers quiescence past events
-            check = ~moved_rows & self.quiescence_dirty[rows]
+            check = (n_attempts == 0) & self.quiescence_dirty[rows]
             if check.any():
                 dead_q = np.zeros(A, dtype=bool)
                 for k in np.nonzero(check)[0]:

@@ -4,7 +4,7 @@
 satisfying state, provably goes silent (quiescence), or exhausts the round
 budget.  The engine is deliberately thin: all algorithmic content lives in
 the protocol, all timing in the schedule, all perturbation in the events —
-the engine only sequences them and keeps the books.  For the four
+the engine only sequences them and keeps the books.  For the six
 sample-then-commit protocols ``Protocol.step`` runs the shared kernel of
 :mod:`repro.core.protocols.kernels` on a one-row view of the state, the
 same code the lockstep engine (:mod:`repro.sim.batch`) runs over its

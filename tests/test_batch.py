@@ -207,6 +207,8 @@ def test_batch_support_reasons():
             protocol_kwargs={"topology": "ring", "m": 8, "rate": {"name": "slack-proportional"}},
         ),
         spec(protocol_kwargs={"resample_on_self": True}),
+        spec(protocol="naive-greedy"),
+        spec(protocol="blind-random", protocol_kwargs={"jump_p": 0.4}),
     ):
         assert batch_support(kernel_spec) is None, kernel_spec.protocol
         assert batch_supported(kernel_spec), kernel_spec.protocol
@@ -223,6 +225,19 @@ def test_batch_support_reasons():
         reason = batch_support(s)
         assert reason is not None and isinstance(reason, str), label
         assert not batch_supported(s), label
+
+
+def test_batch_support_agrees_with_kernel_kind():
+    """Every registered protocol is batchable exactly when its class names a
+    kernel, so the spec-level name list cannot drift from the classes."""
+    from repro.core.protocols.kernels import kernel_kind
+    from repro.registry import PROTOCOLS
+
+    for name in PROTOCOLS:
+        kwargs = {"topology": "ring", "m": 8} if name == "neighborhood" else {}
+        s = spec(protocol=name, protocol_kwargs=kwargs)
+        has_kernel = kernel_kind(build_protocol(name, **kwargs)) is not None
+        assert (batch_support(s) is None) == has_kernel, name
 
 
 def test_unsupported_spec_falls_back_to_serial():
@@ -427,7 +442,8 @@ class TestDegenerateEdges:
 
 
 #: (protocol, kwargs) pairs spanning every new kernel, its tunables and
-#: the rate rules it composes with (permit takes no rate by design).
+#: the rate rules it composes with (permit and blind-random take no rate
+#: by design; naive-greedy is the sampling kernel at rate 1).
 KERNEL_PROTOCOLS = [
     ("multi-probe", {"d": 2}),
     ("multi-probe", {"d": 3, "rate": {"name": "slack-proportional", "floor": 0.05}}),
@@ -454,6 +470,9 @@ KERNEL_PROTOCOLS = [
             "rate": {"name": "slack-proportional", "floor": 0.05},
         },
     ),
+    ("blind-random", {}),
+    ("blind-random", {"jump_p": 0.4}),
+    ("naive-greedy", {}),
 ]
 
 
@@ -525,6 +544,9 @@ def _event_script(m):
         ("multi-probe", {"d": 2}),
         ("permit", {}),
         ("neighborhood", {"topology": "ring", "m": M}),
+        ("blind-random", {}),
+        ("blind-random", {"jump_p": 0.4}),
+        ("naive-greedy", {}),
     ],
     ids=lambda p: str(p),
 )
@@ -554,6 +576,7 @@ def test_batched_event_injection_parity(proto_name, proto_kwargs):
         assert batch.statuses[i] == ref.status
         assert int(batch.rounds[i]) == ref.rounds
         assert int(batch.total_moves[i]) == ref.total_moves
+        assert int(batch.total_attempts[i]) == ref.total_attempts
         assert int(batch.total_messages[i]) == ref.total_messages
         assert int(batch.n_satisfied[i]) == ref.n_satisfied
         assert batch.last_event_round == ref.last_event_round

@@ -90,6 +90,25 @@ class TestResourceGraph:
         graph = ring_graph(5)
         assert sorted(graph.neighbors_of(0)) == [1, 4]
 
+    @pytest.mark.parametrize("m", [2, 7, 64])
+    def test_regular_graph_scalar_bound_keeps_the_stream(self, m):
+        """A regular graph draws with its degree as a scalar bound; the
+        values and the stream state match the per-resource bound draw."""
+        graph = ResourceGraph(nx.complete_graph(m), m) if m == 2 else ring_graph(m)
+        assert graph._degree is not None
+        starts = np.random.default_rng(m).integers(0, m, size=333)
+        fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+        got = graph.sample_neighbor(starts, fast)
+        pos = graph.offsets.take(starts) + slow.integers(0, graph._bounds.take(starts))
+        assert np.array_equal(got, graph.neighbors.take(pos))
+        assert fast.random() == slow.random()
+
+    def test_irregular_graph_keeps_per_resource_bounds(self, rng):
+        graph = ResourceGraph(nx.star_graph(4), 5)
+        assert graph._degree is None
+        samples = graph.sample_neighbor(np.zeros(200, dtype=np.int64), rng)
+        assert set(samples.tolist()) == {1, 2, 3, 4}
+
 
 class TestNeighborhoodProtocol:
     def test_targets_are_one_hop(self, rng):

@@ -24,7 +24,9 @@ from repro.registry import build_instance, build_protocol
 from repro.sim.engine import run
 from repro.sim.events import ResourceFailure, ResourceRecovery
 from repro.sim.metrics import Recorder
-from repro.sim.parallel import RunSpec, run_spec
+from repro.sim.batch import run_batch
+from repro.sim.parallel import RunSpec, _spec_components, run_spec
+from repro.sim.rng import seed_from_key
 
 # ---------------------------------------------------------------------------
 # rounds vs. trajectory
@@ -143,7 +145,9 @@ def test_recovery_rounds_none_without_events():
 # silence a failure) with:
 #
 #   PYTHONPATH=src python - <<'EOF'
-#   from repro.sim.parallel import RunSpec, run_spec
+#   from repro.sim.batch import run_batch
+from repro.sim.parallel import RunSpec, _spec_components, run_spec
+from repro.sim.rng import seed_from_key
 #   from tests.test_round_accounting import GOLDEN_CELLS
 #   for name, kw, _ in GOLDEN_CELLS:
 #       spec = RunSpec(generator="uniform_slack",
@@ -300,4 +304,26 @@ def test_frozen_seed_golden_summary(protocol, protocol_kwargs, expected):
         initial="pile",
     )
     summary = run_spec(spec, 2026).summary()
+    assert {k: summary[k] for k in GOLDEN_KEYS} == expected
+
+
+def test_blind_random_golden_on_the_batched_engine():
+    """The lockstep blind kernel counts self-jumps as attempts, not moves:
+    the golden cell's 64 attempts against 54 moves, through ``run_batch``."""
+    [(_, kwargs, expected)] = [c for c in GOLDEN_CELLS if c[0] == "blind-random"]
+    spec = RunSpec(
+        generator="uniform_slack",
+        generator_kwargs={"n": 64, "m": 8, "slack": 0.3},
+        protocol="blind-random",
+        protocol_kwargs=kwargs,
+        max_rounds=500,
+        initial="pile",
+    )
+    instance, protocol, schedule = _spec_components(spec, 2026)
+    batch = run_batch(
+        instance, protocol, seeds=[seed_from_key(2026, "run")], schedule=schedule,
+        max_rounds=spec.max_rounds, initial=spec.initial,
+    )
+    [result] = batch.decompose()
+    summary = result.summary()
     assert {k: summary[k] for k in GOLDEN_KEYS} == expected
