@@ -12,7 +12,8 @@ figures derived from those timings.  Each cell describes itself
      "higher_is_better": true,
      "legs": {"serial": {"seconds": ..., "cpu_seconds": ...},
               "batched": {"seconds": ..., "cpu_seconds": ...}},
-     "speedup_vs_serial": ..., "user_rounds_per_sec": ..., ...}
+     "speedup_vs_serial": ..., "user_rounds_per_sec": ...,
+     "minor_faults": ..., "sys_s": ..., ...}
 
 ``headline`` names one of the cell's own numeric fields; trend and gate
 follow it with the declared direction.  ``kind`` is a plain label.
@@ -28,7 +29,8 @@ Cell families:
 - ``replicate/sampling/serial``: whole-replication throughput of the
   scalar reference (:func:`repro.sim.parallel.run_spec` per rep);
 - ``engine/batched/*``: :func:`repro.sim.batch.replicate_batched` vs the
-  scalar reference on one engine cell's spec, as ``speedup_vs_serial``;
+  scalar reference on one engine cell's spec, as ``speedup_vs_serial``,
+  with the batched leg's page faults and system time beside it;
 - ``replicate/hybrid``: :func:`repro.sim.parallel.replicate` over the
   process pool (processes × batch) vs single-process batched;
 - ``query/satisfied-mask``: ``State.satisfied_mask`` calls/second with
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import sys
 import time
 from functools import partial
@@ -225,23 +228,34 @@ def time_legs(
     Every leg is called once untimed (imports, allocator growth, pool
     spin-up), then ``repeats`` rounds call the legs in turn, so machine
     drift hits all legs alike.  Per leg, ``seconds`` is the best wall
-    time and ``cpu_seconds`` the best CPU time of this process.  Returns
-    those timings plus, per leg, the value its fastest call returned.
+    time and ``cpu_seconds`` the best CPU time of this process;
+    ``minor_faults`` and ``sys_s`` are the fewest minor page faults and
+    the least system time of one call, from ``getrusage`` deltas.
+    Returns those figures plus, per leg, the value its fastest call
+    returned.
     """
     for leg in legs.values():
         leg()
-    timings = {name: {"seconds": float("inf"), "cpu_seconds": float("inf")} for name in legs}
+    timings = {
+        name: {"seconds": float("inf"), "cpu_seconds": float("inf"),
+               "minor_faults": float("inf"), "sys_s": float("inf")}
+        for name in legs
+    }
     values: dict[str, Any] = {}
     for _ in range(max(1, repeats)):
         for name, leg in legs.items():
+            ru = resource.getrusage(resource.RUSAGE_SELF)
             wall, cpu = time.perf_counter(), time.process_time()
             value = leg()
             cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+            ru_after = resource.getrusage(resource.RUSAGE_SELF)
             best = timings[name]
             if wall < best["seconds"]:
                 best["seconds"] = wall
                 values[name] = value
             best["cpu_seconds"] = min(best["cpu_seconds"], cpu)
+            best["minor_faults"] = min(best["minor_faults"], ru_after.ru_minflt - ru.ru_minflt)
+            best["sys_s"] = min(best["sys_s"], ru_after.ru_stime - ru.ru_stime)
     return timings, values
 
 
@@ -533,6 +547,8 @@ def _batched_cell(
         user_rounds_per_sec=batched_urps,
         serial_user_rounds_per_sec=serial_urps,
         speedup_vs_serial=batched_urps / serial_urps,
+        minor_faults=legs["batched"]["minor_faults"],
+        sys_s=legs["batched"]["sys_s"],
         statuses=sorted({r.status for r in values["batched"]}),
     )
 

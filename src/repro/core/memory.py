@@ -54,6 +54,20 @@ differential grids would catch any violation.
 ``REPRO_USER_CHUNK`` (environment) or :func:`set_user_chunk` override the
 default span of 2**18 elements (~2 MB of float64 scratch per temporary —
 comfortably inside L2/L3 on anything the benches run on).
+
+The lockstep engine bounds its rounds one level up, in *mover groups*:
+:mod:`repro.sim.batch` hands a round's movers to the kernel in groups of
+whole live rows holding at most ``MOVER_CHUNK = 2**16`` movers, not in one
+call over all ``R * n`` users.  A row is never split, so its draws stay
+whole and in stream order, and every group reads the round-start state,
+so the grouping is trajectory-neutral too.  The bound is 2**16 and not
+:func:`user_chunk` because the cost it removes is allocator churn, not
+cache misses: per-mover temporaries of 2**18 float64 elements are
+released to the OS and faulted back in every round.  One pass of the
+end-to-end ``replicate`` workload's seven calls (32 reps at n = 16384,
+2-core host) took ~380 k minor page faults with 2**18-mover groups and
+5–17 k with 2**16.
+The scalar engine's rounds are one row and are not grouped.
 """
 
 from __future__ import annotations

@@ -17,20 +17,30 @@ rows:
 - ``asg`` is the flat ``(A * n,)`` assignment whose values carry each
   row's offset (``row * m + r``), so a flat mover position ``row * n + u``
   gathers its flat own resource with one ``take``;
-- ``ld`` is the flat ``(A * m,)`` load vector, ``unsat`` the flat
-  ``(A * n,)`` unsatisfied mask, and ``pos`` the flat positions of the
-  round's movers (a subset of ``unsat``), row-major;
+- ``ld`` is the flat ``(A * m,)`` load vector and ``unsat`` the flat
+  ``(A * n,)`` unsatisfied mask;
+- ``pos`` holds the flat positions of movers (a subset of ``unsat``),
+  row-major;
 - ``rngs`` holds one generator per row.  Every row's stream makes exactly
   the draws of a lone run, in the same order and sizes — each draw whole,
   because splitting one changes the stream.
+
+A round starts by binding ``asg``, ``ld``, ``unsat`` and the backoff
+probabilities into a :class:`Round`.  The
+passes over the whole batch that a commit or a grant needs (the slack
+rate's free capacities, its contention counts, permit's binding
+thresholds) are computed there at most once per round, whatever number
+of mover groups the round's movers are proposed in.
 
 At ``A = 1`` a flat position is a user and a flat target a resource, so the
 one-row view is just ``State.assignment`` and ``State.loads``: every
 protocol's :meth:`SampleCommitProtocol.propose` runs its kernel directly
 on them, with no row offsets and no tiled lookups.  The lockstep engine
-(:mod:`repro.sim.batch`) runs the same kernel over its live rows and
-passes ``bounds`` (each row's slice of ``pos``) and ``rkm`` (each mover's
-row offset).
+(:mod:`repro.sim.batch`) runs the same kernel once per mover group: the
+contiguous live rows ``k0 .. k0 + len(bounds) - 2``, with ``bounds``
+(each row's slice of the group's ``pos``) and ``rkm`` (each mover's row
+offset).  A row index ``k`` is always the live-row index, so a group's
+rows draw from ``rngs[k]`` and carry the offset ``k * m``.
 
 Each kernel returns the committed ``(flat positions, resources, flat
 targets)``; only the blind kernel's may include a mover's own resource
@@ -41,6 +51,8 @@ the chunk span, or on the index widths.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +69,7 @@ from .rates import (
 
 __all__ = [
     "Kernel",
+    "Round",
     "SampleCommitProtocol",
     "backoff_update",
     "kernel_kind",
@@ -111,6 +124,64 @@ def rank_dtype(n_probes: int) -> np.dtype:
 def _empty3():
     z = np.empty(0, dtype=np.int64)
     return z, z, z
+
+
+class Round:
+    """One round's whole-batch inputs, shared by every mover group.
+
+    ``asg``, ``ld``, ``unsat`` and the backoff probabilities ``P`` are the
+    round-start flat arrays (see the module docstring); no group writes
+    them.  The passes over them that a commit or a grant needs are cached
+    properties: the first group that needs one computes it, later groups
+    of the same round reuse it, and a round that never reaches them pays
+    nothing.
+    """
+
+    def __init__(self, kernel: "Kernel", asg, ld, unsat, P=None):
+        self.kernel = kernel
+        self.asg, self.ld, self.unsat, self.P = asg, ld, unsat, P
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        """Free capacity of every (row, resource) at the uniform threshold."""
+        return np.maximum(0.0, self.kernel.capacities()[: self.ld.size] - self.ld)
+
+    @cached_property
+    def contention(self) -> np.ndarray:
+        """Unsatisfied users on every (row, resource), at least 1."""
+        ld, asg, unsat = self.ld, self.asg, self.unsat
+        if self.kernel.uthr and self.kernel.uw:
+            # uniform q + unit weights: everyone on an over-threshold
+            # resource is unsatisfied, and a mover's own resource is over
+            # threshold — so the unsatisfied count there is its load.
+            return np.maximum(ld, 1.0)
+        # Integer bincounts are exact, so accumulating per chunk is
+        # bit-identical to one whole-width pass.
+        occ = np.zeros(ld.size, dtype=np.int64)
+        for cs, ce in iter_chunks(unsat.size):
+            occ += np.bincount(asg[cs:ce][unsat[cs:ce]], minlength=ld.size)
+        return np.maximum(occ, 1)
+
+    @cached_property
+    def binding(self) -> np.ndarray:
+        """Smallest threshold among the *satisfied* residents of every (row,
+        resource) — inf where none: the constraint a permit grant must not
+        violate.  min over a set of floats is order-independent, so the
+        chunked accumulation is exact."""
+        kernel, asg, unsat = self.kernel, self.asg, self.unsat
+        Am = self.ld.size
+        res = np.full(Am, np.inf)
+        if kernel.uthr:
+            # uniform q: occupied-by-a-satisfied-user == min equals q0
+            occupied = np.zeros(Am, dtype=np.int64)
+            for cs, ce in iter_chunks(unsat.size):
+                occupied += np.bincount(asg[cs:ce][~unsat[cs:ce]], minlength=Am)
+            res[occupied > 0] = kernel.q0
+        else:
+            for cs, ce in iter_chunks(unsat.size):
+                sat = ~unsat[cs:ce]
+                np.minimum.at(res, asg[cs:ce][sat], kernel.thrF[cs:ce][sat])
+        return res
 
 
 class Kernel:
@@ -172,20 +243,32 @@ class Kernel:
 
     @property
     def propose(self):
-        """This protocol's kernel: ``(asg, ld, unsat, pos, rngs, bounds, rkm,
-        P) -> committed``.  Looked up per call, so a kernel holds no
-        reference cycle and dies with its protocol or batch."""
+        """This protocol's kernel: ``(rnd, pos, rngs, bounds, rkm, k0) ->
+        committed`` for one mover group of the :class:`Round` ``rnd``.
+        Looked up per call, so a kernel holds no reference cycle and dies
+        with its protocol or batch."""
         return getattr(self, "_" + self.kind)
+
+    def capacities(self) -> np.ndarray:
+        """Per-(row, resource) capacity at the uniform threshold, built once."""
+        if self.capF is None:
+            cap_row = self.profile.capacities_at(
+                np.arange(self.m, dtype=np.int64), np.full(self.m, self.q0)
+            ).astype(np.float64)
+            self.capF = self._tile(cap_row)
+        return self.capF
 
     # -- shared helpers -------------------------------------------------------
 
-    def _spans(self, bounds, M: int):
-        """``(row, start, stop)`` of every row with movers; others draw nothing."""
+    @staticmethod
+    def _spans(bounds, M: int, k0: int):
+        """``(row, start, stop)`` of every group row with movers; others draw
+        nothing."""
         if bounds is None:
-            return ((0, 0, M),) if M else ()
+            return ((k0, 0, M),) if M else ()
         return [
             (k, s, e)
-            for k, (s, e) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+            for k, (s, e) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()), k0)
             if s != e
         ]
 
@@ -246,7 +329,7 @@ class Kernel:
 
     # -- commit machinery -----------------------------------------------------
 
-    def _commit_prob(self, asg, ld, unsat, pos, t, rkm, P):
+    def _commit_prob(self, rnd, pos, t, rkm):
         """Each mover's commit probability under the rate rule.
 
         A scalar for the constant rate.  For the slack-proportional rate,
@@ -259,65 +342,46 @@ class Kernel:
         if self.const_p is not None:
             return self.const_p
         if self.backoff:
-            return P.take(pos)
+            return rnd.P.take(pos)
         tf = t if rkm is None else rkm + t
         if self.uthr:
-            if self.capF is None:
-                cap_row = self.profile.capacities_at(
-                    np.arange(self.m, dtype=np.int64), np.full(self.m, self.q0)
-                ).astype(np.float64)
-                self.capF = self._tile(cap_row)
-            free = np.maximum(0.0, self.capF[: ld.size] - ld).take(tf)
+            free = rnd.free.take(tf)
         else:
             free = self.profile.capacities_at(t, self.thrF.take(pos)).astype(np.float64)
-            free -= ld.take(tf)
+            free -= rnd.ld.take(tf)
             np.maximum(0.0, free, out=free)
         del tf
-        if self.uthr and self.uw:
-            # uniform q + unit weights: everyone on an over-threshold
-            # resource is unsatisfied, and a mover's own resource is over
-            # threshold — so the unsatisfied count there is its load.
-            contention = np.maximum(ld, 1.0)
-        else:
-            # Integer bincounts are exact, so accumulating per chunk is
-            # bit-identical to one whole-width pass.
-            occ = np.zeros(ld.size, dtype=np.int64)
-            for cs, ce in iter_chunks(unsat.size):
-                occ += np.bincount(asg[cs:ce][unsat[cs:ce]], minlength=ld.size)
-            contention = np.maximum(occ, 1)
         # (gathers index fastest with intp positions, so the narrow own
         # resources are widened first)
-        free /= contention.take(asg.take(pos).astype(np.intp))
+        free /= rnd.contention.take(rnd.asg.take(pos).astype(np.intp))
         return np.clip(free, self.rate.floor, 1.0, out=free)
 
-    def _uniforms(self, vpos, rngs):
+    def _uniforms(self, vpos, rngs, bounds, k0):
         """Commit uniforms over the valid movers, in each row's stream order.
 
         A row with no valid mover draws nothing (a lone run's ``propose``
         returns before its commit draw).
         """
-        if len(rngs) == 1:
-            return rngs[0].random(vpos.size)
-        A = len(rngs)
-        cnt = np.bincount(vpos // self.n, minlength=A)
+        if bounds is None:
+            return rngs[k0].random(vpos.size)
+        cnt = np.bincount(vpos // self.n - k0, minlength=bounds.size - 1).tolist()
         unif = np.empty(vpos.size, dtype=np.float64)
         off = 0
-        for k in range(A):
-            c = int(cnt[k])
+        for k, c in enumerate(cnt, k0):
             if c:
                 rngs[k].random(out=unif[off : off + c])
                 off += c
         return unif
 
-    def _commit(self, asg, ld, unsat, rngs, P, vpos, vt, rkm):
+    def _commit(self, rnd, rngs, bounds, k0, vpos, vt, rkm):
         """Rate-rule commit over the valid movers (multi-probe/neighborhood).
 
         ``rkm`` is the valid movers' row offsets (None at one row).
         """
         if vpos.size == 0:
             return _empty3()
-        unif = self._uniforms(vpos, rngs)
-        idx = (unif < self._commit_prob(asg, ld, unsat, vpos, vt, rkm, P)).nonzero()[0]
+        unif = self._uniforms(vpos, rngs, bounds, k0)
+        idx = (unif < self._commit_prob(rnd, vpos, vt, rkm)).nonzero()[0]
         vt = vt.take(idx)
         return vpos.take(idx), vt, vt if rkm is None else rkm.take(idx) + vt
 
@@ -329,14 +393,15 @@ class Kernel:
             collided = lat > self._threshold(moved)
         backoff_update(self.rate, P, moved, collided)
 
-    # -- kernels: (asg, ld, unsat, pos, rngs, bounds, rkm, P) -> committed ----
+    # -- kernels: (rnd, pos, rngs, bounds, rkm, k0) -> committed --------------
 
-    def _sampling(self, asg, ld, unsat, pos, rngs, bounds=None, rkm=None, P=None):
+    def _sampling(self, rnd, pos, rngs, bounds=None, rkm=None, k0=0):
+        asg, ld = rnd.asg, rnd.ld
         M = pos.size
         t = np.empty(M, dtype=np.int64)
         unif = np.empty(M, dtype=np.float64)
         users = self._users(pos, rkm)
-        for k, s, e in self._spans(bounds, M):
+        for k, s, e in self._spans(bounds, M, k0):
             rng = rngs[k]
             u = None if users is None else users[s:e]
             t[s:e] = self._draw(rng, u, e - s)
@@ -350,7 +415,7 @@ class Kernel:
         # The committed set is one AND of independent masks — commit,
         # moving, would-satisfy — so the commit draw filters first and the
         # latency math only touches its survivors.
-        prob = self._commit_prob(asg, ld, unsat, pos, t, rkm, P)
+        prob = self._commit_prob(rnd, pos, t, rkm)
         cand = (unif < prob).nonzero()[0]  # uniforms live in [0, 1): p = 1 keeps all
         del unif, prob
         pos, t, rkm = self._keep(cand, pos, t, rkm)
@@ -368,11 +433,12 @@ class Kernel:
             t[idx] = self._draw(rng, None if users is None else users[idx], idx.size)
             clash = t == own
 
-    def _multiprobe(self, asg, ld, unsat, pos, rngs, bounds=None, rkm=None, P=None):
+    def _multiprobe(self, rnd, pos, rngs, bounds=None, rkm=None, k0=0):
+        asg, ld = rnd.asg, rnd.ld
         M, d, m = pos.size, self.d, self.m
         cand = np.empty(M * d, dtype=np.int64)
         users = self._users(pos, rkm)
-        for k, s, e in self._spans(bounds, M):
+        for k, s, e in self._spans(bounds, M, k0):
             if users is None:
                 # size=(k, d) fills row-major: the stream consumption and
                 # the flattened values equal a lone (k, d) draw exactly.
@@ -400,13 +466,14 @@ class Kernel:
         del valid
         pos, t, rkm = self._keep(vidx, pos, cand.take(best), rkm)
         del vidx, best
-        return self._commit(asg, ld, unsat, rngs, P, pos, t, rkm)
+        return self._commit(rnd, rngs, bounds, k0, pos, t, rkm)
 
-    def _neighborhood(self, asg, ld, unsat, pos, rngs, bounds=None, rkm=None, P=None):
+    def _neighborhood(self, rnd, pos, rngs, bounds=None, rkm=None, k0=0):
+        asg, ld = rnd.asg, rnd.ld
         M = pos.size
         own = asg.take(pos) if rkm is None else asg.take(pos) - rkm
         t = np.empty(M, dtype=np.int64)
-        for k, s, e in self._spans(bounds, M):
+        for k, s, e in self._spans(bounds, M, k0):
             t[s:e] = self.graph.sample_neighbor(own[s:e], rngs[k])
         del own
         pos, t, rkm = self._keep(self._satisfying(asg, ld, pos, t, rkm), pos, t, rkm)
@@ -415,9 +482,9 @@ class Kernel:
             # drop probes of forbidden resources (wasted, like a self-sample).
             ok = self.access.contains(self._users(pos, rkm), t).nonzero()[0]
             pos, t, rkm = self._keep(ok, pos, t, rkm)
-        return self._commit(asg, ld, unsat, rngs, P, pos, t, rkm)
+        return self._commit(rnd, rngs, bounds, k0, pos, t, rkm)
 
-    def _blind(self, asg, ld, unsat, pos, rngs, bounds=None, rkm=None, P=None):
+    def _blind(self, rnd, pos, rngs, bounds=None, rkm=None, k0=0):
         """Jump without looking: each mover keeps its jump with probability
         ``jump_p``, then draws one accessible target.  Self-jumps stay in
         the committed set."""
@@ -425,7 +492,7 @@ class Kernel:
         t = np.empty(M, dtype=np.int64)
         jumps = np.ones(M, dtype=bool) if jump_p < 1.0 else None
         users = self._users(pos, rkm)
-        for k, s, e in self._spans(bounds, M):
+        for k, s, e in self._spans(bounds, M, k0):
             rng = rngs[k]
             u = None if users is None else users[s:e]
             if jumps is None:
@@ -440,33 +507,18 @@ class Kernel:
             pos, t, rkm = self._keep(jumps.nonzero()[0], pos, t, rkm)
         return pos, t, t if rkm is None else rkm + t
 
-    def _permit(self, asg, ld, unsat, pos, rngs, bounds=None, rkm=None, P=None):
+    def _permit(self, rnd, pos, rngs, bounds=None, rkm=None, k0=0):
+        asg, ld = rnd.asg, rnd.ld
         M = pos.size
         t = np.empty(M, dtype=np.int64)
         users = self._users(pos, rkm)
-        for k, s, e in self._spans(bounds, M):
+        for k, s, e in self._spans(bounds, M, k0):
             t[s:e] = self._draw(rngs[k], None if users is None else users[s:e], e - s)
         del users
         tf = t if rkm is None else rkm + t
         pidx = (tf != asg.take(pos)).nonzero()[0]
         if pidx.size == 0:
             return _empty3()
-
-        # Smallest threshold among *satisfied* residents of each (row,
-        # resource): the binding constraint a grant must not violate.
-        # min over a set of floats is order-independent, so any exact
-        # accumulation matches.
-        Am = ld.size
-        resF = np.full(Am, np.inf)
-        sat = ~unsat
-        sat_asg = asg[sat]
-        if sat_asg.size:
-            if self.uthr:
-                # uniform q: occupied-by-a-satisfied-user == min equals q0
-                resF[np.bincount(sat_asg, minlength=Am) > 0] = self.q0
-            else:
-                np.minimum.at(resF, sat_asg, self.thrF[: sat.size][sat])
-        del sat, sat_asg
 
         # Group probes by (row, target), each group sorted by threshold
         # descending.  Flat targets separate rows, so one global stable
@@ -515,7 +567,7 @@ class Kernel:
                 np.cumsum(gw[a:b], out=cw[a:b])
             del gw
         cw += ld.take(tf_s)
-        bound = resF.take(tf_s)
+        bound = rnd.binding.take(tf_s)
         np.minimum(bound, q_s, out=bound)
         cond = self._probe_latency(t_s, tf_s, cw) <= bound
         del cw, bound
@@ -561,11 +613,10 @@ class SampleCommitProtocol(Protocol):
                 self.rate.reset(state.instance, rng)
             P = self.rate._p
         unsat = ~state.satisfied_mask()
+        rnd = Round(compiled, state.assignment, state.loads, unsat, P)
         # The mover positions go straight into the call, so the kernel's
         # rebinding of ``pos`` frees them (no caller reference survives).
-        users, targets, _ = compiled.propose(
-            state.assignment, state.loads, unsat, (active & unsat).nonzero()[0], (rng,), P=P
-        )
+        users, targets, _ = compiled.propose(rnd, (active & unsat).nonzero()[0], (rng,))
         return Proposal(users, targets)
 
     def observe(self, state: State, moved_users: np.ndarray) -> None:

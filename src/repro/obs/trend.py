@@ -5,8 +5,11 @@ uploads them as artifacts); this module turns a *directory or list* of
 those files into a per-cell trend table.  Every cell declares its own
 ``headline`` field, ``unit`` and ``higher_is_better`` direction, so the
 table follows whatever each cell says matters — rounds/sec, a speedup,
-a memory peak — with no table of cell kinds here.  Rendering is pure
-ASCII (:mod:`repro.viz.ascii`), usable in CI logs and terminals alike.
+a memory peak — with no table of cell kinds here.  Cells that carry
+process counters (:data:`COUNTERS`, the batched cells' page faults and
+system time) get a second table of their first and last values; the
+gate ignores them.  Rendering is pure ASCII (:mod:`repro.viz.ascii`),
+usable in CI logs and terminals alike.
 
 CLI: ``repro-qoslb trend [paths...]`` (defaults to ``BENCH_engine*.json``
 in the current directory).
@@ -22,6 +25,10 @@ __all__ = ["BENCH_SCHEMA", "load_bench_artifacts", "trend_rows", "render_trend"]
 
 #: Bench payload schema identifier (frozen; see tests/test_obs.py).
 BENCH_SCHEMA = "bench-engine/v2"
+
+#: Process counters a cell may carry beside its headline, with their
+#: printed formats: the trend prints them, the gate never reads them.
+COUNTERS = {"minor_faults": "{:,.0f}", "sys_s": "{:.2f}"}
 
 
 def load_bench_artifacts(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
@@ -55,31 +62,47 @@ def trend_rows(payloads: list[dict[str, Any]]) -> list[dict[str, Any]]:
     contributes NaN at that position, so sparklines stay aligned with the
     series.
     """
+    by_name, newest = _cells_by_name(payloads)
+    return [
+        {
+            "name": name,
+            "kind": cell.get("kind"),
+            "metric": cell["headline"],
+            "unit": cell["unit"],
+            "higher_is_better": bool(cell["higher_is_better"]),
+            "series": _series(by_name, name, cell["headline"]),
+        }
+        for name, cell in newest.items()
+    ]
+
+
+def _cells_by_name(payloads):
+    """Per artifact, its cells by name; and every cell name in first-seen
+    order with its newest declaration."""
     by_name = [{c["name"]: c for c in payload.get("cells") or []} for payload in payloads]
-    newest: dict[str, dict[str, Any]] = {}  # first-seen order, newest declaration
+    newest: dict[str, dict[str, Any]] = {}
     for cells in by_name:
         newest.update(cells)
-    rows = []
-    for name, cell in newest.items():
-        metric = cell["headline"]
-        series: list[float] = []
-        for cells in by_name:
-            value = cells[name].get(metric) if name in cells else None
-            try:
-                series.append(float("nan") if value is None else float(value))
-            except (TypeError, ValueError):
-                series.append(float("nan"))
-        rows.append(
-            {
-                "name": name,
-                "kind": cell.get("kind"),
-                "metric": metric,
-                "unit": cell["unit"],
-                "higher_is_better": bool(cell["higher_is_better"]),
-                "series": series,
-            }
-        )
-    return rows
+    return by_name, newest
+
+
+def _series(by_name, name: str, field: str) -> list[float]:
+    """``field`` of cell ``name`` across the artifacts, NaN where absent."""
+    series: list[float] = []
+    for cells in by_name:
+        value = cells[name].get(field) if name in cells else None
+        try:
+            series.append(float("nan") if value is None else float(value))
+        except (TypeError, ValueError):
+            series.append(float("nan"))
+    return series
+
+
+def _first_last(series: list[float], fmt: str) -> str:
+    import math
+
+    finite = [v for v in series if math.isfinite(v)]
+    return f"{fmt.format(finite[0])} → {fmt.format(finite[-1])}" if finite else "-"
 
 
 def _fmt(value: float) -> str:
@@ -132,5 +155,16 @@ def render_trend(paths: Iterable[str | Path]) -> str:
     table = render_table(
         ["cell", "metric", "trend (old→new)", "first", "last", "Δ"], rows, title=title
     )
+    by_name, newest = _cells_by_name(payloads)
+    counted = [
+        [name, *(_first_last(_series(by_name, name, c), f) for c, f in COUNTERS.items())]
+        for name, cell in newest.items()
+        if any(c in cell for c in COUNTERS)
+    ]
+    if counted:
+        table += "\n" + render_table(
+            ["cell", "minor faults (first → last)", "sys s (first → last)"], counted,
+            title="process counters (not gated)",
+        )
     files = "\n".join(f"  [{i}] {p['_path']}" for i, p in enumerate(payloads))
     return table + "\nartifacts (chronological):\n" + files

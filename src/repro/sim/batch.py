@@ -27,6 +27,24 @@ seeds with the scalar path's :func:`~repro.sim.parallel.rep_seed`, a cell
 has **bit-identical** per-rep results on either engine.  The frozen
 kernel goldens and the differential tests pin both.
 
+Mover groups
+------------
+
+A round does not hand all ``A * n`` live users to the kernel in one call:
+after the mover mask, the live rows are split into contiguous groups
+whose mover counts sum to at most :data:`MOVER_CHUNK` (a row with more
+goes alone), and the kernel runs once per group.  So a round's
+per-mover scratch is bounded by the group, not by ``R * n``, and stays
+in the allocator's heap instead of being mapped and faulted in afresh
+each round.  A group holds whole rows, so every row's draws stay whole
+and in its stream's order; every group reads the round-start
+assignment, loads and unsatisfied mask; the kernel's whole-batch passes
+run once per round in its :class:`~repro.core.protocols.kernels.Round`;
+and the committed moves are applied once, after the last group.  The
+grouping therefore changes no bit, and a round with at most
+``MOVER_CHUNK`` movers is one group (see :mod:`repro.core.memory` for
+the choice of 2**16).
+
 Termination is per-replication via an ``alive`` mask: a replication that
 satisfies, goes quiescent, or exhausts the budget leaves the batch and
 **stops consuming RNG draws** — its stream state afterwards equals a solo
@@ -65,9 +83,9 @@ from typing import Sequence
 import numpy as np
 
 from ..core.instance import Instance
-from ..core.memory import index_dtype
-from ..core.protocols.kernels import Kernel, kernel_kind, rate_support
-from ..core.protocols.rates import AdaptiveBackoffRate, ConstantRate
+from ..core.memory import csr_offsets, index_dtype
+from ..core.protocols.kernels import Kernel, Round, kernel_kind, rate_support
+from ..core.protocols.rates import AdaptiveBackoffRate
 from ..core.state import State
 from ..obs import HUB as _OBS
 from ..obs.hub import HEARTBEAT_INTERVAL_S, PROGRESS_INTERVAL_S
@@ -90,6 +108,11 @@ __all__ = [
     "batch_events_support",
     "replicate_batched",
 ]
+
+#: Most movers one kernel call proposes: a round's movers go to the kernel
+#: in groups of whole live rows holding at most this many (a row with more
+#: goes alone), so a round's per-mover scratch stays bounded at any R * n.
+MOVER_CHUNK = 1 << 16
 
 #: Spec-level protocol names with a batched kernel (see ``kernel_kind``).
 _KERNEL_PROTOCOL_NAMES = (
@@ -158,17 +181,21 @@ class BatchRunResult:
         return out
 
 
-def _kernel_support(protocol, schedule) -> str | None:
-    """Why this protocol/schedule pair has no batched kernel (None = it has)."""
-    kind = kernel_kind(protocol)
-    if kind is None:
-        return f"protocol {getattr(protocol, 'name', protocol)!r} has no batched kernel"
-    rate = getattr(protocol, "rate", None)
+def _rate_schedule_support(rate, schedule: Schedule) -> str | None:
+    """Why a kernel protocol with this rate (None = no rate) cannot run
+    lockstep under this schedule (None = it can)."""
     if rate is not None and (reason := rate_support(rate)):
         return reason
     if type(schedule) not in (SynchronousSchedule, AlphaSchedule):
         return f"schedule {schedule.name!r} has no batched kernel"
     return None
+
+
+def _kernel_support(protocol, schedule) -> str | None:
+    """Why this protocol/schedule pair has no batched kernel (None = it has)."""
+    if kernel_kind(protocol) is None:
+        return f"protocol {getattr(protocol, 'name', protocol)!r} has no batched kernel"
+    return _rate_schedule_support(getattr(protocol, "rate", None), schedule)
 
 
 def batch_events_support(events: Sequence[Event]) -> str | None:
@@ -224,15 +251,11 @@ def batch_support(spec) -> str | None:
         if kwargs.get("topology") not in TOPOLOGIES:
             return f"spec does not build: unknown topology {kwargs.get('topology')!r}"
         try:
+            # no rate builds the protocol's constant default, which has a kernel
             rate = build_rate(kwargs.get("rate"))
         except Exception as exc:
             return f"spec does not build: {exc!r}"
-        rate = rate if rate is not None else ConstantRate(0.5)
-        if reason := rate_support(rate):
-            return reason
-        if type(schedule) not in (SynchronousSchedule, AlphaSchedule):
-            return f"schedule {schedule.name!r} has no batched kernel"
-        return None
+        return _rate_schedule_support(rate, schedule)
     try:
         protocol = build_protocol(spec.protocol, **dict(spec.protocol_kwargs))
     except Exception as exc:
@@ -275,6 +298,30 @@ def _flat_assignment(assignment: np.ndarray, m: int) -> np.ndarray:
     asgF = assignment.astype(index_dtype(R * m))
     asgF += (np.arange(R, dtype=np.int64) * m)[:, None].astype(asgF.dtype)
     return asgF
+
+
+def _mover_groups(counts: np.ndarray) -> list[tuple[int, int]]:
+    """Split live rows into contiguous ``[k0, k1)`` mover groups.
+
+    A group's mover counts sum to at most :data:`MOVER_CHUNK`, unless its
+    one row with movers holds more; rows without movers ride along with
+    a neighbour, so every group has movers.  A row is never split: its
+    draws stay whole and in stream order.
+    """
+    cum = csr_offsets(counts)
+    A = counts.size
+    groups = []
+    k0 = 0
+    while k0 < A and cum[k0] < cum[A]:
+        # the furthest row end within budget, and at least the end of the
+        # group's first row with movers
+        k1 = max(
+            int(np.searchsorted(cum, cum[k0] + MOVER_CHUNK, side="right")) - 1,
+            int(np.searchsorted(cum, cum[k0], side="right")),
+        )
+        groups.append((k0, k1))
+        k0 = k1
+    return groups
 
 
 class _BatchEngine:
@@ -531,19 +578,27 @@ class _BatchEngine:
             self.rounds_executed[rows] = round_index + 1
             self.total_messages[rows] += counts * self.phases
 
-            pos = np.flatnonzero(movers_src)  # flat (row, user) mover positions
             P = None if self.P is None else self.P.reshape(-1)
-            if pos.size:
-                bounds = rkm = None  # one row: flat positions are users
-                if A > 1:
-                    bounds = np.zeros(A + 1, dtype=np.int64)
-                    np.cumsum(counts, out=bounds[1:])
-                    rkm = np.repeat(row_off[:A], counts)  # per-mover row offset
-                fu_f, t_f, tf_f = kernel.propose(
-                    asgF.reshape(-1), ld.reshape(-1), unsat.reshape(-1), pos,
-                    self.live_rngs, bounds, rkm, P,
+            if counts.any():
+                # Every group proposes against the round-start state; the
+                # committed triples are applied once, after the last group.
+                rnd = Round(kernel, asgF.reshape(-1), ld.reshape(-1), unsat.reshape(-1), P)
+                parts = []
+                for k0, k1 in _mover_groups(counts):
+                    # flat (row, user) positions of the group's movers
+                    pos = np.flatnonzero(movers_src[k0:k1])
+                    bounds = rkm = None  # one row: flat positions are users
+                    if A > 1:
+                        pos += k0 * n
+                        bounds = csr_offsets(counts[k0:k1])
+                        rkm = np.repeat(row_off[k0:k1], counts[k0:k1])  # per-mover row offset
+                    parts.append(kernel.propose(rnd, pos, self.live_rngs, bounds, rkm, k0))
+                    del pos, bounds, rkm
+                del rnd
+                fu_f, t_f, tf_f = (
+                    parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
                 )
-                del pos, bounds, rkm
+                del parts
                 n_attempts = n_moved = np.bincount(fu_f // n, minlength=A)
                 asg_flat = asgF.reshape(-1)
                 of_f = asg_flat.take(fu_f)

@@ -79,6 +79,47 @@ def scalar_reference(s, n_reps, base_seed):
     return [run_spec(s, rep_seed(base_seed, key, i)) for i in range(n_reps)]
 
 
+def lockstep(instance, proto_name, proto_kwargs, seeds, sched_name, sched_kwargs,
+             initial, events=()):
+    """``run_batch`` over one generator stream per seed."""
+    return run_batch(
+        instance,
+        build_protocol(proto_name, **proto_kwargs),
+        seeds=[np.random.default_rng(s) for s in seeds],
+        schedule=build_schedule(sched_name, **sched_kwargs),
+        max_rounds=MAX_ROUNDS,
+        initial=initial,
+        events=events,
+    )
+
+
+def assert_matches_scalar(batch, instance, proto_name, proto_kwargs, seeds,
+                          sched_name, sched_kwargs, initial, events=()):
+    """Every summary field and the final assignment of each batched rep
+    equal a scalar ``run`` fed the same stream."""
+    for i, s in enumerate(seeds):
+        ref = run(
+            instance,
+            build_protocol(proto_name, **proto_kwargs),
+            seed=np.random.default_rng(s),
+            schedule=build_schedule(sched_name, **sched_kwargs),
+            max_rounds=MAX_ROUNDS,
+            initial=initial,
+            events=events,
+            keep_state=True,
+        )
+        assert batch.statuses[i] == ref.status
+        assert int(batch.rounds[i]) == ref.rounds
+        assert int(batch.total_moves[i]) == ref.total_moves
+        assert int(batch.total_attempts[i]) == ref.total_attempts
+        assert int(batch.total_messages[i]) == ref.total_messages
+        assert int(batch.n_satisfied[i]) == ref.n_satisfied
+        assert batch.last_event_round == ref.last_event_round
+        sr = int(batch.satisfying_rounds[i])
+        assert (None if sr < 0 else sr) == ref.satisfying_round
+        assert np.array_equal(batch.final_assignment[i], ref.final_state.assignment)
+
+
 # ---------------------------------------------------------------------------
 # Differential grid: batched vs scalar on shared streams, bit for bit.
 # ---------------------------------------------------------------------------
@@ -92,34 +133,8 @@ def test_bit_parity_vs_scalar(gen_name, gen_kwargs, rate, sched_name, sched_kwar
     """Same stream in, same trajectory out — every summary field and the
     final assignment match the scalar engine exactly."""
     instance = build_instance(gen_name, n=N, m=M, **gen_kwargs)
-    seeds = [21, 22]
-    batch = run_batch(
-        instance,
-        build_protocol("qos-sampling", rate=rate),
-        seeds=[np.random.default_rng(s) for s in seeds],
-        schedule=build_schedule(sched_name, **sched_kwargs),
-        max_rounds=MAX_ROUNDS,
-        initial=initial,
-    )
-    for i, s in enumerate(seeds):
-        ref = run(
-            instance,
-            build_protocol("qos-sampling", rate=rate),
-            seed=np.random.default_rng(s),
-            schedule=build_schedule(sched_name, **sched_kwargs),
-            max_rounds=MAX_ROUNDS,
-            initial=initial,
-            keep_state=True,
-        )
-        assert batch.statuses[i] == ref.status
-        assert int(batch.rounds[i]) == ref.rounds
-        assert int(batch.total_moves[i]) == ref.total_moves
-        assert int(batch.total_attempts[i]) == ref.total_attempts
-        assert int(batch.total_messages[i]) == ref.total_messages
-        assert int(batch.n_satisfied[i]) == ref.n_satisfied
-        sr = int(batch.satisfying_rounds[i])
-        assert (None if sr < 0 else sr) == ref.satisfying_round
-        assert np.array_equal(batch.final_assignment[i], ref.final_state.assignment)
+    args = ("qos-sampling", {"rate": rate}, [21, 22], sched_name, sched_kwargs, initial)
+    assert_matches_scalar(lockstep(instance, *args), instance, *args)
 
 
 def test_backends_bit_identical_per_rep():
@@ -485,34 +500,8 @@ def test_kernel_bit_parity_vs_scalar(
     gen_name, gen_kwargs, proto_name, proto_kwargs, sched_name, sched_kwargs
 ):
     instance = build_instance(gen_name, n=N, m=M, **gen_kwargs)
-    seeds = [21, 22]
-    batch = run_batch(
-        instance,
-        build_protocol(proto_name, **proto_kwargs),
-        seeds=[np.random.default_rng(s) for s in seeds],
-        schedule=build_schedule(sched_name, **sched_kwargs),
-        max_rounds=MAX_ROUNDS,
-        initial="pile",
-    )
-    for i, s in enumerate(seeds):
-        ref = run(
-            instance,
-            build_protocol(proto_name, **proto_kwargs),
-            seed=np.random.default_rng(s),
-            schedule=build_schedule(sched_name, **sched_kwargs),
-            max_rounds=MAX_ROUNDS,
-            initial="pile",
-            keep_state=True,
-        )
-        assert batch.statuses[i] == ref.status
-        assert int(batch.rounds[i]) == ref.rounds
-        assert int(batch.total_moves[i]) == ref.total_moves
-        assert int(batch.total_attempts[i]) == ref.total_attempts
-        assert int(batch.total_messages[i]) == ref.total_messages
-        assert int(batch.n_satisfied[i]) == ref.n_satisfied
-        sr = int(batch.satisfying_rounds[i])
-        assert (None if sr < 0 else sr) == ref.satisfying_round
-        assert np.array_equal(batch.final_assignment[i], ref.final_state.assignment)
+    args = (proto_name, proto_kwargs, [21, 22], sched_name, sched_kwargs, "pile")
+    assert_matches_scalar(lockstep(instance, *args), instance, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -537,52 +526,117 @@ def _event_script(m):
     ]
 
 
-@pytest.mark.parametrize(
-    "proto_name,proto_kwargs",
-    [
-        ("qos-sampling", {}),
-        ("multi-probe", {"d": 2}),
-        ("permit", {}),
-        ("neighborhood", {"topology": "ring", "m": M}),
-        ("blind-random", {}),
-        ("blind-random", {"jump_p": 0.4}),
-        ("naive-greedy", {}),
-    ],
-    ids=lambda p: str(p),
-)
+#: One protocol per kernel (and blind's jump_p and the rate-1 sampling
+#: case) for the event-injection parity tests.
+EVENT_PROTOCOLS = [
+    ("qos-sampling", {}),
+    ("multi-probe", {"d": 2}),
+    ("permit", {}),
+    ("neighborhood", {"topology": "ring", "m": M}),
+    ("blind-random", {}),
+    ("blind-random", {"jump_p": 0.4}),
+    ("naive-greedy", {}),
+]
+
+
+@pytest.mark.parametrize("proto_name,proto_kwargs", EVENT_PROTOCOLS, ids=lambda p: str(p))
 def test_batched_event_injection_parity(proto_name, proto_kwargs):
     """Failure/recovery/arrival/departure events through the batched engine
     match a scalar run of the same script, including recovery accounting."""
     instance = build_instance("uniform_slack", n=N, m=M, slack=0.35)
-    seeds = [41, 42, 43]
-    batch = run_batch(
-        instance,
-        build_protocol(proto_name, **proto_kwargs),
-        seeds=[np.random.default_rng(s) for s in seeds],
-        max_rounds=MAX_ROUNDS,
-        initial="pile",
-        events=_event_script(M),
-    )
-    for i, s in enumerate(seeds):
-        ref = run(
-            instance,
-            build_protocol(proto_name, **proto_kwargs),
-            seed=np.random.default_rng(s),
-            max_rounds=MAX_ROUNDS,
-            initial="pile",
-            events=_event_script(M),
-            keep_state=True,
-        )
-        assert batch.statuses[i] == ref.status
-        assert int(batch.rounds[i]) == ref.rounds
-        assert int(batch.total_moves[i]) == ref.total_moves
-        assert int(batch.total_attempts[i]) == ref.total_attempts
-        assert int(batch.total_messages[i]) == ref.total_messages
-        assert int(batch.n_satisfied[i]) == ref.n_satisfied
-        assert batch.last_event_round == ref.last_event_round
-        sr = int(batch.satisfying_rounds[i])
-        assert (None if sr < 0 else sr) == ref.satisfying_round
-        assert np.array_equal(batch.final_assignment[i], ref.final_state.assignment)
+    args = (proto_name, proto_kwargs, [41, 42, 43], "synchronous", {}, "pile", _event_script(M))
+    assert_matches_scalar(lockstep(instance, *args), instance, *args)
+
+
+# ---------------------------------------------------------------------------
+# Mover groups: a round proposed in several kernel calls changes no bit.
+# ---------------------------------------------------------------------------
+
+#: ``MOVER_CHUNK`` values that split rounds: one row per group, and a
+#: budget that groups 80-user rows unevenly as their mover counts fall.
+MOVER_CHUNKS = [1, 97]
+
+#: Every kernel protocol of the grid above, plus the sampling kernel's
+#: per-row state (backoff probabilities) and in-loop redraws.
+GROUP_PROTOCOLS = KERNEL_PROTOCOLS + [
+    ("qos-sampling", {"rate": RATES[3]}),
+    ("qos-sampling", {"resample_on_self": True}),
+]
+
+GROUP_SEEDS = [21, 22, 23, 24, 25]
+
+
+@pytest.fixture(params=MOVER_CHUNKS, ids=lambda c: f"mover-chunk-{c}")
+def mover_groups(request, monkeypatch):
+    """Force ``MOVER_CHUNK``; yields it and every round's (per-row mover
+    counts, groups)."""
+    import repro.sim.batch as batch_module
+
+    rounds = []
+    split = batch_module._mover_groups
+
+    def recording(counts):
+        groups = split(counts)
+        rounds.append((counts.copy(), groups))
+        return groups
+
+    monkeypatch.setattr(batch_module, "MOVER_CHUNK", request.param)
+    monkeypatch.setattr(batch_module, "_mover_groups", recording)
+    return request.param, rounds
+
+
+@pytest.mark.parametrize("gen_name,gen_kwargs", GENERATORS)
+@pytest.mark.parametrize("proto_name,proto_kwargs", GROUP_PROTOCOLS, ids=lambda p: str(p))
+@pytest.mark.parametrize("sched_name,sched_kwargs", SCHEDULES)
+@pytest.mark.parametrize("initial", ["random", "pile"])
+def test_mover_groups_bit_identical(
+    gen_name, gen_kwargs, proto_name, proto_kwargs, sched_name, sched_kwargs, initial,
+    monkeypatch,
+):
+    """A round split into mover groups equals the one-group round and the
+    scalar engine, bit for bit."""
+    import repro.sim.batch as batch_module
+
+    instance = build_instance(gen_name, n=N, m=M, **gen_kwargs)
+    args = (proto_name, proto_kwargs, GROUP_SEEDS, sched_name, sched_kwargs, initial)
+    whole = lockstep(instance, *args)
+    for chunk in MOVER_CHUNKS:
+        monkeypatch.setattr(batch_module, "MOVER_CHUNK", chunk)
+        grouped = lockstep(instance, *args)
+        assert grouped.statuses == whole.statuses
+        for field in ("rounds", "total_moves", "total_attempts", "total_messages",
+                      "n_satisfied", "satisfying_rounds", "final_assignment"):
+            assert np.array_equal(getattr(grouped, field), getattr(whole, field)), field
+    assert_matches_scalar(grouped, instance, *args)
+
+
+def test_mover_groups_split_rounds(mover_groups):
+    """Groups are contiguous runs of whole rows, each with movers, within
+    the budget unless one row alone exceeds it; the forced budgets really
+    split rounds, and 97 also groups several rows."""
+    chunk, rounds = mover_groups
+    instance = build_instance("uniform_slack", n=N, m=M, slack=0.35)
+    args = ("qos-sampling", {}, GROUP_SEEDS, "synchronous", {}, "pile")
+    assert_matches_scalar(lockstep(instance, *args), instance, *args)
+    assert max(len(groups) for _, groups in rounds) > 1
+    for counts, groups in rounds:
+        assert groups[0][0] == 0 and counts[groups[-1][1]:].sum() == 0
+        assert all(a[1] == b[0] for a, b in zip(groups, groups[1:]))
+        for k0, k1 in groups:
+            movers = counts[k0:k1]
+            assert movers.sum() > 0
+            assert movers.sum() <= chunk or np.count_nonzero(movers) == 1
+    widest = max(k1 - k0 for _, groups in rounds for k0, k1 in groups)
+    assert widest == 1 if chunk == 1 else widest > 1
+
+
+@pytest.mark.parametrize("proto_name,proto_kwargs", EVENT_PROTOCOLS, ids=lambda p: str(p))
+def test_batched_event_injection_parity_in_mover_groups(proto_name, proto_kwargs, mover_groups):
+    """The event-injection parity holds with every round split into groups."""
+    instance = build_instance("uniform_slack", n=N, m=M, slack=0.35)
+    args = (proto_name, proto_kwargs, [41, 42, 43], "synchronous", {}, "pile", _event_script(M))
+    assert_matches_scalar(lockstep(instance, *args), instance, *args)
+    assert max(len(groups) for _, groups in mover_groups[1]) > 1
 
 
 def test_run_batch_rejects_unsupported_events():

@@ -4,7 +4,8 @@ Companion to the wide-vs-narrow grid in ``tests/test_batch.py``: that
 grid proves whole trajectories are dtype-invariant; this module pins the
 contract pieces individually — :func:`index_dtype` boundaries, chunk
 iteration semantics, the CSR-first ``AccessMap`` construction paths and
-their validation errors — plus the million-user smoke cell (stress).
+their validation errors — the lockstep engine's mover groups, and the
+million-user smoke cell (stress).
 """
 
 import numpy as np
@@ -20,10 +21,12 @@ from repro.core.memory import (
     wide_dtypes,
 )
 from repro.core.protocols import PermitProtocol, QoSSamplingProtocol
+import repro.sim.batch as batch_module
 from repro.core.protocols.kernels import rank_dtype
 from repro.core.protocols.neighborhood import ResourceGraph
+from repro.core.protocols.rates import SlackProportionalRate
 from repro.registry import build_instance
-from repro.sim.batch import _flat_assignment, run_batch
+from repro.sim.batch import _flat_assignment, _mover_groups, run_batch
 from repro.sim.engine import run
 
 
@@ -130,6 +133,54 @@ class TestChunks:
         )
         assert batch_a.statuses == batch_b.statuses
         assert np.array_equal(batch_a.final_assignment, batch_b.final_assignment)
+
+
+# ---------------------------------------------------------------------------
+# Mover groups: the lockstep engine's per-round scratch is bounded.
+# ---------------------------------------------------------------------------
+
+
+class TestMoverGroups:
+    def test_groups_are_whole_rows_within_budget(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "MOVER_CHUNK", 10)
+        groups = lambda counts: _mover_groups(np.array(counts))  # noqa: E731
+        assert groups([3, 4, 3, 5]) == [(0, 3), (3, 4)]
+        # a row over budget goes alone; rows without movers ride along
+        assert groups([0, 12, 0, 0, 4, 0]) == [(0, 2), (2, 6)]
+        assert groups([12, 0, 12]) == [(0, 1), (1, 3)]
+        assert groups([0, 0]) == []
+        assert groups([5]) == [(0, 1)]
+
+    def test_one_group_at_the_default_budget(self):
+        counts = np.full(4, batch_module.MOVER_CHUNK // 4)
+        assert _mover_groups(counts) == [(0, 4)]
+        assert _mover_groups(counts + 1) == [(0, 3), (3, 4)]
+
+    def test_groups_bound_the_traced_peak(self, monkeypatch):
+        """At R * n = 2 * MOVER_CHUNK, proposing a pile start in groups
+        traces a lower peak than one whole-batch kernel call, by at least
+        one (R, n) float64 array.  tracemalloc counts bytes, so this is
+        deterministic; it asserts memory, never speed."""
+        import sys
+        import tracemalloc
+
+        R, n = 16, 8192
+        assert R * n >= 2 * batch_module.MOVER_CHUNK
+        inst = build_instance("uniform_slack", n=n, m=64, slack=0.35)
+
+        def traced_peak():
+            protocol = QoSSamplingProtocol(rate=SlackProportionalRate())
+            tracemalloc.start()
+            try:
+                run_batch(inst, protocol, seeds=list(range(R)), max_rounds=3, initial="pile")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grouped = traced_peak()
+        monkeypatch.setattr(batch_module, "MOVER_CHUNK", sys.maxsize)
+        whole = traced_peak()
+        assert whole - grouped >= R * n * np.dtype(np.float64).itemsize, (grouped, whole)
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,7 @@ def test_frozen_bench_engine_schema(bench_payload):
         assert isinstance(cell["higher_is_better"], bool)
         assert cell["legs"]
         for leg in cell["legs"].values():
-            assert set(leg) >= {"seconds", "cpu_seconds"}
+            assert set(leg) >= {"seconds", "cpu_seconds", "minor_faults", "sys_s"}
     kinds = {c["kind"] for c in payload["cells"]}
     assert kinds == {
         "engine",
@@ -395,7 +395,12 @@ def test_frozen_bench_engine_schema(bench_payload):
         "user_rounds_per_sec",
         "serial_user_rounds_per_sec",
         "speedup_vs_serial",
+        "minor_faults",
+        "sys_s",
     }
+    # the cell's process counters are its batched leg's
+    assert batched["minor_faults"] == batched["legs"]["batched"]["minor_faults"] >= 0
+    assert batched["sys_s"] == batched["legs"]["batched"]["sys_s"] >= 0.0
     hybrid = next(c for c in payload["cells"] if c["kind"] == "hybrid")
     assert set(hybrid) >= {
         "name",
@@ -511,6 +516,24 @@ def test_trend_over_synthetic_series(tmp_path):
     assert "unit/sampling/sync" in text
     assert "+50.0%" in text
     assert "2 artifact(s)" in text
+
+
+def test_trend_prints_process_counters_ungated(tmp_path):
+    a = _synthetic_bench(tmp_path / "a.json", 100.0, 1000.0)
+    payload = json.loads(a.read_text())
+    payload["created_unix"] = 200.0
+    payload["cells"][1].update(minor_faults=420_000, sys_s=0.77)
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(payload))
+    text = render_trend([a, b])
+    assert "process counters" in text
+    counters = text[text.index("process counters"):]
+    assert "query/satisfied_mask" in counters and "unit/sampling/sync" not in counters
+    assert "420,000 → 420,000" in counters and "0.77 → 0.77" in counters
+    from repro.obs import gate
+
+    # only headlines are gated
+    assert [c["metric"] for c in gate([a, b])["cells"]] == ["rounds_per_sec", "cache_speedup"]
 
 
 def test_trend_rejects_wrong_schema(tmp_path):
