@@ -580,48 +580,31 @@ def _obs_cell(
     throughput numbers (the ``disabled``/``enabled`` legs, CPU time) for
     trend tracking, but derives ``overhead_pct`` from a *direct*
     measurement: three ``loop_*`` legs time a tight loop of exactly what
-    the engine adds per round (the reused ``engine.round`` +
-    ``engine.protocol-step`` span pair plus the guarded ``round`` event)
-    with the hub disabled, enabled and counter-sampled.  Each per-round
+    the engine adds per round — the round book's own
+    :meth:`~repro.sim.book.RoundBook.start` and
+    :meth:`~repro.sim.book.RoundBook.step` calls (accounting, the
+    ``engine.round`` span, the throttled liveness events and the sampled
+    ``round`` event) — with the hub disabled, enabled and
+    counter-sampled.  Each per-round
     cost is that leg's ``cpu_seconds / iters``; the overhead is the
     enabled minus the disabled cost, divided by the cell's per-round time.
     """
     from .obs import HUB
-    from .obs.hub import HEARTBEAT_INTERVAL_S, PROGRESS_INTERVAL_S
+    from .sim.book import RoundBook
 
     instance, one_run = _runner(cell, n=n, m=m, max_rounds=max_rounds, seed=seed)
+    protocol, schedule = one_run.args[1], one_run.keywords["schedule"]
 
     def enabled_run():
         with HUB.enabled(label="bench-obs"):
             return one_run(), dict(HUB.counters)
 
     def round_loop():
-        round_span = HUB.span("engine.round")
-        step_span = HUB.span("engine.protocol-step")
-        for i in range(iters):
-            with round_span:
-                with step_span:
-                    pass
-            if HUB.active:  # mirrors the engine's per-round guard block
-                if HUB.tick("round"):
-                    HUB.event(
-                        "round",
-                        {"round": i, "moved": 0, "attempted": 0, "messages": 0, "unsatisfied": 0},
-                    )
-                if HUB.every("cell.heartbeat", HEARTBEAT_INTERVAL_S):
-                    HUB.event("cell.heartbeat", {"round": i, "unsatisfied": 0})
-                if HUB.every("cell.progress", PROGRESS_INTERVAL_S):
-                    HUB.event(
-                        "cell.progress",
-                        {
-                            "round": i,
-                            "max_rounds": iters,
-                            "unsatisfied": 0,
-                            "n_users": 0,
-                            "moves": 0,
-                            "messages": 0,
-                        },
-                    )
+        # A moving round: the book asks for no quiescence verdict.
+        with RoundBook(instance, protocol, schedule, [seed], iters) as book:
+            for i in range(iters):
+                book.start(i, 1, False)
+                book.step(i, 1, 1, 1, False, None)
 
     def enabled_loop(**config: Any):
         def leg():

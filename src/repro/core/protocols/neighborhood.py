@@ -36,7 +36,7 @@ class ResourceGraph:
     """Flat adjacency view of an undirected resource graph."""
 
     __slots__ = (
-        "n_resources", "neighbors", "offsets", "_spans", "_bounds", "_degree", "_any_isolated"
+        "n_resources", "neighbors", "offsets", "_bounds", "_degree", "_any_isolated"
     )
 
     def __init__(self, graph: nx.Graph, n_resources: int):
@@ -59,16 +59,15 @@ class ResourceGraph:
         for r in range(n_resources):
             nbrs = sorted(graph.neighbors(r))
             self.neighbors[self.offsets[r] : self.offsets[r + 1]] = nbrs
-        # Per-resource degree and RNG bound, precomputed so the per-round
-        # sampling hot path is at most two takes + one rng call.
-        self._spans = np.diff(self.offsets)
-        self._bounds = np.maximum(self._spans, 1)
+        # Per-resource RNG bound, precomputed so the per-round sampling hot
+        # path is at most two takes + one rng call.
+        self._bounds = np.maximum(degs, 1)
         # On a regular graph (ring, random-regular, complete) the one
         # degree is a scalar bound: the same stream as the per-resource
         # bounds, drawn without the gather and the array-bound path.
         uniform = n_resources > 0 and bool(np.all(self._bounds == self._bounds[0]))
         self._degree = int(self._bounds[0]) if uniform else None
-        self._any_isolated = bool(np.any(self._spans == 0))
+        self._any_isolated = bool(np.any(degs == 0))
 
     def sample_neighbor(
         self, resources: np.ndarray, rng: np.random.Generator
@@ -78,11 +77,10 @@ class ResourceGraph:
         lo = self.offsets.take(resources)
         high = self._bounds.take(resources) if self._degree is None else self._degree
         pos = lo + rng.integers(0, high, size=resources.shape)
-        out = self.neighbors.take(pos)
         if self._any_isolated:
-            # Isolated resources (only possible when m == 1) sample themselves.
-            out = np.where(self._spans.take(resources) > 0, out, resources)
-        return out
+            # Only possible when m == 1: the one resource samples itself.
+            return resources.copy()
+        return self.neighbors.take(pos)
 
     def neighbors_of(self, r: int) -> np.ndarray:
         return self.neighbors[self.offsets[r] : self.offsets[r + 1]]

@@ -167,7 +167,10 @@ def merge_events(
     """
     events_dir = Path(events_dir)
     out_path = Path(out) if out is not None else events_dir.parent / TIMELINE_NAME
-    merged: list[tuple[float, str, dict[str, Any]]] = []
+    # Records are held as their output lines, not parsed dicts: a sweep's
+    # timeline holds every per-replication record, and the dicts would
+    # cost several times the memory of the text.
+    merged: list[tuple[float, str, str]] = []
     bad_lines = 0
     cells: list[str] = []
     for path in cell_event_files(events_dir):
@@ -179,7 +182,8 @@ def merge_events(
         for record in records:
             record["cell"] = key
             t = record.get("t")
-            merged.append((t if isinstance(t, (int, float)) else 0.0, key, record))
+            line = json.dumps(record, sort_keys=True)
+            merged.append((t if isinstance(t, (int, float)) else 0.0, key, line))
     merged.sort(key=lambda item: (item[0], item[1]))
 
     header = {
@@ -199,8 +203,8 @@ def merge_events(
     tmp = out_path.with_suffix(out_path.suffix + ".tmp")
     with tmp.open("w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for _, _, record in merged:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for _, _, line in merged:
+            fh.write(line + "\n")
     os.replace(tmp, out_path)
     return {
         "out": str(out_path),

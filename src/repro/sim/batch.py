@@ -45,10 +45,15 @@ grouping therefore changes no bit, and a round with at most
 ``MOVER_CHUNK`` movers is one group (see :mod:`repro.core.memory` for
 the choice of 2**16).
 
-Termination is per-replication via an ``alive`` mask: a replication that
-satisfies, goes quiescent, or exhausts the budget leaves the batch and
-**stops consuming RNG draws** — its stream state afterwards equals a solo
-run's, which is what makes mixed-length batches replayable.
+Termination is per replication, decided by the round book
+(:class:`~repro.sim.book.RoundBook`) that also keeps ``run()``'s
+accounting and telemetry: a replication that satisfies, goes quiescent,
+or exhausts the budget leaves the live rows and **stops consuming RNG
+draws** — its stream state afterwards equals a solo run's, which is what
+makes mixed-length batches replayable.  The book writes each
+replication's :class:`~repro.sim.engine.RunResult` and emits the same
+events and ``engine.*`` counters as the scalar loop (one ``run`` event
+per replication).
 
 Kernel coverage
 ---------------
@@ -87,9 +92,7 @@ from ..core.memory import csr_offsets, index_dtype
 from ..core.protocols.kernels import Kernel, Round, kernel_kind, rate_support
 from ..core.protocols.rates import AdaptiveBackoffRate
 from ..core.state import State
-from ..obs import HUB as _OBS
-from ..obs.hub import HEARTBEAT_INTERVAL_S, PROGRESS_INTERVAL_S
-from .engine import RunResult, _seed_value
+from .book import RoundBook, RunResult
 from .events import (
     Event,
     ResourceFailure,
@@ -129,56 +132,49 @@ _KERNEL_PROTOCOL_NAMES = (
 class BatchRunResult:
     """Stacked outcome of ``R`` lockstep replications of one configuration.
 
-    Per-rep arrays are indexed by replication; :meth:`decompose` lowers the
-    batch into the per-rep :class:`~repro.sim.engine.RunResult` summaries
-    the experiment layer (and the ``runs-cell/v1`` store) consume, so
-    downstream code never sees which engine produced a cell.
+    ``results`` are the per-rep :class:`~repro.sim.engine.RunResult`
+    summaries the round book wrote, in replication order — what the
+    experiment layer (and the ``runs-cell/v1`` store) consume, so
+    downstream code never sees which engine produced a cell; the per-rep
+    arrays below stack them, indexed by replication.
     """
 
-    statuses: list[str]
-    rounds: np.ndarray
-    total_moves: np.ndarray
-    total_attempts: np.ndarray
-    total_messages: np.ndarray
-    n_satisfied: np.ndarray
-    satisfying_rounds: np.ndarray  # -1 encodes "never satisfied"
-    n_users: int
-    n_resources: int
-    protocol: dict
-    schedule: dict
-    seeds: list[int | None]
+    results: list[RunResult]
     final_assignment: np.ndarray = field(repr=False)
+
+    def _stack(self, name: str) -> np.ndarray:
+        return np.array([getattr(r, name) for r in self.results], dtype=np.int64)
+
+    statuses = property(lambda self: [r.status for r in self.results])
+    rounds = property(lambda self: self._stack("rounds"))
+    total_moves = property(lambda self: self._stack("total_moves"))
+    total_attempts = property(lambda self: self._stack("total_attempts"))
+    total_messages = property(lambda self: self._stack("total_messages"))
+    n_satisfied = property(lambda self: self._stack("n_satisfied"))
+    n_users = property(lambda self: self.results[0].n_users)
+    n_resources = property(lambda self: self.results[0].n_resources)
+    protocol = property(lambda self: self.results[0].protocol)
+    schedule = property(lambda self: self.results[0].schedule)
+    seeds = property(lambda self: [r.seed for r in self.results])
     # Events fire at the same boundary for every replication, so one scalar
     # covers the batch (None = the run had no events).
-    last_event_round: int | None = None
+    last_event_round = property(lambda self: self.results[0].last_event_round)
+
+    @property
+    def satisfying_rounds(self) -> np.ndarray:
+        """Per-rep first satisfying round; -1 encodes "never satisfied"."""
+        return np.array(
+            [-1 if r.satisfying_round is None else r.satisfying_round for r in self.results],
+            dtype=np.int64,
+        )
 
     @property
     def n_reps(self) -> int:
-        return len(self.statuses)
+        return len(self.results)
 
     def decompose(self) -> list[RunResult]:
         """Per-rep :class:`RunResult` summaries, in replication order."""
-        out = []
-        for i in range(self.n_reps):
-            sr = int(self.satisfying_rounds[i])
-            out.append(
-                RunResult(
-                    status=self.statuses[i],
-                    rounds=int(self.rounds[i]),
-                    total_moves=int(self.total_moves[i]),
-                    total_attempts=int(self.total_attempts[i]),
-                    total_messages=int(self.total_messages[i]),
-                    n_satisfied=int(self.n_satisfied[i]),
-                    n_users=self.n_users,
-                    n_resources=self.n_resources,
-                    satisfying_round=None if sr < 0 else sr,
-                    last_event_round=self.last_event_round,
-                    protocol=self.protocol,
-                    schedule=self.schedule,
-                    seed=self.seeds[i],
-                )
-            )
-        return out
+        return list(self.results)
 
 
 def _rate_schedule_support(rate, schedule: Schedule) -> str | None:
@@ -325,20 +321,22 @@ def _mover_groups(counts: np.ndarray) -> list[tuple[int, int]]:
 
 
 class _BatchEngine:
-    """One lockstep batch: live-row state, events and results.
+    """One lockstep batch: live-row state, events and the round loop.
 
     Each round's protocol step is the shared
-    :class:`~repro.core.protocols.kernels.Kernel` over the live rows; this
-    class owns everything around it.  Live-batch state arrays hold only
-    still-running replications and are compacted whenever one dies, so
-    steady-state rounds never gather/scatter the full batch.  ``rows``
-    maps live positions back to replication ids; ``assignment`` (full
-    ``R`` rows) is refreshed on death.  ``asgF`` carries each live row's flat offset (position * m)
-    baked into the values, so every per-mover gather/scatter is one flat
-    ``take``/put.  While events are pending every replication stays live
-    (the scalar engine neither satisfies nor goes quiescent with events
-    outstanding), which is what makes the shared-instance rebuild at an
-    event boundary sound.
+    :class:`~repro.core.protocols.kernels.Kernel` over the live rows, and
+    its termination, accounting and telemetry are the
+    :class:`~repro.sim.book.RoundBook`'s; this class owns the stacked state
+    around them.  Live-batch state arrays hold only still-running
+    replications and are compacted whenever the book ends one, so
+    steady-state rounds never gather/scatter the full batch;
+    ``assignment`` (full ``R`` rows) is written when a row ends.  ``asgF``
+    carries each live row's flat offset (position * m) baked into the
+    values, so every per-mover gather/scatter is one flat ``take``/put.
+    While events are pending every replication stays live (the scalar
+    engine neither satisfies nor goes quiescent with events outstanding),
+    which is what makes the shared-instance rebuild at an event boundary
+    sound.
     """
 
     def __init__(
@@ -347,38 +345,29 @@ class _BatchEngine:
         protocol,
         kind: str,
         schedule: Schedule,
-        rngs: list[np.random.Generator],
+        seeds: list[int | np.random.Generator],
         max_rounds: int,
         initial: str,
         events: Sequence[Event],
     ):
         self.protocol = protocol
         self.kind = kind
-        self.schedule = schedule
         self.max_rounds = max_rounds
         self.backoff = type(getattr(protocol, "rate", None)) is AdaptiveBackoffRate
-        self.phases = int(getattr(protocol, "phases", 1))
         self.alpha_draws = isinstance(schedule, AlphaSchedule) and schedule.alpha < 1.0
         self.alpha = schedule.alpha if isinstance(schedule, AlphaSchedule) else 1.0
         self.events = sorted(events, key=lambda e: e.round_index)
         self.event_idx = 0
-        self.last_event_round: int | None = None
+        self.book = RoundBook(instance, protocol, schedule, seeds, max_rounds)
 
+        rngs = [
+            s if isinstance(s, np.random.Generator) else np.random.default_rng(s)
+            for s in seeds
+        ]
         R = len(rngs)
         self.R = R
-        self.rows = np.arange(R, dtype=np.int64)
-        self.live_rngs = list(rngs)
+        self.live_rngs = rngs
         self.row_off = np.arange(R, dtype=np.int64) * instance.n_resources
-
-        self.statuses = ["max_rounds"] * R
-        self.rounds = np.zeros(R, dtype=np.int64)
-        self.rounds_executed = np.zeros(R, dtype=np.int64)
-        self.total_moves = np.zeros(R, dtype=np.int64)
-        self.total_attempts = np.zeros(R, dtype=np.int64)
-        self.total_messages = np.zeros(R, dtype=np.int64)
-        self.n_satisfied_final = np.zeros(R, dtype=np.int64)
-        self.satisfying_rounds = np.full(R, -1, dtype=np.int64)
-        self.quiescence_dirty = np.ones(R, dtype=bool)
 
         self._bind_instance(instance)
         self._rebuild_state(_batch_initial(instance, initial, rngs))
@@ -423,7 +412,6 @@ class _BatchEngine:
         first replication's rebuilt instance serves the whole batch; only
         the assignments differ per rep.
         """
-        applied = False
         while (
             self.event_idx < len(self.events)
             and self.events[self.event_idx].round_index <= round_index
@@ -451,208 +439,150 @@ class _BatchEngine:
             for k in range(self.R):
                 assignment[k] = new_rows[k]
             self._rebuild_state(assignment)
-            self.last_event_round = round_index
-            self.satisfying_rounds[:] = -1  # re-converge after perturbation
+            self.book.reset(round_index, new_instance)
             self.event_idx += 1
-            applied = True
-        if applied:
-            self.quiescence_dirty[:] = True
 
-    def _retire(self, keep: np.ndarray) -> None:
-        """Keep only the live rows ``keep`` marks: compact the rows, loads,
-        flat assignment (re-based to the kept rows' offsets), backoff
+    def _retire(self, keep: np.ndarray, rows: np.ndarray) -> None:
+        """Write the final assignments of the rows the book ended (``rows``
+        are the live rows' replication ids before it dropped them), then
+        keep only the live rows ``keep`` marks: compact the loads, flat
+        assignment (re-based to the kept rows' offsets), backoff
         probabilities and RNG streams."""
-        kept_off = self.row_off[: self.rows.size][keep]
-        self.rows, self.ld = self.rows[keep], self.ld[keep]
+        row_off = self.row_off[: rows.size]
+        gone = ~keep
+        self.assignment[rows[gone]] = self.asgF[gone] - row_off[gone][:, None]
+        kept_off = row_off[keep]
+        self.ld = self.ld[keep]
         asgF = self.asgF[keep]
-        asgF -= (kept_off - self.row_off[: self.rows.size])[:, None]
+        asgF -= (kept_off - self.row_off[: kept_off.size])[:, None]
         self.asgF = asgF
         if self.backoff:
             self.P = self.P[keep]
         self.live_rngs = [g for g, kp in zip(self.live_rngs, keep) if kp]
 
+    def _quiescent(self, k: int) -> bool | None:
+        """Live row ``k``'s ``is_quiescent`` verdict."""
+        return self.protocol.is_quiescent(State(self.instance, self.asgF[k] - k * self.m))
+
     # -- the round loop -------------------------------------------------------
 
     def run(self) -> None:
-        max_rounds = self.max_rounds
+        book = self.book
         n_events = len(self.events)
 
-        for round_index in range(max_rounds + 1):
-            if self.event_idx < n_events:
-                self._apply_events(round_index)
-            rows = self.rows
-            A = rows.size
-            if A == 0:
-                break
-            n, m = self.n, self.m
-            row_off = self.row_off
-            asgF, ld = self.asgF, self.ld
-            kernel = self.kernel
+        with book:
+            for round_index in range(self.max_rounds + 1):
+                if self.event_idx < n_events:
+                    self._apply_events(round_index)
+                A = book.live
+                n, m = self.n, self.m
+                row_off = self.row_off
+                asgF, ld = self.asgF, self.ld
+                kernel = self.kernel
 
-            res_lat = self.instance.latencies.evaluate(ld)
-            if kernel.uthr:
-                # Uniform threshold: mark bad *resources* once, then one bool
-                # gather — 1/8th the bandwidth of the float gather + compare.
-                res_bad = res_lat > kernel.q0
-                unsat = np.take(res_bad.reshape(-1), asgF, out=self.unsat_buf[:A])
-            else:
-                usr_lat = np.take(res_lat.reshape(-1), asgF, out=self.usr_buf[:A])
-                unsat = np.greater(
-                    usr_lat, self.instance.thresholds, out=self.unsat_buf[:A]
+                res_lat = self.instance.latencies.evaluate(ld)
+                if kernel.uthr:
+                    # Uniform threshold: mark bad *resources* once, then one
+                    # bool gather — 1/8th the bandwidth of the float gather +
+                    # compare.
+                    res_bad = res_lat > kernel.q0
+                    unsat = np.take(res_bad.reshape(-1), asgF, out=self.unsat_buf[:A])
+                else:
+                    usr_lat = np.take(res_lat.reshape(-1), asgF, out=self.usr_buf[:A])
+                    unsat = np.greater(
+                        usr_lat, self.instance.thresholds, out=self.unsat_buf[:A]
+                    )
+                n_unsat = np.count_nonzero(unsat, axis=1)
+
+                has_pending = self.event_idx < n_events
+                rows = book.rows
+                keep = book.start(round_index, n_unsat, has_pending)
+                if keep is not None:
+                    self._retire(keep, rows)
+                    if not book.live:
+                        break
+                    asgF, ld = self.asgF, self.ld
+                    n_unsat = n_unsat[keep]
+                    unsat = unsat[keep]  # copies out of the scratch buffer
+                    A = book.live
+
+                # -- per-rep RNG draws, in each stream's scalar order --------
+                # Streams are independent, so interleaving *across*
+                # replications is free; what the parity contract fixes is
+                # the order *within* each stream — alpha mask, then the
+                # kernel's own draw sequence.
+                if self.alpha_draws:
+                    act = self.act_buf[:A]
+                    draws = self.usr_buf[:A]  # scratch rows; usr_lat is not read again
+                    for k in range(A):
+                        self.live_rngs[k].random(out=draws[k])
+                    np.less(draws, self.alpha, out=act)
+                    act &= unsat
+                    counts = np.count_nonzero(act, axis=1)
+                    movers_src = act
+                else:
+                    counts = n_unsat
+                    movers_src = unsat
+
+                P = None if self.P is None else self.P.reshape(-1)
+                if counts.any():
+                    # Every group proposes against the round-start state; the
+                    # committed triples are applied once, after the last group.
+                    rnd = Round(kernel, asgF.reshape(-1), ld.reshape(-1), unsat.reshape(-1), P)
+                    parts = []
+                    for k0, k1 in _mover_groups(counts):
+                        # flat (row, user) positions of the group's movers
+                        pos = np.flatnonzero(movers_src[k0:k1])
+                        bounds = rkm = None  # one row: flat positions are users
+                        if A > 1:
+                            pos += k0 * n
+                            bounds = csr_offsets(counts[k0:k1])
+                            rkm = np.repeat(row_off[k0:k1], counts[k0:k1])  # per-mover row offset
+                        parts.append(kernel.propose(rnd, pos, self.live_rngs, bounds, rkm, k0))
+                        del pos, bounds, rkm
+                    del rnd
+                    fu_f, t_f, tf_f = (
+                        parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+                    )
+                    del parts
+                    n_attempts = n_moved = np.bincount(fu_f // n, minlength=A)
+                    asg_flat = asgF.reshape(-1)
+                    of_f = asg_flat.take(fu_f)
+                    if kernel.self_targets:
+                        # A self-jump is an attempt, not a move (apply_migrations
+                        # drops it on the scalar engine).
+                        mv = (of_f != tf_f).nonzero()[0]
+                        fu_f, t_f, tf_f, of_f = (a.take(mv) for a in (fu_f, t_f, tf_f, of_f))
+                        n_moved = np.bincount(fu_f // n, minlength=A)
+                    if fu_f.size:
+                        if kernel.uw:
+                            # unit weights: plain integer bincounts; the integer
+                            # count equals the serial sum of 1.0s exactly
+                            sub = np.bincount(of_f, minlength=A * m)
+                            add = np.bincount(tf_f, minlength=A * m)
+                        else:
+                            w_f = kernel.wF.take(fu_f)
+                            sub = np.bincount(of_f, weights=w_f, minlength=A * m)
+                            add = np.bincount(tf_f, weights=w_f, minlength=A * m)
+                        ld_flat = ld.reshape(-1)
+                        ld_flat -= sub  # (ld - sub) + add: the scalar IEEE order
+                        ld_flat += add
+                        asg_flat[fu_f] = tf_f
+                else:
+                    fu_f = tf_f = t_f = np.empty(0, dtype=np.int64)
+                    n_attempts = n_moved = np.zeros(A, dtype=np.int64)
+
+                if self.backoff:
+                    kernel.observe_backoff(P, ld.reshape(-1), fu_f, t_f, tf_f)
+
+                rows = book.rows
+                keep = book.step(
+                    round_index, n_moved, n_attempts, counts, has_pending, self._quiescent
                 )
-            n_unsat = np.count_nonzero(unsat, axis=1)
-
-            # Same liveness contract as the scalar engine: wall-clock
-            # throttled heartbeat/progress so a sweep worker running the
-            # batched engine is never dark to the coordinator.
-            if _OBS.active:
-                if _OBS.every("cell.heartbeat", HEARTBEAT_INTERVAL_S):
-                    _OBS.event(
-                        "cell.heartbeat",
-                        {
-                            "round": round_index,
-                            "live": int(A),
-                            "unsatisfied": int(n_unsat.sum()),
-                        },
-                    )
-                if _OBS.every("cell.progress", PROGRESS_INTERVAL_S):
-                    _OBS.event(
-                        "cell.progress",
-                        {
-                            "round": round_index,
-                            "max_rounds": max_rounds,
-                            "live": int(A),
-                            "reps": self.R,
-                            "unsatisfied": int(n_unsat.sum()),
-                            "n_users": n,
-                        },
-                    )
-
-            has_pending = self.event_idx < n_events
-            sat_now = n_unsat == 0
-            # The scalar engine records the first all-satisfied round even
-            # with events outstanding (events reset it), but only *stops*
-            # once none remain — satisfied reps keep executing (and keep
-            # drawing their alpha masks) until the last event has fired.
-            newly = sat_now & (self.satisfying_rounds[rows] < 0)
-            if newly.any():
-                self.satisfying_rounds[rows[newly]] = round_index
-            done = sat_now if not has_pending else np.zeros(A, dtype=bool)
-            if done.any():
-                dead = rows[done]
-                for r in dead:
-                    self.statuses[r] = "satisfying"
-                self.rounds[dead] = self.satisfying_rounds[dead]
-                self.n_satisfied_final[dead] = n
-                self.assignment[dead] = asgF[done] - row_off[:A][done][:, None]
-                keep = ~done
-                self._retire(keep)
-                rows, asgF, ld = self.rows, self.asgF, self.ld
-                n_unsat = n_unsat[keep]
-                unsat = unsat[keep]  # copies out of the scratch buffer
-                A = rows.size
-                if A == 0:
-                    break
-            if round_index == max_rounds:
-                self.rounds[rows] = self.rounds_executed[rows]
-                self.n_satisfied_final[rows] = n - n_unsat
-                self.assignment[rows] = asgF - row_off[:A][:, None]
-                break
-
-            # -- per-rep RNG draws, in each stream's scalar order ------------
-            # Streams are independent, so interleaving *across* replications
-            # is free; what the parity contract fixes is the order *within*
-            # each stream — alpha mask, then the kernel's own draw sequence.
-            if self.alpha_draws:
-                act = self.act_buf[:A]
-                draws = self.usr_buf[:A]  # scratch rows; usr_lat is not read again
-                for k in range(A):
-                    self.live_rngs[k].random(out=draws[k])
-                np.less(draws, self.alpha, out=act)
-                act &= unsat
-                counts = np.count_nonzero(act, axis=1)
-                movers_src = act
-            else:
-                counts = n_unsat
-                movers_src = unsat
-            self.rounds_executed[rows] = round_index + 1
-            self.total_messages[rows] += counts * self.phases
-
-            P = None if self.P is None else self.P.reshape(-1)
-            if counts.any():
-                # Every group proposes against the round-start state; the
-                # committed triples are applied once, after the last group.
-                rnd = Round(kernel, asgF.reshape(-1), ld.reshape(-1), unsat.reshape(-1), P)
-                parts = []
-                for k0, k1 in _mover_groups(counts):
-                    # flat (row, user) positions of the group's movers
-                    pos = np.flatnonzero(movers_src[k0:k1])
-                    bounds = rkm = None  # one row: flat positions are users
-                    if A > 1:
-                        pos += k0 * n
-                        bounds = csr_offsets(counts[k0:k1])
-                        rkm = np.repeat(row_off[k0:k1], counts[k0:k1])  # per-mover row offset
-                    parts.append(kernel.propose(rnd, pos, self.live_rngs, bounds, rkm, k0))
-                    del pos, bounds, rkm
-                del rnd
-                fu_f, t_f, tf_f = (
-                    parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-                )
-                del parts
-                n_attempts = n_moved = np.bincount(fu_f // n, minlength=A)
-                asg_flat = asgF.reshape(-1)
-                of_f = asg_flat.take(fu_f)
-                if kernel.self_targets:
-                    # A self-jump is an attempt, not a move (apply_migrations
-                    # drops it on the scalar engine).
-                    mv = (of_f != tf_f).nonzero()[0]
-                    fu_f, t_f, tf_f, of_f = (a.take(mv) for a in (fu_f, t_f, tf_f, of_f))
-                    n_moved = np.bincount(fu_f // n, minlength=A)
-                if fu_f.size:
-                    if kernel.uw:
-                        # unit weights: plain integer bincounts; the integer
-                        # count equals the serial sum of 1.0s exactly
-                        sub = np.bincount(of_f, minlength=A * m)
-                        add = np.bincount(tf_f, minlength=A * m)
-                    else:
-                        w_f = kernel.wF.take(fu_f)
-                        sub = np.bincount(of_f, weights=w_f, minlength=A * m)
-                        add = np.bincount(tf_f, weights=w_f, minlength=A * m)
-                    ld_flat = ld.reshape(-1)
-                    ld_flat -= sub  # (ld - sub) + add: the scalar IEEE order
-                    ld_flat += add
-                    asg_flat[fu_f] = tf_f
-                self.total_moves[rows] += n_moved
-                self.total_attempts[rows] += n_attempts
-            else:
-                fu_f = tf_f = t_f = np.empty(0, dtype=np.int64)
-                n_attempts = n_moved = np.zeros(A, dtype=np.int64)
-
-            if self.backoff:
-                kernel.observe_backoff(P, ld.reshape(-1), fu_f, t_f, tf_f)
-
-            # -- per-rep quiescence (idle rounds only; same dirty dance) -----
-            self.quiescence_dirty[rows[n_moved > 0]] = True
-            if has_pending:
-                continue  # the scalar engine defers quiescence past events
-            check = (n_attempts == 0) & self.quiescence_dirty[rows]
-            if check.any():
-                dead_q = np.zeros(A, dtype=bool)
-                for k in np.nonzero(check)[0]:
-                    r = rows[k]
-                    verdict = self.protocol.is_quiescent(
-                        State(self.instance, asgF[k] - k * m)
-                    )
-                    if verdict:
-                        self.statuses[r] = "quiescent"
-                        self.rounds[r] = self.rounds_executed[r]
-                        self.n_satisfied_final[r] = n - int(n_unsat[k])
-                        self.assignment[r] = asgF[k] - k * m
-                        dead_q[k] = True
-                    elif verdict is False:
-                        self.quiescence_dirty[r] = False
-                if dead_q.any():
-                    self._retire(~dead_q)
+                if keep is not None:
+                    self._retire(keep, rows)
+                    if not book.live:
+                        break
 
 
 def run_batch(
@@ -693,40 +623,18 @@ def run_batch(
     if reason is not None:
         raise ValueError(f"no batched kernel: {reason}")
 
-    rngs = [
-        s if isinstance(s, np.random.Generator) else np.random.default_rng(s)
-        for s in seeds
-    ]
-    seed_values: list[int | None] = [_seed_value(s) for s in seeds]
-
     engine = _BatchEngine(
         instance,
         protocol,
         kernel_kind(protocol),
         schedule,
-        rngs,
+        seeds,
         max_rounds,
         initial,
         events,
     )
     engine.run()
-
-    return BatchRunResult(
-        statuses=engine.statuses,
-        rounds=engine.rounds,
-        total_moves=engine.total_moves,
-        total_attempts=engine.total_attempts,
-        total_messages=engine.total_messages,
-        n_satisfied=engine.n_satisfied_final,
-        satisfying_rounds=engine.satisfying_rounds,
-        n_users=engine.n,
-        n_resources=engine.m,
-        protocol=protocol.describe(),
-        schedule=schedule.describe(),
-        seeds=seed_values,
-        final_assignment=engine.assignment,
-        last_event_round=engine.last_event_round,
-    )
+    return BatchRunResult(results=engine.book.results, final_assignment=engine.assignment)
 
 
 def replicate_batched(

@@ -295,14 +295,58 @@ def test_replicate_instrumentation():
     assert HUB.counters["engine.runs"] == 3  # serial path nests engine spans
     assert HUB.span_stats["parallel.replicate"][0] == 1
 
-    # The batched engine is one vectorized call, not nested engine spans:
-    # replicate-level telemetry only, with the engine recorded on the event.
+    # The batched engine is one vectorized call that reports through the
+    # same round book; the engine is recorded on the replicate event.
     with HUB.enabled():
         replicate(spec, 3, base_seed=0)
     assert HUB.counters["parallel.replications"] == 3
-    assert "engine.runs" not in HUB.counters
+    assert HUB.counters["engine.runs"] == 3
     events = [e for e in HUB.ring if e["type"] == "replicate"]
     assert events and events[-1]["backend"] == "batched"
+
+
+def test_engine_telemetry_parity():
+    """Both round loops report through one round book: the same event key
+    sets, and engine counters that sum the per-rep results."""
+    from repro.sim.batch import replicate_batched
+    from repro.sim.parallel import RunSpec, rep_seed, run_spec, spec_seed_key
+
+    spec = RunSpec(
+        generator="uniform_slack",
+        generator_kwargs={"n": 64, "m": 8, "slack": 0.3},
+        initial="pile",
+        max_rounds=500,
+    )
+    key = spec_seed_key(spec)
+    engines = {
+        "serial": lambda: [run_spec(spec, rep_seed(0, key, i)) for i in range(4)],
+        "batched": lambda: replicate_batched(spec, 4, base_seed=0),
+    }
+    kinds = ("cell.progress", "round", "run")
+    key_sets, summaries = {}, {}
+    for name, replicate_fn in engines.items():
+        with HUB.enabled():
+            results = replicate_fn()
+        key_sets[name] = {
+            kind: {frozenset(e) for e in HUB.ring if e["type"] == kind} for kind in kinds
+        }
+        assert all(len(sets) == 1 for sets in key_sets[name].values()), key_sets[name]
+        assert HUB.counters["engine.runs"] == len(results) == 4
+        assert len([e for e in HUB.ring if e["type"] == "run"]) == 4
+        for counter, field in (
+            ("rounds", "rounds"),
+            ("moves", "total_moves"),
+            ("attempts", "total_attempts"),
+            ("messages", "total_messages"),
+        ):
+            assert HUB.counters[f"engine.{counter}"] == sum(getattr(r, field) for r in results)
+        summaries[name] = [r.summary() for r in results]
+    assert key_sets["serial"] == key_sets["batched"]
+    assert summaries["serial"] == summaries["batched"]
+    [progress] = key_sets["serial"]["cell.progress"]
+    assert progress >= {
+        "round", "max_rounds", "unsatisfied", "n_users", "moves", "messages", "live", "reps",
+    }
 
 
 # -- provenance ----------------------------------------------------------------

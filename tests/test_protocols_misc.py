@@ -150,6 +150,24 @@ class TestNeighborhoodProtocol:
         proto2.reset(inst2, rng)
         assert proto2.is_quiescent(state2) is True
 
+    @pytest.mark.parametrize("topology", ["complete", "torus"])
+    def test_single_resource_samples_itself(self, topology):
+        """At m = 1 the one resource is isolated and samples itself, so an
+        overloaded instance goes quiescent after one idle round on both
+        engines (the empty neighbour list used to raise IndexError)."""
+        from repro.registry import build_instance
+        from repro.sim.batch import run_batch
+
+        inst = build_instance("overloaded", n=8, m=1, q=2.0)
+        seeds = [0, 1, 2]
+        batch = run_batch(
+            inst, build_protocol("neighborhood", topology=topology, m=1), seeds=seeds
+        )
+        for seed, batched in zip(seeds, batch.decompose()):
+            scalar = run(inst, build_protocol("neighborhood", topology=topology, m=1), seed=seed)
+            assert scalar.summary() == batched.summary()
+            assert (scalar.status, scalar.rounds, scalar.total_moves) == ("quiescent", 1, 0)
+
 
 def _propose(rate, state, seed):
     """One synchronous sampling proposal under ``rate`` on a fresh stream."""
