@@ -291,35 +291,26 @@ def _workload(cell: dict[str, Any], n_users: int, n_resources: int) -> dict[str,
     }
 
 
-def _build_cell(cell: dict[str, Any], **defaults: int):
-    from .registry import build_instance, build_protocol, build_schedule
-
-    instance = build_instance(cell["generator"], **{**defaults, **cell.get("generator_kwargs", {})})
-    proto_kwargs = dict(cell.get("protocol_kwargs", {}))
-    if cell["protocol"] == "neighborhood" and "m" not in proto_kwargs:
-        proto_kwargs["m"] = instance.n_resources
-    protocol = build_protocol(cell["protocol"], **proto_kwargs)
-    schedule = build_schedule(cell["schedule"], **cell.get("schedule_kwargs", {}))
-    return instance, protocol, schedule
-
-
 def _runner(cell: dict[str, Any], *, n: int, m: int, max_rounds: int, seed: int):
     """The cell's instance and a zero-argument scalar run from a pile start."""
     from .sim.engine import run
+    from .sim.parallel import _spec_components
 
-    instance, protocol, schedule = _build_cell(cell, n=n, m=m)
+    instance, protocol, schedule = _spec_components(_spec(cell, n=n, m=m))
     return instance, partial(
         run, instance, protocol, seed=seed, schedule=schedule, max_rounds=max_rounds,
         initial="pile",
     )
 
 
-def _spec(cell: dict[str, Any], *, n: int, m: int, max_rounds: int, label: str):
+def _spec(cell: dict[str, Any], *, max_rounds: int = 100_000, label: str = "", **sizes: int):
+    """The cell as a :class:`~repro.sim.parallel.RunSpec` from a pile start;
+    ``sizes`` (``n``, ``m``) fill generator kwargs the cell leaves open."""
     from .sim.parallel import RunSpec
 
     return RunSpec(
         generator=cell["generator"],
-        generator_kwargs={"n": n, "m": m, **cell.get("generator_kwargs", {})},
+        generator_kwargs={**sizes, **cell.get("generator_kwargs", {})},
         protocol=cell["protocol"],
         protocol_kwargs=dict(cell.get("protocol_kwargs", {})),
         schedule=cell["schedule"],
@@ -353,8 +344,9 @@ def _step_cell(
 ) -> dict[str, Any]:
     """One synchronous protocol round from a fresh copy of the pile state."""
     from .core.state import State
+    from .sim.parallel import _spec_components
 
-    instance, protocol, _ = _build_cell(cell, n=n, m=m)
+    instance, protocol, _ = _spec_components(_spec(cell, n=n, m=m))
     rng = np.random.default_rng(seed)
     protocol.reset(instance, rng)
     pile = State.worst_case_pile(instance)
@@ -391,11 +383,12 @@ def _huge_cell(cell: dict[str, Any], *, seed: int = 0, repeats: int = 1) -> dict
     import tracemalloc
 
     from .sim.engine import run
+    from .sim.parallel import _spec_components
 
     def traced_run():
         tracemalloc.start()
         try:
-            instance, protocol, schedule = _build_cell(cell)
+            instance, protocol, schedule = _spec_components(_spec(cell))
             result = run(
                 instance, protocol, seed=seed, schedule=schedule,
                 max_rounds=cell["max_rounds"], initial="pile",

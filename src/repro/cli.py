@@ -141,8 +141,12 @@ def _cmd_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_overrides(pairs: list[str]) -> tuple[dict, dict]:
-    """Split ``[EID.]KEY=VALUE`` pairs into (global, per-experiment) overrides."""
+def _sweep_overrides(pairs: list[str], experiments: list[str]) -> tuple[list[str], dict]:
+    """The sweep's ids (default: every sweepable experiment) and each one's
+    overrides from ``[EID.]KEY=VALUE`` pairs; an ``EID.`` target outside
+    the sweep is an error."""
+    from .runs import sweepable_experiments
+
     shared: dict = {}
     per_exp: dict[str, dict] = {}
     for pair in pairs:
@@ -154,12 +158,16 @@ def _sweep_overrides(pairs: list[str]) -> tuple[dict, dict]:
             per_exp.setdefault(eid.upper(), {})[key] = _parse_value(value)
         else:
             shared[key] = _parse_value(value)
-    return shared, per_exp
+    ids = [e.upper() for e in experiments] or sweepable_experiments()
+    unknown = set(per_exp) - set(ids)
+    if unknown:
+        raise SystemExit(f"--set targets experiments not in this sweep: {sorted(unknown)}")
+    return ids, {eid: {**shared, **per_exp.get(eid, {})} for eid in ids}
 
 
 def _serve_sweep_cli(args: argparse.Namespace, *, timeout, retries) -> dict:
     """The ``sweep --serve`` path: coordinate over TCP instead of a pool."""
-    from .runs import DEFAULT_LEASE_TTL_S, serve_sweep, sweepable_experiments
+    from .runs import DEFAULT_LEASE_TTL_S, serve_sweep
     from .runs.net import parse_address
     from .runs.sweep import read_sweep_config
 
@@ -188,12 +196,7 @@ def _serve_sweep_cli(args: argparse.Namespace, *, timeout, retries) -> dict:
         overrides = config.get("overrides") or {}
         events = bool(config.get("events", True))
     else:
-        shared, per_exp = _sweep_overrides(args.set or [])
-        ids = [e.upper() for e in args.experiments] or sweepable_experiments()
-        overrides = {eid: {**shared, **per_exp.get(eid, {})} for eid in ids}
-        unknown = set(per_exp) - set(ids)
-        if unknown:
-            raise SystemExit(f"--set targets experiments not in this sweep: {sorted(unknown)}")
+        ids, overrides = _sweep_overrides(args.set or [], args.experiments)
         out, scale, events = args.out, args.scale, not args.no_events
     return serve_sweep(
         ids,
@@ -218,13 +221,7 @@ def _serve_sweep_cli(args: argparse.Namespace, *, timeout, retries) -> dict:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .obs import HUB
-    from .runs import (
-        DEFAULT_RETRIES,
-        DEFAULT_TIMEOUT,
-        resume_sweep,
-        run_sweep,
-        sweepable_experiments,
-    )
+    from .runs import DEFAULT_RETRIES, DEFAULT_TIMEOUT, resume_sweep, run_sweep
 
     timeout = DEFAULT_TIMEOUT if args.timeout is None else args.timeout
     retries = DEFAULT_RETRIES if args.retries is None else args.retries
@@ -247,12 +244,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 max_cells=args.max_cells,
             )
         else:
-            shared, per_exp = _sweep_overrides(args.set or [])
-            ids = [e.upper() for e in args.experiments] or sweepable_experiments()
-            overrides = {eid: {**shared, **per_exp.get(eid, {})} for eid in ids}
-            unknown = set(per_exp) - set(ids)
-            if unknown:
-                raise SystemExit(f"--set targets experiments not in this sweep: {sorted(unknown)}")
+            ids, overrides = _sweep_overrides(args.set or [], args.experiments)
             summary = run_sweep(
                 ids,
                 out=args.out,

@@ -51,9 +51,9 @@ stay whole, because re-associating float additions is not bit-exact.
 Within that rule, chunking is trajectory-neutral by construction and the
 differential grids would catch any violation.
 
-``REPRO_USER_CHUNK`` (environment) or :func:`set_user_chunk` override the
-default span of 2**18 elements (~2 MB of float64 scratch per temporary —
-comfortably inside L2/L3 on anything the benches run on).
+The default span is 2**18 elements (~2 MB of float64 scratch per
+temporary — comfortably inside L2/L3 on anything the benches run on);
+:func:`set_user_chunk` overrides it.
 
 The lockstep engine bounds its rounds one level up, in *mover groups*:
 :mod:`repro.sim.batch` hands a round's movers to the kernel in groups of
@@ -72,7 +72,6 @@ The scalar engine's rounds are one row and are not grouped.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -148,24 +147,13 @@ def wide_dtypes():
         _DTYPES.wide = previous
 
 
-#: Default user-axis chunk span (elements), overridable via environment.
-_DEFAULT_CHUNK = 1 << 18
-
-
-def _initial_chunk() -> int:
-    raw = os.environ.get("REPRO_USER_CHUNK", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return _DEFAULT_CHUNK
-    return value if value >= 1 else _DEFAULT_CHUNK
-
-
 class _ChunkConfig:
+    """The user-axis chunk span (elements); :func:`set_user_chunk` sets it."""
+
     __slots__ = ("size",)
 
     def __init__(self):
-        self.size = _initial_chunk()
+        self.size = 1 << 18
 
 
 _CHUNK = _ChunkConfig()

@@ -83,13 +83,14 @@ KERNEL_RATES = (ConstantRate, SlackProportionalRate, AdaptiveBackoffRate)
 
 
 def kernel_kind(protocol) -> str | None:
-    """The kernel the lockstep engine may run for ``protocol`` (None = none).
+    """The kernel the lockstep engine may run for ``protocol``, a protocol
+    class or instance (None = none).
 
-    Read from the instance's own class, not inherited: a subclass may
-    override ``propose`` and diverge from the kernel, so it has none until
-    it names one itself.
+    Read from the class itself, not inherited: a subclass may override
+    ``propose`` and diverge from the kernel, so it has none until it names
+    one itself.
     """
-    return vars(type(protocol)).get("kernel")
+    return vars(protocol if isinstance(protocol, type) else type(protocol)).get("kernel")
 
 
 def rate_support(rate: MigrationRateRule) -> str | None:

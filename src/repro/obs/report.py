@@ -18,6 +18,8 @@ import json
 from pathlib import Path
 from typing import Any
 
+from .aggregate import read_events
+
 __all__ = ["summarize_events", "render_report", "profile_rows", "render_profiles"]
 
 
@@ -27,9 +29,13 @@ def summarize_events(path: str | Path) -> dict[str, Any]:
     Span and counter aggregates prefer the summary lines the hub writes on
     ``disable()``; when the file was cut short (crash, budget kill) they
     are rebuilt from the raw per-event records, so a truncated log still
-    reports.
+    reports.  Lines are framed by :func:`~repro.obs.aggregate.read_events`:
+    a torn or non-object line is skipped and counted in ``bad_lines``.
     """
     path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"{path}: no such event file")
+    records, bad_lines = read_events(path)
     header: dict[str, Any] | None = None
     spans_final: dict[str, dict[str, float]] | None = None
     counters_final: dict[str, float] | None = None
@@ -37,13 +43,7 @@ def summarize_events(path: str | Path) -> dict[str, Any]:
     span_agg: dict[str, list[float]] = {}
     counter_seen = 0
     rounds: list[dict[str, Any]] = []
-    n_events = 0
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        n_events += 1
+    for record in records:
         etype = record.get("type")
         if etype == "meta":
             header = record
@@ -74,7 +74,8 @@ def summarize_events(path: str | Path) -> dict[str, Any]:
         "schema": schema,
         "provenance": header.get("provenance", {}),
         "meta": header.get("meta", {}),
-        "n_events": n_events,
+        "n_events": len(records),
+        "bad_lines": bad_lines,
         "complete": spans_final is not None and counter_seen > 0,
         "spans": spans,
         "counters": counters_final or {},
@@ -94,7 +95,8 @@ def render_report(summary: dict[str, Any], *, top: int = 12) -> str:
     lines = [
         f"trace report — {summary['path']}",
         f"  schema {summary['schema']}, {summary['n_events']} events"
-        + ("" if summary["complete"] else "  [truncated log: aggregates rebuilt]"),
+        + ("" if summary["complete"] else "  [truncated log: aggregates rebuilt]")
+        + (f"  [{bad} unreadable line(s) skipped]" if (bad := summary["bad_lines"]) else ""),
         f"  git {str(prov.get('git_sha', 'unknown'))[:12]}  "
         f"repro {prov.get('package_version', '?')}  numpy {prov.get('numpy', '?')}  "
         f"python {prov.get('python', '?')}",

@@ -70,24 +70,11 @@ def build_rate(spec: dict[str, Any] | MigrationRateRule | None) -> MigrationRate
     return RATES[name](**kwargs)
 
 
-def _build_qos_sampling(rate=None, **kwargs) -> Protocol:
-    return QoSSamplingProtocol(rate=build_rate(rate), **kwargs)
-
-
-def _build_neighborhood(topology: str, m: int, rate=None, seed: int = 0) -> Protocol:
-    graph = TOPOLOGIES[topology](m, seed)
-    return NeighborhoodSamplingProtocol(graph, rate=build_rate(rate))
-
-
-def _build_multi_probe(d: int = 2, rate=None) -> Protocol:
-    return MultiProbeProtocol(d=d, rate=build_rate(rate))
-
-
-PROTOCOLS: dict[str, Callable[..., Protocol]] = {
-    "qos-sampling": _build_qos_sampling,
-    "multi-probe": _build_multi_probe,
+PROTOCOLS: dict[str, type[Protocol]] = {
+    "qos-sampling": QoSSamplingProtocol,
+    "multi-probe": MultiProbeProtocol,
     "permit": PermitProtocol,
-    "neighborhood": _build_neighborhood,
+    "neighborhood": NeighborhoodSamplingProtocol,
     "best-response": BestResponseProtocol,
     "sweep-best-response": SweepBestResponse,
     "naive-greedy": NaiveGreedyProtocol,
@@ -97,8 +84,15 @@ PROTOCOLS: dict[str, Callable[..., Protocol]] = {
 
 
 def build_protocol(name: str, **kwargs: Any) -> Protocol:
+    """Build ``PROTOCOLS[name]``: a ``rate`` spec becomes its rule, and
+    ``topology``/``m``/``seed`` become the neighbourhood resource graph."""
     if name not in PROTOCOLS:
         raise KeyError(f"unknown protocol {name!r}; known: {sorted(PROTOCOLS)}")
+    if "rate" in kwargs:
+        kwargs["rate"] = build_rate(kwargs["rate"])
+    if "topology" in kwargs:
+        topology = TOPOLOGIES[kwargs.pop("topology")]
+        kwargs["graph"] = topology(kwargs.pop("m"), kwargs.pop("seed", 0))
     return PROTOCOLS[name](**kwargs)
 
 

@@ -103,8 +103,11 @@ def cell_to_wire(cell: CellSpec) -> dict[str, Any]:
 
 def cell_from_wire(data: dict[str, Any]) -> CellSpec:
     """Rebuild a :class:`CellSpec` from its wire form."""
+    # describe() carries the frozen "instance_seed_key" literal, which is
+    # key material but no longer a RunSpec field.
+    spec = {k: v for k, v in data["spec"].items() if k != "instance_seed_key"}
     return CellSpec(
-        spec=RunSpec(**data["spec"]),
+        spec=RunSpec(**spec),
         n_reps=int(data["n_reps"]),
         base_seed=int(data["base_seed"]),
         seed_key=data.get("seed_key"),

@@ -8,7 +8,9 @@ replications*: this module runs ``R`` replications simultaneously as
 ``(R, n_users)`` / ``(R, n_resources)`` arrays — one vectorized step per
 round for the whole batch — and decomposes the outcome into the same
 per-rep :class:`~repro.sim.engine.RunResult` summaries the experiments
-consume.
+consume.  :func:`replicate_batched` builds the spec's instance, protocol
+and schedule once per call, like a scalar shard of
+:func:`~repro.sim.parallel.replicate`.
 
 RNG stream contract
 -------------------
@@ -74,7 +76,7 @@ recoveries, user arrivals, and explicit-user departures apply per
 replication at round boundaries with the scalar event code itself, so
 churn/failure schedules keep their bit-exact RNG contract.  Everything
 else — other protocol families (and subclasses of the six), partition/
-staggered schedules, per-rep instance seeding, random-count departures —
+staggered schedules, random-count departures —
 transparently runs on the scalar engine instead (see
 :func:`~repro.sim.parallel.replicate_engine`); :func:`batch_support`
 names the reason a given spec is not batchable.
@@ -116,17 +118,6 @@ __all__ = [
 #: in groups of whole live rows holding at most this many (a row with more
 #: goes alone), so a round's per-mover scratch stays bounded at any R * n.
 MOVER_CHUNK = 1 << 16
-
-#: Spec-level protocol names with a batched kernel (see ``kernel_kind``).
-_KERNEL_PROTOCOL_NAMES = (
-    "qos-sampling",
-    "multi-probe",
-    "permit",
-    "neighborhood",
-    "naive-greedy",
-    "blind-random",
-)
-
 
 @dataclass
 class BatchRunResult:
@@ -217,46 +208,27 @@ def batch_events_support(events: Sequence[Event]) -> str | None:
 def batch_support(spec) -> str | None:
     """Why ``spec`` cannot run on the batched engine — ``None`` if it can.
 
-    The decision is a pure function of the spec (no instance is built), so
-    engine selection is deterministic across processes and resumes.
+    The decision reads the protocol's class, its rate and the schedule; no
+    instance or protocol is built, so engine selection is cheap and
+    deterministic across processes and resumes.
     """
     if spec.initial not in ("random", "pile"):
         return f"initial={spec.initial!r} (batched engine supports 'random'/'pile')"
-    if spec.instance_seed_key != "fixed":
-        return "per-rep instance seeding: each replication simulates a different instance"
-    if spec.protocol not in _KERNEL_PROTOCOL_NAMES:
-        return f"protocol {spec.protocol!r} has no batched kernel"
-    from ..registry import (  # lazy: registry is heavy
-        build_protocol,
-        build_rate,
-        build_schedule,
-    )
+    from ..registry import PROTOCOLS, build_rate, build_schedule  # lazy: registry is heavy
+    from ..workloads.topology import TOPOLOGIES
 
+    if kernel_kind(PROTOCOLS.get(spec.protocol)) is None:
+        return f"protocol {spec.protocol!r} has no batched kernel"
+    kwargs = dict(spec.protocol_kwargs)
+    if "topology" in kwargs and kwargs["topology"] not in TOPOLOGIES:
+        return f"spec does not build: unknown topology {kwargs['topology']!r}"
     try:
         schedule = build_schedule(spec.schedule, **dict(spec.schedule_kwargs))
+        # no rate builds the protocol's own default, which has a kernel
+        rate = build_rate(kwargs.get("rate"))
     except Exception as exc:
         return f"spec does not build: {exc!r}"
-    if spec.protocol == "neighborhood":
-        # The graph needs the instance's m, which batch_support must not
-        # build — check the rate and topology name directly instead; the
-        # actual graph construction (and its validation) happens inside
-        # replicate_batched via the shared _spec_components path.
-        from ..workloads.topology import TOPOLOGIES
-
-        kwargs = dict(spec.protocol_kwargs)
-        if kwargs.get("topology") not in TOPOLOGIES:
-            return f"spec does not build: unknown topology {kwargs.get('topology')!r}"
-        try:
-            # no rate builds the protocol's constant default, which has a kernel
-            rate = build_rate(kwargs.get("rate"))
-        except Exception as exc:
-            return f"spec does not build: {exc!r}"
-        return _rate_schedule_support(rate, schedule)
-    try:
-        protocol = build_protocol(spec.protocol, **dict(spec.protocol_kwargs))
-    except Exception as exc:
-        return f"spec does not build: {exc!r}"
-    return _kernel_support(protocol, schedule)
+    return _rate_schedule_support(rate, schedule)
 
 
 def batch_supported(spec) -> bool:
@@ -676,9 +648,7 @@ def replicate_batched(
             raise ValueError("rep_indices must have exactly n_reps entries")
     key = seed_key if seed_key is not None else spec_seed_key(spec)
     rep_seeds = [rep_seed(base_seed, key, i) for i in indices]
-    # instance_seed_key == "fixed" (enforced above): the instance does not
-    # depend on the replication seed, so one build serves the whole batch.
-    instance, protocol, schedule = _spec_components(spec, rep_seeds[0])
+    instance, protocol, schedule = _spec_components(spec)
     batch = run_batch(
         instance,
         protocol,

@@ -15,8 +15,10 @@ row aggregates dozens of replications.  This module runs them:
   (:mod:`repro.sim.batch`) when the spec has a kernel and the cell holds
   at least two replications, and on the scalar engine otherwise; one
   shard runs in-process, several go to a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.
-  :func:`replicate_engine` names the engine this picks.
+  :class:`~concurrent.futures.ProcessPoolExecutor`.  Each shard builds
+  the spec's instance, protocol and schedule once (:func:`_spec_components`)
+  and runs all its replications on them.  :func:`replicate_engine` names
+  the engine this picks.
 
 Per the HPC guides, parallelism is process-based (the work is pure Python
 + NumPy and releases no GIL).  The batched engine sidesteps the
@@ -50,20 +52,13 @@ __all__ = [
     "spec_seed_key",
 ]
 
-#: Does GENERATORS[name] accept an ``rng`` kwarg?  The signature probe is
-#: pure reflection on a fixed registry, so it is cached per generator name
-#: instead of re-running once per replication.
-_GEN_ACCEPTS_RNG: dict[str, bool] = {}
-
 
 @dataclass(frozen=True)
 class RunSpec:
     """Plain-data description of one simulation configuration.
 
-    ``instance_seed_key`` controls whether the generated instance is
-    re-drawn per replication (``"per-rep"``) or fixed across replications
-    (``"fixed"``, default) — fixed isolates protocol randomness, per-rep
-    averages over the instance distribution as well.
+    Every replication of a spec simulates the same instance, so a cell's
+    spread is over protocol randomness alone.
     """
 
     generator: str
@@ -74,7 +69,6 @@ class RunSpec:
     schedule_kwargs: dict[str, Any] = field(default_factory=dict)
     max_rounds: int = 100_000
     initial: str = "random"
-    instance_seed_key: str = "fixed"
     label: str = ""
 
     def describe(self) -> dict:
@@ -87,17 +81,22 @@ class RunSpec:
             "schedule_kwargs": dict(self.schedule_kwargs),
             "max_rounds": self.max_rounds,
             "initial": self.initial,
-            "instance_seed_key": self.instance_seed_key,
+            # Frozen key material: spec_seed_key, cell keys, the goldens and
+            # existing stores all hash this dict, so the retired option's
+            # one value stays in it.
+            "instance_seed_key": "fixed",
             "label": self.label,
         }
 
 
-def _spec_components(spec: RunSpec, seed: int):
+def _spec_components(spec: RunSpec):
     """Build the (instance, protocol, schedule) triple a spec describes.
 
-    Shared by the scalar per-replication path (:func:`run_spec`) and the
-    batched path (:func:`repro.sim.batch.replicate_batched`), so both
-    engines simulate the *same* instance for a given spec and seed.
+    The one place a spec becomes its components: every scalar shard and
+    every :func:`repro.sim.batch.replicate_batched` call builds once and
+    runs all its replications on the result (``run()`` resets the protocol
+    and the schedule at the start of each).  The instance does not depend
+    on any replication seed.
     """
     # Imported here so worker processes initialise lazily and the module
     # import graph stays cycle-free (registry imports workloads/protocols).
@@ -105,32 +104,25 @@ def _spec_components(spec: RunSpec, seed: int):
 
     gen_kwargs = dict(spec.generator_kwargs)
     # Generators that accept an rng get a derived, stable one.
-    if spec.instance_seed_key == "per-rep":
-        instance_seed = seed_from_key(seed, "instance")
-    else:
-        instance_seed = seed_from_key(
-            0, "instance", spec.generator, str(sorted(gen_kwargs.items()))
-        )
-    accepts_rng = _GEN_ACCEPTS_RNG.get(spec.generator)
-    if accepts_rng is None:
-        gen_fn = GENERATORS[spec.generator]
-        accepts_rng = "rng" in inspect.signature(gen_fn).parameters
-        _GEN_ACCEPTS_RNG[spec.generator] = accepts_rng
+    accepts_rng = "rng" in inspect.signature(GENERATORS[spec.generator]).parameters
     if accepts_rng and "rng" not in gen_kwargs:
-        gen_kwargs["rng"] = instance_seed
+        gen_kwargs["rng"] = seed_from_key(
+            0, "instance", spec.generator, str(sorted(spec.generator_kwargs.items()))
+        )
     instance = build_instance(spec.generator, **gen_kwargs)
 
     protocol_kwargs = dict(spec.protocol_kwargs)
-    if spec.protocol == "neighborhood" and "m" not in protocol_kwargs:
-        protocol_kwargs["m"] = instance.n_resources
+    if spec.protocol == "neighborhood":
+        # The resource graph spans the instance's resources.
+        protocol_kwargs.setdefault("m", instance.n_resources)
     protocol = build_protocol(spec.protocol, **protocol_kwargs)
     schedule = build_schedule(spec.schedule, **spec.schedule_kwargs)
     return instance, protocol, schedule
 
 
-def run_spec(spec: RunSpec, seed: int) -> RunResult:
-    """Execute one replication of ``spec`` with the given root seed."""
-    instance, protocol, schedule = _spec_components(spec, seed)
+def _run_built(spec: RunSpec, components, seed: int) -> RunResult:
+    """One replication of ``spec`` on its built components."""
+    instance, protocol, schedule = components
     return run(
         instance,
         protocol,
@@ -139,6 +131,15 @@ def run_spec(spec: RunSpec, seed: int) -> RunResult:
         max_rounds=spec.max_rounds,
         initial=spec.initial,
     )
+
+
+def run_spec(spec: RunSpec, seed: int) -> RunResult:
+    """Execute one replication of ``spec`` with the given root seed.
+
+    Builds the components afresh on every call: the scalar reference the
+    tests and the bench's serial legs compare against.
+    """
+    return _run_built(spec, _spec_components(spec), seed)
 
 
 def rep_seed(base_seed: int, key: str, index: int) -> int:
@@ -187,7 +188,8 @@ def _run_shard(
 
     Module-level so process pools can pickle it.  Seeds derive from the
     global indices (not the shard-local positions), so resharding changes
-    who computes a replication, never what it computes.
+    who computes a replication, never what it computes.  A shard builds
+    the spec's components once, whichever engine runs it.
     """
     if batched:
         from .batch import replicate_batched
@@ -195,7 +197,8 @@ def _run_shard(
         return replicate_batched(
             spec, len(indices), base_seed=base_seed, seed_key=seed_key, rep_indices=indices
         )
-    return [run_spec(spec, rep_seed(base_seed, seed_key, i)) for i in indices]
+    components = _spec_components(spec)
+    return [_run_built(spec, components, rep_seed(base_seed, seed_key, i)) for i in indices]
 
 
 def _shard_indices(n_reps: int, n_shards: int) -> list[range]:

@@ -230,7 +230,6 @@ def test_batch_support_reasons():
     cases = {
         "protocol": spec(protocol="best-response"),
         "schedule": spec(schedule="partition", schedule_kwargs={"k": 2}),
-        "instance": spec(instance_seed_key="per-rep"),
         "initial": spec(initial="spread"),
         "topology": spec(
             protocol="neighborhood", protocol_kwargs={"topology": "moebius", "m": 8}

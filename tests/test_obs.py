@@ -649,6 +649,24 @@ def test_trace_report_truncated_log_rebuilds(tmp_path, small_uniform):
     assert "truncated log" in text
 
 
+def test_trace_report_survives_torn_line(tmp_path, small_uniform, capsys):
+    """A log cut mid-line (its summary lines gone, a half record last)
+    still reports: the torn line is skipped and counted."""
+    from repro.cli import main
+
+    path = _run_instrumented(tmp_path, small_uniform)
+    lines = path.read_text().splitlines()
+    torn = tmp_path / "torn.jsonl"
+    torn.write_text("\n".join(lines[:-2]) + '\n{"type": "round", "rou')
+    summary = summarize_events(torn)
+    assert not summary["complete"]
+    assert summary["bad_lines"] == 1
+    assert summary["n_events"] == len(lines) - 2
+    assert main(["trace-report", str(torn)]) == 0
+    out = capsys.readouterr().out
+    assert "truncated log" in out and "1 unreadable line(s) skipped" in out
+
+
 def test_trace_report_rejects_non_obs_file(tmp_path):
     other = tmp_path / "other.jsonl"
     other.write_text(json.dumps({"type": "x", "t": 0}) + "\n")

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.sim.parallel import RunSpec, replicate, run_spec, spec_seed_key
+from repro.registry import PROTOCOLS
+from repro.sim.batch import replicate_batched
+from repro.sim.parallel import (
+    RunSpec,
+    _run_shard,
+    rep_seed,
+    replicate,
+    run_spec,
+    spec_seed_key,
+)
 from repro.sim.rng import seed_from_key
 
 
@@ -51,25 +60,6 @@ def test_run_spec_builds_everything():
     )
     assert result.status in ("satisfying", "quiescent")
     assert result.schedule["name"] == "alpha(0.5)"
-
-
-def test_per_rep_instance_seeding():
-    # zipf draws thresholds from its rng: per-rep seeding must vary them,
-    # fixed seeding must not.  Convergence rounds are a proxy.
-    base = dict(
-        generator="zipf_thresholds",
-        generator_kwargs={"n": 100, "m": 8},
-        initial="pile",
-        max_rounds=5000,
-        label="per-rep",
-    )
-    fixed = replicate(RunSpec(**base, instance_seed_key="fixed"), 3, base_seed=1)
-    per_rep = replicate(RunSpec(**base, instance_seed_key="per-rep"), 3, base_seed=1)
-    assert len(fixed) == len(per_rep) == 3
-    # both run; can't easily introspect the instance, but seeds must differ
-    # -> allow either; the main assertion is that the plumbing works.
-    for r in fixed + per_rep:
-        assert r.n_users == 100
 
 
 def _streams(s, n=6, base_seed=7, seed_key=None):
@@ -133,3 +123,87 @@ def test_describe_roundtrip():
     assert d["generator"] == "uniform_slack"
     assert d["protocol"] == "qos-sampling"
     assert d["max_rounds"] == 5000
+
+
+RATES = [{"name": "const", "p": 0.5}, {"name": "slack-proportional"}, {"name": "adaptive-backoff"}]
+
+#: Every registered protocol, with each rate where it takes one.
+SHARD_VARIANTS = (
+    [("qos-sampling", {"rate": r}) for r in RATES]
+    + [("multi-probe", {"d": 2, "rate": r}) for r in RATES]
+    + [("neighborhood", {"topology": "ring", "rate": r}) for r in RATES]
+    + [
+        ("permit", {}),
+        ("best-response", {}),
+        ("sweep-best-response", {}),
+        ("naive-greedy", {}),
+        ("blind-random", {"jump_p": 0.5}),
+        ("selfish-rebalance", {}),
+    ]
+)
+
+SHARD_SCHEDULES = [
+    ("synchronous", {}),
+    ("alpha", {"alpha": 0.5}),
+    ("partition", {"k": 3}),
+    ("staggered", {}),
+]
+
+
+def test_shard_variants_cover_every_registered_protocol():
+    assert {name for name, _ in SHARD_VARIANTS} == set(PROTOCOLS)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Names of the instances ``registry.build_instance`` builds."""
+    import repro.registry as registry
+
+    names = []
+    real = registry.build_instance
+
+    def counting(name, **kwargs):
+        names.append(name)
+        return real(name, **kwargs)
+
+    monkeypatch.setattr(registry, "build_instance", counting)
+    return names
+
+
+@pytest.mark.parametrize(
+    "name,kwargs",
+    SHARD_VARIANTS,
+    ids=[f"{n}-{k['rate']['name']}" if "rate" in k else n for n, k in SHARD_VARIANTS],
+)
+def test_scalar_shard_reuse_equals_fresh_builds(name, kwargs, built):
+    """A scalar shard runs every replication on one build of the spec;
+    each per-rep summary equals a run_spec loop that builds afresh."""
+    for generator in ("uniform_slack", "zipf_thresholds"):
+        for schedule, schedule_kwargs in SHARD_SCHEDULES:
+            for initial in ("random", "pile"):
+                s = spec(
+                    generator=generator,
+                    generator_kwargs={"n": 48, "m": 6},
+                    protocol=name,
+                    protocol_kwargs=kwargs,
+                    schedule=schedule,
+                    schedule_kwargs=schedule_kwargs,
+                    initial=initial,
+                    max_rounds=200,
+                )
+                key = spec_seed_key(s)
+                built.clear()
+                shard = _run_shard(s, range(3), 11, key, False)
+                assert len(built) == 1
+                fresh = [run_spec(s, rep_seed(11, key, i)) for i in range(3)]
+                assert [r.summary() for r in shard] == [r.summary() for r in fresh], (
+                    generator, schedule, initial,
+                )
+
+
+def test_one_instance_build_per_call(built):
+    replicate(spec(protocol="best-response"), 5, base_seed=2)
+    assert len(built) == 1
+    built.clear()
+    replicate_batched(spec(), 4, base_seed=2)
+    assert len(built) == 1

@@ -319,7 +319,7 @@ def test_blind_random_golden_on_the_batched_engine():
         max_rounds=500,
         initial="pile",
     )
-    instance, protocol, schedule = _spec_components(spec, 2026)
+    instance, protocol, schedule = _spec_components(spec)
     batch = run_batch(
         instance, protocol, seeds=[seed_from_key(2026, "run")], schedule=schedule,
         max_rounds=spec.max_rounds, initial=spec.initial,
