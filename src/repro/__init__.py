@@ -17,14 +17,8 @@ Quickstart::
     print(result.status, result.rounds)
 """
 
-from . import analysis, baselines, core, fluid, games, msgsim, obs, sim, viz, workloads
-from .baselines import (
-    SelfishRebalanceProtocol,
-    opt_satisfied,
-    optimal_assignment,
-    round_robin_assignment,
-    water_filling,
-)
+from . import analysis, baselines, core, fluid, msgsim, obs, sim, viz, workloads
+from .baselines import SelfishRebalanceProtocol, opt_satisfied, optimal_assignment
 from .core import (
     AccessMap,
     AffineLatency,
@@ -39,7 +33,6 @@ from .core import (
     State,
     TableLatency,
     UnavailableLatency,
-    additive_slack,
     blocked_mask,
     greedy_assignment,
     improvable_users,
@@ -87,11 +80,9 @@ from .sim import (
     RunSpec,
     StaggeredSchedule,
     SynchronousSchedule,
-    Trace,
     UserArrival,
     UserDeparture,
     batch_support,
-    batch_supported,
     replicate,
     run,
     run_batch,
@@ -111,7 +102,6 @@ __all__ = [
     "workloads",
     "baselines",
     "analysis",
-    "games",
     # model
     "Instance",
     "State",
@@ -131,7 +121,6 @@ __all__ = [
     "greedy_assignment",
     "max_satisfied",
     "multiplicative_slack",
-    "additive_slack",
     "is_stable",
     "is_generous",
     "blocked_mask",
@@ -158,8 +147,6 @@ __all__ = [
     # baselines
     "optimal_assignment",
     "opt_satisfied",
-    "water_filling",
-    "round_robin_assignment",
     # simulation
     "run",
     "RunResult",
@@ -168,9 +155,7 @@ __all__ = [
     "run_batch",
     "BatchRunResult",
     "batch_support",
-    "batch_supported",
     "Recorder",
-    "Trace",
     "SynchronousSchedule",
     "AlphaSchedule",
     "PartitionSchedule",

@@ -1,11 +1,5 @@
 """Analysis toolkit: statistics, scaling fits, drift estimation, tables."""
 
-from .convergence import (
-    churn_after,
-    sustained_convergence_round,
-    time_to_fraction,
-    unsatisfied_area,
-)
 from .distributions import (
     GeometricTail,
     geometric_tail_fit,
@@ -14,23 +8,18 @@ from .distributions import (
 )
 from .drift import DriftEstimate, estimate_drift
 from .scaling import Fit, classify_growth, fit_linear, fit_logarithmic, fit_power
-from .stats import Summary, bootstrap_ci, geometric_mean, summarize
+from .stats import Summary, bootstrap_ci, summarize
 from .tables import format_cell, render_table
 
 __all__ = [
     "Summary",
     "summarize",
     "bootstrap_ci",
-    "geometric_mean",
     "Fit",
     "fit_logarithmic",
     "fit_power",
     "fit_linear",
     "classify_growth",
-    "sustained_convergence_round",
-    "time_to_fraction",
-    "unsatisfied_area",
-    "churn_after",
     "DriftEstimate",
     "estimate_drift",
     "survival_function",

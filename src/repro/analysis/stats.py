@@ -14,7 +14,7 @@ import numpy as np
 
 from ..sim.rng import make_rng
 
-__all__ = ["Summary", "summarize", "bootstrap_ci", "geometric_mean"]
+__all__ = ["Summary", "summarize", "bootstrap_ci"]
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,3 @@ def summarize(
         ci_low=lo,
         ci_high=hi,
     )
-
-
-def geometric_mean(values: Sequence[float] | np.ndarray) -> float:
-    """Geometric mean (for speedup ratios); requires positive values."""
-    values = np.asarray(values, dtype=np.float64)
-    if np.any(values <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(values))))

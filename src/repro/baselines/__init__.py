@@ -1,17 +1,10 @@
 """Baselines: centralized allocators and the QoS-oblivious selfish dynamic."""
 
-from .centralized import (
-    opt_satisfied,
-    optimal_assignment,
-    round_robin_assignment,
-    water_filling,
-)
+from .centralized import opt_satisfied, optimal_assignment
 from .selfish import SelfishRebalanceProtocol
 
 __all__ = [
     "optimal_assignment",
     "opt_satisfied",
-    "water_filling",
-    "round_robin_assignment",
     "SelfishRebalanceProtocol",
 ]

@@ -10,22 +10,13 @@ they get with local information only.
   :mod:`repro.core.feasibility`.
 - :func:`opt_satisfied` — the maximum achievable number of satisfied users
   (exact for identical machines, greedy lower bound otherwise).
-- :func:`water_filling` — greedy heuristic for arbitrary heterogeneous
-  profiles and access maps: users descending by threshold each take the
-  accessible resource with the most post-arrival headroom.
-- :func:`round_robin_assignment` — the "fair" QoS-oblivious allocation
-  (balanced loads); the classical operating point experiment T4 shows to
-  be the wrong target under heterogeneous QoS.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.feasibility import (
     FeasibilityResult,
     MaxSatisfiedResult,
-    brute_force_assignment,
     greedy_assignment,
     max_satisfied,
     segment_dp_assignment,
@@ -36,8 +27,6 @@ from ..core.state import State
 __all__ = [
     "optimal_assignment",
     "opt_satisfied",
-    "water_filling",
-    "round_robin_assignment",
 ]
 
 
@@ -46,7 +35,7 @@ def optimal_assignment(instance: Instance) -> State:
 
     Tries the greedy packing first (fast; exact on identical machines),
     then the segment DP (exact for any profile with a tractable latency
-    type structure), then brute force on tiny instances.
+    type structure); raises ``NotImplementedError`` when neither applies.
     """
     result: FeasibilityResult = greedy_assignment(instance)
     if result.feasible:
@@ -57,80 +46,17 @@ def optimal_assignment(instance: Instance) -> State:
     try:
         dp = segment_dp_assignment(instance)
     except ValueError:
-        dp = None
-    if dp is not None:
-        if dp.feasible:
-            assert dp.state is not None
-            return dp.state
-        raise ValueError("instance is infeasible: no satisfying assignment exists")
-    if instance.n_resources ** instance.n_users <= 2_000_000:
-        bf = brute_force_assignment(instance)
-        if bf.feasible:
-            assert bf.state is not None
-            return bf.state
-        raise ValueError("instance is infeasible: no satisfying assignment exists")
-    raise NotImplementedError(
-        "exact optimal assignment is unavailable for this profile size; "
-        "use water_filling for a heuristic"
-    )
+        raise NotImplementedError(
+            "exact optimal assignment is unavailable: too many distinct "
+            "latency types for the segment DP"
+        ) from None
+    if dp.feasible:
+        assert dp.state is not None
+        return dp.state
+    raise ValueError("instance is infeasible: no satisfying assignment exists")
 
 
 def opt_satisfied(instance: Instance) -> MaxSatisfiedResult:
     """Maximum number of simultaneously satisfiable users (OPT_sat)."""
     return max_satisfied(instance)
 
-
-def water_filling(instance: Instance) -> State:
-    """Greedy headroom-maximising placement (heuristic, any instance).
-
-    Users are processed in descending threshold order (demanding users
-    last, while the system is already loaded — they would rather go first,
-    but placing tolerant users first groups them tightly, which is what
-    satisfying states of heterogeneous instances look like).  Each user
-    takes the accessible resource that (a) satisfies it after arrival with
-    maximum slack ``q_u - ell``, or (b) failing that, has the minimum
-    post-arrival latency.
-    """
-    n, m = instance.n_users, instance.n_resources
-    assignment = np.full(n, -1, dtype=np.int64)
-    loads = np.zeros(m, dtype=np.float64)
-    order = np.argsort(-instance.thresholds, kind="stable")
-    for u in order:
-        u = int(u)
-        allowed = instance.accessible(u)
-        w = float(instance.weights[u])
-        lat = instance.latencies.evaluate_at(allowed, loads[allowed] + w)
-        q = float(instance.thresholds[u])
-        satisfying = lat <= q
-        if np.any(satisfying):
-            cand = allowed[satisfying]
-            slack = q - lat[satisfying]
-            r = int(cand[int(np.argmax(slack))])
-        else:
-            finite = np.isfinite(lat)
-            pool = allowed[finite] if np.any(finite) else allowed
-            pool_lat = lat[finite] if np.any(finite) else lat
-            r = int(pool[int(np.argmin(pool_lat))])
-        assignment[u] = r
-        loads[r] += w
-    return State(instance, assignment)
-
-
-def round_robin_assignment(instance: Instance) -> State:
-    """Balanced (QoS-oblivious) allocation: users dealt out cyclically.
-
-    With an access map, each user takes its least-loaded accessible
-    resource at its turn instead.
-    """
-    n, m = instance.n_users, instance.n_resources
-    if instance.access is None:
-        assignment = np.arange(n, dtype=np.int64) % m
-        return State(instance, assignment)
-    assignment = np.full(n, -1, dtype=np.int64)
-    loads = np.zeros(m, dtype=np.float64)
-    for u in range(n):
-        allowed = instance.access.allowed(u)
-        r = int(allowed[int(np.argmin(loads[allowed]))])
-        assignment[u] = r
-        loads[r] += float(instance.weights[u])
-    return State(instance, assignment)

@@ -1,20 +1,11 @@
 """Core model of QoS load balancing: instances, states, feasibility, protocols."""
 
-from .certify import (
-    certify_assignment_counts,
-    certify_max_satisfied_witness,
-    certify_satisfying,
-    certify_stable,
-)
 from .feasibility import (
     FeasibilityResult,
     MaxSatisfiedResult,
-    additive_slack,
-    brute_force_assignment,
     greedy_assignment,
     is_feasible,
     max_satisfied,
-    max_satisfied_brute_force,
     multiplicative_slack,
     segment_dp_assignment,
 )
@@ -46,12 +37,6 @@ from .stability import (
     satisfied_resident_min,
 )
 from .state import State
-from .weighted import (
-    WeightedVerdict,
-    first_fit_decreasing,
-    weighted_capacity_bound,
-    weighted_feasibility,
-)
 
 __all__ = [
     # instance / state
@@ -74,21 +59,9 @@ __all__ = [
     "MaxSatisfiedResult",
     "greedy_assignment",
     "segment_dp_assignment",
-    "brute_force_assignment",
     "is_feasible",
     "max_satisfied",
-    "max_satisfied_brute_force",
     "multiplicative_slack",
-    "additive_slack",
-    "first_fit_decreasing",
-    "weighted_capacity_bound",
-    "weighted_feasibility",
-    "WeightedVerdict",
-    # certificates
-    "certify_satisfying",
-    "certify_stable",
-    "certify_assignment_counts",
-    "certify_max_satisfied_witness",
     # stability
     "is_stable",
     "is_generous",

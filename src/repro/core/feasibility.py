@@ -4,22 +4,20 @@ This module contains the *exact* combinatorial side of the reproduction:
 
 - :func:`greedy_assignment` — the threshold-sorted greedy packing that
   constructs a satisfying state whenever one exists on **identical
-  machines** (exactness verified against the brute-force oracle in the
+  machines** (exactness verified against a brute-force oracle in the
   test suite); on heterogeneous profiles a successful packing is still an
   exact witness but a failure is inconclusive.
 - :func:`segment_dp_assignment` — exact feasibility for **arbitrary**
   latency profiles via the contiguity theorem (any satisfying assignment
   can be rearranged into contiguous segments of the threshold-sorted user
   order) and a DP over segments x remaining machine types.
-- :func:`brute_force_assignment` — exponential exact oracle for tiny
-  instances (test reference).
 - :func:`max_satisfied` — the maximum number of simultaneously satisfiable
   users (OPT_sat) for infeasible instances: exact for identical machines at
   any size via an O(m*n) DP over segments of the threshold-sorted order,
   greedy heuristic otherwise.
-- :func:`multiplicative_slack` / :func:`additive_slack` — how much the
-  thresholds can be tightened while staying feasible; the experiment suite
-  sweeps generated slack and these functions audit it.
+- :func:`multiplicative_slack` — how far the thresholds can be scaled
+  down while staying feasible; the experiment suite sweeps generated slack
+  and this function audits it.
 
 Background: with identical machines (``ell(x) = x``) a set ``S`` of
 unit-weight users on one resource is fully satisfied iff
@@ -38,8 +36,6 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Iterator
 
 import numpy as np
 
@@ -49,15 +45,11 @@ from .state import State
 __all__ = [
     "FeasibilityResult",
     "MaxSatisfiedResult",
-    "is_pointwise_ordered",
     "greedy_assignment",
     "segment_dp_assignment",
-    "brute_force_assignment",
     "is_feasible",
     "max_satisfied",
-    "max_satisfied_brute_force",
     "multiplicative_slack",
-    "additive_slack",
 ]
 
 
@@ -91,30 +83,6 @@ def _require_exact_model(instance: Instance, what: str) -> None:
         raise NotImplementedError(f"{what} requires unit weights")
     if instance.access is not None and not instance.access.is_complete():
         raise NotImplementedError(f"{what} requires complete accessibility")
-
-
-def is_pointwise_ordered(instance: Instance, probe_loads: int | None = None) -> bool:
-    """Are the latency functions totally ordered pointwise?
-
-    Resources ``r`` and ``s`` are comparable iff ``ell_r(x) <= ell_s(x)``
-    for all probed loads, or vice versa.  Identical and speed-scaled
-    profiles are always ordered; mixed profiles (e.g. affine with crossing
-    lines) generally are not.  Probing is over loads ``0..n`` (or
-    ``probe_loads``), which is sufficient because only loads up to ``n``
-    are reachable.
-    """
-    n = instance.n_users if probe_loads is None else int(probe_loads)
-    grid = np.arange(n + 1, dtype=np.float64)
-    values = np.stack([f(grid) for f in instance.latencies.functions])
-    # Sort rows by value at the largest probed load, then check the sorted
-    # stack is monotone across rows at every load.
-    order = np.lexsort(values.T[::-1])
-    sorted_vals = values[order]
-    diffs = np.diff(sorted_vals, axis=0)
-    # inf - inf produces NaN; treat equal-infinite entries as ordered.
-    with np.errstate(invalid="ignore"):
-        ok = (diffs >= -1e-12) | np.isnan(diffs)
-    return bool(np.all(ok))
 
 
 def _resource_strength_order(instance: Instance) -> np.ndarray:
@@ -293,35 +261,13 @@ def segment_dp_assignment(
     return FeasibilityResult(True, True, "segment-dp", state)
 
 
-def _assignments_iter(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    return product(range(m), repeat=n)
-
-
-def brute_force_assignment(instance: Instance, limit: int = 2_000_000) -> FeasibilityResult:
-    """Exact feasibility by exhaustive search over all ``m**n`` assignments.
-
-    Test oracle only; refuses instances whose search space exceeds
-    ``limit``.
-    """
-    _require_exact_model(instance, "brute_force_assignment")
-    n, m = instance.n_users, instance.n_resources
-    if m**n > limit:
-        raise ValueError(f"search space m**n = {m**n} exceeds limit {limit}")
-    for candidate in _assignments_iter(n, m):
-        state = State(instance, np.asarray(candidate, dtype=np.int64))
-        if state.is_satisfying():
-            return FeasibilityResult(True, True, "brute-force", state)
-    return FeasibilityResult(False, True, "brute-force", None)
-
-
 def is_feasible(instance: Instance) -> bool:
     """Convenience wrapper: authoritative feasibility or raise.
 
     Tries, in order: greedy (fast; exact witness on success, exact failure
-    for identical machines), the segment DP (exact for any profile with a
-    tractable type structure), and brute force (tiny instances).  Raises
-    :class:`NotImplementedError` when none applies — many-distinct-type
-    profiles at scale.
+    for identical machines) and the segment DP (exact for any profile with
+    a tractable type structure).  Raises :class:`NotImplementedError` when
+    neither applies — many-distinct-type profiles.
     """
     result = greedy_assignment(instance)
     if result.exact:
@@ -329,13 +275,10 @@ def is_feasible(instance: Instance) -> bool:
     try:
         return segment_dp_assignment(instance).feasible
     except ValueError:
-        pass
-    if instance.n_resources ** instance.n_users <= 2_000_000:
-        return brute_force_assignment(instance).feasible
-    raise NotImplementedError(
-        "exact feasibility is unavailable: too many distinct latency types "
-        "for the segment DP and too large for brute force"
-    )
+        raise NotImplementedError(
+            "exact feasibility is unavailable: too many distinct latency "
+            "types for the segment DP"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -408,21 +351,6 @@ def _max_satisfied_identical(instance: Instance, order_desc: np.ndarray) -> MaxS
     state = State(instance, assignment)
     assert state.n_satisfied == e, "segment DP witness disagrees with its value"
     return MaxSatisfiedResult(e, True, "segment-dp", state)
-
-
-def max_satisfied_brute_force(instance: Instance, limit: int = 2_000_000) -> MaxSatisfiedResult:
-    """Exact OPT_sat by exhaustive assignment search (test oracle)."""
-    _require_exact_model(instance, "max_satisfied_brute_force")
-    n, m = instance.n_users, instance.n_resources
-    if m**n > limit:
-        raise ValueError(f"search space m**n = {m**n} exceeds limit {limit}")
-    best, best_state = -1, None
-    for candidate in _assignments_iter(n, m):
-        state = State(instance, np.asarray(candidate, dtype=np.int64))
-        s = state.n_satisfied
-        if s > best:
-            best, best_state = s, state
-    return MaxSatisfiedResult(best, True, "brute-force", best_state)
 
 
 def max_satisfied(instance: Instance) -> MaxSatisfiedResult:
@@ -522,21 +450,3 @@ def multiplicative_slack(instance: Instance, tol: float = 1e-3) -> float:
             hi = mid
     return lo
 
-
-def additive_slack(instance: Instance, tol: float = 1e-3) -> float:
-    """Largest ``delta >= 0`` with thresholds ``q_u - delta`` feasible."""
-    if not is_feasible(instance):
-        return 0.0
-    q_min = float(instance.thresholds.min())
-    lo, hi = 0.0, q_min
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        try:
-            ok = is_feasible(_tightened(instance, delta=mid))
-        except ValueError:
-            ok = False
-        if ok:
-            lo = mid
-        else:
-            hi = mid
-    return lo

@@ -43,8 +43,7 @@ def f4_hetero_users(
       average load are structurally unservable by selfish dynamics:
       reaching the satisfying state would require *satisfied* users to
       evacuate resources, which threshold-satisfaction utilities never
-      motivate (see :mod:`repro.core.stability` and the satisfaction
-      price of anarchy in :mod:`repro.games.satisfaction`).
+      motivate (see :mod:`repro.core.stability`).
     """
     # Demanding users (q = 2) need half a dedicated resource each, so their
     # count is budgeted against m: a `demanding_frac` fraction of the

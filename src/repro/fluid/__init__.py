@@ -1,20 +1,14 @@
-"""Fluid (mean-field) limit of the dynamics and Wardrop equilibria.
+"""Fluid (mean-field) limit of the dynamics.
 
 The discrete round dynamics at population ``n`` concentrate, as ``n``
 grows, around the deterministic mass-fraction evolution implemented here
-(experiment F11 measures the convergence rate).  Wardrop equilibria are
-the fluid fixed points of QoS-*oblivious* balancing, used as the
-continuous baseline.
+(experiment F11 measures the convergence rate).
 """
 
 from .model import FluidSystem, FluidTrajectory, run_fluid
-from .wardrop import WardropFlow, satisfied_mass_at, wardrop_equilibrium
 
 __all__ = [
     "FluidSystem",
     "FluidTrajectory",
     "run_fluid",
-    "WardropFlow",
-    "wardrop_equilibrium",
-    "satisfied_mass_at",
 ]

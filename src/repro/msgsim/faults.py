@@ -20,7 +20,7 @@ for) get none of that, so this module provides the adversary:
   drops instead of exceptions; crashed agents silently lose everything
   addressed to them (timers included) until their window closes, at which
   point their ``on_restart`` hook fires.
-- :func:`certify_message_conservation` — the certify-style auditor: at
+- :func:`certify_message_conservation` — a naive auditor: at
   quiescence, every resource's load must equal the summed weight of the
   users that authoritatively reside on it, and the resource's resident
   set must agree with the users' own records.  Under drops, duplication
@@ -342,7 +342,7 @@ def certify_message_conservation(resources, users) -> tuple[bool, list[str]]:
     weight of the users whose *authoritative* position
     (``user.resource``) names it.  Violations mean a duplicated, replayed
     or lost Join/Leave corrupted somebody's books.  Returns ``(ok,
-    issues)`` in the style of :mod:`repro.core.certify`.
+    issues)``, where ``issues`` is empty iff the books agree.
     """
     issues: list[str] = []
     authoritative: dict[int, dict[str, float]] = {r.index: {} for r in resources}

@@ -13,6 +13,8 @@ Every reader here is tolerant by construction:
 
 - **torn lines** — a worker killed mid-write leaves a truncated final
   line; it is counted and skipped, never fatal;
+- **unreadable files** — a per-cell file that vanished or cannot be
+  opened is reported as unreadable, never as a clean empty one;
 - **unknown event kinds / extra keys** — ``obs-events/v1`` is additive;
   records are carried through (and digested around) untouched, so a
   timeline written by a newer package version still merges and renders.
@@ -53,15 +55,12 @@ def read_events(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     A live file's final line may be half-written; corrupt or non-object
     lines are skipped and counted, everything else is returned verbatim
     (unknown kinds and keys included — forward compatibility is the
-    reader's job, and this reader's job is only framing).
+    reader's job, and this reader's job is only framing).  A file that
+    cannot be read raises :class:`OSError`.
     """
     records: list[dict[str, Any]] = []
     bad = 0
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        return records, bad
-    for line in text.splitlines():
+    for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
         try:
@@ -94,9 +93,15 @@ def cell_digest(path: str | Path) -> dict[str, Any]:
     are present — the worker disabled the sink cleanly (the cell ran to
     completion or failed through the normal path).  A file without them
     belongs to a cell that is still running or was killed outright;
-    ``last_t`` then dates its most recent sign of life.
+    ``last_t`` then dates its most recent sign of life.  ``unreadable``
+    marks a file that could not be read (it vanished after the glob, or
+    cannot be opened): its other fields carry no data.
     """
-    records, bad = read_events(path)
+    try:
+        records, bad = read_events(path)
+        unreadable = False
+    except OSError:
+        records, bad, unreadable = [], 0, True
     digest: dict[str, Any] = {
         "cell": cell_key_of(path),
         "records": len(records),
@@ -107,6 +112,7 @@ def cell_digest(path: str | Path) -> dict[str, Any]:
         "last_progress": None,
         "label": None,
         "closed": False,
+        "unreadable": unreadable,
     }
     for record in records:
         t = record.get("t")
@@ -163,7 +169,8 @@ def merge_events(
     along — they hold each cell's provenance and final aggregates.
 
     Safe to run mid-sweep: live files merge up to their last whole line.
-    Returns a summary dict (never raises on torn or missing files).
+    Returns a summary dict (never raises on torn or unreadable files; the
+    latter are skipped and counted in ``unreadable``).
     """
     events_dir = Path(events_dir)
     out_path = Path(out) if out is not None else events_dir.parent / TIMELINE_NAME
@@ -172,10 +179,15 @@ def merge_events(
     # cost several times the memory of the text.
     merged: list[tuple[float, str, str]] = []
     bad_lines = 0
+    unreadable = 0
     cells: list[str] = []
     for path in cell_event_files(events_dir):
         key = cell_key_of(path)
-        records, bad = read_events(path)
+        try:
+            records, bad = read_events(path)
+        except OSError:
+            unreadable += 1
+            continue
         bad_lines += bad
         if records:
             cells.append(key)
@@ -197,6 +209,7 @@ def merge_events(
             "cells": cells,
             "records": len(merged),
             "bad_lines": bad_lines,
+            "unreadable": unreadable,
         },
     }
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -211,4 +224,5 @@ def merge_events(
         "cells": len(cells),
         "records": len(merged),
         "bad_lines": bad_lines,
+        "unreadable": unreadable,
     }

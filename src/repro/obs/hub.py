@@ -11,7 +11,7 @@ cache) report *where time and messages go* through one module-level
 - **enabled** the hub keeps counters/gauges and per-span aggregates in
   plain dicts, a bounded in-memory ring buffer of recent events, and
   (optionally) appends every event to a JSONL file in the ``obs-events/v1``
-  schema, NumPy values coerced exactly like :mod:`repro.sim.trace`.
+  schema, NumPy values coerced to JSON-native ones by :func:`_jsonable`.
 
 ``obs-events/v1``: one JSON object per line, every line carrying ``type``
 (event kind) and ``t`` (wall-clock Unix time).  The first line is always
@@ -36,6 +36,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
+import numpy as np
+
 from .provenance import provenance_stamp
 
 __all__ = ["TelemetryHub", "HUB", "OBS_EVENTS_SCHEMA"]
@@ -51,6 +53,28 @@ OBS_EVENTS_SCHEMA = "obs-events/v1"
 #: sub-millisecond run ships one heartbeat and one progress record.
 HEARTBEAT_INTERVAL_S = 1.0
 PROGRESS_INTERVAL_S = 5.0
+
+
+def _jsonable(obj: Any) -> Any:
+    """Recursively coerce NumPy scalars/arrays into JSON-native values.
+
+    The one coercion behind every JSON artifact: event files, journals and
+    cell-store payloads.
+    """
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
 
 # Bound once: module-attribute lookups cost real time on per-round paths.
 _perf_counter = time.perf_counter
@@ -304,8 +328,6 @@ class TelemetryHub:
         record["t"] = _wall_time()
         self.ring.append(record)
         if self._sink is not None:
-            from ..sim.trace import _jsonable  # lazy: avoids an import cycle
-
             self._sink.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
             # Flush per record: live readers (``runs watch``) and crash
             # post-mortems must see whole lines, and a forked child must

@@ -30,11 +30,10 @@ def summarize_events(path: str | Path) -> dict[str, Any]:
     ``disable()``; when the file was cut short (crash, budget kill) they
     are rebuilt from the raw per-event records, so a truncated log still
     reports.  Lines are framed by :func:`~repro.obs.aggregate.read_events`:
-    a torn or non-object line is skipped and counted in ``bad_lines``.
+    a torn or non-object line is skipped and counted in ``bad_lines``, and
+    a file that cannot be read raises :class:`OSError`.
     """
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"{path}: no such event file")
     records, bad_lines = read_events(path)
     header: dict[str, Any] | None = None
     spans_final: dict[str, dict[str, float]] | None = None

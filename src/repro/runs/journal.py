@@ -27,6 +27,7 @@ import time
 from pathlib import Path
 from typing import Any, TextIO
 
+from ..obs.hub import _jsonable
 from ..obs.provenance import provenance_stamp
 
 __all__ = ["JOURNAL_SCHEMA", "Journal", "read_journal", "cell_states"]
@@ -59,8 +60,6 @@ class Journal:
     def append(self, record_type: str, **fields: Any) -> None:
         if self._fh is None:
             raise RuntimeError("journal is closed")
-        from ..sim.trace import _jsonable  # lazy: avoids an import cycle
-
         record = {"type": record_type, "t": time.time(), **fields}
         self._fh.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
         self._fh.flush()

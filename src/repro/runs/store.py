@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
+from ..obs.hub import _jsonable
 from ..obs.provenance import provenance_stamp
 from ..sim.engine import RunResult
 from ..sim.parallel import RunSpec, replicate
@@ -241,8 +242,6 @@ class ResultStore:
         """Atomically write one payload (tmp file + rename)."""
         if payload.get("schema") != CELL_SCHEMA:
             raise ValueError(f"expected schema {CELL_SCHEMA}, got {payload.get('schema')!r}")
-        from ..sim.trace import _jsonable
-
         path = self.path(payload["key"])
         tmp = path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")

@@ -109,7 +109,6 @@ __all__ = [
     "BatchRunResult",
     "run_batch",
     "batch_support",
-    "batch_supported",
     "batch_events_support",
     "replicate_batched",
 ]
@@ -229,11 +228,6 @@ def batch_support(spec) -> str | None:
     except Exception as exc:
         return f"spec does not build: {exc!r}"
     return _rate_schedule_support(rate, schedule)
-
-
-def batch_supported(spec) -> bool:
-    """True when ``spec`` runs on the batched engine (see :func:`batch_support`)."""
-    return batch_support(spec) is None
 
 
 def _batch_initial(

@@ -5,15 +5,12 @@ All stochastic components of the library draw from
 reproducibly from a single root seed:
 
 - :func:`make_rng` — one generator from a seed;
-- :func:`spawn_rngs` — ``k`` statistically independent child generators for
-  replications, via ``SeedSequence.spawn`` (the supported fork mechanism —
-  *never* ``seed + i`` arithmetic, which correlates streams);
-- :func:`derive_rng` — a generator keyed by arbitrary strings (component
-  names), so e.g. the workload generator and the protocol use independent
-  streams even inside one run.
+- :func:`seed_from_key` — a stable seed keyed by arbitrary strings
+  (component names), so adding experiments never shifts the streams of
+  existing ones.
 
-Every run records the integer root seed in its trace so any figure row can
-be regenerated bit-for-bit.
+Every run's seed is recorded with its results, so any figure row can be
+regenerated bit-for-bit.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs", "derive_rng", "seed_from_key"]
+__all__ = ["make_rng", "seed_from_key"]
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -30,14 +27,6 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int, k: int) -> list[np.random.Generator]:
-    """``k`` independent generators for replications of one experiment."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    children = np.random.SeedSequence(seed).spawn(k)
-    return [np.random.default_rng(c) for c in children]
 
 
 def seed_from_key(root_seed: int, *keys: str) -> int:
@@ -52,8 +41,3 @@ def seed_from_key(root_seed: int, *keys: str) -> int:
         h.update(b"\x00")
         h.update(str(k).encode())
     return int.from_bytes(h.digest(), "big") >> 1
-
-
-def derive_rng(root_seed: int, *keys: str) -> np.random.Generator:
-    """Generator keyed by component names; see :func:`seed_from_key`."""
-    return np.random.default_rng(seed_from_key(root_seed, *keys))

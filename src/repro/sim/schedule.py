@@ -15,16 +15,13 @@ infinitely often); experiment F7 measures the slowdown.
   round-robin (a deterministic adversary with period ``k``).
 - :class:`StaggeredSchedule` — one user per round, uniformly at random
   (the fully sequential extreme; also used to serialise best response).
-- :class:`CustomSchedule` — wraps a user callable for adversarial tests.
 
-All schedules are fair by construction except :class:`CustomSchedule`,
-whose fairness is the caller's responsibility.
+All schedules are fair by construction.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +31,6 @@ __all__ = [
     "AlphaSchedule",
     "PartitionSchedule",
     "StaggeredSchedule",
-    "CustomSchedule",
 ]
 
 
@@ -122,19 +118,3 @@ class StaggeredSchedule(Schedule):
         return mask
 
 
-class CustomSchedule(Schedule):
-    """Adapter for arbitrary activation functions (adversarial tests).
-
-    ``fn(round_index, n_users, rng) -> bool mask``.  Fairness is the
-    caller's responsibility.
-    """
-
-    def __init__(self, fn: Callable[[int, int, np.random.Generator], np.ndarray], name: str = "custom"):
-        self._fn = fn
-        self.name = name
-
-    def active_mask(self, round_index, n_users, rng):
-        mask = np.asarray(self._fn(round_index, n_users, rng), dtype=bool)
-        if mask.shape != (n_users,):
-            raise ValueError("custom schedule returned a mask of wrong shape")
-        return mask

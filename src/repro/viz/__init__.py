@@ -1,5 +1,5 @@
-"""Terminal visualisation: sparklines, line charts, histograms, bar charts."""
+"""Terminal visualisation: sparklines, histograms, bar charts, progress bars."""
 
-from .ascii import bar_chart, histogram, line_chart, progress_bar, sparkline
+from .ascii import bar_chart, histogram, progress_bar, sparkline
 
-__all__ = ["sparkline", "line_chart", "histogram", "bar_chart", "progress_bar"]
+__all__ = ["sparkline", "histogram", "bar_chart", "progress_bar"]

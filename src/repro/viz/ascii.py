@@ -1,4 +1,4 @@
-"""Terminal plots: sparklines, line charts, histograms — no display needed.
+"""Terminal plots: sparklines, histograms, bar charts — no display needed.
 
 The reproduction environment is headless, so the "figures" are rendered as
 Unicode text: benchmark output, CLI summaries and examples embed these
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["sparkline", "line_chart", "histogram", "bar_chart", "progress_bar"]
+__all__ = ["sparkline", "histogram", "bar_chart", "progress_bar"]
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
@@ -71,74 +71,6 @@ def progress_bar(fraction: float, *, width: int = 30) -> str:
     frac = max(0.0, min(1.0, float(fraction)))
     filled = int(round(frac * width))
     return "[" + "█" * filled + "·" * (width - filled) + "]"
-
-
-def line_chart(
-    series: dict[str, Sequence[float]] | Sequence[float],
-    *,
-    width: int = 64,
-    height: int = 12,
-    title: str | None = None,
-    y_label: str = "",
-) -> str:
-    """Multi-series ASCII line chart with a y-axis.
-
-    Series are resampled to ``width`` columns; each gets a distinct marker
-    in legend order (``*+o x#@``).  Intended for trajectories (unsatisfied
-    fraction per round etc.).
-    """
-    if not isinstance(series, dict):
-        series = {"": series}
-    if not series:
-        raise ValueError("need at least one series")
-    if width < 8 or height < 3:
-        raise ValueError("chart too small")
-    markers = "*+ox#@"
-    arrays = {name: _finite(vals) for name, vals in series.items()}
-
-    all_vals = np.concatenate([a[np.isfinite(a)] for a in arrays.values()])
-    if all_vals.size == 0:
-        raise ValueError("no finite values to plot")
-    lo, hi = float(all_vals.min()), float(all_vals.max())
-    if hi == lo:
-        hi = lo + 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for (name, arr), marker in zip(arrays.items(), markers):
-        n = arr.size
-        for col in range(width):
-            # resample: nearest source index for this column
-            src = int(round(col * (n - 1) / max(width - 1, 1))) if n > 1 else 0
-            v = arr[src]
-            if not math.isfinite(v):
-                continue
-            row = int(round((hi - v) / (hi - lo) * (height - 1)))
-            row = max(0, min(row, height - 1))
-            grid[row][col] = marker
-
-    left = max(len(f"{hi:.3g}"), len(f"{lo:.3g}"))
-    lines = []
-    if title:
-        lines.append(title)
-    for i, row in enumerate(grid):
-        if i == 0:
-            label = f"{hi:.3g}".rjust(left)
-        elif i == height - 1:
-            label = f"{lo:.3g}".rjust(left)
-        else:
-            label = " " * left
-        lines.append(f"{label} |{''.join(row)}")
-    lines.append(" " * left + " +" + "-" * width)
-    if y_label:
-        lines.append(" " * left + f"  {y_label}")
-    legend = [
-        f"{marker} {name}"
-        for (name, _), marker in zip(arrays.items(), markers)
-        if name
-    ]
-    if legend:
-        lines.append("   " + "   ".join(legend))
-    return "\n".join(lines)
 
 
 def histogram(

@@ -3,19 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis.convergence import (
-    churn_after,
-    sustained_convergence_round,
-    time_to_fraction,
-    unsatisfied_area,
-)
 from repro.analysis.drift import estimate_drift
 from repro.analysis.scaling import classify_growth, fit_linear, fit_logarithmic, fit_power
-from repro.analysis.stats import Summary, bootstrap_ci, geometric_mean, summarize
+from repro.analysis.stats import Summary, bootstrap_ci, summarize
 from repro.analysis.tables import format_cell, render_table
 from repro.core.potential import overload_potential
 from repro.core.protocols import QoSSamplingProtocol
-from repro.sim.metrics import Trajectory
 from repro.workloads.generators import uniform_slack
 
 
@@ -51,11 +44,6 @@ class TestStats:
             bootstrap_ci([], np.mean)
         with pytest.raises(ValueError):
             bootstrap_ci([1.0, 2.0], confidence=1.5)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
 
 
 class TestScalingFits:
@@ -98,43 +86,6 @@ class TestScalingFits:
             fit_power([1, 2, 3], [0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
             fit_linear([-1, 2, 3], [1, 2, 3])
-
-
-class TestConvergenceUtils:
-    def make(self, unsat):
-        n = len(unsat)
-        return Trajectory(
-            n_unsatisfied=np.asarray(unsat, dtype=np.int64),
-            n_moved=np.asarray([1] * n, dtype=np.int64),
-            n_attempted=np.asarray([1] * n, dtype=np.int64),
-        )
-
-    def test_sustained_convergence(self):
-        # touches zero at round 2 but bounces; settles from round 4
-        traj = self.make([5, 3, 0, 2, 0, 0, 0])
-        assert sustained_convergence_round(traj, sustain=1) == 2
-        assert sustained_convergence_round(traj, sustain=3) == 4
-        assert sustained_convergence_round(self.make([3, 2, 1])) is None
-
-    def test_sustained_short_tail_counts(self):
-        traj = self.make([3, 0])
-        assert sustained_convergence_round(traj, sustain=5) == 1
-
-    def test_time_to_fraction(self):
-        traj = self.make([10, 5, 2, 0])
-        assert time_to_fraction(traj, 0.5, n_users=10) == 1
-        assert time_to_fraction(traj, 1.0, n_users=10) == 3
-        assert time_to_fraction(self.make([10, 9]), 0.5, n_users=10) is None
-        with pytest.raises(ValueError):
-            time_to_fraction(traj, 1.5, n_users=10)
-
-    def test_unsatisfied_area_and_churn(self):
-        traj = self.make([4, 2, 0])
-        assert unsatisfied_area(traj) == 6.0
-        assert churn_after(traj, 1) == 2
-        assert churn_after(traj, 99) == 0
-        with pytest.raises(ValueError):
-            churn_after(traj, -1)
 
 
 class TestDrift:

@@ -17,7 +17,6 @@ import pytest
 from repro.registry import build_instance, build_protocol, build_schedule
 from repro.sim.batch import (
     batch_support,
-    batch_supported,
     replicate_batched,
     run_batch,
 )
@@ -210,7 +209,6 @@ def test_alive_mask_stops_stream_consumption():
 
 def test_batch_support_reasons():
     assert batch_support(spec()) is None
-    assert batch_supported(spec())
     # Every protocol with a batched kernel is supported on kernel-friendly
     # schedules/initials — including the ones the gate used to reject.
     for kernel_spec in (
@@ -226,7 +224,6 @@ def test_batch_support_reasons():
         spec(protocol="blind-random", protocol_kwargs={"jump_p": 0.4}),
     ):
         assert batch_support(kernel_spec) is None, kernel_spec.protocol
-        assert batch_supported(kernel_spec), kernel_spec.protocol
     cases = {
         "protocol": spec(protocol="best-response"),
         "schedule": spec(schedule="partition", schedule_kwargs={"k": 2}),
@@ -238,7 +235,6 @@ def test_batch_support_reasons():
     for label, s in cases.items():
         reason = batch_support(s)
         assert reason is not None and isinstance(reason, str), label
-        assert not batch_supported(s), label
 
 
 def test_batch_support_agrees_with_kernel_kind():

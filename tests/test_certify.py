@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.certify import (
+from oracles import (
     certify_assignment_counts,
     certify_max_satisfied_witness,
     certify_satisfying,

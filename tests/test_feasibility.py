@@ -5,15 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.certify import certify_max_satisfied_witness
 from repro.core.feasibility import (
-    additive_slack,
-    brute_force_assignment,
     greedy_assignment,
     is_feasible,
-    is_pointwise_ordered,
     max_satisfied,
-    max_satisfied_brute_force,
     multiplicative_slack,
     segment_dp_assignment,
 )
@@ -21,20 +16,11 @@ from repro.core.instance import AccessMap, Instance
 from repro.core.latency import AffineLatency, LatencyProfile
 
 from conftest import random_small_instance
-
-
-class TestPointwiseOrder:
-    def test_identical_and_related_are_ordered(self, small_uniform, related_instance):
-        assert is_pointwise_ordered(small_uniform)
-        assert is_pointwise_ordered(related_instance)
-
-    def test_crossing_affine_not_ordered(self):
-        # slopes/offsets cross: (1x + 0) vs (0.5x + 2) cross at x = 4.
-        inst = Instance(
-            thresholds=np.full(6, 5.0),
-            latencies=LatencyProfile([AffineLatency(1.0), AffineLatency(0.5, 2.0)]),
-        )
-        assert not is_pointwise_ordered(inst)
+from oracles import (
+    brute_force_assignment,
+    certify_max_satisfied_witness,
+    max_satisfied_brute_force,
+)
 
 
 class TestGreedyExactness:
@@ -255,13 +241,6 @@ class TestSlack:
     def test_infeasible_slack_is_zero(self):
         inst = Instance.identical_machines([1.0] * 3, 2)
         assert multiplicative_slack(inst) == 0.0
-        assert additive_slack(inst) == 0.0
-
-    def test_additive_slack(self):
-        # q=4, need q' >= 2: delta just under 2.
-        inst = Instance.identical_machines([4.0] * 8, 4)
-        delta = additive_slack(inst, tol=1e-3)
-        assert delta == pytest.approx(2.0, abs=5e-3)
 
 
 def test_brute_force_limit():

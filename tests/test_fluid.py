@@ -1,4 +1,4 @@
-"""Fluid (mean-field) model and Wardrop equilibria."""
+"""Fluid (mean-field) model."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.core.latency import (
     MM1Latency,
 )
 from repro.fluid.model import FluidSystem, run_fluid
-from repro.fluid.wardrop import satisfied_mass_at, wardrop_equilibrium
 
 
 def make_system(m=16, theta=0.1, p=0.5):
@@ -104,66 +103,3 @@ class TestFluidMatchesDiscrete:
             np.abs(discrete[:horizon] - fluid.unsatisfied[1 : horizon + 1])
         )
         assert dev < 0.01
-
-
-class TestWardrop:
-    def test_related_machines_proportional(self):
-        profile = LatencyProfile.related([1.0, 2.0, 4.0])
-        flow = wardrop_equilibrium(profile, 7.0)
-        assert np.allclose(flow.loads, [1.0, 2.0, 4.0], atol=1e-6)
-        assert flow.level == pytest.approx(1.0, abs=1e-6)
-
-    def test_equalised_latencies_on_used_resources(self):
-        profile = LatencyProfile(
-            [IdentityLatency(), IdentityLatency(), MM1Latency(5.0)]
-        )
-        flow = wardrop_equilibrium(profile, 6.0)
-        lat = profile.evaluate(flow.loads)
-        used = flow.loads > 1e-9
-        assert np.allclose(lat[used], flow.level, rtol=1e-5)
-        assert flow.total == pytest.approx(6.0)
-
-    def test_unused_expensive_resource(self):
-        from repro.core.latency import AffineLatency
-
-        # offset 10 keeps this resource empty at low levels.
-        profile = LatencyProfile([IdentityLatency(), AffineLatency(1.0, 10.0)])
-        flow = wardrop_equilibrium(profile, 3.0)
-        assert flow.loads[1] == pytest.approx(0.0, abs=1e-9)
-        assert flow.loads[0] == pytest.approx(3.0)
-
-    def test_zero_mass(self):
-        profile = LatencyProfile.identical(3)
-        flow = wardrop_equilibrium(profile, 0.0)
-        assert flow.total == 0.0
-
-    def test_unabsorbable_mass_raises(self):
-        profile = LatencyProfile([MM1Latency(2.0)])
-        with pytest.raises(ValueError):
-            wardrop_equilibrium(profile, 5.0)  # mu = 2 < mass
-
-    def test_satisfied_mass_under_thresholds(self):
-        profile = LatencyProfile.identical(4)
-        flow = wardrop_equilibrium(profile, 8.0)  # loads 2 each, latency 2
-        full = satisfied_mass_at(
-            flow, profile, np.asarray([3.0]), np.asarray([1.0])
-        )
-        none = satisfied_mass_at(
-            flow, profile, np.asarray([1.0]), np.asarray([1.0])
-        )
-        assert full == pytest.approx(1.0)
-        assert none == pytest.approx(0.0)
-        mixed = satisfied_mass_at(
-            flow, profile, np.asarray([3.0, 1.0]), np.asarray([0.25, 0.75])
-        )
-        assert mixed == pytest.approx(0.25)
-
-    def test_balancing_is_wrong_under_scarcity_fluid_face(self):
-        """Fluid version of T4: Wardrop satisfies nobody at 1.5x overload
-        while the QoS capacity could satisfy most of the mass."""
-        profile = LatencyProfile.identical(8)
-        q = 2.0
-        mass = 1.5 * 8 * q  # 24 mass on 16 QoS capacity
-        flow = wardrop_equilibrium(profile, mass)
-        sat = satisfied_mass_at(flow, profile, np.asarray([q]), np.asarray([1.0]))
-        assert sat == pytest.approx(0.0)

@@ -1,72 +1,23 @@
-"""Game-theoretic substrate: Nash equilibria, stable-state enumeration, PoA."""
+"""The satisfaction game's pure equilibria are the stable states: the
+exhaustive enumeration oracle agrees with :func:`repro.core.stability.is_stable`."""
+
+from itertools import product
 
 import numpy as np
 import pytest
 
-from repro.core.feasibility import max_satisfied
 from repro.core.instance import Instance
-from repro.core.potential import rosenthal_potential
-from repro.core.protocols import QoSSamplingProtocol
 from repro.core.stability import is_stable
 from repro.core.state import State
-from repro.games.congestion import (
-    is_latency_nash,
-    latency_improving_move,
-    nash_by_best_response,
-    rosenthal_gap,
-)
-from repro.games.satisfaction import (
-    empirical_stable_satisfaction,
-    enumerate_stable_states,
-    satisfaction_price_of_anarchy,
-    worst_stable_satisfaction,
-)
 
 from conftest import random_small_instance
-
-
-class TestCongestion:
-    def test_best_response_reaches_nash(self):
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            inst = random_small_instance(rng, max_n=8, max_m=4)
-            eq = nash_by_best_response(inst, seed=rng)
-            assert is_latency_nash(eq)
-
-    def test_rosenthal_decreases_along_dynamics(self):
-        inst = Instance.identical_machines([9.0] * 10, 3)
-        state = State.worst_case_pile(inst)
-        phi = rosenthal_potential(state)
-        while True:
-            move = latency_improving_move(state)
-            if move is None:
-                break
-            state.move_user(*move)
-            new_phi = rosenthal_potential(state)
-            assert new_phi < phi
-            phi = new_phi
-
-    def test_nash_on_identical_machines_is_balanced(self):
-        inst = Instance.identical_machines([99.0] * 12, 4)
-        eq = nash_by_best_response(inst, seed=1)
-        assert eq.loads.max() - eq.loads.min() <= 1
-
-    def test_rosenthal_gap_zero_at_equilibrium(self):
-        inst = Instance.identical_machines([99.0] * 8, 2)
-        eq = nash_by_best_response(inst, seed=0)
-        assert rosenthal_gap(eq) == pytest.approx(0.0)
-
-    def test_improving_move_none_at_nash(self):
-        inst = Instance.identical_machines([9.0] * 4, 2)
-        state = State(inst, np.asarray([0, 0, 1, 1]))
-        assert latency_improving_move(state) is None
+from oracles import enumerate_stable_states
 
 
 class TestSatisfactionGame:
     def test_stable_states_match_is_stable(self):
         rng = np.random.default_rng(3)
         inst = random_small_instance(rng, max_n=4, max_m=3, max_q=4)
-        from itertools import product
 
         expected = 0
         for cand in product(range(inst.n_resources), repeat=inst.n_users):
@@ -75,75 +26,7 @@ class TestSatisfactionGame:
         found = sum(1 for _ in enumerate_stable_states(inst))
         assert found == expected > 0
 
-    def test_trap_poa_exceeds_one(self, trap_instance):
-        # OPT satisfies all 7; the trap state satisfies only 6.
-        worst, witness = worst_stable_satisfaction(trap_instance)
-        assert worst <= 6
-        assert is_stable(witness)
-        poa = satisfaction_price_of_anarchy(trap_instance)
-        assert poa >= 7 / 6 - 1e-9
-
-    def test_generous_instance_poa_is_one(self):
-        inst = Instance.identical_machines([4.0] * 8, 4)  # m*q = 16 >= 8
-        assert satisfaction_price_of_anarchy(inst) == pytest.approx(1.0)
-
     def test_enumeration_limit(self):
         inst = Instance.identical_machines([4.0] * 30, 4)
         with pytest.raises(ValueError):
             list(enumerate_stable_states(inst, limit=10))
-
-    def test_worst_stable_consistent_with_opt(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            inst = random_small_instance(rng, max_n=5, max_m=3, max_q=5)
-            worst, _ = worst_stable_satisfaction(inst)
-            opt = max_satisfied(inst).n_satisfied
-            assert worst <= opt
-
-    def test_empirical_stable_satisfaction(self, trap_instance):
-        counts = empirical_stable_satisfaction(
-            trap_instance, QoSSamplingProtocol(), n_runs=6, max_rounds=2000, seed=2
-        )
-        assert counts.shape == (6,)
-        assert np.all(counts <= trap_instance.n_users)
-        assert np.all(counts >= 0)
-
-
-class TestLatencyCacheDifferential:
-    """The cached ``ell(x + w)`` fast path must be numerically invisible:
-    every game-layer answer is bit-identical with caching disabled."""
-
-    def test_best_response_identical_without_caching(self):
-        from repro.core.state import cache_stats, caching_disabled, reset_cache_stats
-
-        rng = np.random.default_rng(77)
-        for _ in range(10):
-            inst = random_small_instance(rng)
-            reset_cache_stats()
-            cached_nash = nash_by_best_response(inst, seed=5)
-            stats = cache_stats()
-            with caching_disabled():
-                plain_nash = nash_by_best_response(inst, seed=5)
-            assert np.array_equal(cached_nash.assignment, plain_nash.assignment)
-            assert rosenthal_potential(cached_nash) == rosenthal_potential(plain_nash)
-            # the fast path was actually exercised, not silently bypassed
-            assert stats["misses"] > 0
-
-    def test_improving_move_identical_without_caching(self, trap_state):
-        from repro.core.state import caching_disabled
-
-        cached_move = latency_improving_move(trap_state)
-        with caching_disabled():
-            plain_move = latency_improving_move(trap_state)
-        assert cached_move == plain_move
-
-    def test_worst_stable_identical_without_caching(self):
-        from repro.core.state import caching_disabled
-
-        rng = np.random.default_rng(78)
-        for _ in range(5):
-            inst = random_small_instance(rng, max_n=5, max_m=3, max_q=5)
-            worst_cached, _ = worst_stable_satisfaction(inst)
-            with caching_disabled():
-                worst_plain, _ = worst_stable_satisfaction(inst)
-            assert worst_cached == worst_plain

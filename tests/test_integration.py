@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.convergence import sustained_convergence_round
 from repro.analysis.stats import summarize
 from repro.baselines.centralized import opt_satisfied, optimal_assignment
 from repro.core.potential import overload_potential
@@ -73,7 +72,7 @@ def test_final_states_of_improvement_protocols_are_stable():
 
 def test_trajectory_potential_is_supermartingale_ish():
     """Overload potential ends at zero and the recorded trajectory's
-    sustained convergence matches the engine's round count."""
+    first satisfying round matches the engine's round count."""
     inst = uniform_slack(300, 16, 0.15)
     recorder = Recorder(potentials={"overload": overload_potential})
     result = run(
@@ -86,9 +85,7 @@ def test_trajectory_potential_is_supermartingale_ish():
     traj = result.trajectory
     assert result.status == "satisfying"
     assert traj.potentials["overload"][-1] >= 0
-    sustained = sustained_convergence_round(traj, sustain=1)
-    # the engine stops one boundary after the last acting round
-    assert sustained is None or sustained <= result.rounds
+    assert traj.first_satisfying_round() == result.rounds
 
 
 def test_failure_injection_end_to_end():

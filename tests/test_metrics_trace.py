@@ -1,4 +1,4 @@
-"""Recorder/Trajectory and Trace serialization."""
+"""Recorder and Trajectory."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.core.potential import unsatisfied_count, violation_mass
 from repro.core.protocols import QoSSamplingProtocol
 from repro.sim.engine import run
 from repro.sim.metrics import Recorder, Trajectory
-from repro.sim.parallel import RunSpec, replicate
-from repro.sim.trace import Trace, trajectory_to_dict, write_csv_series
 
 
 class TestRecorder:
@@ -72,161 +70,3 @@ class TestTrajectory:
         assert s["total_moves"] == 3
         assert s["total_attempts"] == 6
         assert s["first_satisfying_round"] == 3
-
-
-class TestTrace:
-    def test_roundtrip(self, tmp_path, small_uniform):
-        spec = RunSpec(
-            generator="uniform_slack",
-            generator_kwargs={"n": 64, "m": 8, "slack": 0.3},
-            label="trace-test",
-        )
-        runs = replicate(spec, 3, base_seed=1)
-        trace = Trace.from_runs(spec, runs, note="hello")
-        path = trace.save(tmp_path / "trace.json")
-        loaded = Trace.load(path)
-        assert loaded.spec["generator"] == "uniform_slack"
-        assert loaded.meta["note"] == "hello"
-        assert len(loaded.results) == 3
-        rounds = loaded.values("rounds")
-        assert rounds.shape == (3,)
-        assert np.isfinite(rounds).all()
-        assert sum(loaded.status_counts().values()) == 3
-
-    def test_trajectory_serialization(self, small_uniform):
-        recorder = Recorder(potentials={"u": unsatisfied_count})
-        result = run(
-            small_uniform,
-            QoSSamplingProtocol(),
-            seed=3,
-            initial="pile",
-            recorder=recorder,
-        )
-        d = trajectory_to_dict(result)
-        assert isinstance(d["n_unsatisfied"], list)
-        assert isinstance(d["potentials"]["u"], list)
-        bare = run(small_uniform, QoSSamplingProtocol(), seed=3, initial="pile")
-        assert trajectory_to_dict(bare) is None
-
-    def test_values_handles_none(self):
-        trace = Trace(spec={}, results=[{"rounds": 3}, {"rounds": None}])
-        vals = trace.values("rounds")
-        assert vals[0] == 3.0 and np.isnan(vals[1])
-
-    def test_values_ragged_key_yields_nan(self):
-        # present in SOME results: legitimate raggedness, NaN-padded
-        trace = Trace(spec={}, results=[{"rounds": 3}, {"status": "quiescent"}])
-        vals = trace.values("rounds")
-        assert vals[0] == 3.0 and np.isnan(vals[1])
-
-    def test_values_unknown_key_raises_with_available_keys(self):
-        from repro.sim.trace import TraceKeyError
-
-        trace = Trace(
-            spec={}, results=[{"rounds": 3, "status": "satisfying"}, {"rounds": 5}]
-        )
-        with pytest.raises(TraceKeyError) as exc_info:
-            trace.values("round")  # typo of "rounds"
-        msg = str(exc_info.value)
-        assert "'round'" in msg
-        assert "absent from all 2" in msg
-        assert "rounds" in msg and "status" in msg  # lists what IS there
-        # still a KeyError for existing handlers
-        with pytest.raises(KeyError):
-            trace.values("round")
-
-    def test_values_empty_trace_does_not_raise(self):
-        assert Trace(spec={}, results=[]).values("anything").shape == (0,)
-
-    def test_roundtrip_with_trajectories(self, tmp_path, small_uniform):
-        """Full save/load round-trip of trajectory-bearing traces.
-
-        JSON stringifies dict keys and downcasts arrays to lists — the
-        round-trip must keep snapshot keys addressable (as strings) and
-        potentials as floats.
-        """
-        recorder = Recorder(
-            potentials={"u": unsatisfied_count, "mass": violation_mass},
-            snapshot_every=2,
-        )
-        result = run(
-            small_uniform,
-            QoSSamplingProtocol(),
-            seed=3,
-            initial="pile",
-            recorder=recorder,
-        )
-        trace = Trace.from_runs(
-            {"generator": "fixture"}, [result], include_trajectories=True
-        )
-        path = trace.save(tmp_path / "traj.json")
-        loaded = Trace.load(path)
-        traj = loaded.results[0]["trajectory"]
-        original = result.trajectory
-        # snapshot round-indices survive as strings
-        expected_keys = {str(k) for k in original.load_snapshots}
-        assert set(traj["load_snapshots"]) == expected_keys
-        for k, snap in traj["load_snapshots"].items():
-            np.testing.assert_allclose(snap, original.load_snapshots[int(k)])
-        # potentials as floats
-        assert all(isinstance(v, float) for v in traj["potentials"]["u"])
-        np.testing.assert_allclose(traj["potentials"]["mass"], original.potentials["mass"])
-        np.testing.assert_array_equal(traj["n_unsatisfied"], original.n_unsatisfied)
-
-    def test_provenance_survives_roundtrip(self, tmp_path, small_uniform):
-        from repro.obs import PROVENANCE_FIELDS
-
-        spec = RunSpec(
-            generator="uniform_slack",
-            generator_kwargs={"n": 64, "m": 8, "slack": 0.3},
-        )
-        trace = Trace.from_runs(spec, replicate(spec, 2, base_seed=1))
-        loaded = Trace.load(trace.save(tmp_path / "prov.json"))
-        prov = loaded.meta["provenance"]
-        for f in PROVENANCE_FIELDS:
-            assert f in prov
-        # the seed-derivation key pins the exact replay configuration
-        from repro.sim.parallel import spec_seed_key
-
-        assert prov["spec_seed_key"] == spec_seed_key(spec)
-
-    def test_explicit_provenance_not_overwritten(self):
-        trace = Trace.from_runs(
-            {"generator": "x"}, [], provenance={"git_sha": "pinned"}
-        )
-        assert trace.meta["provenance"] == {"git_sha": "pinned"}
-
-
-def test_write_csv_series(tmp_path):
-    path = write_csv_series(
-        tmp_path / "sub" / "series.csv",
-        ["n", "rounds"],
-        [[100, 5], [200, np.float64(6.5)]],
-    )
-    text = path.read_text().splitlines()
-    assert text[0] == "n,rounds"
-    assert text[1] == "100,5"
-    assert text[2] == "200,6.5"
-
-
-def test_write_csv_series_none_and_quoting_roundtrip(tmp_path):
-    """None -> empty cell; commas/quotes/newlines survive a stdlib reader."""
-    import csv
-
-    header = ["label", "rounds_median", "note"]
-    rows = [
-        ["qos-sampling", None, 'says "hi", twice'],
-        ["permit[d=2,probes]", 7, "line1\nline2"],
-        ["plain", 3.5, ""],
-    ]
-    path = write_csv_series(tmp_path / "series.csv", header, rows)
-
-    text = path.read_text()
-    assert "None" not in text  # the old writer emitted literal "None"
-
-    with open(path, newline="") as fh:
-        parsed = list(csv.reader(fh))
-    assert parsed[0] == header
-    assert parsed[1] == ["qos-sampling", "", 'says "hi", twice']
-    assert parsed[2] == ["permit[d=2,probes]", "7", "line1\nline2"]
-    assert parsed[3] == ["plain", "3.5", ""]

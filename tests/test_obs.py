@@ -366,19 +366,6 @@ def test_provenance_extra_collision_raises():
         provenance_stamp(git_sha="spoofed")
 
 
-def test_trace_carries_provenance(small_uniform):
-    from repro.registry import build_protocol
-    from repro.sim.engine import run
-    from repro.sim.trace import Trace
-
-    result = run(small_uniform, build_protocol("qos-sampling"), seed=0, initial="pile")
-    trace = Trace.from_runs({"generator": "fixture"}, [result])
-    prov = trace.meta["provenance"]
-    for f in PROVENANCE_FIELDS:
-        assert f in prov
-    assert "spec_seed_key" in prov
-
-
 # -- bench payload & frozen bench-engine/v2 schema -----------------------------
 
 
@@ -721,6 +708,7 @@ def test_merge_events_sorts_annotates_and_tolerates_torn_lines(tmp_path):
         "cells": 2,
         "records": 7,
         "bad_lines": 1,
+        "unreadable": 0,
     }
     lines = [json.loads(line) for line in (tmp_path / TIMELINE_NAME).read_text().splitlines()]
     header, records = lines[0], lines[1:]
@@ -742,6 +730,28 @@ def test_merge_events_is_safe_on_empty_or_missing_dir(tmp_path):
     # the timeline still exists with a well-formed header
     header = json.loads((tmp_path / "timeline.jsonl").read_text().splitlines()[0])
     assert header["meta"]["cells"] == []
+
+
+def test_vanished_cell_file_is_unreadable_not_clean(tmp_path, monkeypatch):
+    """A per-cell file that disappears after the glob (a re-run or gc
+    removed it) is reported as unreadable, never as a clean empty file."""
+    from repro.obs import aggregate, cell_digest, cell_event_files, read_events
+
+    events_dir = tmp_path / "events"
+    _write_cell_file(events_dir, KEY_A, _closed_cell_records("cell-a", 10.0))
+    _write_cell_file(events_dir, KEY_B, _closed_cell_records("cell-b", 20.0))
+    paths = cell_event_files(events_dir)
+    paths[1].unlink()
+    with pytest.raises(FileNotFoundError):
+        read_events(paths[1])
+    digest = cell_digest(paths[1])
+    assert digest["unreadable"] and digest["records"] == 0 and not digest["closed"]
+    assert not cell_digest(paths[0])["unreadable"]
+    monkeypatch.setattr(aggregate, "cell_event_files", lambda _dir: paths)
+    summary = aggregate.merge_events(events_dir)
+    assert summary["unreadable"] == 1 and summary["cells"] == 1
+    header = json.loads((tmp_path / "timeline.jsonl").read_text().splitlines()[0])
+    assert header["meta"]["unreadable"] == 1
 
 
 def test_cell_digest_distinguishes_closed_from_live(tmp_path):

@@ -4,13 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.feasibility import (
-    brute_force_assignment,
-    greedy_assignment,
-    max_satisfied,
-    max_satisfied_brute_force,
-    segment_dp_assignment,
-)
+from repro.core.feasibility import greedy_assignment, max_satisfied, segment_dp_assignment
 from repro.core.instance import AccessMap, Instance
 from repro.core.latency import (
     AffineLatency,
@@ -25,6 +19,13 @@ from repro.core.latency import (
 from repro.core.potential import overload_potential
 from repro.core.protocols import PermitProtocol, QoSSamplingProtocol
 from repro.core.state import State
+
+from oracles import (
+    brute_force_assignment,
+    certify_satisfying,
+    certify_stable,
+    max_satisfied_brute_force,
+)
 
 COMMON = settings(
     max_examples=60,
@@ -214,22 +215,6 @@ def test_engine_runs_are_reproducible(inst, seed):
 
 
 @COMMON
-@given(inst=tiny_instances, seed=st.integers(0, 2**16))
-def test_ffd_witnesses_are_sound(inst, seed):
-    """first_fit_decreasing either fails or returns a genuinely
-    satisfying state (cross-checked by the naive certifier)."""
-    from repro.core.certify import certify_satisfying
-    from repro.core.weighted import first_fit_decreasing
-
-    state = first_fit_decreasing(inst)
-    if state is not None:
-        ok, issues = certify_satisfying(state)
-        assert ok, issues
-        # unit weights: a witness implies the exact theory agrees
-        assert brute_force_assignment(inst).feasible
-
-
-@COMMON
 @given(
     m=st.integers(1, 12),
     theta=st.floats(0.01, 0.9),
@@ -267,7 +252,6 @@ def test_sparkline_length_matches_input(values):
 @COMMON
 @given(inst=tiny_instances, seed=st.integers(0, 2**16))
 def test_certifiers_agree_with_fast_paths(inst, seed):
-    from repro.core.certify import certify_satisfying, certify_stable
     from repro.core.stability import is_stable
 
     state = State.uniform_random(inst, np.random.default_rng(seed))

@@ -2,22 +2,13 @@
 
 import numpy as np
 
-from repro.sim.rng import derive_rng, make_rng, seed_from_key, spawn_rngs
+from repro.sim.rng import make_rng, seed_from_key
 
 
 def test_make_rng_deterministic():
     assert make_rng(5).random() == make_rng(5).random()
     gen = np.random.default_rng(1)
     assert make_rng(gen) is gen
-
-
-def test_spawn_rngs_independent_and_deterministic():
-    a = spawn_rngs(3, 4)
-    b = spawn_rngs(3, 4)
-    vals_a = [g.random() for g in a]
-    vals_b = [g.random() for g in b]
-    assert vals_a == vals_b
-    assert len(set(vals_a)) == 4  # streams differ from each other
 
 
 def test_seed_from_key_stable_and_sensitive():
@@ -28,10 +19,3 @@ def test_seed_from_key_stable_and_sensitive():
     # key concatenation must not be ambiguous: ("ab","c") != ("a","bc")
     assert seed_from_key(1, "ab", "c") != seed_from_key(1, "a", "bc")
     assert 0 <= s1 < 2**63
-
-
-def test_derive_rng():
-    a = derive_rng(7, "workload").random()
-    b = derive_rng(7, "protocol").random()
-    assert a != b
-    assert derive_rng(7, "workload").random() == a

@@ -5,7 +5,6 @@ import pytest
 
 from repro.sim.schedule import (
     AlphaSchedule,
-    CustomSchedule,
     PartitionSchedule,
     StaggeredSchedule,
     SynchronousSchedule,
@@ -78,12 +77,3 @@ def test_staggered_covers_everyone_eventually():
     for r in range(300):
         seen |= s.active_mask(r, 6, rng)
     assert seen.all()
-
-
-def test_custom_schedule(rng):
-    s = CustomSchedule(lambda r, n, g: np.arange(n) % 2 == r % 2, name="evens")
-    assert s.active_mask(0, 6, rng).tolist() == [True, False] * 3
-    assert s.describe()["name"] == "evens"
-    bad = CustomSchedule(lambda r, n, g: np.ones(n + 1, dtype=bool))
-    with pytest.raises(ValueError):
-        bad.active_mask(0, 4, rng)

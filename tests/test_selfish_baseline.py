@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.baselines.centralized import (
-    optimal_assignment,
-    round_robin_assignment,
-    water_filling,
-)
+from repro.baselines.centralized import optimal_assignment
 from repro.baselines.selfish import SelfishRebalanceProtocol
 from repro.core.instance import AccessMap, Instance
 from repro.core.latency import LatencyProfile
 from repro.core.state import State
-from repro.games.congestion import is_latency_nash
 from repro.sim.engine import run
 from repro.workloads.generators import overloaded, uniform_slack
+
+from oracles import is_latency_nash
 
 
 class TestSelfishRebalance:
@@ -86,33 +83,3 @@ class TestCentralizedBaselines:
         inst = Instance.related_machines([3.0, 3.0, 1.0], [2.0, 0.5])
         state = optimal_assignment(inst)
         assert state.is_satisfying()
-
-    def test_water_filling_solves_easy_instances(self):
-        inst = uniform_slack(128, 8, 0.3)
-        state = water_filling(inst)
-        assert state.is_satisfying()
-        state.check_invariants()
-
-    def test_water_filling_respects_access(self):
-        inst = Instance(
-            thresholds=np.asarray([2.0, 2.0, 2.0]),
-            latencies=LatencyProfile.identical(3),
-            access=AccessMap([[0], [1], [2]], 3),
-        )
-        state = water_filling(inst)
-        assert list(state.assignment) == [0, 1, 2]
-
-    def test_round_robin_balances(self):
-        inst = uniform_slack(64, 8, 0.2)
-        state = round_robin_assignment(inst)
-        assert state.loads.max() - state.loads.min() <= 1
-
-    def test_round_robin_with_access(self):
-        inst = Instance(
-            thresholds=np.asarray([5.0] * 4),
-            latencies=LatencyProfile.identical(2),
-            access=AccessMap([[0], [0], [0, 1], [0, 1]], 2),
-        )
-        state = round_robin_assignment(inst)
-        state.check_invariants()
-        assert state.loads.sum() == 4

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.viz import bar_chart, histogram, line_chart, progress_bar, sparkline
+from repro.viz import bar_chart, histogram, progress_bar, sparkline
 
 
 class TestSparkline:
@@ -47,31 +47,6 @@ class TestProgressBar:
 
     def test_nan_renders_unknown(self):
         assert progress_bar(float("nan"), width=6) == "[" + "·" * 6 + "]"
-
-
-class TestLineChart:
-    def test_single_series(self):
-        text = line_chart(np.linspace(0, 1, 100), width=20, height=5, title="t")
-        lines = text.splitlines()
-        assert lines[0] == "t"
-        assert len(lines) >= 7  # title + 5 rows + axis
-        assert "1" in lines[1]  # max label at top
-
-    def test_multi_series_legend(self):
-        text = line_chart(
-            {"a": [1, 2, 3], "b": [3, 2, 1]}, width=12, height=4
-        )
-        assert "* a" in text and "+ b" in text
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            line_chart({}, width=20)
-        with pytest.raises(ValueError):
-            line_chart([1, 2], width=4, height=2)
-
-    def test_flat_series(self):
-        text = line_chart([2.0, 2.0, 2.0], width=10, height=3)
-        assert "*" in text
 
 
 class TestHistogram:
