@@ -42,9 +42,7 @@ from .core import (
     max_satisfied,
     multiplicative_slack,
     overload_potential,
-    rosenthal_potential,
     unsatisfied_count,
-    violation_mass,
 )
 from .core.protocols import (
     AdaptiveBackoffRate,
@@ -127,8 +125,6 @@ __all__ = [
     "improvable_users",
     "unsatisfied_count",
     "overload_potential",
-    "violation_mass",
-    "rosenthal_potential",
     # protocols
     "Protocol",
     "QoSSamplingProtocol",

@@ -33,11 +33,6 @@ class DriftEstimate:
     #: bucket upper edges -> (count, mean drift) for drift-by-level tables
     by_level: dict[float, tuple[int, float]]
 
-    @property
-    def is_negative(self) -> bool:
-        """Whether the estimated conditional drift is strictly negative."""
-        return self.mean_drift < 0.0
-
 
 def estimate_drift(
     instance: Instance,

@@ -33,19 +33,6 @@ class Fit:
     params: tuple[float, ...]
     r_squared: float
 
-    def predict(self, n: np.ndarray | float) -> np.ndarray | float:
-        n = np.asarray(n, dtype=np.float64)
-        if self.model == "logarithmic":
-            a, b = self.params
-            return a * np.log(n) + b
-        if self.model == "power":
-            c, k = self.params
-            return c * n**k
-        if self.model == "linear":
-            a, b = self.params
-            return a * n + b
-        raise ValueError(f"unknown model {self.model!r}")
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.model == "logarithmic":
             return f"T = {self.params[0]:.3g}·ln n + {self.params[1]:.3g} (R²={self.r_squared:.3f})"

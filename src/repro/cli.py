@@ -95,7 +95,7 @@ def _store_context(store_arg: str | None, *, render_only: bool = False):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .experiments import get_experiment
+    from .experiments import UnknownParameterError, get_experiment
     from .runs.store import MissingCellError
 
     if args.render_only and not args.store:
@@ -111,6 +111,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             result = exp.run(args.scale, **overrides)
     except MissingCellError as exc:
         raise SystemExit(f"render-only: {exc.args[0]}") from exc
+    except UnknownParameterError as exc:
+        raise SystemExit(str(exc)) from None
     print(result.render())
     print(f"[{time.time() - started:.1f}s]")
     if args.out:
@@ -220,6 +222,7 @@ def _serve_sweep_cli(args: argparse.Namespace, *, timeout, retries) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .experiments import UnknownParameterError
     from .obs import HUB
     from .runs import DEFAULT_RETRIES, DEFAULT_TIMEOUT, resume_sweep, run_sweep
 
@@ -258,6 +261,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 events=not args.no_events,
                 profile=args.profile,
             )
+    except UnknownParameterError as exc:
+        raise SystemExit(str(exc)) from None
     finally:
         if args.obs_out:
             HUB.disable()

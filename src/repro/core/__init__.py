@@ -22,12 +22,7 @@ from .latency import (
     TableLatency,
     UnavailableLatency,
 )
-from .potential import (
-    overload_potential,
-    rosenthal_potential,
-    unsatisfied_count,
-    violation_mass,
-)
+from .potential import overload_potential, unsatisfied_count
 from .stability import (
     blocked_mask,
     deadlock_free_users,
@@ -72,6 +67,4 @@ __all__ = [
     # potentials
     "unsatisfied_count",
     "overload_potential",
-    "violation_mass",
-    "rosenthal_potential",
 ]

@@ -142,30 +142,12 @@ class AccessMap:
         offsets = np.arange(n_users + 1, dtype=np.int64) * n_resources
         return cls.from_csr(choices, offsets, n_resources)
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "AccessMap":
-        """Build from a boolean ``(n_users, n_resources)`` matrix."""
-        matrix = np.asarray(matrix, dtype=bool)
-        if matrix.ndim != 2:
-            raise ValueError("access matrix must be 2-D")
-        counts = matrix.sum(axis=1)
-        if np.any(counts == 0):
-            bad = int(np.nonzero(counts == 0)[0][0])
-            raise ValueError(f"user {bad} has no accessible resource")
-        # nonzero walks rows in order, columns ascending within a row —
-        # exactly the CSR invariant from_csr validates.
-        _, cols = np.nonzero(matrix)
-        return cls.from_csr(cols, csr_offsets(counts), matrix.shape[1])
-
     def allowed(self, u: int) -> np.ndarray:
         """Resources accessible to user ``u`` (sorted)."""
         return self.choices[self.offsets[u] : self.offsets[u + 1]]
 
     def degree(self, u: int) -> int:
         return int(self.offsets[u + 1] - self.offsets[u])
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
 
     def is_complete(self) -> bool:
         return bool(np.all(np.diff(self.offsets) == self.n_resources))
@@ -213,9 +195,6 @@ class AccessMap:
         span = self.offsets[users + 1] - lo
         pos = lo + rng.integers(0, span)
         return self.choices[pos]
-
-    def to_lists(self) -> list[list[int]]:
-        return [self.allowed(u).tolist() for u in range(self.n_users)]
 
 
 @dataclass(frozen=True)
@@ -349,14 +328,6 @@ class Instance:
     def capacity_for(self, q: float) -> np.ndarray:
         """Per-resource capacity at threshold ``q``."""
         return self.latencies.capacities(q)
-
-    def total_capacity_at_min_threshold(self) -> int:
-        """Total users placeable if *every* user had the smallest threshold.
-
-        A quick (conservative) sufficient check: if this is ``>= n`` the
-        instance is trivially feasible regardless of the threshold profile.
-        """
-        return int(np.sum(np.maximum(self.capacity_for(float(self.thresholds.min())), 0)))
 
     def describe(self) -> dict:
         """Summary dict used by traces and the CLI."""

@@ -12,17 +12,11 @@ experiments can measure the drift empirically (see
   satisfied there.  Zero iff satisfying; decreases by one for every
   "useful" migration and is insensitive to harmless churn, which makes it
   the sharpest empirical drift signal.
-- :func:`violation_mass` — total latency excess over thresholds; a smooth
-  (real-valued) alternative.
-- :func:`rosenthal_potential` — the classic congestion-game potential
-  ``sum_r sum_{k<=x_r} ell_r(k)``; exact for sequential best-response
-  (every improving move strictly decreases it), included for the
-  game-theoretic baselines.
 
-All three computed potentials are memoized on the state's generation
-counter (``potential/...`` cache keys): recorders that sample several
-potentials per round, and drift analyses that re-query between moves, hit
-the same value without recomputation.
+:func:`overload_potential` is memoized on the state's generation counter
+(the ``potential/overload`` cache key): recorders that sample it every
+round, and drift analyses that re-query between moves, hit the same value
+without recomputation.
 """
 
 from __future__ import annotations
@@ -31,12 +25,7 @@ import numpy as np
 
 from .state import State
 
-__all__ = [
-    "unsatisfied_count",
-    "overload_potential",
-    "violation_mass",
-    "rosenthal_potential",
-]
+__all__ = ["unsatisfied_count", "overload_potential"]
 
 
 def unsatisfied_count(state: State) -> float:
@@ -81,46 +70,3 @@ def _compute_overload_potential(state: State) -> float:
         keepable = int(ok[-1]) + 1 if ok.size else 0
         total += grp.size - keepable
     return float(total)
-
-
-def violation_mass(state: State) -> float:
-    """Total latency violation ``sum_u max(0, ell(u) - q_u)``.
-
-    Smooth real-valued potential; finite violations only (users on
-    saturated ``+inf``-latency resources contribute the instance's maximum
-    threshold instead, to keep the potential finite and comparable).
-    """
-    return state.cached("potential/violation_mass", _compute_violation_mass)
-
-
-def _compute_violation_mass(state: State) -> float:
-    lat = state.user_latencies()
-    q = state.instance.thresholds
-    cap = float(q.max())
-    excess = np.where(np.isfinite(lat), np.maximum(0.0, lat - q), cap)
-    return float(np.sum(excess))
-
-
-def rosenthal_potential(state: State) -> float:
-    """Rosenthal's potential ``sum_r sum_{k=1..x_r} ell_r(k)``.
-
-    Exact potential of the underlying singleton congestion game: a
-    unilateral move from latency ``a`` to latency ``b`` changes it by
-    ``b - a``.  Defined for unit weights; infinite terms (saturated M/M/1
-    or over-capacity resources) propagate as ``+inf``.
-    """
-    return state.cached("potential/rosenthal", _compute_rosenthal_potential)
-
-
-def _compute_rosenthal_potential(state: State) -> float:
-    inst = state.instance
-    if not inst.unit_weights:
-        raise NotImplementedError("rosenthal_potential requires unit weights")
-    total = 0.0
-    for r in range(inst.n_resources):
-        x = int(round(state.loads[r]))
-        if x == 0:
-            continue
-        ks = np.arange(1, x + 1, dtype=np.float64)
-        total += float(np.sum(inst.latencies[r](ks)))
-    return total

@@ -82,9 +82,6 @@ class ResourceGraph:
             return resources.copy()
         return self.neighbors.take(pos)
 
-    def neighbors_of(self, r: int) -> np.ndarray:
-        return self.neighbors[self.offsets[r] : self.offsets[r + 1]]
-
 
 class NeighborhoodSamplingProtocol(SampleCommitProtocol):
     """Sampling protocol with one-hop visibility on a resource graph.

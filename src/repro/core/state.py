@@ -262,9 +262,6 @@ class State:
             return np.take(ok, self.assignment)
         return self.user_latencies() <= inst.thresholds
 
-    def unsatisfied_users(self) -> np.ndarray:
-        return np.nonzero(~self.satisfied_mask())[0]
-
     @property
     def n_satisfied(self) -> int:
         return int(np.count_nonzero(self.satisfied_mask()))
@@ -276,10 +273,6 @@ class State:
     def is_satisfying(self) -> bool:
         """True iff every user's QoS requirement is met."""
         return bool(np.all(self.satisfied_mask()))
-
-    def slack_per_user(self) -> np.ndarray:
-        """``q_u - ell(user)`` — positive is headroom, negative is violation."""
-        return self.instance.thresholds - self.user_latencies()
 
     def would_satisfy(self, users: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Would each ``users[i]`` be satisfied after migrating to ``targets[i]``?

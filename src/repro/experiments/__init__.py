@@ -11,6 +11,7 @@ claim being reproduced) plus two parameter presets:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -64,6 +65,10 @@ __all__ = [
 ]
 
 
+class UnknownParameterError(ValueError):
+    """An override names a parameter the experiment's runner does not take."""
+
+
 @dataclass(frozen=True)
 class ExperimentDef:
     """An experiment plus its CI and full-scale parameter presets.
@@ -89,6 +94,13 @@ class ExperimentDef:
     def _preset(self, scale: str, overrides: dict[str, Any]) -> dict[str, Any]:
         if scale not in ("ci", "full"):
             raise ValueError("scale must be 'ci' or 'full'")
+        params = inspect.signature(self.fn).parameters
+        unknown = sorted(set(overrides) - set(params))
+        if unknown:
+            raise UnknownParameterError(
+                f"{self.experiment_id} has no parameter {', '.join(unknown)}; "
+                f"its parameters are {', '.join(params)}"
+            )
         kwargs = dict(self.ci if scale == "ci" else self.full)
         kwargs.update(overrides)
         return kwargs

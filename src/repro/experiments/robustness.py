@@ -225,7 +225,6 @@ def f13_msg_loss(
     m: int = 16,
     slack: float = 0.25,
     n_reps: int = 5,
-    protocol: str = "sampling",
     tick_interval: float = 1.0,
     max_time: float = 2_000.0,
     p_duplicate: float = 0.02,
@@ -282,7 +281,6 @@ def f13_msg_loss(
             inst = build_instance("uniform_slack", n=n, m=m, slack=slack)
             kwargs = dict(
                 seed=3000 + rep,
-                protocol=protocol,
                 initial="pile",
                 tick_interval=tick_interval,
                 max_time=max_time,
@@ -347,7 +345,7 @@ def f13_msg_loss(
         experiment_id="F13",
         title=(
             f"self-healing under message loss "
-            f"(n={n}, m={m}, slack={slack}, {protocol}, pile start)"
+            f"(n={n}, m={m}, slack={slack}, sampling, pile start)"
         ),
         headers=headers,
         rows=rows,

@@ -6,27 +6,13 @@ agents that communicate *only* through messages over delayed channels,
 with no shared memory (experiment T3 cross-validates the two).
 
 :mod:`repro.msgsim.faults` turns the perfect transport into an adversary —
-message loss, duplication, reordering, partitions, crashes — and the
-agents answer with a self-healing layer (request ids, acks, bounded
-retransmission, watchdogs; experiment F13).
+message loss, duplication and reordering — and the agents answer with a
+self-healing layer (request ids, acks, bounded retransmission, watchdogs;
+experiment F13).
 """
 
-from .admission import (
-    AdmissionResourceAgent,
-    AdmissionUserAgent,
-    AdmitJoin,
-    AdmitLeave,
-    AdmitReply,
-    AdmitRequest,
-)
-from .agents import ResilientUserBase, ResourceAgent, UserAgent, resource_id, user_id
-from .faults import (
-    CrashWindow,
-    FaultPlan,
-    LinkPartition,
-    UnreliableNetwork,
-    certify_message_conservation,
-)
+from .agents import ResourceAgent, UserAgent, resource_id, user_id
+from .faults import FaultPlan, UnreliableNetwork, certify_message_conservation
 from .messages import (
     Join,
     Leave,
@@ -62,11 +48,8 @@ __all__ = [
     "ExponentialDelay",
     "ResourceAgent",
     "UserAgent",
-    "ResilientUserBase",
     "user_id",
     "resource_id",
-    "CrashWindow",
-    "LinkPartition",
     "FaultPlan",
     "UnreliableNetwork",
     "certify_message_conservation",

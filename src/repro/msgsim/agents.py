@@ -39,9 +39,7 @@ the same agents switch on a hardening layer —
   retransmitted (capped backoff, never abandoned — moves carry state, so
   at-least-once plus idempotence gives exactly-once effect);
 - a tick-driven watchdog force-resets any ``WAIT_*`` state stuck longer
-  than the whole retransmission budget — the last-ditch liveness backstop;
-- crashed-and-restarted agents re-arm their tick chain and pending
-  retransmissions from durable state via ``on_restart``.
+  than the whole retransmission budget — the last-ditch liveness backstop.
 
 On a reliable network (``lossy`` False) none of this machinery runs — no
 acks, no timers, no extra RNG draws — so the execution is bit-for-bit the
@@ -58,7 +56,7 @@ from ..core.latency import LatencyFunction
 from .messages import Join, Leave, LoadQuery, LoadReply, Message, MoveAck, RetryTimer, Tick
 from .network import Network
 
-__all__ = ["ResourceAgent", "UserAgent", "ResilientUserBase", "user_id", "resource_id"]
+__all__ = ["ResourceAgent", "UserAgent", "user_id", "resource_id"]
 
 
 def user_id(u: int) -> str:
@@ -146,16 +144,15 @@ class ResourceAgent:
         network.send(msg.sender, MoveAck(self.agent_id, resource=self.index, seq=msg.seq))
 
 
-class ResilientUserBase:
-    """Shared self-healing machinery for message-protocol user agents.
+class UserAgent:
+    """One QoS user running the sampling protocol.
 
-    Subclasses (:class:`UserAgent` here, ``AdmissionUserAgent`` in
-    :mod:`repro.msgsim.admission`) implement the protocol logic and call
-    into this base for tick scheduling, reliable move dispatch, query
-    retransmission bookkeeping, the watchdog, and crash restarts.  All
-    resilience state only ever changes on a lossy network; backoff jitter
-    draws from a dedicated ``retry_rng`` so the protocol RNG stream (and
-    hence the fault-free trajectory) is untouched.
+    Alongside the protocol logic the agent carries its self-healing
+    machinery: tick scheduling, reliable move dispatch, query
+    retransmission bookkeeping and the watchdog.  All resilience state
+    only ever changes on a lossy network; backoff jitter draws from a
+    dedicated ``retry_rng`` so the protocol RNG stream (and hence the
+    fault-free trajectory) is untouched.
     """
 
     IDLE = "idle"
@@ -170,6 +167,7 @@ class ResilientUserBase:
         initial_resource: int,
         n_resources: int,
         *,
+        migrate_p: float = 0.5,
         tick_interval: float = 1.0,
         tick_jitter: float = 0.1,
         rng: np.random.Generator,
@@ -183,6 +181,7 @@ class ResilientUserBase:
         self.weight = float(weight)
         self.resource = int(initial_resource)
         self.n_resources = int(n_resources)
+        self.migrate_p = float(migrate_p)
         self.tick_interval = float(tick_interval)
         self.tick_jitter = float(tick_jitter)
         self.rng = rng
@@ -190,6 +189,9 @@ class ResilientUserBase:
         self.moves = 0
         #: Monotone per-user activation counter (diagnostics).
         self.activations = 0
+        # Resource the outstanding query asks, and whether it is a probe.
+        self._probe = False
+        self._target = self.resource
         # -- resilience knobs and state (inert on a reliable network) --
         #: Base retransmission timeout (time units); doubles per attempt.
         self.rto = float(rto) if rto is not None else 0.5 * self.tick_interval
@@ -215,130 +217,6 @@ class ResilientUserBase:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def _schedule_tick(self, network: Network) -> None:
-        jitter = float(self.rng.uniform(-self.tick_jitter, self.tick_jitter))
-        delay = max(1e-6, self.tick_interval + jitter)
-        network.schedule_timer(self.agent_id, delay, Tick(self.agent_id))
-
-    def on_restart(self, network: Network) -> None:
-        """Crash recovery: resume from durable state.
-
-        The in-flight conversation is gone (the reply, if any, was dropped
-        while down) but ``resource`` and the unacknowledged move log are
-        durable: reset to ``IDLE``, re-arm the tick chain, and re-arm a
-        retransmission timer per pending move.
-        """
-        self._reset(network)
-        self._schedule_tick(network)
-        for seq in self.pending_moves:
-            network.schedule_timer(
-                self.agent_id,
-                self._move_backoff(seq),
-                RetryTimer(self.agent_id, kind="move", token=seq),
-            )
-
-    # -- resilience plumbing ------------------------------------------------------
-
-    def _reset(self, network: Network) -> None:
-        """Terminate the current activation; the next tick starts fresh."""
-        self.state = self.IDLE
-        self.state_since = network.now
-        self._req_id = 0
-
-    def _enter(self, state: str, network: Network) -> None:
-        self.state = state
-        self.state_since = network.now
-
-    def _jitter(self) -> float:
-        return float(self.retry_rng.uniform(0.9, 1.3))
-
-    def _query_backoff(self) -> float:
-        return self.rto * (2.0 ** self._req_attempts) * self._jitter()
-
-    def _move_backoff(self, seq: int) -> float:
-        attempts = self._move_attempts.get(seq, 0)
-        return min(self.rto * (2.0 ** attempts), 8.0 * self.rto) * self._jitter()
-
-    def _stuck_bound(self) -> float:
-        """Time after which a WAIT_* state is declared dead (watchdog)."""
-        return self.rto * (2.0 ** (self.max_retries + 2))
-
-    def _arm_query_timer(self, network: Network) -> None:
-        network.schedule_timer(
-            self.agent_id,
-            self._query_backoff(),
-            RetryTimer(self.agent_id, kind="query", token=self._req_id),
-        )
-
-    def _dispatch_move(self, network: Network, dst: str, msg: Message) -> None:
-        """Send a Join/Leave-class move, reliably when the network is lossy."""
-        network.send(dst, msg)
-        if network.lossy:
-            seq = msg.seq
-            self.pending_moves[seq] = (dst, msg)
-            self._move_attempts[seq] = 0
-            network.schedule_timer(
-                self.agent_id,
-                self._move_backoff(seq),
-                RetryTimer(self.agent_id, kind="move", token=seq),
-            )
-
-    def _handle_move_ack(self, msg: MoveAck) -> None:
-        self.pending_moves.pop(msg.seq, None)
-        self._move_attempts.pop(msg.seq, None)
-
-    def _handle_retry(self, msg: RetryTimer, network: Network) -> None:
-        if msg.kind == "query":
-            if self._req_id != msg.token or self.state == self.IDLE:
-                return  # answered, superseded, or already reset
-            if self._req_attempts >= self.max_retries:
-                self.gave_up += 1
-                self._reset(network)
-                return
-            self._req_attempts += 1
-            self.retries += 1
-            self._resend_query(network)
-        elif msg.kind == "move":
-            pending = self.pending_moves.get(msg.token)
-            if pending is None:
-                return  # acknowledged in the meantime
-            dst, move = pending
-            self._move_attempts[msg.token] = self._move_attempts.get(msg.token, 0) + 1
-            self.retries += 1
-            network.send(dst, move)
-            network.schedule_timer(
-                self.agent_id,
-                self._move_backoff(msg.token),
-                RetryTimer(self.agent_id, kind="move", token=msg.token),
-            )
-        # other kinds (e.g. "reservation") are resource-side; ignore.
-
-    def _tick_gate(self, network: Network) -> bool:
-        """Common tick prologue; True when a new activation may start.
-
-        Re-arms the tick chain; while a previous activation is still
-        outstanding the tick is skipped (no pipelining), except that on a
-        lossy network a state stuck past the whole retransmission budget
-        is force-reset by the watchdog — the next tick then starts fresh.
-        """
-        self._schedule_tick(network)
-        if self.state != self.IDLE:
-            if network.lossy and network.now - self.state_since > self._stuck_bound():
-                self.watchdog_resets += 1
-                self._reset(network)
-            return False
-        self.activations += 1
-        return True
-
-    def _resend_query(self, network: Network) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class UserAgent(ResilientUserBase):
-    """One QoS user running the sampling protocol."""
-
-    # -- lifecycle ----------------------------------------------------------------
-
     def start(self, network: Network) -> None:
         """Announce the initial position and schedule the first tick."""
         self._dispatch_move(
@@ -347,6 +225,11 @@ class UserAgent(ResilientUserBase):
             Join(self.agent_id, self.weight, seq=next(self._move_seq)),
         )
         self._schedule_tick(network)
+
+    def _schedule_tick(self, network: Network) -> None:
+        jitter = float(self.rng.uniform(-self.tick_jitter, self.tick_jitter))
+        delay = max(1e-6, self.tick_interval + jitter)
+        network.schedule_timer(self.agent_id, delay, Tick(self.agent_id))
 
     # -- protocol ----------------------------------------------------------------
 
@@ -358,7 +241,7 @@ class UserAgent(ResilientUserBase):
             self._probe = False
             self._target = self.resource
             self._req_attempts = 0
-            self._resend_query(network)
+            self._send_query(network)
         elif isinstance(msg, LoadReply):
             self._on_reply(msg, network)
         elif isinstance(msg, MoveAck):
@@ -368,7 +251,7 @@ class UserAgent(ResilientUserBase):
         else:
             raise TypeError(f"user agent cannot handle {type(msg).__name__}")
 
-    def _resend_query(self, network: Network) -> None:
+    def _send_query(self, network: Network) -> None:
         self._req_id = next(self._req_counter)
         network.send(
             resource_id(self._target),
@@ -418,7 +301,7 @@ class UserAgent(ResilientUserBase):
         self._probe = True
         self._target = target
         self._req_attempts = 0
-        self._resend_query(network)
+        self._send_query(network)
 
     def _on_probe_reply(self, msg: LoadReply, network: Network) -> None:
         self._reset(network)
@@ -438,8 +321,94 @@ class UserAgent(ResilientUserBase):
             )
             self.moves += 1
 
-    def __init__(self, *args, migrate_p: float = 0.5, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.migrate_p = float(migrate_p)
-        self._probe = False
-        self._target = self.resource
+    # -- resilience plumbing ------------------------------------------------------
+
+    def _reset(self, network: Network) -> None:
+        """Terminate the current activation; the next tick starts fresh."""
+        self.state = self.IDLE
+        self.state_since = network.now
+        self._req_id = 0
+
+    def _enter(self, state: str, network: Network) -> None:
+        self.state = state
+        self.state_since = network.now
+
+    def _jitter(self) -> float:
+        return float(self.retry_rng.uniform(0.9, 1.3))
+
+    def _query_backoff(self) -> float:
+        return self.rto * (2.0 ** self._req_attempts) * self._jitter()
+
+    def _move_backoff(self, seq: int) -> float:
+        attempts = self._move_attempts.get(seq, 0)
+        return min(self.rto * (2.0 ** attempts), 8.0 * self.rto) * self._jitter()
+
+    def _stuck_bound(self) -> float:
+        """Time after which a WAIT_* state is declared dead (watchdog)."""
+        return self.rto * (2.0 ** (self.max_retries + 2))
+
+    def _arm_query_timer(self, network: Network) -> None:
+        network.schedule_timer(
+            self.agent_id,
+            self._query_backoff(),
+            RetryTimer(self.agent_id, kind="query", token=self._req_id),
+        )
+
+    def _dispatch_move(self, network: Network, dst: str, msg: Message) -> None:
+        """Send a Join/Leave, reliably when the network is lossy."""
+        network.send(dst, msg)
+        if network.lossy:
+            seq = msg.seq
+            self.pending_moves[seq] = (dst, msg)
+            self._move_attempts[seq] = 0
+            network.schedule_timer(
+                self.agent_id,
+                self._move_backoff(seq),
+                RetryTimer(self.agent_id, kind="move", token=seq),
+            )
+
+    def _handle_move_ack(self, msg: MoveAck) -> None:
+        self.pending_moves.pop(msg.seq, None)
+        self._move_attempts.pop(msg.seq, None)
+
+    def _handle_retry(self, msg: RetryTimer, network: Network) -> None:
+        if msg.kind == "query":
+            if self._req_id != msg.token or self.state == self.IDLE:
+                return  # answered, superseded, or already reset
+            if self._req_attempts >= self.max_retries:
+                self.gave_up += 1
+                self._reset(network)
+                return
+            self._req_attempts += 1
+            self.retries += 1
+            self._send_query(network)
+        else:  # "move"
+            pending = self.pending_moves.get(msg.token)
+            if pending is None:
+                return  # acknowledged in the meantime
+            dst, move = pending
+            self._move_attempts[msg.token] = self._move_attempts.get(msg.token, 0) + 1
+            self.retries += 1
+            network.send(dst, move)
+            network.schedule_timer(
+                self.agent_id,
+                self._move_backoff(msg.token),
+                RetryTimer(self.agent_id, kind="move", token=msg.token),
+            )
+
+    def _tick_gate(self, network: Network) -> bool:
+        """Tick prologue; True when a new activation may start.
+
+        Re-arms the tick chain; while a previous activation is still
+        outstanding the tick is skipped (no pipelining), except that on a
+        lossy network a state stuck past the whole retransmission budget
+        is force-reset by the watchdog — the next tick then starts fresh.
+        """
+        self._schedule_tick(network)
+        if self.state != self.IDLE:
+            if network.lossy and network.now - self.state_since > self._stuck_bound():
+                self.watchdog_resets += 1
+                self._reset(network)
+            return False
+        self.activations += 1
+        return True

@@ -119,10 +119,9 @@ class MoveAck(Message):
 class RetryTimer(Message):
     """Self-addressed watchdog timer for one outstanding request or move.
 
-    ``kind`` is ``"query"`` (a LoadQuery/AdmitRequest awaiting its reply),
-    ``"move"`` (an unacknowledged Join/Leave), or ``"reservation"`` (a
-    resource-side admission reservation awaiting its join).  ``token``
-    names the request id, move seq, or reservation token respectively.
+    ``kind`` is ``"query"`` (a LoadQuery awaiting its reply) or ``"move"``
+    (an unacknowledged Join/Leave).  ``token`` names the request id or
+    the move seq respectively.
     """
 
     kind: str

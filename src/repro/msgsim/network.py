@@ -34,7 +34,7 @@ __all__ = [
 
 #: Message type names whose in-flight copies make resource load views
 #: transiently inconsistent with user positions (tracked per copy).
-MOVE_MESSAGES = ("Join", "Leave", "AdmitJoin", "AdmitLeave")
+MOVE_MESSAGES = ("Join", "Leave")
 
 
 class Agent(TypingProtocol):
@@ -87,12 +87,10 @@ class Network:
 
     ``lossy`` is the contract between the transport and the protocol
     agents: ``False`` (this class) promises exactly-once in-order-per-time
-    delivery to live agents, so agents run the lean fire-and-forget
-    protocol; ``True`` (see
-    :class:`~repro.msgsim.faults.UnreliableNetwork`) warns agents that
-    messages may be dropped, duplicated, delayed or lost to crashes, and
-    they respond by enabling acknowledgements, retransmission and
-    watchdogs.
+    delivery, so agents run the lean fire-and-forget protocol; ``True``
+    (see :class:`~repro.msgsim.faults.UnreliableNetwork`) warns agents
+    that messages may be dropped, duplicated or delayed, and they respond
+    by enabling acknowledgements, retransmission and watchdogs.
     """
 
     #: Reliable transport: agents may skip acks/retransmission machinery.
@@ -161,12 +159,7 @@ class Network:
         self.now = ev.time
         if type(ev.msg).__name__ in MOVE_MESSAGES:
             self.in_flight_moves -= 1
-        if self._deliverable(ev.dst, ev.msg):
-            self.agents[ev.dst].handle(ev.msg, self)
-        return True
-
-    def _deliverable(self, dst: str, msg: Message) -> bool:
-        """Delivery-side fault hook; the reliable network delivers all."""
+        self.agents[ev.dst].handle(ev.msg, self)
         return True
 
     def run(

@@ -34,9 +34,9 @@ from ..core.instance import Instance
 from ..core.state import State
 from ..obs import HUB as _OBS
 from ..sim.rng import make_rng
-from .agents import ResourceAgent, UserAgent, user_id
+from .agents import ResourceAgent, UserAgent
 from .faults import FaultPlan, UnreliableNetwork, certify_message_conservation
-from .network import ConstantDelay, DelayModel, ExponentialDelay, Network
+from .network import DelayModel, ExponentialDelay, Network
 
 __all__ = ["MessageSimResult", "run_message_sim"]
 
@@ -86,7 +86,6 @@ def run_message_sim(
     instance: Instance,
     *,
     seed: int = 0,
-    protocol: str = "sampling",
     migrate_p: float = 0.5,
     delay_model: DelayModel | None = None,
     tick_interval: float = 1.0,
@@ -97,28 +96,23 @@ def run_message_sim(
     fault_plan: FaultPlan | None = None,
     rto: float | None = None,
     max_retries: int = 3,
-    reservation_ttl: float | None = None,
 ) -> MessageSimResult:
-    """One asynchronous distributed execution of a QoS protocol.
+    """One asynchronous distributed execution of the sampling protocol.
 
-    ``protocol`` is ``"sampling"`` (probe load, damped migration — the
-    paper's dynamic) or ``"admission"`` (reservation-based admission
-    control, the asynchronous permit protocol; see
-    :mod:`repro.msgsim.admission`).  ``initial`` is ``"random"`` or
-    ``"pile"``, mirroring the engine.  The instance must have complete
-    accessibility (both message protocols sample resources uniformly).
+    Users probe their own resource's load and, when unsatisfied, one
+    uniformly sampled resource, migrating with probability ``migrate_p``
+    (the paper's dynamic).  ``initial`` is ``"random"`` or ``"pile"``,
+    mirroring the engine.  The instance must have complete accessibility
+    (users sample resources uniformly).
 
     ``fault_plan`` switches the transport to an
     :class:`~repro.msgsim.faults.UnreliableNetwork`; ``rto`` (default
     ``tick_interval / 2``) and ``max_retries`` tune the agents'
-    retransmission layer, and ``reservation_ttl`` (default ``5 *
-    tick_interval``) bounds admission reservations orphaned by lost
-    replies.  All three are inert while the plan is null or absent.
+    retransmission layer.  Both are inert while the plan is null or
+    absent.
     """
     if instance.access is not None and not instance.access.is_complete():
         raise NotImplementedError("message simulator requires complete accessibility")
-    if protocol not in ("sampling", "admission"):
-        raise ValueError("protocol must be 'sampling' or 'admission'")
     root = make_rng(seed)
     net_seed = root.integers(2**63)
     net_delay = delay_model or ExponentialDelay(mean=tick_interval / 20.0)
@@ -141,22 +135,13 @@ def run_message_sim(
     else:
         raise ValueError("initial must be 'random' or 'pile'")
 
-    resilience = dict(
-        rto=rto,
-        max_retries=max_retries,
-    )
-
-    def retry_rng(u: int) -> np.random.Generator:
-        # Dedicated backoff-jitter stream per user, derived from the run
-        # seed but separate from both the protocol and the fault streams.
-        return np.random.default_rng([seed % 2**32, 0x7E7, u])
-
-    if protocol == "sampling":
-        resources = [
-            ResourceAgent(r, instance.latencies[r])
-            for r in range(instance.n_resources)
-        ]
-        user_factory = lambda u: UserAgent(  # noqa: E731
+    resources = [
+        ResourceAgent(r, instance.latencies[r]) for r in range(instance.n_resources)
+    ]
+    for agent in resources:
+        net.register(agent)
+    users = [
+        UserAgent(
             u,
             threshold=float(instance.thresholds[u]),
             weight=float(instance.weights[u]),
@@ -166,32 +151,14 @@ def run_message_sim(
             tick_interval=tick_interval,
             tick_jitter=tick_jitter,
             rng=np.random.default_rng(root.integers(2**63)),
-            retry_rng=retry_rng(u),
-            **resilience,
+            rto=rto,
+            max_retries=max_retries,
+            # Dedicated backoff-jitter stream per user, derived from the run
+            # seed but separate from both the protocol and the fault streams.
+            retry_rng=np.random.default_rng([seed % 2**32, 0x7E7, u]),
         )
-    else:
-        from .admission import AdmissionResourceAgent, AdmissionUserAgent
-
-        ttl = reservation_ttl if reservation_ttl is not None else 5.0 * tick_interval
-        resources = [
-            AdmissionResourceAgent(r, instance.latencies[r], reservation_ttl=ttl)
-            for r in range(instance.n_resources)
-        ]
-        user_factory = lambda u: AdmissionUserAgent(  # noqa: E731
-            u,
-            threshold=float(instance.thresholds[u]),
-            weight=float(instance.weights[u]),
-            initial_resource=int(positions[u]),
-            n_resources=instance.n_resources,
-            tick_interval=tick_interval,
-            tick_jitter=tick_jitter,
-            rng=np.random.default_rng(root.integers(2**63)),
-            retry_rng=retry_rng(u),
-            **resilience,
-        )
-    for agent in resources:
-        net.register(agent)
-    users = [user_factory(u) for u in range(instance.n_users)]
+        for u in range(instance.n_users)
+    ]
     for agent in users:
         net.register(agent)
         agent.start(net)
@@ -224,7 +191,7 @@ def run_message_sim(
         _OBS.count("msgsim.runs")
         _OBS.count("msgsim.messages", net.total_messages)
         _OBS.count("msgsim.moves", sum(u.moves for u in users))
-        _OBS.count("msgsim.retries", sum(getattr(u, "retries", 0) for u in users))
+        _OBS.count("msgsim.retries", sum(u.retries for u in users))
         fault_counts = dict(getattr(net, "fault_counts", {}))
         _OBS.count("msgsim.faults", sum(fault_counts.values()))
         _OBS.event(
@@ -232,7 +199,6 @@ def run_message_sim(
             {
                 "status": status,
                 "time": net.now,
-                "protocol": protocol,
                 "n_users": instance.n_users,
                 "n_resources": instance.n_resources,
                 "messages": net.total_messages,
@@ -248,12 +214,12 @@ def run_message_sim(
         total_messages=net.total_messages,
         message_counts=dict(net.message_counts),
         total_moves=sum(u.moves for u in users),
-        activations=sum(getattr(u, "activations", 0) for u in users),
+        activations=sum(u.activations for u in users),
         final_state=final,
-        retries=sum(getattr(u, "retries", 0) for u in users),
-        gave_up=sum(getattr(u, "gave_up", 0) for u in users),
-        watchdog_resets=sum(getattr(u, "watchdog_resets", 0) for u in users),
-        stale_moves=sum(getattr(r, "stale_moves", 0) for r in resources),
+        retries=sum(u.retries for u in users),
+        gave_up=sum(u.gave_up for u in users),
+        watchdog_resets=sum(u.watchdog_resets for u in users),
+        stale_moves=sum(r.stale_moves for r in resources),
         fault_counts=dict(getattr(net, "fault_counts", {})),
         conservation_ok=conservation_ok,
         conservation_issues=tuple(issues),

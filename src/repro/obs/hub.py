@@ -336,20 +336,6 @@ class TelemetryHub:
             # rare relative to rounds and stays inside the overhead budget.
             self._sink.flush()
 
-    # -- introspection -----------------------------------------------------------
-
-    def snapshot(self) -> dict[str, Any]:
-        """Point-in-time copy of all aggregates (counters, gauges, spans)."""
-        return {
-            "active": self.active,
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "spans": {
-                name: {"count": int(c), "total": t, "max": mx}
-                for name, (c, t, mx) in self.span_stats.items()
-            },
-        }
-
 
 #: The process-global hub every instrumented layer reports to.
 HUB = TelemetryHub()

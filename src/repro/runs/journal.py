@@ -14,10 +14,11 @@ transition:
 
 Re-opening an existing journal appends a ``resume`` line and continues —
 nothing is ever rewritten, so a SIGKILL mid-write costs at most the last
-line.  :func:`read_journal` therefore tolerates a truncated (or torn)
-trailing line, the same contract ``trace-report`` honours for
-``obs-events/v1`` files, and folds the records into a per-cell state map
-with precedence ``finished > failed > started > scheduled``.
+line.  :func:`read_journal` therefore reads through the same torn-line
+tolerant reader ``trace-report`` uses for ``obs-events/v1`` files
+(:func:`~repro.obs.aggregate.read_events`: unparseable and non-object
+lines are skipped and counted), and folds the records into a per-cell
+state map with precedence ``finished > failed > started > scheduled``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import time
 from pathlib import Path
 from typing import Any, TextIO
 
+from ..obs.aggregate import read_events
 from ..obs.hub import _jsonable
 from ..obs.provenance import provenance_stamp
 
@@ -97,24 +99,16 @@ def cell_states(records: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
 
 
 def read_journal(path: str | Path) -> dict[str, Any]:
-    """Parse a journal, tolerating a truncated/torn trailing line.
+    """Parse a journal, tolerating torn and non-object lines.
 
     Returns ``{"meta", "records", "cells", "bad_lines"}``; raises when the
     file is missing or carries no valid ``runs-journal/v1`` header.
     """
-    text = Path(path).read_text()
     meta: dict[str, Any] | None = None
     records: list[dict[str, Any]] = []
-    bad_lines = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            bad_lines += 1  # interrupted write; the record is lost, not the journal
-            continue
+    # A torn line is an interrupted write: the record is lost, not the journal.
+    parsed, bad_lines = read_events(path)
+    for record in parsed:
         if record.get("type") == "meta" and meta is None:
             if record.get("schema") != JOURNAL_SCHEMA:
                 raise ValueError(

@@ -70,16 +70,14 @@ draw loop), :class:`~repro.core.protocols.MultiProbeProtocol`,
 :class:`~repro.core.protocols.BlindRandomProtocol` — under the constant,
 slack-proportional and adaptive-backoff rate rules (the permit grant rule
 and blind jumping have no rate), with synchronous and alpha schedules,
-complete or restricted access maps, and any latency profile.  Scheduled
-events batch too (:func:`batch_events_support`): resource failures and
-recoveries, user arrivals, and explicit-user departures apply per
-replication at round boundaries with the scalar event code itself, so
-churn/failure schedules keep their bit-exact RNG contract.  Everything
+complete or restricted access maps, and any latency profile.  Everything
 else — other protocol families (and subclasses of the six), partition/
-staggered schedules, random-count departures —
-transparently runs on the scalar engine instead (see
-:func:`~repro.sim.parallel.replicate_engine`); :func:`batch_support`
-names the reason a given spec is not batchable.
+staggered schedules — transparently runs on the scalar engine instead
+(see :func:`~repro.sim.parallel.replicate_engine`); :func:`batch_support`
+names the reason a given spec is not batchable.  The lockstep loop
+applies no scheduled events: a :class:`~repro.sim.parallel.RunSpec`
+carries none, and runs with events go through
+:func:`~repro.sim.engine.run`.
 """
 
 from __future__ import annotations
@@ -95,13 +93,6 @@ from ..core.protocols.kernels import Kernel, Round, kernel_kind, rate_support
 from ..core.protocols.rates import AdaptiveBackoffRate
 from ..core.state import State
 from .book import RoundBook, RunResult
-from .events import (
-    Event,
-    ResourceFailure,
-    ResourceRecovery,
-    UserArrival,
-    UserDeparture,
-)
 from .rng import seed_from_key
 from .schedule import AlphaSchedule, Schedule, SynchronousSchedule
 
@@ -109,7 +100,6 @@ __all__ = [
     "BatchRunResult",
     "run_batch",
     "batch_support",
-    "batch_events_support",
     "replicate_batched",
 ]
 
@@ -146,17 +136,6 @@ class BatchRunResult:
     protocol = property(lambda self: self.results[0].protocol)
     schedule = property(lambda self: self.results[0].schedule)
     seeds = property(lambda self: [r.seed for r in self.results])
-    # Events fire at the same boundary for every replication, so one scalar
-    # covers the batch (None = the run had no events).
-    last_event_round = property(lambda self: self.results[0].last_event_round)
-
-    @property
-    def satisfying_rounds(self) -> np.ndarray:
-        """Per-rep first satisfying round; -1 encodes "never satisfied"."""
-        return np.array(
-            [-1 if r.satisfying_round is None else r.satisfying_round for r in self.results],
-            dtype=np.int64,
-        )
 
     @property
     def n_reps(self) -> int:
@@ -182,26 +161,6 @@ def _kernel_support(protocol, schedule) -> str | None:
     if kernel_kind(protocol) is None:
         return f"protocol {getattr(protocol, 'name', protocol)!r} has no batched kernel"
     return _rate_schedule_support(getattr(protocol, "rate", None), schedule)
-
-
-def batch_events_support(events: Sequence[Event]) -> str | None:
-    """Why these events cannot run on the batched engine — ``None`` if they can.
-
-    Supported events are exactly those whose *instance* transformation is
-    deterministic: all replications must keep simulating the same instance
-    (only assignments differ per rep).  Random-count departures draw a
-    different surviving-user set per replication, so they fall back.
-    """
-    for ev in events:
-        if isinstance(ev, UserDeparture):
-            if ev.users is None:
-                return (
-                    "random-count user departures draw a different instance "
-                    "per replication"
-                )
-        elif not isinstance(ev, (ResourceFailure, ResourceRecovery, UserArrival)):
-            return f"event {type(ev).__name__} has no batched application"
-    return None
 
 
 def batch_support(spec) -> str | None:
@@ -287,7 +246,7 @@ def _mover_groups(counts: np.ndarray) -> list[tuple[int, int]]:
 
 
 class _BatchEngine:
-    """One lockstep batch: live-row state, events and the round loop.
+    """One lockstep batch: live-row state and the round loop.
 
     Each round's protocol step is the shared
     :class:`~repro.core.protocols.kernels.Kernel` over the live rows, and
@@ -299,31 +258,22 @@ class _BatchEngine:
     ``assignment`` (full ``R`` rows) is written when a row ends.  ``asgF``
     carries each live row's flat offset (position * m) baked into the
     values, so every per-mover gather/scatter is one flat ``take``/put.
-    While events are pending every replication stays live (the scalar
-    engine neither satisfies nor goes quiescent with events outstanding),
-    which is what makes the shared-instance rebuild at an event boundary
-    sound.
     """
 
     def __init__(
         self,
         instance: Instance,
         protocol,
-        kind: str,
         schedule: Schedule,
         seeds: list[int | np.random.Generator],
         max_rounds: int,
         initial: str,
-        events: Sequence[Event],
     ):
         self.protocol = protocol
-        self.kind = kind
         self.max_rounds = max_rounds
         self.backoff = type(getattr(protocol, "rate", None)) is AdaptiveBackoffRate
         self.alpha_draws = isinstance(schedule, AlphaSchedule) and schedule.alpha < 1.0
         self.alpha = schedule.alpha if isinstance(schedule, AlphaSchedule) else 1.0
-        self.events = sorted(events, key=lambda e: e.round_index)
-        self.event_idx = 0
         self.book = RoundBook(instance, protocol, schedule, seeds, max_rounds)
 
         rngs = [
@@ -331,20 +281,11 @@ class _BatchEngine:
             for s in seeds
         ]
         R = len(rngs)
-        self.R = R
         self.live_rngs = rngs
-        self.row_off = np.arange(R, dtype=np.int64) * instance.n_resources
-
-        self._bind_instance(instance)
-        self._rebuild_state(_batch_initial(instance, initial, rngs))
-
-    # -- instance-dependent caches (rebound after churn/failure events) ------
-
-    def _bind_instance(self, instance: Instance) -> None:
         self.instance = instance
-        n, R = instance.n_users, self.R
-        self.n, self.m = n, instance.n_resources
-        self.kernel = Kernel(instance, self.protocol, rows=R)
+        n, m = self.n, self.m = instance.n_users, instance.n_resources
+        self.row_off = np.arange(R, dtype=np.int64) * m
+        self.kernel = Kernel(instance, protocol, rows=R)
         # Reused per-round scratch, sliced to the live count: the float
         # rows serve the per-user latency gather (non-uniform thresholds)
         # and the alpha draws.
@@ -353,60 +294,17 @@ class _BatchEngine:
         self.unsat_buf = np.empty((R, n), dtype=bool)
         self.act_buf = np.empty((R, n), dtype=bool) if self.alpha_draws else None
 
-    def _rebuild_state(self, assignment: np.ndarray) -> None:
-        """(Re-)stack assignment/load/rate state; every replication is live."""
-        R, m = self.R, self.m
-        self.assignment = assignment
+        # Stacked assignment/load/rate state; every replication starts live.
+        self.assignment = assignment = _batch_initial(instance, initial, rngs)
         self.asgF = _flat_assignment(assignment, m)
         ld = np.empty((R, m), dtype=np.float64)
         for i in range(R):  # per-row bincount: same bucket order as State
-            ld[i] = np.bincount(assignment[i], weights=self.instance.weights, minlength=m)
+            ld[i] = np.bincount(assignment[i], weights=instance.weights, minlength=m)
         self.ld = ld
         # The scalar engine's protocol.reset/schedule.reset consume no RNG
         # for the supported kernels; the only per-run rate state is the
         # backoff probability vector, kept stacked here.
-        self.P = np.full((R, self.n), self.protocol.rate.p0) if self.backoff else None
-
-    # -- events ---------------------------------------------------------------
-
-    def _apply_events(self, round_index: int) -> None:
-        """Apply every event due at this boundary, per replication.
-
-        Each replication replays the *scalar* event code with its own RNG
-        stream, so arrival placements consume exactly the scalar draws.
-        Supported events transform the instance deterministically, so the
-        first replication's rebuilt instance serves the whole batch; only
-        the assignments differ per rep.
-        """
-        while (
-            self.event_idx < len(self.events)
-            and self.events[self.event_idx].round_index <= round_index
-        ):
-            ev = self.events[self.event_idx]
-            instance = self.instance
-            row_off = self.row_off
-            new_instance = None
-            new_rows: list[np.ndarray] = []
-            for k in range(self.R):
-                asg_k = self.asgF[k].astype(np.int64) - int(row_off[k])
-                inst_k, st_k = ev.apply(
-                    instance, State(instance, asg_k), self.live_rngs[k]
-                )
-                if new_instance is None:
-                    new_instance = inst_k
-                new_rows.append(np.asarray(st_k.assignment))
-            if (
-                self.kind == "neighborhood"
-                and self.protocol.graph.n_resources != new_instance.n_resources
-            ):  # mirrors NeighborhoodSamplingProtocol.reset's validation
-                raise ValueError("resource graph size does not match the instance")
-            self._bind_instance(new_instance)
-            assignment = np.empty((self.R, self.n), dtype=index_dtype(self.m))
-            for k in range(self.R):
-                assignment[k] = new_rows[k]
-            self._rebuild_state(assignment)
-            self.book.reset(round_index, new_instance)
-            self.event_idx += 1
+        self.P = np.full((R, n), protocol.rate.p0) if self.backoff else None
 
     def _retire(self, keep: np.ndarray, rows: np.ndarray) -> None:
         """Write the final assignments of the rows the book ended (``rows``
@@ -434,12 +332,9 @@ class _BatchEngine:
 
     def run(self) -> None:
         book = self.book
-        n_events = len(self.events)
 
         with book:
             for round_index in range(self.max_rounds + 1):
-                if self.event_idx < n_events:
-                    self._apply_events(round_index)
                 A = book.live
                 n, m = self.n, self.m
                 row_off = self.row_off
@@ -460,9 +355,8 @@ class _BatchEngine:
                     )
                 n_unsat = np.count_nonzero(unsat, axis=1)
 
-                has_pending = self.event_idx < n_events
                 rows = book.rows
-                keep = book.start(round_index, n_unsat, has_pending)
+                keep = book.start(round_index, n_unsat, pending=False)
                 if keep is not None:
                     self._retire(keep, rows)
                     if not book.live:
@@ -543,7 +437,8 @@ class _BatchEngine:
 
                 rows = book.rows
                 keep = book.step(
-                    round_index, n_moved, n_attempts, counts, has_pending, self._quiescent
+                    round_index, n_moved, n_attempts, counts,
+                    pending=False, quiescent=self._quiescent,
                 )
                 if keep is not None:
                     self._retire(keep, rows)
@@ -559,17 +454,14 @@ def run_batch(
     schedule: Schedule | None = None,
     max_rounds: int = 100_000,
     initial: str = "random",
-    events: Sequence[Event] = (),
 ) -> BatchRunResult:
     """Run ``len(seeds)`` replications of one configuration lockstep.
 
     ``seeds`` are integer seeds (each becomes an independent
     ``numpy.random.default_rng(seed)`` stream, the scalar path's mapping)
     or pre-built generators (exact-replay tests pass these to compare
-    streams against the scalar engine).  ``events`` are applied per
-    replication at their round boundaries with the scalar event code
-    (:func:`batch_events_support` lists what batches).
-    Raises :class:`ValueError` for protocol/schedule/event combinations
+    streams against the scalar engine).
+    Raises :class:`ValueError` for protocol/schedule combinations
     without a batched kernel — callers that want graceful degradation go
     through :func:`~repro.sim.parallel.replicate`, which falls back to the
     scalar path instead.
@@ -582,23 +474,8 @@ def run_batch(
     reason = _kernel_support(protocol, schedule)
     if reason is not None:
         raise ValueError(f"no batched kernel: {reason}")
-    for e in events:
-        if not isinstance(e, Event):
-            raise TypeError(f"expected Event, got {type(e)!r}")
-    reason = batch_events_support(events)
-    if reason is not None:
-        raise ValueError(f"no batched kernel: {reason}")
 
-    engine = _BatchEngine(
-        instance,
-        protocol,
-        kernel_kind(protocol),
-        schedule,
-        seeds,
-        max_rounds,
-        initial,
-        events,
-    )
+    engine = _BatchEngine(instance, protocol, schedule, seeds, max_rounds, initial)
     engine.run()
     return BatchRunResult(results=engine.book.results, final_assignment=engine.assignment)
 

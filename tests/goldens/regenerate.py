@@ -4,18 +4,20 @@ Each case of the grid below runs through the scalar engine
 (:func:`repro.sim.engine.run`) once per seed, and the file stores every
 :meth:`RunResult.summary` field plus a blake2b digest of the final
 assignment.  ``tests/test_goldens.py`` replays every case through
-``run()`` and, where a batched kernel exists, through ``run_batch``,
-both as written and under ``set_user_chunk(17)``, and expects the stored
-values back bit for bit.
+``run()`` and, for event-free cases with a batched kernel, through
+``run_batch``, both as written and under ``set_user_chunk(17)``, and
+expects the stored values back bit for bit.
 
 The grid: the four kernel protocols crossed with ``tests/test_batch.py``'s
 generators and rate rules (``permit`` takes no rate), the schedules
 synchronous, alpha(0.6) and partition(2), and the initials random and
 pile; the staggered schedule (one user per round, so nearly every run
 spends the whole round budget) with each protocol's default rate only;
-plus that file's event-injection cases and ``resample_on_self``; then
-blind-random (``jump_p`` 1 and 0.4) and naive-greedy over the generators,
-all four schedules and both initials.  Two seeds per case.
+plus one event-script case for each of the four (:func:`event_script`:
+a resource failure and recovery, an arrival and a departure) and
+``resample_on_self``; then blind-random (``jump_p`` 1 and 0.4) and
+naive-greedy over the generators, all four schedules and both initials.
+Two seeds per case.
 
 Usage::
 
@@ -38,10 +40,17 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_batch import GENERATORS, M, MAX_ROUNDS, N, RATES, _event_script  # noqa: E402
+from test_batch import GENERATORS, M, MAX_ROUNDS, N, RATES  # noqa: E402
 
+from repro.core.latency import AffineLatency  # noqa: E402
 from repro.registry import build_instance, build_protocol, build_schedule  # noqa: E402
 from repro.sim.engine import run  # noqa: E402
+from repro.sim.events import (  # noqa: E402
+    ResourceFailure,
+    ResourceRecovery,
+    UserArrival,
+    UserDeparture,
+)
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "kernel_grid.json"
 SEEDS = (21, 22)
@@ -130,8 +139,19 @@ def build(case: dict):
     instance = build_instance(case["generator"], **case["generator_kwargs"])
     protocol = build_protocol(case["protocol"], **case["protocol_kwargs"])
     schedule = build_schedule(case["schedule"], **case["schedule_kwargs"])
-    events = _event_script(M) if case["events"] else ()
+    events = event_script() if case["events"] else ()
     return instance, protocol, schedule, events
+
+
+def event_script() -> list:
+    """The event cases' script: resource 1 fails and recovers, six users
+    arrive, three leave."""
+    return [
+        ResourceFailure(3, 1),
+        ResourceRecovery(7, 1, AffineLatency(1.0, 0.0)),
+        UserArrival(10, thresholds=np.full(6, 28.0)),
+        UserDeparture(13, users=[0, 2, 5]),
+    ]
 
 
 def digest(assignment) -> str:

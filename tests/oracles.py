@@ -16,7 +16,9 @@ them against deliberately naive versions kept here, outside the library:
   exhaustive search over all ``m**n`` assignments of a tiny instance;
 - :func:`enumerate_stable_states` — every stable state of a tiny instance;
 - :func:`is_latency_nash` — no user can cut its *latency* by moving alone
-  (the solution concept of the QoS-oblivious selfish baseline).
+  (the solution concept of the QoS-oblivious selfish baseline);
+- :func:`neighbors_of` — one resource's neighbours in a resource graph,
+  read straight off its CSR arrays.
 
 Each ``certify_*`` returns ``(ok, issues)`` where ``issues`` is a
 human-readable list — empty iff the certificate holds.
@@ -33,6 +35,11 @@ from repro.core.feasibility import FeasibilityResult, MaxSatisfiedResult
 from repro.core.instance import Instance
 from repro.core.stability import is_stable
 from repro.core.state import State
+
+
+def neighbors_of(graph, r: int) -> np.ndarray:
+    """Resource ``r``'s neighbours in a :class:`ResourceGraph` (sorted)."""
+    return graph.neighbors[graph.offsets[r] : graph.offsets[r + 1]]
 
 
 def _scalar_latency(instance: Instance, r: int, load: float) -> float:

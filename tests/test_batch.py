@@ -79,7 +79,7 @@ def scalar_reference(s, n_reps, base_seed):
 
 
 def lockstep(instance, proto_name, proto_kwargs, seeds, sched_name, sched_kwargs,
-             initial, events=()):
+             initial):
     """``run_batch`` over one generator stream per seed."""
     return run_batch(
         instance,
@@ -88,12 +88,11 @@ def lockstep(instance, proto_name, proto_kwargs, seeds, sched_name, sched_kwargs
         schedule=build_schedule(sched_name, **sched_kwargs),
         max_rounds=MAX_ROUNDS,
         initial=initial,
-        events=events,
     )
 
 
 def assert_matches_scalar(batch, instance, proto_name, proto_kwargs, seeds,
-                          sched_name, sched_kwargs, initial, events=()):
+                          sched_name, sched_kwargs, initial):
     """Every summary field and the final assignment of each batched rep
     equal a scalar ``run`` fed the same stream."""
     for i, s in enumerate(seeds):
@@ -104,7 +103,6 @@ def assert_matches_scalar(batch, instance, proto_name, proto_kwargs, seeds,
             schedule=build_schedule(sched_name, **sched_kwargs),
             max_rounds=MAX_ROUNDS,
             initial=initial,
-            events=events,
             keep_state=True,
         )
         assert batch.statuses[i] == ref.status
@@ -113,9 +111,7 @@ def assert_matches_scalar(batch, instance, proto_name, proto_kwargs, seeds,
         assert int(batch.total_attempts[i]) == ref.total_attempts
         assert int(batch.total_messages[i]) == ref.total_messages
         assert int(batch.n_satisfied[i]) == ref.n_satisfied
-        assert batch.last_event_round == ref.last_event_round
-        sr = int(batch.satisfying_rounds[i])
-        assert (None if sr < 0 else sr) == ref.satisfying_round
+        assert batch.results[i].satisfying_round == ref.satisfying_round
         assert np.array_equal(batch.final_assignment[i], ref.final_state.assignment)
 
 
@@ -500,50 +496,6 @@ def test_kernel_bit_parity_vs_scalar(
 
 
 # ---------------------------------------------------------------------------
-# Batched event injection: mid-run perturbations replay identically.
-# ---------------------------------------------------------------------------
-
-
-def _event_script(m):
-    from repro.core.latency import AffineLatency
-    from repro.sim.events import (
-        ResourceFailure,
-        ResourceRecovery,
-        UserArrival,
-        UserDeparture,
-    )
-
-    return [
-        ResourceFailure(3, 1),
-        ResourceRecovery(7, 1, AffineLatency(1.0, 0.0)),
-        UserArrival(10, thresholds=np.full(6, 28.0)),
-        UserDeparture(13, users=[0, 2, 5]),
-    ]
-
-
-#: One protocol per kernel (and blind's jump_p and the rate-1 sampling
-#: case) for the event-injection parity tests.
-EVENT_PROTOCOLS = [
-    ("qos-sampling", {}),
-    ("multi-probe", {"d": 2}),
-    ("permit", {}),
-    ("neighborhood", {"topology": "ring", "m": M}),
-    ("blind-random", {}),
-    ("blind-random", {"jump_p": 0.4}),
-    ("naive-greedy", {}),
-]
-
-
-@pytest.mark.parametrize("proto_name,proto_kwargs", EVENT_PROTOCOLS, ids=lambda p: str(p))
-def test_batched_event_injection_parity(proto_name, proto_kwargs):
-    """Failure/recovery/arrival/departure events through the batched engine
-    match a scalar run of the same script, including recovery accounting."""
-    instance = build_instance("uniform_slack", n=N, m=M, slack=0.35)
-    args = (proto_name, proto_kwargs, [41, 42, 43], "synchronous", {}, "pile", _event_script(M))
-    assert_matches_scalar(lockstep(instance, *args), instance, *args)
-
-
-# ---------------------------------------------------------------------------
 # Mover groups: a round proposed in several kernel calls changes no bit.
 # ---------------------------------------------------------------------------
 
@@ -599,8 +551,11 @@ def test_mover_groups_bit_identical(
         monkeypatch.setattr(batch_module, "MOVER_CHUNK", chunk)
         grouped = lockstep(instance, *args)
         assert grouped.statuses == whole.statuses
+        assert [r.satisfying_round for r in grouped.results] == [
+            r.satisfying_round for r in whole.results
+        ]
         for field in ("rounds", "total_moves", "total_attempts", "total_messages",
-                      "n_satisfied", "satisfying_rounds", "final_assignment"):
+                      "n_satisfied", "final_assignment"):
             assert np.array_equal(getattr(grouped, field), getattr(whole, field)), field
     assert_matches_scalar(grouped, instance, *args)
 
@@ -623,24 +578,6 @@ def test_mover_groups_split_rounds(mover_groups):
             assert movers.sum() <= chunk or np.count_nonzero(movers) == 1
     widest = max(k1 - k0 for _, groups in rounds for k0, k1 in groups)
     assert widest == 1 if chunk == 1 else widest > 1
-
-
-@pytest.mark.parametrize("proto_name,proto_kwargs", EVENT_PROTOCOLS, ids=lambda p: str(p))
-def test_batched_event_injection_parity_in_mover_groups(proto_name, proto_kwargs, mover_groups):
-    """The event-injection parity holds with every round split into groups."""
-    instance = build_instance("uniform_slack", n=N, m=M, slack=0.35)
-    args = (proto_name, proto_kwargs, [41, 42, 43], "synchronous", {}, "pile", _event_script(M))
-    assert_matches_scalar(lockstep(instance, *args), instance, *args)
-    assert max(len(groups) for _, groups in mover_groups[1]) > 1
-
-
-def test_run_batch_rejects_unsupported_events():
-    from repro.sim.events import UserDeparture
-
-    instance = build_instance("uniform_slack", n=32, m=4, slack=0.4)
-    protocol = build_protocol("qos-sampling")
-    with pytest.raises(ValueError, match="random-count"):
-        run_batch(instance, protocol, seeds=[1, 2], events=[UserDeparture(5, count=3)])
 
 
 # ---------------------------------------------------------------------------

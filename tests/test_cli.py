@@ -239,6 +239,26 @@ def test_sweep_rejects_unknown_set_target(tmp_path):
         main(["sweep", "F1", "--set", "T4.n=64", "--out", str(tmp_path / "sw")])
 
 
+@pytest.mark.parametrize(
+    "argv, eid",
+    [
+        (["run", "F3", "--set", "reps=2"], "F3"),
+        (["sweep", "F3", "--set", "reps=2"], "F3"),
+        (["run", "F13", "--set", "protocol=admission"], "F13"),
+    ],
+    ids=["run", "sweep", "run-F13-protocol"],
+)
+def test_unknown_set_key_is_a_one_line_error(argv, eid, tmp_path):
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path / "sw")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value.code)
+    assert "\n" not in message
+    assert message.startswith(f"{eid} has no parameter ")
+    assert "n_reps" in message  # names the runner's real parameters
+
+
 def test_run_with_store_caches_cells(tmp_path, capsys):
     store = tmp_path / "store"
     args = [

@@ -5,8 +5,7 @@ Three layers of evidence:
 1. plan/transport semantics — validation, counters, and the contract that
    a null plan is bit-for-bit the reliable network;
 2. protocol resilience — convergence with load conservation under drops,
-   duplication, reordering, partitions, and crash/restart, for both the
-   sampling and the admission protocol;
+   duplication and reordering;
 3. randomized stress (``-m stress``) — hypothesis-driven sweeps asserting
    the two invariants that define self-healing: no user deadlocks and
    conservation holds at quiescence.
@@ -14,19 +13,13 @@ Three layers of evidence:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.core.latency import IdentityLatency
 from repro.msgsim import (
     ConstantDelay,
-    CrashWindow,
     FaultPlan,
-    Join,
-    Leave,
-    LinkPartition,
     LoadQuery,
     Network,
     ResourceAgent,
@@ -35,7 +28,6 @@ from repro.msgsim import (
     certify_message_conservation,
     run_message_sim,
 )
-from repro.sim.events import ResourceFailure, ResourceRecovery, UserArrival
 from repro.workloads.generators import uniform_slack
 
 try:
@@ -60,12 +52,6 @@ class TestFaultPlan:
             FaultPlan(p_duplicate=-0.1)
         with pytest.raises(ValueError):
             FaultPlan(reorder_shape=0.0)
-        with pytest.raises(ValueError):
-            CrashWindow("res:0", 5.0, 5.0)  # empty window
-        with pytest.raises(ValueError):
-            CrashWindow("res:0", -1.0, 5.0)
-        with pytest.raises(ValueError):
-            LinkPartition((), 0.0, 1.0)  # empty island
 
     def test_is_active(self):
         assert not FaultPlan().is_active()
@@ -73,53 +59,12 @@ class TestFaultPlan:
         assert FaultPlan(p_drop=0.01).is_active()
         assert FaultPlan(p_duplicate=0.01).is_active()
         assert FaultPlan(p_reorder=0.01).is_active()
-        assert FaultPlan(crashes=(CrashWindow("res:0", 1.0, 2.0),)).is_active()
-        assert FaultPlan(
-            partitions=(LinkPartition(("res:0",), 0.0, 1.0),)
-        ).is_active()
 
     def test_describe(self):
-        d = FaultPlan(p_drop=0.1, crashes=(CrashWindow("res:0", 1.0, 2.0),)).describe()
+        d = FaultPlan(p_drop=0.1, seed=4).describe()
         assert d["type"] == "FaultPlan"
         assert d["p_drop"] == 0.1
-        assert d["n_crashes"] == 1
-
-    def test_crash_window_covers(self):
-        w = CrashWindow("res:0", 1.0, 4.0)
-        assert not w.covers(0.5)
-        assert w.covers(1.0)
-        assert w.covers(3.999)
-        assert not w.covers(4.0)  # half-open: restarted exactly at end
-        assert CrashWindow("res:0", 1.0).covers(1e12)  # permanent crash
-
-    def test_partition_separates(self):
-        cut = LinkPartition(("res:0", "user:1"), 1.0, 2.0)
-        assert cut.separates("res:0", "user:7", 1.5)
-        assert cut.separates("user:7", "res:0", 1.5)  # symmetric
-        assert not cut.separates("res:0", "user:1", 1.5)  # both inside
-        assert not cut.separates("user:7", "user:8", 1.5)  # both outside
-        assert not cut.separates("res:0", "user:7", 2.5)  # window over
-
-    def test_from_events_round_trip(self):
-        events = [
-            ResourceFailure(10, 2),
-            ResourceRecovery(30, 2, IdentityLatency()),
-            ResourceFailure(5, 0),
-        ]
-        plan = FaultPlan.from_events(events, tick_interval=2.0, p_drop=0.1)
-        assert plan.p_drop == 0.1
-        by_agent = {w.agent: w for w in plan.crashes}
-        assert by_agent["res:2"].start == 20.0 and by_agent["res:2"].end == 60.0
-        assert by_agent["res:0"].start == 10.0
-        assert math.isinf(by_agent["res:0"].end)  # never recovered
-
-    def test_from_events_rejects_bad_sequences(self):
-        with pytest.raises(ValueError, match="without a failure"):
-            FaultPlan.from_events([ResourceRecovery(5, 0, IdentityLatency())])
-        with pytest.raises(ValueError, match="fails twice"):
-            FaultPlan.from_events([ResourceFailure(1, 0), ResourceFailure(2, 0)])
-        with pytest.raises(ValueError, match="no message-sim fault analogue"):
-            FaultPlan.from_events([UserArrival(1, np.asarray([2.0]))])
+        assert d["seed"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -186,45 +131,6 @@ class TestUnreliableNetwork:
         assert net.fault_counts["reordered"] == 1
         assert sink.received[0][0] > 0.01  # beyond the base delay
 
-    def test_partition_drops_cross_island_traffic(self):
-        plan = FaultPlan(partitions=(LinkPartition(("user:0",), 0.0, 1.0),))
-        net = _net(plan)
-        inside, outside = _Sink("user:0"), _Sink("user:1")
-        net.register(inside)
-        net.register(outside)
-        net.send("user:0", LoadQuery("user:1", weight=1.0, probe=False))  # cut
-        net.send("user:1", LoadQuery("user:0", weight=1.0, probe=False))  # cut
-        net.send("user:1", LoadQuery("user:2", weight=1.0, probe=False))  # mainland
-        net.run(max_events=10)
-        assert net.fault_counts["partition_dropped"] == 2
-        assert inside.received == []
-        assert len(outside.received) == 1
-
-    def test_crash_window_drops_deliveries(self):
-        plan = FaultPlan(crashes=(CrashWindow("user:0", 0.0, 1.0),))
-        net = _net(plan)
-        sink = _Sink("user:0")
-        net.register(sink)
-        net.send("user:0", LoadQuery("x", weight=1.0, probe=False))  # lands at 0.01
-        net.run(max_events=10)
-        assert sink.received == []
-        assert net.fault_counts["crash_dropped"] == 1
-        assert net.is_crashed("user:0", 0.5)
-        assert not net.is_crashed("user:0", 1.5)
-
-    def test_restart_hook_fires_after_window(self):
-        calls = []
-
-        class _Restartable(_Sink):
-            def on_restart(self, network):
-                calls.append(network.now)
-
-        plan = FaultPlan(crashes=(CrashWindow("user:0", 0.0, 1.0),))
-        net = _net(plan)
-        net.register(_Restartable("user:0"))
-        net.run(max_events=10)
-        assert calls == [1.0]
-
     def test_determinism(self):
         plan = FaultPlan(p_drop=0.3, p_duplicate=0.1, p_reorder=0.1, seed=4)
         counts = []
@@ -253,10 +159,9 @@ def _fingerprint(res):
     )
 
 
-@pytest.mark.parametrize("protocol", ["sampling", "admission"])
-def test_null_plan_reproduces_reliable_run_bitexact(protocol):
+def test_null_plan_reproduces_reliable_run_bitexact():
     inst = uniform_slack(48, 6, slack=0.1)
-    kwargs = dict(seed=5, protocol=protocol, initial="pile", max_time=500.0)
+    kwargs = dict(seed=5, initial="pile", max_time=500.0)
     base = run_message_sim(inst, **kwargs)
     null = run_message_sim(inst, fault_plan=FaultPlan(), **kwargs)
     assert _fingerprint(base) == _fingerprint(null)
@@ -269,48 +174,17 @@ def test_null_plan_reproduces_reliable_run_bitexact(protocol):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("protocol", ["sampling", "admission"])
 @pytest.mark.parametrize("p_drop", [0.05, 0.2])
-def test_converges_with_conservation_under_loss(protocol, p_drop):
+def test_converges_with_conservation_under_loss(p_drop):
     inst = uniform_slack(48, 6, slack=0.1)
     plan = FaultPlan(p_drop=p_drop, p_duplicate=0.05, p_reorder=0.05, seed=3)
     res = run_message_sim(
-        inst, seed=5, protocol=protocol, initial="pile",
-        max_time=2_000.0, fault_plan=plan,
+        inst, seed=5, initial="pile", max_time=2_000.0, fault_plan=plan,
     )
     assert res.converged
     assert res.n_satisfied == 48
     assert res.conservation_ok is True, res.conservation_issues
     assert res.fault_counts["dropped"] > 0  # faults actually happened
-
-
-@pytest.mark.parametrize("protocol", ["sampling", "admission"])
-def test_converges_through_resource_crash_and_restart(protocol):
-    inst = uniform_slack(48, 6, slack=0.1)
-    plan = FaultPlan(
-        p_drop=0.05,
-        crashes=(CrashWindow("res:0", 1.0, 5.0), CrashWindow("user:3", 2.0, 6.0)),
-        seed=3,
-    )
-    res = run_message_sim(
-        inst, seed=5, protocol=protocol, initial="pile",
-        max_time=2_000.0, fault_plan=plan,
-    )
-    assert res.converged
-    assert res.conservation_ok is True, res.conservation_issues
-    assert res.fault_counts["crash_dropped"] > 0
-
-
-def test_transient_partition_heals():
-    inst = uniform_slack(48, 6, slack=0.1)
-    island = tuple(f"user:{u}" for u in range(8))
-    plan = FaultPlan(partitions=(LinkPartition(island, 0.0, 3.0),), seed=3)
-    res = run_message_sim(
-        inst, seed=5, initial="pile", max_time=2_000.0, fault_plan=plan,
-    )
-    assert res.converged
-    assert res.conservation_ok is True, res.conservation_issues
-    assert res.fault_counts["partition_dropped"] > 0
 
 
 def test_liveness_at_extreme_loss():
@@ -334,9 +208,8 @@ def test_fault_counters_surface_in_result():
     inst = uniform_slack(24, 4, slack=0.25)
     plan = FaultPlan(p_drop=0.1, p_duplicate=0.1, seed=1)
     res = run_message_sim(inst, seed=2, initial="pile", max_time=1_000.0, fault_plan=plan)
-    assert set(res.fault_counts) >= {
-        "dropped", "duplicated", "reordered",
-        "partition_dropped", "crash_dropped", "unknown_dropped",
+    assert set(res.fault_counts) == {
+        "dropped", "duplicated", "reordered", "unknown_dropped",
     }
     assert res.fault_counts["dropped"] > 0
     assert res.stale_moves >= 0
@@ -397,10 +270,9 @@ if HAVE_HYPOTHESIS:
         p_reorder=st.floats(min_value=0.0, max_value=0.1),
         fault_seed=st.integers(min_value=0, max_value=2**31),
         run_seed=st.integers(min_value=0, max_value=2**31),
-        protocol=st.sampled_from(["sampling", "admission"]),
     )
     def test_stress_no_deadlock_and_conservation(
-        p_drop, p_duplicate, p_reorder, fault_seed, run_seed, protocol
+        p_drop, p_duplicate, p_reorder, fault_seed, run_seed
     ):
         inst = uniform_slack(32, 4, slack=0.2)
         plan = FaultPlan(
@@ -408,8 +280,7 @@ if HAVE_HYPOTHESIS:
             seed=fault_seed,
         )
         res = run_message_sim(
-            inst, seed=run_seed, protocol=protocol, initial="pile",
-            max_time=3_000.0, fault_plan=plan,
+            inst, seed=run_seed, initial="pile", max_time=3_000.0, fault_plan=plan,
         )
         # Self-healing invariant 1: no deadlock — the run converges well
         # within a budget ~1000x the fault-free convergence time.
@@ -419,25 +290,4 @@ if HAVE_HYPOTHESIS:
             f"gave_up={res.gave_up}, watchdogs={res.watchdog_resets})"
         )
         # Self-healing invariant 2: load conservation at quiescence.
-        assert res.conservation_ok is True, res.conservation_issues
-
-    @pytest.mark.stress
-    @settings(max_examples=8, deadline=None)
-    @given(
-        crash_start=st.floats(min_value=0.5, max_value=3.0),
-        crash_len=st.floats(min_value=0.5, max_value=5.0),
-        agent=st.sampled_from(["res:0", "res:1", "user:0", "user:5"]),
-        run_seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_stress_crash_restart_recovers(crash_start, crash_len, agent, run_seed):
-        inst = uniform_slack(32, 4, slack=0.2)
-        plan = FaultPlan(
-            p_drop=0.05,
-            crashes=(CrashWindow(agent, crash_start, crash_start + crash_len),),
-            seed=1,
-        )
-        res = run_message_sim(
-            inst, seed=run_seed, initial="pile", max_time=3_000.0, fault_plan=plan,
-        )
-        assert res.converged
         assert res.conservation_ok is True, res.conservation_issues

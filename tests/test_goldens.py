@@ -1,7 +1,8 @@
 """The frozen kernel reference: ``tests/goldens/kernel_grid.json``.
 
-Every case replays through the scalar engine and, where a batched kernel
-exists, through ``run_batch``, as written and under ``set_user_chunk(17)``
+Every case replays through the scalar engine and, where it has no event
+script and a batched kernel exists, through ``run_batch``, as written and
+under ``set_user_chunk(17)``
 (which forces the chunked code paths), and must reproduce the stored
 summary and final-assignment digest exactly.  The batched replay also
 runs with ``MOVER_CHUNK`` forced to 1 (one row per kernel call) and 97
@@ -26,7 +27,7 @@ from goldens.regenerate import (
 from repro.core.memory import set_user_chunk
 from repro.core.memory import user_chunk as current_chunk
 import repro.sim.batch as batch_module
-from repro.sim.batch import _kernel_support, batch_events_support, run_batch
+from repro.sim.batch import _kernel_support, run_batch
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 CASES = grid()
@@ -46,16 +47,16 @@ def test_grid_matches_the_reference():
 
 
 def batchable(case) -> bool:
-    _, protocol, schedule, events = build(case)
-    return not (_kernel_support(protocol, schedule) or batch_events_support(events))
+    _, protocol, schedule, _ = build(case)
+    return not (case["events"] or _kernel_support(protocol, schedule))
 
 
 def replay_batched(case):
     """The case's records through ``run_batch``."""
-    instance, protocol, schedule, events = build(case)
+    instance, protocol, schedule, _ = build(case)
     batch = run_batch(
         instance, protocol, seeds=list(SEEDS), schedule=schedule,
-        max_rounds=MAX_ROUNDS, initial=case["initial"], events=events,
+        max_rounds=MAX_ROUNDS, initial=case["initial"],
     )
     return [
         record(result, batch.final_assignment[i])

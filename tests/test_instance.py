@@ -14,13 +14,6 @@ class TestAccessMap:
         assert list(access.allowed(0)) == [0, 1, 2, 3]
         assert access.degree(2) == 4
 
-    def test_from_matrix(self):
-        matrix = np.asarray([[True, False, True], [False, True, False]])
-        access = AccessMap.from_matrix(matrix)
-        assert list(access.allowed(0)) == [0, 2]
-        assert list(access.allowed(1)) == [1]
-        assert not access.is_complete()
-
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError):
             AccessMap([[0], []], 2)
@@ -55,7 +48,8 @@ class TestAccessMap:
     def test_roundtrip_to_lists(self):
         allowed = [[0, 2], [1], [0, 1, 2]]
         access = AccessMap(allowed, 3)
-        assert access.to_lists() == allowed
+        assert [access.allowed(u).tolist() for u in range(3)] == allowed
+        assert not access.is_complete()
 
 
 class TestInstance:
@@ -135,7 +129,3 @@ class TestInstance:
         assert d["n_users"] == 12
         assert d["complete_access"]
         assert d["threshold_min"] == 4.0
-
-    def test_total_capacity_at_min_threshold(self, small_uniform):
-        # 4 machines x capacity 4 at q=4.
-        assert small_uniform.total_capacity_at_min_threshold() == 16

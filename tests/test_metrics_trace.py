@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.potential import unsatisfied_count, violation_mass
+from repro.core.potential import overload_potential, unsatisfied_count
 from repro.core.protocols import QoSSamplingProtocol
 from repro.sim.engine import run
 from repro.sim.metrics import Recorder, Trajectory
@@ -12,7 +12,7 @@ from repro.sim.metrics import Recorder, Trajectory
 class TestRecorder:
     def test_series_alignment(self, small_uniform):
         recorder = Recorder(
-            potentials={"unsat": unsatisfied_count, "mass": violation_mass},
+            potentials={"unsat": unsatisfied_count, "excess": overload_potential},
             snapshot_every=2,
         )
         result = run(
@@ -25,7 +25,7 @@ class TestRecorder:
         traj = result.trajectory
         assert traj.n_unsatisfied.size == traj.n_moved.size == traj.n_attempted.size
         assert traj.potentials["unsat"].size == traj.rounds
-        assert traj.potentials["mass"].size == traj.rounds
+        assert traj.potentials["excess"].size == traj.rounds
         assert 0 in traj.load_snapshots
         for snap in traj.load_snapshots.values():
             assert snap.shape == (small_uniform.n_resources,)

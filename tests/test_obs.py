@@ -173,13 +173,15 @@ def test_span_nesting_aggregates():
             for _ in range(3):
                 with HUB.span("inner"):
                     time.sleep(0.001)
-    snap = HUB.snapshot()
-    assert snap["spans"]["outer"]["count"] == 1
-    assert snap["spans"]["inner"]["count"] == 3
-    assert snap["spans"]["inner"]["total"] >= 0.003
+    (o_count, o_total, _), (i_count, i_total, i_max) = (
+        HUB.span_stats[name] for name in ("outer", "inner")
+    )
+    assert o_count == 1
+    assert i_count == 3
+    assert i_total >= 0.003
     # children are contained in the parent
-    assert snap["spans"]["outer"]["total"] >= snap["spans"]["inner"]["total"]
-    assert snap["spans"]["inner"]["max"] <= snap["spans"]["inner"]["total"]
+    assert o_total >= i_total
+    assert i_max <= i_total
 
 
 def test_only_toplevel_spans_emit_events():

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.instance import Instance
-from repro.core.latency import LatencyProfile, MM1Latency
-from repro.core.potential import (
-    overload_potential,
-    rosenthal_potential,
-    unsatisfied_count,
-    violation_mass,
-)
+from repro.core.latency import LatencyProfile
+from repro.core.potential import overload_potential, unsatisfied_count
 from repro.core.state import State
 
 from conftest import random_small_instance
@@ -78,50 +73,3 @@ class TestOverloadPotential:
         )
         with pytest.raises(NotImplementedError):
             overload_potential(State(inst, np.asarray([0])))
-
-
-class TestViolationMass:
-    def test_zero_iff_satisfying(self, small_uniform):
-        sat = State(small_uniform, np.asarray([0, 1, 2, 3] * 3))
-        assert violation_mass(sat) == 0.0
-        pile = State.worst_case_pile(small_uniform)
-        assert violation_mass(pile) == pytest.approx(12 * (12 - 4))
-
-    def test_finite_on_saturated_resources(self):
-        inst = Instance(
-            thresholds=np.asarray([1.0, 1.0]),
-            latencies=LatencyProfile([MM1Latency(1.5)]),
-        )
-        state = State(inst, np.asarray([0, 0]))  # load 2 > mu: latency inf
-        mass = violation_mass(state)
-        assert np.isfinite(mass)
-        assert mass == pytest.approx(2.0)  # capped at q.max() per user
-
-
-class TestRosenthal:
-    def test_exact_potential_property(self):
-        """A unilateral move changes Rosenthal's potential by exactly the
-        mover's latency change (computed at post-move loads)."""
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            inst = random_small_instance(rng, max_n=7, max_m=3)
-            if inst.n_resources < 2:
-                continue
-            state = State.uniform_random(inst, rng)
-            u = int(rng.integers(0, inst.n_users))
-            src = int(state.assignment[u])
-            dst = int(rng.integers(0, inst.n_resources))
-            if dst == src:
-                continue
-            before_phi = rosenthal_potential(state)
-            lat_before = float(state.user_latencies()[u])
-            state.move_user(u, dst)
-            after_phi = rosenthal_potential(state)
-            lat_after = float(state.user_latencies()[u])
-            assert after_phi - before_phi == pytest.approx(lat_after - lat_before)
-
-    def test_value_on_known_state(self):
-        inst = Instance.identical_machines([9.0] * 4, 2)
-        state = State(inst, np.asarray([0, 0, 0, 1]))
-        # r0: 1+2+3 = 6; r1: 1.
-        assert rosenthal_potential(state) == pytest.approx(7.0)

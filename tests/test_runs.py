@@ -46,6 +46,7 @@ from repro.runs import (
     resume_sweep,
     run_cells,
     run_sweep,
+    sweep_snapshot,
     sweep_status,
     sweepable_experiments,
     use_store,
@@ -378,6 +379,20 @@ def test_journal_tolerates_torn_trailing_line(tmp_path):
     data = read_journal(path)
     assert data["bad_lines"] == 1
     assert set(data["cells"]) == {"k1"}  # the torn record is lost, not the journal
+
+
+def test_journal_counts_non_object_lines_and_status_survives(tmp_path):
+    out = tmp_path / "sweep"
+    run_sweep(["F1"], out=out, workers=0, timeout=None, overrides=F1_OVERRIDES)
+    with (out / "journal.jsonl").open("a") as fh:
+        fh.write("[1, 2]\n")  # valid JSON, but not a record
+        fh.write('"finished"\n')
+    data = read_journal(out / "journal.jsonl")
+    assert data["bad_lines"] == 2
+    assert len(data["cells"]) == 3
+    status = sweep_status(out)
+    assert status["complete"] and status["pending"] == 0
+    assert sweep_snapshot(out)["bad_lines"] == 2
 
 
 def test_journal_reopen_appends_resume_record(tmp_path):

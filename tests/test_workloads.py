@@ -18,6 +18,8 @@ from repro.workloads.topology import (
     torus_graph,
 )
 
+from oracles import neighbors_of
+
 
 class TestUniformSlack:
     def test_feasible_and_generous(self):
@@ -155,7 +157,7 @@ class TestRandomAccess:
     def test_degrees_and_bounds(self):
         inst = gen.random_access(50, 10, degree=3, rng=7)
         assert inst.access is not None
-        assert (inst.access.degrees() == 3).all()
+        assert (np.diff(inst.access.offsets) == 3).all()
         with pytest.raises(ValueError):
             gen.random_access(10, 4, degree=5)
 
@@ -168,12 +170,12 @@ class TestTopologies:
             assert graph.n_resources == m
             # every resource has at least one neighbour
             for r in range(m):
-                assert graph.neighbors_of(r).size >= 1
+                assert neighbors_of(graph, r).size >= 1
 
     def test_ring_degrees(self):
         graph = ring_graph(10)
         for r in range(10):
-            assert graph.neighbors_of(r).size == 2
+            assert neighbors_of(graph, r).size == 2
 
     def test_torus_requires_square(self):
         with pytest.raises(ValueError):
@@ -188,12 +190,12 @@ class TestTopologies:
 
     def test_star_hub(self):
         graph = star_graph(6)
-        assert graph.neighbors_of(0).size == 5
+        assert neighbors_of(graph, 0).size == 5
 
     def test_complete(self):
         graph = complete_graph(5)
         for r in range(5):
-            assert graph.neighbors_of(r).size == 4
+            assert neighbors_of(graph, r).size == 4
 
     def test_barabasi_albert_validation(self):
         with pytest.raises(ValueError):
