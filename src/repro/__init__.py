@@ -33,6 +33,7 @@ from .core import (
     State,
     TableLatency,
     UnavailableLatency,
+    best_alternative_latency,
     blocked_mask,
     greedy_assignment,
     improvable_users,
@@ -122,6 +123,7 @@ __all__ = [
     "is_stable",
     "is_generous",
     "blocked_mask",
+    "best_alternative_latency",
     "improvable_users",
     "unsatisfied_count",
     "overload_potential",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.protocols.base import Proposal, Protocol
+from ..core.stability import best_alternative_latency
 from ..core.state import State
 
 __all__ = ["SelfishRebalanceProtocol"]
@@ -74,34 +75,9 @@ class SelfishRebalanceProtocol(Protocol):
     def is_quiescent(self, state: State) -> bool:
         """Quiescent iff no user can strictly reduce its latency by moving
         (a Nash equilibrium of the latency game)."""
-        inst = state.instance
+        best = best_alternative_latency(state, np.arange(state.instance.n_users))
         current = state.user_latencies()
-        if inst.access is None:
-            for w in np.unique(inst.weights):
-                lat_plus = inst.latencies.evaluate(state.loads + float(w))
-                grp = np.nonzero(inst.weights == w)[0]
-                own = state.assignment[grp]
-                others_min = np.empty(grp.size)
-                if lat_plus.size == 1:
-                    others_min[:] = np.inf
-                else:
-                    two = np.partition(lat_plus, 1)[:2]
-                    gmin, second = float(two[0]), float(two[1])
-                    own_val = lat_plus[own]
-                    others_min = np.where(own_val > gmin, gmin, second)
-                if np.any(others_min < current[grp] * (1.0 - self.min_gap)):
-                    return False
-            return True
-        for u in range(inst.n_users):
-            allowed = inst.access.allowed(u)
-            allowed = allowed[allowed != state.assignment[u]]
-            if allowed.size == 0:
-                continue
-            w = float(inst.weights[u])
-            lat = inst.latencies.evaluate_at(allowed, state.loads[allowed] + w)
-            if bool(np.any(lat < current[u] * (1.0 - self.min_gap))):
-                return False
-        return True
+        return not bool(np.any(best < current * (1.0 - self.min_gap)))
 
     def describe(self):
         d = super().describe()

@@ -24,6 +24,7 @@ from .latency import (
 )
 from .potential import overload_potential, unsatisfied_count
 from .stability import (
+    best_alternative_latency,
     blocked_mask,
     deadlock_free_users,
     improvable_users,
@@ -61,6 +62,7 @@ __all__ = [
     "is_stable",
     "is_generous",
     "blocked_mask",
+    "best_alternative_latency",
     "improvable_users",
     "deadlock_free_users",
     "satisfied_resident_min",

@@ -146,9 +146,6 @@ class AccessMap:
         """Resources accessible to user ``u`` (sorted)."""
         return self.choices[self.offsets[u] : self.offsets[u + 1]]
 
-    def degree(self, u: int) -> int:
-        return int(self.offsets[u + 1] - self.offsets[u])
-
     def is_complete(self) -> bool:
         return bool(np.all(np.diff(self.offsets) == self.n_resources))
 

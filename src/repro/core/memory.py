@@ -42,10 +42,9 @@ User-axis chunking
 :func:`iter_chunks` yields ``(start, stop)`` spans of at most
 :func:`user_chunk` elements.  Hot-path kernels that would otherwise build
 several full-width temporaries (the kernels' probe math in
-:mod:`repro.core.protocols.kernels`, ``State.would_satisfy``, the
-contention bincount) loop over these spans, writing into
-preallocated outputs so per-round scratch is bounded by the chunk size
-regardless of ``n``.  Only *elementwise* work may be chunked — anything
+:mod:`repro.core.protocols.kernels`, the contention bincount) loop over
+these spans, writing into preallocated outputs so per-round scratch is
+bounded by the chunk size regardless of ``n``.  Only *elementwise* work may be chunked — anything
 with cross-element reductions in float (weighted bincounts, sums) must
 stay whole, because re-associating float additions is not bit-exact.
 Within that rule, chunking is trajectory-neutral by construction and the

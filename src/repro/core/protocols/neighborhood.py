@@ -25,7 +25,8 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from ..memory import csr_offsets, iter_chunks
+from ..memory import csr_offsets
+from ..stability import best_alternative_latency
 from .kernels import SampleCommitProtocol
 from .rates import ConstantRate, MigrationRateRule
 
@@ -107,40 +108,10 @@ class NeighborhoodSamplingProtocol(SampleCommitProtocol):
         satisfying resource.  Weaker than global stability: a user may be
         locally stuck while distant capacity exists — then the run reports
         quiescence with unsatisfied users, the F9 failure mode.
-
-        Evaluated over the flat CSR adjacency in user chunks (bounded
-        scratch even on dense graphs) with an early exit per chunk.
         """
-        inst = state.instance
         unsat = np.nonzero(~state.satisfied_mask())[0]
-        if unsat.size == 0:
-            return True
-        offsets, neighbors = self.graph.offsets, self.graph.neighbors
-        for cs, ce in iter_chunks(unsat.size):
-            users = unsat[cs:ce]
-            own = state.assignment[users]
-            lo = offsets[own]
-            span = offsets[own + 1] - lo
-            total = int(span.sum())
-            if total == 0:
-                continue
-            # One row per (user, neighbour-of-own-resource) pair.
-            starts = np.cumsum(span) - span
-            within = np.arange(total, dtype=np.int64) - np.repeat(starts, span)
-            nbrs = neighbors[np.repeat(lo, span) + within]
-            user_rep = np.repeat(users, span)
-            ok = nbrs != np.repeat(own, span)
-            if inst.access is not None:
-                ok &= inst.access.contains(user_rep, nbrs)
-            if not np.any(ok):
-                continue
-            nbrs, user_rep = nbrs[ok], user_rep[ok]
-            lat = inst.latencies.evaluate_at(
-                nbrs, state.loads[nbrs] + inst.weights[user_rep]
-            )
-            if bool(np.any(lat <= inst.thresholds[user_rep])):
-                return False
-        return True
+        best = best_alternative_latency(state, unsat, graph=self.graph)
+        return not bool(np.any(best <= state.instance.thresholds[unsat]))
 
     def describe(self):
         d = super().describe()

@@ -45,14 +45,21 @@ weights (tested in the suite):
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .instance import Instance
+from .memory import iter_chunks
 from .state import State
+
+if TYPE_CHECKING:
+    from .protocols.neighborhood import ResourceGraph
 
 __all__ = [
     "satisfied_resident_min",
     "blocked_mask",
+    "best_alternative_latency",
     "improvable_users",
     "is_stable",
     "is_generous",
@@ -92,8 +99,7 @@ def blocked_mask(state: State, *, polite: bool = False) -> np.ndarray:
 
     Memoized per stability flavour on the state's generation counter
     (read-only result): quiescence checks and stability-censused sweeps
-    call it repeatedly between moves, and the restricted-access path is a
-    Python loop over unsatisfied users.
+    call it repeatedly between moves.
     """
     key = "blocked_mask/polite" if polite else "blocked_mask/selfish"
 
@@ -107,52 +113,82 @@ def blocked_mask(state: State, *, polite: bool = False) -> np.ndarray:
 
 def _compute_blocked_mask(state: State, polite: bool) -> np.ndarray:
     inst = state.instance
-    n = inst.n_users
-    unsat = ~state.satisfied_mask()
-    blocked = np.zeros(n, dtype=bool)
-    users = np.nonzero(unsat)[0]
+    blocked = np.zeros(inst.n_users, dtype=bool)
+    users = np.nonzero(~state.satisfied_mask())[0]
     if users.size == 0:
         return blocked
+    cap = satisfied_resident_min(state) if polite else None
+    best = best_alternative_latency(state, users, cap=cap)
+    blocked[users] = best > inst.thresholds[users]
+    return blocked
 
-    res_min = satisfied_resident_min(state) if polite else None
 
-    if inst.access is None:
+def best_alternative_latency(
+    state: State,
+    users: np.ndarray,
+    *,
+    cap: np.ndarray | None = None,
+    graph: ResourceGraph | None = None,
+) -> np.ndarray:
+    """Per listed user, the least arrival latency over its admissible moves.
+
+    ``best[i] = min ell_r(x_r + w_u)`` over the resources ``r != A(u)`` that
+    ``u = users[i]`` may move to: its accessible resources, or, with a
+    resource ``graph``, the accessible neighbours of ``A(u)``.  With
+    ``cap``, a candidate whose arrival latency exceeds ``cap[r]`` does not
+    count (the polite bound, ``cap = satisfied_resident_min(state)``).
+    ``+inf`` where no candidate is left.  The one copy of the admissible-move
+    rule: stability, the selfish Nash check and the neighbourhood check
+    each compare its answer against their own bound.
+    """
+    inst = state.instance
+    users = np.asarray(users, dtype=np.int64)
+    best = np.full(users.size, np.inf)
+    # Complete access: per weight, the two smallest latencies serve every user.
+    if graph is None and inst.access is None:
         weights = inst.weights[users]
         for w in np.unique(weights):
-            lat_plus = inst.latencies.evaluate(state.loads + float(w))
-            # A move to r is admissible for u iff lat_plus[r] <= q_u
-            # (and <= res_min[r] when polite).  Fold the polite bound in by
-            # replacing lat_plus[r] with +inf where it exceeds res_min[r]:
-            eff = lat_plus if res_min is None else np.where(
-                lat_plus <= res_min, lat_plus, np.inf
-            )
-            grp = users[weights == w]
-            own = state.assignment[grp]
-            if eff.size == 1:
-                blocked[grp] = True
+            lat = inst.latencies.evaluate(state.loads + float(w))
+            if cap is not None:
+                lat = np.where(lat <= cap, lat, np.inf)
+            if lat.size == 1:
                 continue
-            two_smallest = np.partition(eff, 1)[:2]
-            global_min, second = float(two_smallest[0]), float(two_smallest[1])
-            own_eff = eff[own]
-            # Best admissible value over r != own: the global min unless it
-            # is attained only at own (then the second smallest).
-            best_other = np.where(own_eff > global_min, global_min, second)
-            blocked[grp] = best_other > inst.thresholds[grp]
-        return blocked
+            grp = np.nonzero(weights == w)[0]
+            global_min, second = np.partition(lat, 1)[:2]
+            # The best r != own: the global min unless only own attains it.
+            own_lat = lat[state.assignment[users[grp]]]
+            best[grp] = np.where(own_lat > global_min, global_min, second)
+        return best
 
-    for u in users:
-        allowed = inst.access.allowed(int(u))
-        allowed = allowed[allowed != state.assignment[u]]
-        if allowed.size == 0:
-            blocked[u] = True
-            continue
-        w = float(inst.weights[u])
-        lat = inst.latencies.evaluate_at(allowed, state.loads[allowed] + w)
-        ok = lat <= inst.thresholds[u]
-        if polite:
-            ok &= lat <= res_min[allowed]
-        blocked[u] = not bool(np.any(ok))
-    return blocked
+    # Otherwise: one chunked pass over the flat CSR candidate lists.
+    if graph is None:
+        offsets, targets = inst.access.offsets, inst.access.choices
+    else:
+        offsets, targets = graph.offsets, graph.neighbors
+    for cs, ce in iter_chunks(users.size):
+        chunk = users[cs:ce]
+        own = state.assignment[chunk]
+        rows = chunk if graph is None else own
+        lo = offsets[rows]
+        span = offsets[rows + 1] - lo
+        total = int(span.sum())
+        # One entry per (user, candidate) pair, grouped by user.
+        starts = np.cumsum(span) - span
+        within = np.arange(total, dtype=np.int64) - np.repeat(starts, span)
+        cand = targets[np.repeat(lo, span) + within]
+        user_rep = np.repeat(chunk, span)
+        ok = cand != np.repeat(own, span)
+        if graph is not None and inst.access is not None:
+            ok &= inst.access.contains(user_rep, cand)
+        r, u = cand[ok], user_rep[ok]
+        arrival = inst.latencies.evaluate_at(r, state.loads[r] + inst.weights[u])
+        if cap is not None:
+            arrival = np.where(arrival <= cap[r], arrival, np.inf)
+        lat = np.full(total, np.inf)
+        lat[ok] = arrival
+        has = span > 0
+        best[cs:ce][has] = np.fmin.reduceat(lat, starts[has])
+    return best
 
 
 def improvable_users(state: State, *, polite: bool = False) -> np.ndarray:

@@ -292,12 +292,7 @@ class State:
         targets = np.asarray(targets, dtype=np.int64)
         inst = self.instance
         if users.shape != targets.shape:
-            # Broadcasting callers (none in-library) get the one-shot path.
-            w = inst.weights[users]
-            staying = self.assignment[users] == targets
-            hypothetical = self.loads[targets] + np.where(staying, 0.0, w)
-            lat = inst.latencies.evaluate_at(targets, hypothetical)
-            return lat <= inst.thresholds[users]
+            raise ValueError("users and targets must have the same shape")
         out = np.empty(users.shape, dtype=bool)
         u_flat, t_flat, o_flat = users.ravel(), targets.ravel(), out.ravel()
         for s, e in iter_chunks(u_flat.size):

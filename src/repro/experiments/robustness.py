@@ -232,8 +232,8 @@ def f13_msg_loss(
 ) -> ExperimentResult:
     """Figure F13: graceful degradation of the message protocol under loss.
 
-    The message-passing execution (see T3) runs over an
-    :class:`~repro.msgsim.faults.UnreliableNetwork` that drops each
+    The message-passing execution (see T3) runs over a
+    :class:`~repro.msgsim.network.Network` whose fault plan drops each
     transmission i.i.d. with probability ``p_loss`` (plus light
     duplication and heavy-tailed reordering), and the agents answer with
     the self-healing layer: request ids, acks, bounded retransmission,

@@ -5,14 +5,14 @@ This package is the ground truth it is validated against: user and resource
 agents that communicate *only* through messages over delayed channels,
 with no shared memory (experiment T3 cross-validates the two).
 
-:mod:`repro.msgsim.faults` turns the perfect transport into an adversary —
+:mod:`repro.msgsim.faults` describes the adversary the transport plays —
 message loss, duplication and reordering — and the agents answer with a
 self-healing layer (request ids, acks, bounded retransmission, watchdogs;
 experiment F13).
 """
 
 from .agents import ResourceAgent, UserAgent, resource_id, user_id
-from .faults import FaultPlan, UnreliableNetwork, certify_message_conservation
+from .faults import FaultPlan, certify_message_conservation
 from .messages import (
     Join,
     Leave,
@@ -51,7 +51,6 @@ __all__ = [
     "user_id",
     "resource_id",
     "FaultPlan",
-    "UnreliableNetwork",
     "certify_message_conservation",
     "MessageSimResult",
     "run_message_sim",

@@ -24,8 +24,9 @@ moved on — overshoot from simultaneous arrivals is possible, exactly as in
 the concurrent round model.
 
 Resilience (the self-healing layer, experiment F13): when the transport
-admits it is ``lossy`` (see :class:`~repro.msgsim.faults.UnreliableNetwork`),
-the same agents switch on a hardening layer —
+admits it is ``lossy`` (a :class:`~repro.msgsim.network.Network` with an
+active :class:`~repro.msgsim.faults.FaultPlan`), the same agents switch on
+a hardening layer —
 
 - every query carries a fresh ``req_id``; replies that do not match the
   outstanding request are rejected exactly (no stale/duplicate confusion);
@@ -268,21 +269,11 @@ class UserAgent:
         expected = (self.state == self.WAIT_OWN and not msg.probe) or (
             self.state == self.WAIT_TARGET and msg.probe
         )
-        if network.lossy:
-            # Exact matching: only the reply to the outstanding request
-            # counts; anything else is a duplicate or a replay.  Liveness
-            # is the retransmission timer's job, not this path's.
-            if not expected or msg.req_id != self._req_id:
-                return
-        else:
-            if not expected:
-                return  # awaiting the other reply kind; this one is stale
-            if msg.resource != self._target:
-                # Orphaned reply (a reply this request never asked for).
-                # Unreachable in honest executions, but never strand the
-                # state machine: terminate the activation instead.
-                self._reset(network)
-                return
+        # Exact matching: only the reply to the outstanding request counts;
+        # anything else is a duplicate or a replay.  Liveness is the
+        # retransmission timer's job, not this path's.
+        if not expected or msg.req_id != self._req_id:
+            return
         self._req_id = 0
         if not msg.probe:
             self._on_own_reply(msg, network)

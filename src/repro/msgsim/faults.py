@@ -1,19 +1,17 @@
 """Fault injection for the message simulator: the network that lies.
 
-The plain :class:`~repro.msgsim.network.Network` is a perfect transport —
-every message is delivered exactly once and every agent is always up.
-Real distributed executions (the setting the paper's dynamics are meant
-for) get none of that, so this module provides the adversary:
+Without a plan the :class:`~repro.msgsim.network.Network` is a perfect
+transport — every message is delivered exactly once.  Real distributed
+executions (the setting the paper's dynamics are meant for) get no such
+guarantee, so this module provides the adversary and the audit:
 
 - :class:`FaultPlan` — a declarative, seeded description of what goes
   wrong on the channels: i.i.d. per-transmission message **drop** and
   **duplication**, and heavy-tailed extra **reordering delays**.
-- :class:`UnreliableNetwork` — a :class:`Network` that executes the plan.
-  Fault decisions draw from a **dedicated RNG stream** (``plan.seed`` +
-  run seed), never from the delay stream, so a null plan is bit-for-bit
-  identical to the reliable network: same delays, same delivery order,
-  same trajectory.  Sends to unknown agents become counted drops
-  instead of exceptions.
+  ``Network(plan=...)`` executes it; fault decisions draw from a
+  **dedicated RNG stream** (``plan.seed`` + run seed), never from the
+  delay stream, so a null plan is bit-for-bit identical to no plan:
+  same delays, same delivery order, same trajectory.
 - :func:`certify_message_conservation` — a naive auditor: at
   quiescence, every resource's load must equal the summed weight of the
   users that authoritatively reside on it, and the resource's resident
@@ -23,21 +21,15 @@ for) get none of that, so this module provides the adversary:
   correct, which is exactly why it is checked.
 
 Everything is deterministic given ``(plan, seeds)``; the fault counters
-(``UnreliableNetwork.fault_counts``) are surfaced through
+(``Network.fault_counts``) are surfaced through
 :class:`~repro.msgsim.runner.MessageSimResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
-
-from .messages import Message
-from .network import DelayModel, Network
-
-__all__ = ["FaultPlan", "UnreliableNetwork", "certify_message_conservation"]
+__all__ = ["FaultPlan", "certify_message_conservation"]
 
 
 @dataclass(frozen=True)
@@ -72,70 +64,6 @@ class FaultPlan:
     def is_active(self) -> bool:
         """Whether this plan injects any fault at all (a null plan is a no-op)."""
         return self.p_drop > 0 or self.p_duplicate > 0 or self.p_reorder > 0
-
-    def describe(self) -> dict:
-        """Plain-data summary (trace/result metadata), event-style."""
-        return {
-            "type": type(self).__name__,
-            "p_drop": self.p_drop,
-            "p_duplicate": self.p_duplicate,
-            "p_reorder": self.p_reorder,
-            "seed": self.seed,
-        }
-
-
-class UnreliableNetwork(Network):
-    """A :class:`Network` that executes a :class:`FaultPlan`.
-
-    Per-send fault pipeline (channel messages only; timers are exempt):
-    unknown destination -> counted drop; ``p_drop`` -> counted drop;
-    otherwise enqueue, possibly with a heavy-tailed extra delay
-    (``p_reorder``) and possibly twice (``p_duplicate``).  All counters
-    live in ``fault_counts``.
-    """
-
-    def __init__(
-        self,
-        *,
-        plan: FaultPlan,
-        delay_model: DelayModel | None = None,
-        seed: int | np.random.Generator = 0,
-        fault_seed: int | Sequence[int] | None = None,
-    ):
-        super().__init__(delay_model=delay_model, seed=seed)
-        self.plan = plan
-        self.lossy = plan.is_active()
-        if fault_seed is None:
-            fault_seed = plan.seed
-        self.fault_rng = np.random.default_rng(fault_seed)
-        self.fault_counts: dict[str, int] = {
-            "dropped": 0,
-            "duplicated": 0,
-            "reordered": 0,
-            "unknown_dropped": 0,
-        }
-
-    def send(self, dst: str, msg: Message) -> None:
-        self._record_send(msg)
-        if dst not in self.agents:
-            self.fault_counts["unknown_dropped"] += 1
-            return
-        if not self.lossy:
-            self._enqueue(dst, msg)
-            return
-        plan = self.plan
-        if plan.p_drop > 0 and self.fault_rng.random() < plan.p_drop:
-            self.fault_counts["dropped"] += 1
-            return
-        delay = self.delay_model.sample(self.rng)
-        if plan.p_reorder > 0 and self.fault_rng.random() < plan.p_reorder:
-            delay += plan.reorder_scale * float(self.fault_rng.pareto(plan.reorder_shape))
-            self.fault_counts["reordered"] += 1
-        self._enqueue(dst, msg, delay=delay)
-        if plan.p_duplicate > 0 and self.fault_rng.random() < plan.p_duplicate:
-            dup_delay = self.delay_model.sample(self.fault_rng)
-            self._enqueue(dst, msg, delay=dup_delay)
-            self.fault_counts["duplicated"] += 1
 
 
 def certify_message_conservation(resources, users) -> tuple[bool, list[str]]:

@@ -7,7 +7,9 @@ exactly the asynchrony the protocol must tolerate.
 
 Determinism: given the same agents, delay model and seed, execution is
 bit-for-bit reproducible — ties in delivery time are broken by a global
-sequence number.
+sequence number.  A :class:`~repro.msgsim.faults.FaultPlan` makes the
+channel drop, duplicate and reorder messages, still deterministically
+given the fault seed.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Protocol as TypingProtocol
+from typing import Callable, Protocol as TypingProtocol, Sequence
 
 import numpy as np
 
 from ..obs import HUB as _OBS
 from ..sim.rng import make_rng
+from .faults import FaultPlan
 from .messages import Message
 
 __all__ = [
@@ -83,22 +86,37 @@ class _Event:
 
 
 class Network:
-    """The event queue plus delivery bookkeeping.
+    """The event queue plus delivery bookkeeping, and the channel's faults.
 
-    ``lossy`` is the contract between the transport and the protocol
-    agents: ``False`` (this class) promises exactly-once in-order-per-time
-    delivery, so agents run the lean fire-and-forget protocol; ``True``
-    (see :class:`~repro.msgsim.faults.UnreliableNetwork`) warns agents
-    that messages may be dropped, duplicated or delayed, and they respond
-    by enabling acknowledgements, retransmission and watchdogs.
+    A :class:`~repro.msgsim.faults.FaultPlan` drops each channel send
+    (``p_drop``), or delays it heavy-tailed (``p_reorder``) and/or
+    delivers it twice (``p_duplicate``); timers are exempt and the
+    counts land in ``fault_counts``.  Fault decisions draw from their own
+    stream (``fault_seed``, default ``plan.seed``), so a null plan is
+    bit-for-bit no plan.
+
+    ``lossy`` (an active plan) is the contract with the protocol agents:
+    ``False`` promises exactly-once delivery, so agents run the lean
+    fire-and-forget protocol; ``True`` makes them enable
+    acknowledgements, retransmission and watchdogs.
     """
 
-    #: Reliable transport: agents may skip acks/retransmission machinery.
-    lossy: bool = False
-
-    def __init__(self, *, delay_model: DelayModel | None = None, seed: int | np.random.Generator = 0):
+    def __init__(
+        self,
+        *,
+        delay_model: DelayModel | None = None,
+        seed: int | np.random.Generator = 0,
+        plan: FaultPlan | None = None,
+        fault_seed: int | Sequence[int] | None = None,
+    ):
         self.rng = make_rng(seed)
         self.delay_model = delay_model or ExponentialDelay()
+        self.plan = plan if plan is not None else FaultPlan()
+        self.lossy = self.plan.is_active()
+        self.fault_rng = np.random.default_rng(
+            self.plan.seed if fault_seed is None else fault_seed
+        )
+        self.fault_counts: dict[str, int] = {"dropped": 0, "duplicated": 0, "reordered": 0}
         self.agents: dict[str, Agent] = {}
         self.now: float = 0.0
         self._queue: list[_Event] = []
@@ -117,21 +135,28 @@ class Network:
     # -- sending -----------------------------------------------------------------
 
     def send(self, dst: str, msg: Message) -> None:
-        """Send over a channel with a sampled delay."""
+        """Send over a channel with a sampled delay; counted even if dropped."""
         if dst not in self.agents:
             raise KeyError(f"unknown agent {dst!r}")
-        self._record_send(msg)
-        self._enqueue(dst, msg)
-
-    def _record_send(self, msg: Message) -> None:
-        """Count a send attempt (protocol cost, whether or not delivered)."""
         name = type(msg).__name__
         self.message_counts[name] = self.message_counts.get(name, 0) + 1
+        # Every fault draw is guarded by its probability: a null plan
+        # draws nothing from the fault stream.
+        plan, frng = self.plan, self.fault_rng
+        if plan.p_drop > 0 and frng.random() < plan.p_drop:
+            self.fault_counts["dropped"] += 1
+            return
+        delay = self.delay_model.sample(self.rng)
+        if plan.p_reorder > 0 and frng.random() < plan.p_reorder:
+            delay += plan.reorder_scale * float(frng.pareto(plan.reorder_shape))
+            self.fault_counts["reordered"] += 1
+        self._enqueue(dst, msg, delay)
+        if plan.p_duplicate > 0 and frng.random() < plan.p_duplicate:
+            self._enqueue(dst, msg, self.delay_model.sample(frng))
+            self.fault_counts["duplicated"] += 1
 
-    def _enqueue(self, dst: str, msg: Message, delay: float | None = None) -> None:
+    def _enqueue(self, dst: str, msg: Message, delay: float) -> None:
         """Put one copy on the wire (per-copy in-flight bookkeeping)."""
-        if delay is None:
-            delay = self.delay_model.sample(self.rng)
         self._push(self.now + delay, dst, msg)
         if type(msg).__name__ in MOVE_MESSAGES:
             self.in_flight_moves += 1

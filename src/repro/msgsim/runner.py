@@ -13,11 +13,11 @@ requires ``in_flight_moves == 0`` so transient inconsistency cannot be
 mistaken for convergence.
 
 Fault injection (experiment F13): pass a
-:class:`~repro.msgsim.faults.FaultPlan` and the execution runs over an
-:class:`~repro.msgsim.faults.UnreliableNetwork` instead.  Fault decisions
-draw from a dedicated RNG stream seeded by ``(plan.seed, run seed)``, so a
-null plan (``is_active()`` False) reproduces the reliable execution
-bit-for-bit — same delays, same trajectory, same move counts.  Under an
+:class:`~repro.msgsim.faults.FaultPlan` and the network executes it on
+every channel transmission.  Fault decisions draw from a dedicated RNG
+stream seeded by ``(plan.seed, run seed)``, so a null plan
+(``is_active()`` False) reproduces the reliable execution bit-for-bit —
+same delays, same trajectory, same move counts.  Under an
 active plan the observer additionally refuses to declare convergence
 while any move retransmission is pending, and at quiescence the run is
 audited by :func:`~repro.msgsim.faults.certify_message_conservation`;
@@ -35,7 +35,7 @@ from ..core.state import State
 from ..obs import HUB as _OBS
 from ..sim.rng import make_rng
 from .agents import ResourceAgent, UserAgent
-from .faults import FaultPlan, UnreliableNetwork, certify_message_conservation
+from .faults import FaultPlan, certify_message_conservation
 from .network import DelayModel, ExponentialDelay, Network
 
 __all__ = ["MessageSimResult", "run_message_sim"]
@@ -61,7 +61,7 @@ class MessageSimResult:
     watchdog_resets: int = 0
     #: Duplicated/replayed moves rejected by resource-side dedup.
     stale_moves: int = 0
-    #: Transport fault counters (``UnreliableNetwork.fault_counts``).
+    #: Transport fault counters (``Network.fault_counts``).
     fault_counts: dict[str, int] = field(default_factory=dict)
     #: Load-conservation audit at quiescence: True/False, or None when the
     #: run ended mid-flight (budget expiry with messages still moving).
@@ -105,8 +105,8 @@ def run_message_sim(
     mirroring the engine.  The instance must have complete accessibility
     (users sample resources uniformly).
 
-    ``fault_plan`` switches the transport to an
-    :class:`~repro.msgsim.faults.UnreliableNetwork`; ``rto`` (default
+    ``fault_plan`` makes the transport drop, duplicate and reorder
+    messages (see :class:`~repro.msgsim.network.Network`); ``rto`` (default
     ``tick_interval / 2``) and ``max_retries`` tune the agents'
     retransmission layer.  Both are inert while the plan is null or
     absent.
@@ -116,17 +116,14 @@ def run_message_sim(
     root = make_rng(seed)
     net_seed = root.integers(2**63)
     net_delay = delay_model or ExponentialDelay(mean=tick_interval / 20.0)
-    if fault_plan is None:
-        net = Network(delay_model=net_delay, seed=net_seed)
-    else:
-        # The fault stream never touches ``root``: same run seed => same
-        # delays and same protocol trajectory whenever the plan is null.
-        net = UnreliableNetwork(
-            plan=fault_plan,
-            delay_model=net_delay,
-            seed=net_seed,
-            fault_seed=[fault_plan.seed & 0xFFFFFFFF, seed % 2**32, 0x0F417],
-        )
+    # The fault stream never touches ``root``: same run seed => same
+    # delays and same protocol trajectory whenever the plan is null.
+    fault_seed = None
+    if fault_plan is not None:
+        fault_seed = [fault_plan.seed & 0xFFFFFFFF, seed % 2**32, 0x0F417]
+    net = Network(
+        delay_model=net_delay, seed=net_seed, plan=fault_plan, fault_seed=fault_seed
+    )
 
     if initial == "random":
         positions = root.integers(0, instance.n_resources, size=instance.n_users)
@@ -192,8 +189,7 @@ def run_message_sim(
         _OBS.count("msgsim.messages", net.total_messages)
         _OBS.count("msgsim.moves", sum(u.moves for u in users))
         _OBS.count("msgsim.retries", sum(u.retries for u in users))
-        fault_counts = dict(getattr(net, "fault_counts", {}))
-        _OBS.count("msgsim.faults", sum(fault_counts.values()))
+        _OBS.count("msgsim.faults", sum(net.fault_counts.values()))
         _OBS.event(
             "msgsim",
             {
@@ -203,7 +199,7 @@ def run_message_sim(
                 "n_resources": instance.n_resources,
                 "messages": net.total_messages,
                 "message_counts": dict(net.message_counts),
-                "fault_counts": fault_counts,
+                "fault_counts": dict(net.fault_counts),
                 "conservation_ok": conservation_ok,
                 "seed": seed,
             },
@@ -220,7 +216,7 @@ def run_message_sim(
         gave_up=sum(u.gave_up for u in users),
         watchdog_resets=sum(u.watchdog_resets for u in users),
         stale_moves=sum(r.stale_moves for r in resources),
-        fault_counts=dict(getattr(net, "fault_counts", {})),
+        fault_counts=dict(net.fault_counts),
         conservation_ok=conservation_ok,
         conservation_issues=tuple(issues),
     )

@@ -29,7 +29,11 @@ def summarize_events(path: str | Path) -> dict[str, Any]:
     Span and counter aggregates prefer the summary lines the hub writes on
     ``disable()``; when the file was cut short (crash, budget kill) they
     are rebuilt from the raw per-event records, so a truncated log still
-    reports.  Lines are framed by :func:`~repro.obs.aggregate.read_events`:
+    reports.  On a sweep timeline (:func:`~repro.obs.aggregate.merge_events`)
+    the meta line is the timeline's own header, and the per-cell final
+    ``counters`` and ``spans`` records (the ones carrying a ``cell`` key)
+    are summed over the cells; a span's ``max`` is the largest cell max.
+    Lines are framed by :func:`~repro.obs.aggregate.read_events`:
     a torn or non-object line is skipped and counted in ``bad_lines``, and
     a file that cannot be read raises :class:`OSError`.
     """
@@ -45,7 +49,8 @@ def summarize_events(path: str | Path) -> dict[str, Any]:
     for record in records:
         etype = record.get("type")
         if etype == "meta":
-            header = record
+            if header is None:
+                header = record
         elif etype == "span":
             stats = span_agg.setdefault(record["name"], [0, 0.0, 0.0])
             stats[0] += 1
@@ -54,11 +59,24 @@ def summarize_events(path: str | Path) -> dict[str, Any]:
         elif etype == "round":
             rounds.append(record)
         elif etype == "counters":
-            counters_final = record.get("counters", {})
+            counters = record.get("counters", {})
+            if "cell" in record and counters_final is not None:
+                for name, value in counters.items():
+                    counters_final[name] = counters_final.get(name, 0) + value
+            else:
+                counters_final = dict(counters)
             gauges_final = record.get("gauges", {})
             counter_seen += 1
         elif etype == "spans":
-            spans_final = record.get("spans", {})
+            spans = record.get("spans", {})
+            if "cell" in record and spans_final is not None:
+                for name, stats in spans.items():
+                    acc = spans_final.setdefault(name, {"count": 0, "total": 0.0, "max": 0.0})
+                    acc["count"] += stats["count"]
+                    acc["total"] += stats["total"]
+                    acc["max"] = max(acc["max"], stats["max"])
+            else:
+                spans_final = {name: dict(stats) for name, stats in spans.items()}
     if header is None:
         raise ValueError(f"{path}: no obs-events meta header (not an obs JSONL file?)")
     schema = header.get("schema")

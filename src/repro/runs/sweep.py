@@ -107,12 +107,13 @@ def drive_sweep(
     summary.  Then it merges the shipped per-cell events into the sweep
     timeline and writes ``summary.json``.
     """
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ids = [e.upper() for e in experiment_ids] if experiment_ids else sweepable_experiments()
     overrides = _normalise_overrides(overrides)
     config = {"experiments": ids, "scale": scale, "overrides": overrides, **transport}
+    # Enumerate first: a sweep that cannot enumerate leaves no directory.
     cells = enumerate_sweep(ids, scale, overrides)
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     store = ResultStore(out_dir / "store")
     started_unix = time.time()
     with Journal(out_dir / "journal.jsonl", sweep=config) as journal:
@@ -312,7 +313,7 @@ def render_status(status: dict[str, Any]) -> str:
     table = render_table(["experiment", "finished", "failed", "pending"], rows, title=title)
     notes = [f"store: {status['store_cells']} cell payload(s)"]
     if status["bad_lines"]:
-        notes.append(f"journal: {status['bad_lines']} truncated/torn line(s) skipped")
+        notes.append(f"journal: {status['bad_lines']} torn or non-record line(s) skipped")
     tele = status.get("telemetry") or {}
     if tele.get("cells_with_telemetry"):
         notes.append(

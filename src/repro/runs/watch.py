@@ -281,7 +281,7 @@ def render_watch(snapshot: dict[str, Any], *, max_rows: int = 12) -> str:
         + (f"  ·  ETA {_fmt_eta(snapshot['eta_s'])}" if snapshot["eta_s"] is not None else ""),
     ]
     if snapshot["bad_lines"]:
-        lines.append(f"  journal: {snapshot['bad_lines']} torn line(s) skipped")
+        lines.append(f"  journal: {snapshot['bad_lines']} torn or non-record line(s) skipped")
 
     workers = snapshot.get("workers") or []
     if workers:

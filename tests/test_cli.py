@@ -234,9 +234,34 @@ def test_sweep_run_resume_status_gc(tmp_path, capsys):
     assert "kept 2" in text
 
 
+def test_skipped_journal_lines_are_torn_or_not_a_record(tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert main(SWEEP_ARGS + ["--out", str(out)]) == 0
+    with (out / "journal.jsonl").open("a") as fh:
+        fh.write("[1, 2]\n")
+        fh.write('{"type": "finished", "key": "torn')
+    capsys.readouterr()
+    assert main(["runs", "status", str(out)]) == 0
+    assert "journal: 2 torn or non-record line(s) skipped" in capsys.readouterr().out
+    assert main(["runs", "watch", str(out), "--once"]) == 0
+    assert "journal: 2 torn or non-record line(s) skipped" in capsys.readouterr().out
+
+
 def test_sweep_rejects_unknown_set_target(tmp_path):
     with pytest.raises(SystemExit, match="not in this sweep"):
         main(["sweep", "F1", "--set", "T4.n=64", "--out", str(tmp_path / "sw")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "F3", "--set", "reps=2"], ["sweep", "F1", "--set", "T4.n=64"]],
+    ids=["unknown-key", "unknown-target"],
+)
+def test_failed_sweep_enumeration_leaves_no_out_dir(argv, tmp_path):
+    out = tmp_path / "sw"
+    with pytest.raises(SystemExit):
+        main(argv + ["--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

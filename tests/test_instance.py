@@ -12,7 +12,7 @@ class TestAccessMap:
         access = AccessMap.complete(3, 4)
         assert access.is_complete()
         assert list(access.allowed(0)) == [0, 1, 2, 3]
-        assert access.degree(2) == 4
+        assert access.allowed(2).size == 4
 
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError):

@@ -724,6 +724,29 @@ def test_merge_events_sorts_annotates_and_tolerates_torn_lines(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))  # atomic: no partial file left
 
 
+def test_trace_report_on_timeline_sums_the_cells(tmp_path):
+    """A sweep timeline reports the whole sweep: its own header, counters
+    summed and spans merged over the per-cell final records."""
+    from repro.obs import merge_events, summarize_events
+
+    events_dir = tmp_path / "events"
+    for key, base_t, runs, rounds, span in (
+        (KEY_A, 10.0, 3, 9, {"count": 3, "total": 1.0, "max": 0.5}),
+        (KEY_B, 20.0, 4, 20, {"count": 4, "total": 2.0, "max": 0.25}),
+    ):
+        records = _closed_cell_records(f"cell-{key[0]}", base_t)
+        records[3]["counters"] = {"engine.runs": runs, "engine.rounds": rounds}
+        records[4]["spans"] = {"engine.run": span}
+        _write_cell_file(events_dir, key, records)
+    summary = merge_events(events_dir)
+    report = summarize_events(summary["out"])
+    assert report["meta"]["timeline"] is True
+    assert report["meta"]["cells"] == [KEY_A, KEY_B]
+    assert report["counters"] == {"engine.runs": 7, "engine.rounds": 29}
+    assert report["spans"] == {"engine.run": {"count": 7, "total": 3.0, "max": 0.5}}
+    assert report["complete"]
+
+
 def test_merge_events_is_safe_on_empty_or_missing_dir(tmp_path):
     from repro.obs import merge_events
 

@@ -171,3 +171,120 @@ def test_satisfied_resident_min(small_uniform):
     assert np.isinf(res_min).all()
     state2 = State(small_uniform, np.asarray([0, 1, 2, 3] * 3))
     assert list(satisfied_resident_min(state2)) == [4.0, 4.0, 4.0, 4.0]
+
+
+# -- the admissible-move query ------------------------------------------------
+
+
+def reference_best_alternative(state, users, cap=None, graph=None):
+    """Per-(user, resource) loop written from the definition: the least
+    ``ell_r(x_r + w_u)`` over admissible ``r != A(u)``, ``+inf`` if none."""
+    inst = state.instance
+    out = []
+    for u in users:
+        own = int(state.assignment[u])
+        if graph is None:
+            cands = [int(r) for r in inst.accessible(u)]
+        else:
+            nbrs = graph.neighbors[graph.offsets[own] : graph.offsets[own + 1]]
+            cands = [
+                int(r) for r in nbrs
+                if inst.access is None or inst.access.contains_one(int(u), int(r))
+            ]
+        best = np.inf
+        for r in cands:
+            if r == own:
+                continue
+            lat = float(
+                inst.latencies.evaluate_at(
+                    np.asarray([r]), np.asarray([state.loads[r] + inst.weights[u]])
+                )[0]
+            )
+            if cap is not None and lat > cap[r]:
+                continue
+            best = min(best, lat)
+        out.append(best)
+    return out
+
+
+def _weighted_access(n, m):
+    from repro.workloads.generators import random_access
+
+    base = random_access(n, m, degree=3, rng=5)
+    weights = np.random.default_rng(6).uniform(0.5, 3.0, size=n)
+    return Instance(base.thresholds, base.latencies, weights=weights, access=base.access)
+
+
+def _instances():
+    from repro.workloads import generators as g
+
+    n, m = 40, 8
+    return {
+        "identical": g.zipf_thresholds(n, m),
+        "identical-tight": Instance(
+            np.random.default_rng(7).integers(3, 9, size=n).astype(np.float64),
+            LatencyProfile.identical(m),
+        ),
+        "related": g.related_speeds(n, m),
+        "mm1": g.mm1_farm(n, m),
+        "weighted": g.weighted_uniform(n, m),
+        "random-access": g.random_access(n, m, degree=3),
+        "sparse-access": g.sparse_access(n, m, degree=3),
+        "weighted-access": _weighted_access(n, m),
+    }
+
+
+@pytest.fixture(params=[None, 3], ids=["whole", "chunk3"])
+def chunk(request):
+    from repro.core.memory import set_user_chunk
+
+    if request.param is None:
+        yield
+        return
+    previous = set_user_chunk(request.param)
+    try:
+        yield
+    finally:
+        set_user_chunk(previous)
+
+
+@pytest.mark.parametrize("graph_kind", [None, "ring", "random-regular"])
+@pytest.mark.parametrize("cap_kind", [None, "resident-min", "random"])
+@pytest.mark.parametrize("name", list(_instances()))
+def test_best_alternative_latency_matches_definition(name, cap_kind, graph_kind, chunk):
+    from repro.core.stability import best_alternative_latency
+    from repro.workloads.topology import random_regular_graph, ring_graph
+
+    inst = _instances()[name]
+    m = inst.n_resources
+    graph = {
+        None: None,
+        "ring": lambda: ring_graph(m),
+        "random-regular": lambda: random_regular_graph(m, 4, seed=2),
+    }[graph_kind]
+    graph = graph() if graph is not None else None
+    rng = np.random.default_rng(11)
+    for trial in range(4):
+        if inst.access is None:
+            assignment = rng.integers(0, m, size=inst.n_users)
+        else:
+            assignment = inst.access.sample(np.arange(inst.n_users), rng)
+        if trial == 0:  # pile a block onto one resource: contention and +inf
+            assignment[: inst.n_users // 2] = assignment[0]
+        elif trial == 1:  # balanced: most users satisfied, so the cap bites
+            assignment = rng.permutation(np.arange(inst.n_users) % m)
+        if inst.access is not None:
+            ok = inst.access.contains(np.arange(inst.n_users), assignment)
+            assignment[~ok] = inst.access.sample(np.nonzero(~ok)[0], rng)
+        state = State(inst, assignment)
+        cap = {
+            None: lambda: None,
+            "resident-min": lambda: satisfied_resident_min(state),
+            # Around the unit-arrival latency, so the cap excludes often.
+            "random": lambda: inst.latencies.evaluate(state.loads + 1.0)
+            * rng.uniform(0.8, 1.3, size=m),
+        }[cap_kind]()
+        for users in (np.arange(inst.n_users), np.nonzero(~state.satisfied_mask())[0]):
+            got = best_alternative_latency(state, users, cap=cap, graph=graph)
+            want = reference_best_alternative(state, users, cap=cap, graph=graph)
+            assert got.tolist() == want, (name, trial, users)
