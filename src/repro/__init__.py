@@ -15,9 +15,15 @@ Quickstart::
     protocol = repro.QoSSamplingProtocol()
     result = repro.run(inst, protocol, seed=1)
     print(result.status, result.rounds)
+
+The subpackages ``analysis``, ``fluid``, ``msgsim`` and ``viz`` are
+loaded on first attribute access (``repro.msgsim``), so importing the
+package pays only for the model, the engines and the workloads.
 """
 
-from . import analysis, baselines, core, fluid, msgsim, obs, sim, viz, workloads
+from importlib import import_module
+
+from . import baselines, core, obs, sim, workloads
 from .baselines import SelfishRebalanceProtocol, opt_satisfied, optimal_assignment
 from .core import (
     AccessMap,
@@ -88,6 +94,14 @@ from .sim import (
 )
 
 __version__ = "1.1.0"
+
+_LAZY_SUBPACKAGES = frozenset({"analysis", "fluid", "msgsim", "viz"})
+
+
+def __getattr__(name: str):
+    if name in _LAZY_SUBPACKAGES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "__version__",

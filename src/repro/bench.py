@@ -41,6 +41,9 @@ Cell families:
   sweep's event files;
 - ``obs/overhead@*``: the telemetry hub's per-round cost, disabled,
   enabled and counter-sampled (see :mod:`repro.obs`);
+- ``startup/import``: a fresh interpreter importing ``repro`` and
+  ``repro.sim.parallel`` (the cold start every CLI call, sweep worker
+  and pool child pays), as ``import_s``, lower is better;
 - ``engine/huge/*``: one million-user replication under ``tracemalloc``
   against a pinned memory ceiling (``--scale full`` or ``--only``).
 
@@ -817,6 +820,34 @@ def _query_cell(*, n: int, m: int, repeats: int, calls: int = 200) -> dict[str, 
     )
 
 
+def _startup_cell(*, repeats: int) -> dict[str, Any]:
+    """Cold-start cost: wall time of a fresh ``python -c "import ..."``.
+
+    The child imports this very package (its parent directory leads
+    ``PYTHONPATH``).  The legs' ``cpu_seconds``, ``minor_faults`` and
+    ``sys_s`` are this process's, so only ``seconds`` measures the child.
+    """
+    import subprocess
+
+    path = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+    def fresh(module: str) -> Callable[[], Any]:
+        argv = [sys.executable, "-c", f"import {module}"]
+        return lambda: subprocess.run(argv, env=env, check=True)
+
+    legs, _ = time_legs(
+        {"repro": fresh("repro"), "sim.parallel": fresh("repro.sim.parallel")},
+        repeats=repeats,
+    )
+    return _cell(
+        "startup", "startup/import", "import_s", "s", legs,
+        higher_is_better=False,
+        import_s=legs["repro"]["seconds"],
+        parallel_import_s=legs["sim.parallel"]["seconds"],
+    )
+
+
 def _cell_filter(only: str | None):
     """Name predicate for ``--only``: glob, or prefix when glob-free."""
     import fnmatch
@@ -885,6 +916,7 @@ def run_bench(
         ),
         ("runs/overhead", partial(_runs_cell, **sized, reps=params["reps"], repeats=n_repeats)),
         ("obs/aggregate", partial(_aggregate_cell, repeats=max(n_repeats, 3))),
+        ("startup/import", partial(_startup_cell, repeats=max(n_repeats, 5))),
         (
             f"obs/overhead@{OBS_CELL}",
             partial(

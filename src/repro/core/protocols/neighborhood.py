@@ -15,14 +15,16 @@ capacity, paying the graph distance in rounds.  Experiment F9 sweeps graph
 families (ring, random-regular, Barabási–Albert, complete) at fixed
 instance parameters to expose the effect.
 
-The graph is given as a :mod:`networkx` graph on resource indices ``0..m-1``
-and compiled once into flat CSR-style adjacency arrays so per-round
-sampling stays vectorized.
+The graph is given as an adjacency mapping on resource indices ``0..m-1``
+(``graph[r]`` iterates ``r``'s neighbours, iterating ``graph`` gives the
+nodes; a networkx ``Graph`` qualifies) and compiled once into flat
+CSR-style adjacency arrays so per-round sampling stays vectorized.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from collections.abc import Iterable, Mapping
+
 import numpy as np
 
 from ..memory import csr_offsets
@@ -40,26 +42,35 @@ class ResourceGraph:
         "n_resources", "neighbors", "offsets", "_bounds", "_degree", "_any_isolated"
     )
 
-    def __init__(self, graph: nx.Graph, n_resources: int):
-        if graph.number_of_nodes() != n_resources or set(graph.nodes) != set(
-            range(n_resources)
-        ):
+    def __init__(self, graph: Mapping[int, Iterable[int]], n_resources: int):
+        if set(graph) != set(range(n_resources)):
             raise ValueError(
                 "graph nodes must be exactly the resource indices 0..m-1"
             )
-        if n_resources > 1 and not nx.is_connected(graph):
-            raise ValueError(
-                "resource graph must be connected, or users can be stranded"
-            )
+        adjacency = [sorted(set(graph[r])) for r in range(n_resources)]
+        for r, nbrs in enumerate(adjacency):
+            if r in nbrs:
+                raise ValueError(f"resource {r} is its own neighbour (self-loop)")
         self.n_resources = n_resources
-        degs = np.asarray([graph.degree[r] for r in range(n_resources)], dtype=np.int64)
+        degs = np.asarray([len(nbrs) for nbrs in adjacency], dtype=np.int64)
         if np.any(degs == 0) and n_resources > 1:
             raise ValueError("every resource needs at least one neighbour")
         self.offsets = csr_offsets(degs)
-        self.neighbors = np.empty(int(self.offsets[-1]), dtype=np.int64)
-        for r in range(n_resources):
-            nbrs = sorted(graph.neighbors(r))
-            self.neighbors[self.offsets[r] : self.offsets[r + 1]] = nbrs
+        self.neighbors = np.fromiter(
+            (s for nbrs in adjacency for s in nbrs), dtype=np.int64, count=int(degs.sum())
+        )
+        if np.any((self.neighbors < 0) | (self.neighbors >= n_resources)):
+            raise ValueError("graph nodes must be exactly the resource indices 0..m-1")
+        sources = np.repeat(np.arange(n_resources, dtype=np.int64), degs)
+        if not np.array_equal(
+            np.sort(sources * n_resources + self.neighbors),
+            np.sort(self.neighbors * n_resources + sources),
+        ):
+            raise ValueError("resource graph must be undirected (symmetric adjacency)")
+        if n_resources > 1 and not _connected(sources, self.neighbors, n_resources):
+            raise ValueError(
+                "resource graph must be connected, or users can be stranded"
+            )
         # Per-resource RNG bound, precomputed so the per-round sampling hot
         # path is at most two takes + one rng call.
         self._bounds = np.maximum(degs, 1)
@@ -82,6 +93,20 @@ class ResourceGraph:
             # Only possible when m == 1: the one resource samples itself.
             return resources.copy()
         return self.neighbors.take(pos)
+
+
+def _connected(sources: np.ndarray, targets: np.ndarray, n_resources: int) -> bool:
+    """Breadth-first search from resource 0 over the edge list
+    ``sources[i] -> targets[i]``: one hop per pass until no resource is added."""
+    seen = np.zeros(n_resources, dtype=bool)
+    seen[0] = True
+    reached = 1
+    while True:
+        seen[targets[seen[sources]]] = True
+        now = int(np.count_nonzero(seen))
+        if now == reached:
+            return now == n_resources
+        reached = now
 
 
 class NeighborhoodSamplingProtocol(SampleCommitProtocol):

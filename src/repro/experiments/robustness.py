@@ -7,8 +7,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..msgsim.faults import FaultPlan
-from ..msgsim.runner import run_message_sim
 from ..registry import build_instance, build_protocol
 from ..sim.engine import run
 from ..sim.events import ResourceFailure
@@ -247,6 +245,9 @@ def f13_msg_loss(
     conservation intact — time and message cost grow with the loss rate
     (the degradation is graceful), which is the self-healing claim.
     """
+    from ..msgsim.faults import FaultPlan
+    from ..msgsim.runner import run_message_sim
+
     headers = [
         "p_loss",
         "sat%",

@@ -11,7 +11,6 @@ import numpy as np
 
 from ..analysis.drift import estimate_drift
 from ..core.potential import overload_potential, unsatisfied_count
-from ..msgsim.runner import run_message_sim
 from ..registry import build_instance, build_protocol
 from ..sim.engine import run
 from .common import ExperimentResult, cell, cell_spec, convergence_stats
@@ -44,6 +43,8 @@ def t3_msgsim(
     channel delay).  Agreement here is the evidence that the fast engine
     faithfully simulates the distributed protocol.
     """
+    from ..msgsim.runner import run_message_sim
+
     inst_kwargs = {"n": n, "m": m, "slack": slack}
     engine_rounds: list[float] = []
     engine_moves: list[float] = []

@@ -411,6 +411,7 @@ def test_frozen_bench_engine_schema(bench_payload):
         "runs",
         "obs",
         "aggregate",
+        "startup",
     }
     engine = next(c for c in payload["cells"] if c["kind"] == "engine")
     assert set(engine) >= {"name", "seconds", "rounds", "rounds_per_sec", "status"}

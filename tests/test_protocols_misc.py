@@ -81,6 +81,12 @@ class TestResourceGraph:
         with pytest.raises(ValueError):
             ResourceGraph(g, 4)
 
+    def test_rejects_self_loop(self):
+        g = nx.cycle_graph(4)
+        g.add_edge(1, 1)
+        with pytest.raises(ValueError, match="resource 1 is its own neighbour"):
+            ResourceGraph(g, 4)
+
     def test_sample_neighbor_stays_adjacent(self, rng):
         graph = ring_graph(8)
         starts = rng.integers(0, 8, size=500)
