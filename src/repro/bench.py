@@ -170,13 +170,21 @@ SCALES: dict[str, dict[str, int]] = {
 }
 
 #: Pinned peak-tracemalloc budget for one million-user replication
-#: (instance build + full run).  Measured 58.2 MiB (61.1 MB) once the
-#: scalar round ran the shared one-row kernels (74.4 MiB before, with
-#: the separate scalar protocol bodies); 64 MiB leaves ~10% headroom for
-#: NumPy-version jitter while still catching any full-width per-mover
-#: regression (pre-audit layouts blow well past it).  CI's guardrail
-#: fails at 1.2x this value.
+#: (instance build + full run).  Measured 35.3 MiB (NumPy 2.4, Linux
+#: x86-64) with the uniform threshold and unit-weight columns stored as
+#: zero-stride views (50.6 MiB with each stored n times).  64 MiB
+#: leaves room for NumPy-version jitter while still catching any
+#: full-width per-mover regression (pre-audit layouts blow well past
+#: it).  CI's guardrail fails at 1.2x this value.
 HUGE_MEMORY_CEILING_BYTES = 64 * 1024 * 1024
+
+#: Budget for the same replication on a ``sparse_access`` instance
+#: (degree 4), whose CSR access map is the largest build at this size.
+#: Measured 91.6 MiB (NumPy 2.4, Linux x86-64); 101 MiB is that plus
+#: 10%.  CI's 1.2x (121 MiB) stays below the 128.6 MiB a build with
+#: full-width int64 temporaries in ``sparse_access`` and
+#: ``AccessMap.from_csr`` peaks at, so the guardrail catches their return.
+SPARSE_ACCESS_MEMORY_CEILING_BYTES = 101 * 1024 * 1024
 
 #: Million-user single-replication cells (the ROADMAP's scale milestone).
 #: Run at ``--scale full`` or when selected explicitly via ``--only``;
@@ -191,6 +199,15 @@ HUGE_CELLS: list[dict[str, Any]] = [
         "schedule": "synchronous",
         "max_rounds": 256,
         "memory_ceiling_bytes": HUGE_MEMORY_CEILING_BYTES,
+    },
+    {
+        "name": "engine/huge/sparse-access/sync",
+        "generator": "sparse_access",
+        "generator_kwargs": {"n": 1_000_000, "m": 1_024},
+        "protocol": "qos-sampling",
+        "schedule": "synchronous",
+        "max_rounds": 256,
+        "memory_ceiling_bytes": SPARSE_ACCESS_MEMORY_CEILING_BYTES,
     },
 ]
 

@@ -825,7 +825,7 @@ def main(argv: list[str] | None = None) -> int:
         "--only",
         default=None,
         help="run only cells whose name matches this glob/prefix "
-        "(e.g. 'engine/huge' for the million-user memory-audit cell)",
+        "(e.g. 'engine/huge' for the million-user memory-audit cells)",
     )
     p_bench.set_defaults(fn=_cmd_bench)
 

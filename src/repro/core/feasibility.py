@@ -423,7 +423,7 @@ def _tightened(instance: Instance, *, factor: float = 1.0, delta: float = 0.0) -
     return Instance(
         thresholds=q,
         latencies=instance.latencies,
-        weights=instance.weights.copy(),
+        weights=instance.weights,
         access=instance.access,
         name=instance.name,
     )

@@ -77,10 +77,9 @@ class AccessMap:
         # arbitrary batch of (user, resource) membership queries.  Built in
         # user-chunks so the int64 ``owners`` scratch stays bounded.
         keys = np.empty(choices.size, dtype=index_dtype(self.n_users * n_resources))
-        counts = np.diff(offsets)
         for s, e in iter_chunks(self.n_users):
             lo, hi = int(offsets[s]), int(offsets[e])
-            owners = np.repeat(np.arange(s, e, dtype=np.int64), counts[s:e])
+            owners = np.repeat(np.arange(s, e, dtype=np.int64), np.diff(offsets[s : e + 1]))
             owners *= n_resources
             owners += choices[lo:hi]
             keys[lo:hi] = owners
@@ -96,6 +95,8 @@ class AccessMap:
         resources, which must be strictly increasing (sorted, no
         duplicates).  Validation is fully vectorized — no per-user Python
         loop — so this is the constructor huge generated topologies use.
+        Scratch stays bounded: no check builds a full-width int64
+        temporary over the flat layout.
         """
         choices = np.ascontiguousarray(choices, dtype=np.int64)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
@@ -104,29 +105,29 @@ class AccessMap:
             raise ValueError("choices and offsets must be 1-D, offsets non-empty")
         if offsets[0] != 0 or offsets[-1] != choices.size:
             raise ValueError("offsets must start at 0 and end at choices.size")
-        counts = np.diff(offsets)
-        if np.any(counts < 0):
+        if np.any(offsets[1:] < offsets[:-1]):
             raise ValueError("offsets must be non-decreasing")
-        if np.any(counts == 0):
-            bad = int(np.nonzero(counts == 0)[0][0])
-            raise ValueError(f"user {bad} has no accessible resource")
+        empty = offsets[1:] == offsets[:-1]
+        if np.any(empty):
+            raise ValueError(f"user {int(np.flatnonzero(empty)[0])} has no accessible resource")
         if choices.size and (choices.min() < 0 or choices.max() >= n_resources):
             oob = (choices < 0) | (choices >= n_resources)
             pos = int(np.nonzero(oob)[0][0])
             u = int(np.searchsorted(offsets, pos, side="right")) - 1
             raise ValueError(f"user {u} references an out-of-range resource")
-        # Within-user monotonicity: diff positions crossing a slice
-        # boundary compare different users and are exempt.
-        if choices.size > 1:
-            step = np.diff(choices)
-            internal = np.ones(step.size, dtype=bool)
-            boundaries = offsets[1:-1]
-            internal[boundaries[boundaries < choices.size] - 1] = False
-            flat = np.nonzero(internal & (step <= 0))[0]
-            if flat.size:
-                pos = int(flat[0])
+        # Within-user monotonicity, one chunk of positions at a time:
+        # position p compares choices[p + 1] with choices[p] and is exempt
+        # when p + 1 starts a user's slice (every slice is non-empty, so
+        # the slice starts are exactly offsets[1:-1]).
+        starts = offsets[1:-1]
+        for s, e in iter_chunks(choices.size - 1):
+            bad = choices[s + 1 : e + 1] <= choices[s:e]
+            lo, hi = np.searchsorted(starts, [s + 1, e + 1])
+            bad[starts[lo:hi] - 1 - s] = False
+            if bad.any():
+                pos = s + int(np.argmax(bad))
                 u = int(np.searchsorted(offsets, pos, side="right")) - 1
-                if step[pos] == 0:
+                if choices[pos + 1] == choices[pos]:
                     raise ValueError(f"user {u} has duplicate accessible resources")
                 raise ValueError(
                     f"user {u} accessible resources must be sorted ascending"
@@ -202,11 +203,14 @@ class Instance:
     ----------
     thresholds:
         Per-user QoS requirements ``q_u > 0`` (latency upper bounds).
+        Stored read-only; a uniform column is kept as a zero-stride view
+        of its one value (see :func:`_column`), still shape ``(n,)``.
     latencies:
         Per-resource latency functions; see
         :class:`~repro.core.latency.LatencyProfile`.
     weights:
-        Per-user congestion weights (default: all ones).  Feasibility
+        Per-user congestion weights (default: all ones, stored like a
+        uniform ``thresholds`` column).  Feasibility
         theory and the exact centralized baselines require unit weights;
         the simulation engine supports arbitrary positive weights.
     access:
@@ -230,21 +234,21 @@ class Instance:
         q_lo, q_hi = thresholds.min(), thresholds.max()
         if not (q_lo > 0 and np.isfinite(q_hi)):
             raise ValueError("thresholds must be positive and finite")
-        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "thresholds", _column(thresholds, q_lo, q_hi))
 
         if not isinstance(self.latencies, LatencyProfile):
             raise TypeError("latencies must be a LatencyProfile")
 
         weights = self.weights
         if weights is None:
-            weights = np.ones(thresholds.size, dtype=np.float64)
+            weights = np.broadcast_to(np.float64(1.0), thresholds.shape)
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != thresholds.shape:
             raise ValueError("weights must match thresholds in shape")
         w_lo, w_hi = weights.min(), weights.max()
         if not (w_lo > 0 and np.isfinite(w_hi)):
             raise ValueError("weights must be positive and finite")
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", _column(weights, w_lo, w_hi))
         object.__setattr__(self, "_uniform", (bool(q_lo == q_hi), bool(w_lo == w_hi == 1.0)))
 
         if self.access is not None:
@@ -339,6 +343,20 @@ class Instance:
             "threshold_mean": float(self.thresholds.mean()),
             "complete_access": self.access is None or self.access.is_complete(),
         }
+
+
+def _column(values: np.ndarray, lo: np.float64, hi: np.float64) -> np.ndarray:
+    """A validated per-user float64 column as the instance stores it.
+
+    A uniform column (``lo == hi``) becomes a read-only zero-stride view of
+    its one value: still shape ``(n,)`` float64, so every gather and
+    comparison sees the same IEEE values, but 8 bytes instead of 8n.  The
+    view is built from the scalar, so it holds no reference to the
+    caller's array.
+    """
+    if lo == hi and values.strides != (0,):
+        return np.broadcast_to(np.float64(lo), values.shape)
+    return values
 
 
 def _validate_latency_list(functions: Iterable[LatencyFunction]) -> None:  # pragma: no cover

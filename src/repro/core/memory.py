@@ -28,6 +28,15 @@ narrow.  The contract for call sites:
 
 Float arrays (loads, thresholds, weights, latencies) stay ``float64``:
 narrowing them would change IEEE arithmetic and break bit-exact replay.
+A uniform per-user float column (every threshold equal, or every weight)
+is stored once instead: :class:`~repro.core.instance.Instance` keeps it
+as a read-only zero-stride ``float64`` view (``np.broadcast_to``) of its
+one value, still shape ``(n,)``, so IEEE arithmetic is untouched and the
+column costs 8 bytes rather than 8n.  Such a column must not reach
+``take``, ``tile`` or a weighted ``bincount``, which copy a
+non-contiguous input out whole; unit-weight loads are an integer
+``bincount`` cast to ``float64`` (:func:`repro.core.state.loads_of`),
+the same values exactly.
 RNG draws are never narrowed either — NumPy's generators fix their own
 output dtypes and the stream contract pins the draw sequence.
 

@@ -240,7 +240,9 @@ class Kernel:
         self.capF = None  # lazy per-resource capacity at the one q (slack rate)
 
     def _tile(self, a: np.ndarray) -> np.ndarray:
-        return a if self.rows == 1 else np.tile(a, self.rows)
+        # ``take`` copies a non-contiguous source on every call, so a
+        # zero-stride column (uniform non-unit weights) is made whole once.
+        return np.ascontiguousarray(a) if self.rows == 1 else np.tile(a, self.rows)
 
     @property
     def propose(self):

@@ -105,6 +105,19 @@ def caching_disabled():
         CACHING.enabled = previous
 
 
+def loads_of(instance: Instance, assignment: np.ndarray) -> np.ndarray:
+    """Per-resource float64 load of one assignment row.
+
+    With unit weights this is an integer bincount cast to float64 — the
+    same values as summing 1.0s, exactly — so the zero-stride weight
+    column is never copied out to a contiguous n-array.
+    """
+    m = instance.n_resources
+    if instance.unit_weights:
+        return np.bincount(assignment, minlength=m).astype(np.float64)
+    return np.bincount(assignment, weights=instance.weights, minlength=m)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -137,9 +150,7 @@ class State:
         # wrap an out-of-range value back into range and hide the bug.
         # ``astype`` copies, so the caller's array is never aliased.
         self.assignment = assignment.astype(index_dtype(instance.n_resources))
-        self.loads = np.bincount(
-            assignment, weights=instance.weights, minlength=instance.n_resources
-        )
+        self.loads = loads_of(instance, assignment)
         self._version = 0
         self._cache: dict = {}
 
@@ -394,11 +405,7 @@ class State:
         Cheap enough to call in tests and at trace checkpoints, not called
         in the hot loop.
         """
-        expected = np.bincount(
-            self.assignment,
-            weights=self.instance.weights,
-            minlength=self.instance.n_resources,
-        )
+        expected = loads_of(self.instance, self.assignment)
         if not np.allclose(self.loads, expected, rtol=0, atol=1e-9):
             raise AssertionError("state corruption: loads do not match assignment")
         if self.instance.access is not None:

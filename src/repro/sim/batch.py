@@ -91,7 +91,7 @@ from ..core.instance import Instance
 from ..core.memory import csr_offsets, index_dtype
 from ..core.protocols.kernels import Kernel, Round, kernel_kind, rate_support
 from ..core.protocols.rates import AdaptiveBackoffRate
-from ..core.state import State
+from ..core.state import State, loads_of
 from .book import RoundBook, RunResult
 from .rng import seed_from_key
 from .schedule import AlphaSchedule, Schedule, SynchronousSchedule
@@ -299,7 +299,7 @@ class _BatchEngine:
         self.asgF = _flat_assignment(assignment, m)
         ld = np.empty((R, m), dtype=np.float64)
         for i in range(R):  # per-row bincount: same bucket order as State
-            ld[i] = np.bincount(assignment[i], weights=instance.weights, minlength=m)
+            ld[i] = loads_of(instance, assignment[i])
         self.ld = ld
         # The scalar engine's protocol.reset/schedule.reset consume no RNG
         # for the supported kernels; the only per-run rate state is the

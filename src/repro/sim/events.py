@@ -72,9 +72,9 @@ def _swap_latency(
         raise ValueError("resource out of range")
     functions[resource] = fn
     return Instance(
-        thresholds=instance.thresholds.copy(),
+        thresholds=instance.thresholds,
         latencies=LatencyProfile(functions),
-        weights=instance.weights.copy(),
+        weights=instance.weights,
         access=instance.access,
         name=instance.name,
     )

@@ -367,13 +367,16 @@ def sparse_access(
     if degree < 1 or degree > m:
         raise ValueError("degree must be in [1, m]")
     generator = make_rng(rng)
-    picks = np.sort(generator.integers(0, m, size=(n, degree)), axis=1)
+    # Sorted in place and compared column against column, so the only
+    # full-width int64 array is the draw itself.
+    picks = generator.integers(0, m, size=(n, degree))
+    picks.sort(axis=1)
     if degree > 1:
-        bad = np.flatnonzero((np.diff(picks, axis=1) == 0).any(axis=1))
+        bad = np.flatnonzero((picks[:, 1:] == picks[:, :-1]).any(axis=1))
         while bad.size:
             redraw = np.sort(generator.integers(0, m, size=(bad.size, degree)), axis=1)
             picks[bad] = redraw
-            bad = bad[np.flatnonzero((np.diff(redraw, axis=1) == 0).any(axis=1))]
+            bad = bad[np.flatnonzero((redraw[:, 1:] == redraw[:, :-1]).any(axis=1))]
     offsets = np.arange(n + 1, dtype=np.int64) * degree
     access = AccessMap.from_csr(picks.reshape(-1), offsets, m)
     q = math.ceil(n / (m * (1.0 - slack)))

@@ -98,8 +98,8 @@ def _pair_stubs(m: int, degree: int, rng: random.Random) -> set[tuple[int, int]]
 
 def random_regular_graph(m: int, degree: int = 4, seed: int = 0) -> ResourceGraph:
     """Random ``degree``-regular graph: logarithmic diameter w.h.p."""
-    if degree >= m:
-        raise ValueError("degree must be < m")
+    if degree < 1 or degree >= m:
+        raise ValueError("degree must be in [1, m)")
     if (degree * m) % 2 != 0:
         raise ValueError("degree * m must be even")
     for attempt in range(16):

@@ -129,3 +129,112 @@ class TestInstance:
         assert d["n_users"] == 12
         assert d["complete_access"]
         assert d["threshold_min"] == 4.0
+
+
+# ---------------------------------------------------------------------------
+# Column storage: a uniform per-user column is one value, broadcast.
+# ---------------------------------------------------------------------------
+
+#: Small kwargs for every registered generator (``n`` users each).
+SMALL = {
+    "uniform_slack": {"n": 16, "m": 4},
+    "tight_uniform": {"n": 16, "m": 4},
+    "two_class": {
+        "n_demanding": 2, "q_demanding": 2.0, "n_tolerant": 14, "q_tolerant": 8.0, "m": 4,
+    },
+    "zipf_thresholds": {"n": 16, "m": 4},
+    "overloaded": {"n": 30, "m": 4, "q": 4.0},
+    "related_speeds": {"n": 16, "m": 4},
+    "mm1_farm": {"n": 16, "m": 4},
+    "polynomial_farm": {"n": 16, "m": 4},
+    "weighted_uniform": {"n": 16, "m": 4},
+    "random_access": {"n": 16, "m": 4, "degree": 2},
+    "sparse_access": {"n": 16, "m": 4, "degree": 2},
+}
+PER_USER_THRESHOLDS = {"two_class", "zipf_thresholds"}
+PER_USER_WEIGHTS = {"weighted_uniform"}
+
+
+def _is_broadcast(column: np.ndarray, value: float, n: int) -> bool:
+    return (
+        column.strides == (0,)
+        and column.dtype == np.float64
+        and not column.flags.writeable
+        and np.array_equal(column, np.full(n, value))
+    )
+
+
+def _contiguous(column: np.ndarray) -> bool:
+    return column.flags.c_contiguous and column.dtype == np.float64
+
+
+class TestColumnStorage:
+    def test_registry_covers_every_generator(self):
+        from repro.registry import GENERATORS
+
+        assert set(SMALL) == set(GENERATORS)
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_generator_columns(self, name):
+        from repro.registry import build_instance
+
+        inst = build_instance(name, **SMALL[name])
+        n = inst.n_users
+        q, w = np.array(inst.thresholds), np.array(inst.weights)  # contiguous copies
+        if name in PER_USER_THRESHOLDS:
+            assert _contiguous(inst.thresholds) and not inst.uniform_thresholds
+        else:
+            assert inst.uniform_thresholds and _is_broadcast(inst.thresholds, q[0], n)
+        if name in PER_USER_WEIGHTS:
+            assert _contiguous(inst.weights) and not inst.unit_weights
+        else:
+            assert inst.unit_weights and _is_broadcast(inst.weights, 1.0, n)
+        assert inst.describe()["unit_weights"] == inst.unit_weights
+        assert {k: v for k, v in inst.describe().items() if k.startswith("threshold_")} == {
+            "threshold_min": float(q.min()),
+            "threshold_max": float(q.max()),
+            "threshold_mean": float(q.mean()),
+        }
+        assert inst.uniform_thresholds == bool(np.all(q == q[0]))
+        assert inst.unit_weights == bool(np.all(w == 1.0))
+
+    def test_view_holds_no_reference_to_the_callers_array(self):
+        q = np.full(1000, 3.0)
+        inst = Instance.identical_machines(q, 4)
+        assert inst.thresholds.strides == (0,)
+        assert not np.shares_memory(inst.thresholds, q)
+        assert q.flags.writeable  # the caller's array is not frozen either
+        q[0] = 1.0
+        assert inst.thresholds[0] == 3.0
+
+    def test_zero_stride_input_is_kept(self):
+        q = np.broadcast_to(np.float64(5.0), (8,))
+        w = np.broadcast_to(np.float64(2.0), (8,))
+        inst = Instance(thresholds=q, latencies=LatencyProfile.identical(2), weights=w)
+        assert inst.thresholds is q and inst.weights is w
+        assert inst.uniform_thresholds and not inst.unit_weights
+
+    def test_uniform_non_unit_weights_are_broadcast(self):
+        inst = Instance(
+            thresholds=np.asarray([1.0, 2.0, 3.0]),
+            latencies=LatencyProfile.identical(2),
+            weights=np.full(3, 2.5),
+        )
+        assert _contiguous(inst.thresholds) and not inst.uniform_thresholds
+        assert _is_broadcast(inst.weights, 2.5, 3) and not inst.unit_weights
+
+    def test_user_events_rebuild_broadcast_columns(self):
+        from repro.core.state import State
+        from repro.sim.events import UserArrival, UserDeparture
+
+        inst = Instance.identical_machines(np.full(10, 4.0), 3)
+        state = State.worst_case_pile(inst)
+        rng = np.random.default_rng(0)
+        for event in (UserArrival(1, np.full(3, 4.0)), UserDeparture(1, users=[0, 5])):
+            new_inst, new_state = event.apply(inst, state, rng)
+            assert _is_broadcast(new_inst.thresholds, 4.0, new_inst.n_users)
+            assert _is_broadcast(new_inst.weights, 1.0, new_inst.n_users)
+            new_state.check_invariants()
+        mixed, _ = UserArrival(1, np.full(2, 6.0)).apply(inst, state, rng)
+        assert _contiguous(mixed.thresholds) and not mixed.uniform_thresholds
+        assert mixed.thresholds.tolist() == [4.0] * 10 + [6.0] * 2

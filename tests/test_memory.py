@@ -11,6 +11,7 @@ million-user smoke cell (stress).
 import numpy as np
 import pytest
 
+from repro.bench import HUGE_CELLS, _huge_cell
 from repro.core.instance import AccessMap, Instance
 from repro.core.memory import (
     csr_offsets,
@@ -241,6 +242,62 @@ class TestAccessMapCSR:
         assert np.array_equal(amap.offsets, np.arange(6) * 3)
         assert amap.contains(np.arange(5), np.zeros(5, dtype=int)).all()
 
+    @pytest.fixture
+    def chunk3(self):
+        previous = set_user_chunk(3)
+        yield
+        set_user_chunk(previous)
+
+    @pytest.mark.parametrize(
+        "choices,offsets,message",
+        [
+            # position 2 (last of the first chunk) and 3 (first of the second)
+            ([0, 1, 2, 2, 4, 5], [0, 6], "user 0 has duplicate"),
+            ([0, 1, 2, 3, 3, 5], [0, 6], "user 0 has duplicate"),
+            ([0, 1, 3, 2, 4, 5], [0, 6], "user 0 accessible resources must be sorted"),
+            ([0, 1, 2, 4, 3, 5], [0, 2, 6], "user 1 accessible resources must be sorted"),
+            ([0, 1, 5, 2, 3, 3], [0, 3, 6], "user 1 has duplicate"),
+        ],
+    )
+    def test_from_csr_errors_on_chunk_edges(self, chunk3, choices, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            AccessMap.from_csr(np.asarray(choices), np.asarray(offsets), 8)
+
+    @pytest.mark.parametrize(
+        "choices,offsets",
+        [
+            ([0, 1, 5, 2, 3, 4], [0, 3, 6]),  # user 1 starts where chunk 2 does
+            ([0, 1, 2, 5, 1, 2], [0, 4, 6]),  # user 1 starts one past a chunk start
+            ([7, 6, 5, 4, 3, 2, 1], [0, 1, 2, 3, 4, 5, 6, 7]),  # one resource per user
+        ],
+    )
+    def test_from_csr_accepts_descent_across_users_on_chunk_edges(
+        self, chunk3, choices, offsets
+    ):
+        amap = AccessMap.from_csr(np.asarray(choices), np.asarray(offsets), 8)
+        owners = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+        assert amap.choices.tolist() == choices
+        assert amap._keys.tolist() == (owners * 8 + choices).tolist()
+
+    def test_from_csr_scratch_is_bounded(self):
+        """Validating and indexing a 2**20-entry layout allocates less than
+        one int64 array of its width, the narrowed storage it keeps
+        included: no check builds a full-width int64 temporary."""
+        import tracemalloc
+
+        n, d = 2**18, 4
+        choices = np.tile(np.arange(d, dtype=np.int64), n)
+        offsets = np.arange(n + 1, dtype=np.int64) * d
+        previous = set_user_chunk(2**12)
+        tracemalloc.start()
+        try:
+            AccessMap.from_csr(choices, offsets, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            set_user_chunk(previous)
+        assert peak < choices.nbytes, peak
+
 
 # ---------------------------------------------------------------------------
 # sparse_access generator: CSR-native, deterministic, valid.
@@ -259,10 +316,67 @@ class TestSparseAccess:
             lo, hi = a.access.offsets[u], a.access.offsets[u + 1]
             assert (np.diff(a.access.choices[lo:hi]) > 0).all()
 
+    @pytest.mark.parametrize("degree", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n,m", [(500, 1024), (300, 9)])
+    def test_layout_matches_the_sort_and_diff_construction(self, n, m, degree):
+        """The in-place sort and column compare give the same draws,
+        redraws and CSR layout as sorting a copy and comparing
+        ``np.diff``; m = 9 forces redraw passes at every degree > 1."""
+        from repro.sim.rng import make_rng
+
+        for seed in range(4):
+            generator = make_rng(seed)
+            picks = np.sort(generator.integers(0, m, size=(n, degree)), axis=1)
+            if degree > 1:
+                bad = np.flatnonzero((np.diff(picks, axis=1) == 0).any(axis=1))
+                while bad.size:
+                    redraw = np.sort(generator.integers(0, m, size=(bad.size, degree)), axis=1)
+                    picks[bad] = redraw
+                    bad = bad[np.flatnonzero((np.diff(redraw, axis=1) == 0).any(axis=1))]
+            choices = picks.reshape(-1)
+            keys = np.repeat(np.arange(n, dtype=np.int64), degree) * m + choices
+
+            access = build_instance("sparse_access", n=n, m=m, degree=degree, rng=seed).access
+            assert np.array_equal(access.choices, choices)
+            assert np.array_equal(access.offsets, np.arange(n + 1) * degree)
+            assert np.array_equal(access._keys, keys)
+
     def test_runs_to_satisfaction(self):
         inst = build_instance("sparse_access", n=64, m=8, degree=3, slack=0.4, rng=1)
         result = run(inst, QoSSamplingProtocol(), seed=2, initial="pile", max_rounds=2000)
         assert result.status == "satisfying"
+
+
+# ---------------------------------------------------------------------------
+# Zero-stride unit weights: the loads bincount never copies them out.
+# ---------------------------------------------------------------------------
+
+
+def test_unit_weight_loads_allocate_no_weight_column():
+    """Piling 2**20 unit-weight users allocates the int64 pile it builds
+    plus less than one float64 n-array: the loads are an integer bincount,
+    so the zero-stride weight column is never copied to a contiguous
+    array.  The loads equal the weighted bincount of ones exactly."""
+    import tracemalloc
+
+    from repro.core.state import State
+    from repro.workloads.generators import uniform_slack
+
+    n = 2**20
+    inst = uniform_slack(n, 64)
+    assert inst.weights.strides == (0,)
+    tracemalloc.start()
+    try:
+        state = State.worst_case_pile(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column = n * np.dtype(np.float64).itemsize
+    assert peak - column < column, peak
+    weighted = np.bincount(state.assignment, weights=np.ones(n), minlength=64)
+    assert state.loads.dtype == np.float64
+    assert state.loads.tobytes() == weighted.tobytes()
+    state.check_invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +470,12 @@ class TestOverflowBoundaries:
 
 
 @pytest.mark.stress
-def test_huge_cell_fits_memory_ceiling():
+@pytest.mark.parametrize("cell", HUGE_CELLS, ids=lambda cell: cell["name"])
+def test_huge_cell_fits_memory_ceiling(cell):
     """One n = 10^6 replication completes, satisfies, and stays inside the
-    pinned memory ceiling — the CI guardrail runs this same cell via
+    pinned memory ceiling — the CI guardrail runs the same cells via
     ``python -m repro bench --only engine/huge``."""
-    from repro.bench import HUGE_CELLS, _huge_cell
-
-    payload = _huge_cell(HUGE_CELLS[0])
+    payload = _huge_cell(cell)
     assert payload["status"] == "satisfying"
     assert payload["within_ceiling"], (
         f"peak {payload['peak_traced_bytes']:,} B over ceiling "

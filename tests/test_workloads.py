@@ -187,6 +187,9 @@ class TestTopologies:
             random_regular_graph(4, degree=5)
         with pytest.raises(ValueError):
             random_regular_graph(5, degree=3)  # odd product
+        for degree in (0, -2):
+            with pytest.raises(ValueError, match=r"degree must be in \[1, m\)"):
+                random_regular_graph(8, degree=degree)
 
     def test_star_hub(self):
         graph = star_graph(6)
