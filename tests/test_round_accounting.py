@@ -327,3 +327,124 @@ def test_blind_random_golden_on_the_batched_engine():
     [result] = batch.decompose()
     summary = result.summary()
     assert {k: summary[k] for k in GOLDEN_KEYS} == expected
+
+
+# ---------------------------------------------------------------------------
+# frozen-seed golden summaries of the sequential baselines' other variants
+#
+# The golden cells above pin the default greedy, polite best response on
+# a uniform instance.  These pin the paths they leave out: the uniform
+# pick (``greedy=False``, which draws ``rng.integers``), the selfish move
+# rule (``polite=False``) and a two-class pile start, where heterogeneous
+# thresholds leave the polite dynamics quiescent.  Same seed, budget and
+# start as above; regenerate deliberately with the recipe above, using
+# each cell's generator.
+
+TWO_CLASS = {
+    "n_demanding": 4,
+    "q_demanding": 2.0,
+    "n_tolerant": 60,
+    "q_tolerant": 20.0,
+    "m": 8,
+}
+
+VARIANT_CELLS = [
+    (
+        "uniform_slack",
+        {"n": 64, "m": 8, "slack": 0.3},
+        "best-response",
+        {"greedy": False},
+        {
+            "status": "satisfying",
+            "rounds": 52,
+            "total_moves": 52,
+            "total_attempts": 52,
+            "total_messages": 2002,
+            "n_satisfied": 64,
+            "satisfying_round": 52,
+        },
+    ),
+    (
+        "uniform_slack",
+        {"n": 64, "m": 8, "slack": 0.3},
+        "best-response",
+        {"polite": False},
+        {
+            "status": "satisfying",
+            "rounds": 52,
+            "total_moves": 52,
+            "total_attempts": 52,
+            "total_messages": 2002,
+            "n_satisfied": 64,
+            "satisfying_round": 52,
+        },
+    ),
+    (
+        "uniform_slack",
+        {"n": 64, "m": 8, "slack": 0.3},
+        "sweep-best-response",
+        {"polite": False},
+        {
+            "status": "satisfying",
+            "rounds": 1,
+            "total_moves": 52,
+            "total_attempts": 52,
+            "total_messages": 64,
+            "n_satisfied": 64,
+            "satisfying_round": 1,
+        },
+    ),
+    (
+        "two_class",
+        TWO_CLASS,
+        "best-response",
+        {},
+        {
+            "status": "quiescent",
+            "rounds": 45,
+            "total_moves": 44,
+            "total_attempts": 44,
+            "total_messages": 1873,
+            "n_satisfied": 61,
+            "satisfying_round": None,
+        },
+    ),
+    (
+        "two_class",
+        TWO_CLASS,
+        "sweep-best-response",
+        {},
+        {
+            "status": "quiescent",
+            "rounds": 2,
+            "total_moves": 44,
+            "total_attempts": 44,
+            "total_messages": 66,
+            "n_satisfied": 62,
+            "satisfying_round": None,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "generator,generator_kwargs,protocol,protocol_kwargs,expected",
+    VARIANT_CELLS,
+    ids=[
+        f"{gen}-{name}-" + ("-".join(f"{k}={v}" for k, v in kw.items()) or "default")
+        for gen, _, name, kw, _ in VARIANT_CELLS
+    ],
+)
+def test_frozen_seed_best_response_variants(
+    generator, generator_kwargs, protocol, protocol_kwargs, expected
+):
+    spec = RunSpec(
+        generator=generator,
+        generator_kwargs=generator_kwargs,
+        protocol=protocol,
+        protocol_kwargs=protocol_kwargs,
+        max_rounds=500,
+        initial="pile",
+    )
+    summary = run_spec(spec, 2026).summary()
+    assert {k: summary[k] for k in GOLDEN_KEYS} == expected
