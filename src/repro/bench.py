@@ -161,6 +161,12 @@ ENGINE_CELLS: list[dict[str, Any]] = [
         "protocol": "sweep-best-response",
         "schedule": "synchronous",
     },
+    {
+        "name": "unit/best-response/sync",
+        "generator": "uniform_slack",
+        "protocol": "best-response",
+        "schedule": "synchronous",
+    },
 ]
 
 #: Scale presets: instance size, engine round budget and timing repeats.

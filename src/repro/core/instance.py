@@ -75,14 +75,18 @@ class AccessMap:
         # sorted by resource within each user, so ``u * m + r`` over the
         # flat layout is globally sorted — one searchsorted answers an
         # arbitrary batch of (user, resource) membership queries.  Built in
-        # user-chunks so the int64 ``owners`` scratch stays bounded.
+        # chunks of flat entries, so the int64 ``owners`` scratch stays
+        # bounded by the chunk span whatever the users' degrees.
         keys = np.empty(choices.size, dtype=index_dtype(self.n_users * n_resources))
-        for s, e in iter_chunks(self.n_users):
-            lo, hi = int(offsets[s]), int(offsets[e])
-            owners = np.repeat(np.arange(s, e, dtype=np.int64), np.diff(offsets[s : e + 1]))
+        for s, e in iter_chunks(choices.size):
+            # the users owning entries s .. e - 1, and their entries in [s, e)
+            u0 = int(np.searchsorted(offsets, s, side="right")) - 1
+            u1 = int(np.searchsorted(offsets, e - 1, side="right"))
+            spans = np.diff(np.clip(offsets[u0 : u1 + 1], s, e))
+            owners = np.repeat(np.arange(u0, u1, dtype=np.int64), spans)
             owners *= n_resources
-            owners += choices[lo:hi]
-            keys[lo:hi] = owners
+            owners += choices[s:e]
+            keys[s:e] = owners
         self._keys = keys
 
     @classmethod

@@ -35,8 +35,8 @@ one value, still shape ``(n,)``, so IEEE arithmetic is untouched and the
 column costs 8 bytes rather than 8n.  Such a column must not reach
 ``take``, ``tile`` or a weighted ``bincount``, which copy a
 non-contiguous input out whole; unit-weight loads are an integer
-``bincount`` cast to ``float64`` (:func:`repro.core.state.loads_of`),
-the same values exactly.
+count cast to ``float64`` (:func:`repro.core.state.loads_of`), the same
+values exactly.
 RNG draws are never narrowed either — NumPy's generators fix their own
 output dtypes and the stream contract pins the draw sequence.
 

@@ -29,6 +29,21 @@ Two scheduling variants:
   sweep over all users in a fresh random order, applying each improving
   move immediately.  Rounds are sweeps; moves are counted separately.
 
+Both apply their moves in :meth:`~repro.core.protocols.base.Protocol.step`
+through :meth:`State.move_user <repro.core.state.State.move_user>`, one
+user at a time.  Polite best response and both sweeps keep a
+:class:`ResidentBook` in step with those moves: each resource's latency
+and its residents' thresholds, sorted, so the polite bound
+``satisfied_resident_min(state)[r]`` is a bisect at ``ell_r(x_r)`` and a
+move updates only the two resources it touches.  Without it every
+one-user move bumps the state's generation and the next query rebuilds
+the O(n) resident minimum.  The book rebuilds from the state whenever
+the state's generation (:attr:`State.version
+<repro.core.state.State.version>`) or identity differs from the one it
+last saw — events, resets and any mutation made outside the protocol —
+so it never serves a stale bound.  Selfish best response needs no bound
+and moves without a book.
+
 Both are *sequential*: they require a global scheduler serialising moves,
 which is exactly what a distributed protocol cannot assume — they appear in
 the tables as the coordination upper bound.
@@ -36,40 +51,70 @@ the tables as the coordination upper bound.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 import numpy as np
 
+from ..memory import csr_offsets
 from ..stability import is_stable, satisfied_resident_min
 from ..state import State
 from .base import Proposal, Protocol, StepOutcome
 
-__all__ = ["BestResponseProtocol", "SweepBestResponse"]
+__all__ = ["BestResponseProtocol", "ResidentBook", "SweepBestResponse"]
 
 
-def _satisfying_targets(
-    state: State, user: int, polite: bool, res_min: np.ndarray | None = None
-) -> np.ndarray:
-    """Accessible resources (other than the user's own) that would satisfy
-    ``user``, conservatively counting its own arrival; polite moves also
-    spare the target's satisfied residents.
+class ResidentBook:
+    """Per-resource latencies and sorted resident thresholds of one state.
 
-    ``res_min`` lets a sequential sweep pass in an incrementally maintained
-    satisfied-resident minimum instead of recomputing it from scratch after
-    every applied move (it must equal ``satisfied_resident_min(state)``).
+    :meth:`sync` binds the book to a state, rebuilding it unless it already
+    reflects that state's current generation; :meth:`move` applies one
+    user's move to the state and updates the two resources it touches.
+    ``res_min`` then always equals ``satisfied_resident_min(state)`` and
+    ``lat`` equals ``state.resource_latencies()``.
     """
-    inst = state.instance
-    u = int(user)
-    allowed = inst.accessible(u)
-    allowed = allowed[allowed != state.assignment[u]]
-    if allowed.size == 0:
-        return allowed
-    w = float(inst.weights[u])
-    lat = inst.latencies.evaluate_at(allowed, state.loads[allowed] + w)
-    ok = lat <= inst.thresholds[u]
-    if polite:
-        if res_min is None:
-            res_min = satisfied_resident_min(state)
-        ok &= lat <= res_min[allowed]
-    return allowed[ok]
+
+    __slots__ = ("state", "version", "residents", "lat", "res_min")
+
+    def __init__(self):
+        self.state: State | None = None
+        self.version = -1
+
+    def sync(self, state: State) -> "ResidentBook":
+        """Bind to ``state``, rebuilding if it changed outside the book."""
+        if state is self.state and state.version == self.version:
+            return self
+        inst = state.instance
+        q = inst.thresholds
+        # Residents grouped by resource, each group sorted by threshold.
+        flat = q[np.lexsort((q, state.assignment))].tolist()
+        counts = np.bincount(state.assignment, minlength=inst.n_resources)
+        edges = csr_offsets(counts).tolist()
+        self.residents = [flat[a:b] for a, b in zip(edges[:-1], edges[1:])]
+        self.lat = np.array(state.resource_latencies())
+        self.res_min = np.array(satisfied_resident_min(state))
+        self.state, self.version = state, state.version
+        return self
+
+    def move(self, user: int, target: int) -> None:
+        """Move ``user`` to ``target`` (another resource) in the bound state."""
+        state = self.state
+        inst = state.instance
+        source = int(state.assignment[user])
+        state.move_user(user, target)
+        q = float(inst.thresholds[user])
+        left = self.residents[source]
+        del left[bisect_left(left, q)]
+        insort(self.residents[target], q)
+        touched = np.asarray([source, target])
+        lat = inst.latencies.evaluate_at(touched, state.loads[touched])
+        self.lat[touched] = lat
+        # A resident is satisfied iff its threshold is at least ell_r(x_r):
+        # the smallest such threshold is the first at or after the bisect.
+        for r, ell in zip((source, target), lat.tolist()):
+            rq = self.residents[r]
+            i = bisect_left(rq, ell)
+            self.res_min[r] = rq[i] if i < len(rq) else np.inf
+        self.version = state.version
 
 
 def _best_target(
@@ -77,20 +122,42 @@ def _best_target(
     user: int,
     rng: np.random.Generator,
     greedy: bool,
-    polite: bool,
-    res_min: np.ndarray | None = None,
+    res_min: np.ndarray | None,
 ) -> int | None:
-    """Pick a satisfying target: the max-slack one (greedy) or uniform."""
-    candidates = _satisfying_targets(state, user, polite, res_min)
-    if candidates.size == 0:
+    """A resource other than the user's own that would satisfy ``user``,
+    conservatively counting its own arrival, or ``None``.
+
+    With ``res_min`` (the polite bound, ``satisfied_resident_min(state)``)
+    the arrival must also spare the target's satisfied residents.  Picks
+    the minimum-latency (max-headroom) candidate when ``greedy``, else a
+    uniform one.
+    """
+    inst = state.instance
+    own = state.assignment[user]
+    w = inst.weights[user]
+    if inst.access is None:
+        # Every resource is allowed: one pass over the profile, no gathers.
+        lat = inst.latencies.evaluate(state.loads + w)
+        cap = res_min
+    else:
+        allowed = inst.access.allowed(user)
+        lat = inst.latencies.evaluate_at(allowed, state.loads[allowed] + w)
+        cap = None if res_min is None else res_min[allowed]
+    ok = lat <= inst.thresholds[user]
+    if cap is not None:
+        ok &= lat <= cap
+    if inst.access is None:
+        ok[own] = False
+    else:
+        ok &= allowed != own
+    picks = ok.nonzero()[0]
+    if picks.size == 0:
         return None
-    if not greedy:
-        return int(candidates[rng.integers(0, candidates.size)])
-    w = float(state.instance.weights[int(user)])
-    lat = state.instance.latencies.evaluate_at(
-        candidates, state.loads[candidates] + w
-    )
-    return int(candidates[int(np.argmin(lat))])
+    if greedy:
+        pick = picks[lat[picks].argmin()]
+    else:
+        pick = picks[rng.integers(0, picks.size)]
+    return int(pick if inst.access is None else allowed[pick])
 
 
 class BestResponseProtocol(Protocol):
@@ -106,20 +173,44 @@ class BestResponseProtocol(Protocol):
         self.greedy = bool(greedy)
         self.polite = bool(polite)
         self.name = "best-response" + ("-polite" if polite else "-selfish")
+        self._book = ResidentBook()
 
-    def propose(self, state, active, rng):
+    def _pick(self, state, active, rng) -> tuple[int, int] | None:
+        """The first user, in a random scan of the unsatisfied active ones,
+        with a satisfying move, and its target."""
         unsat = np.nonzero(active & ~state.satisfied_mask())[0]
         if unsat.size == 0:
-            return Proposal.empty()
-        # Random scan order; first user with a satisfying move acts.
+            return None
+        res_min = self._book.sync(state).res_min if self.polite else None
+        # The first user tried is usually improvable: iterate lazily
+        # instead of converting the whole permutation.
         for u in rng.permutation(unsat):
-            target = _best_target(state, int(u), rng, self.greedy, self.polite)
+            target = _best_target(state, int(u), rng, self.greedy, res_min)
             if target is not None:
-                return Proposal(
-                    np.asarray([u], dtype=np.int64),
-                    np.asarray([target], dtype=np.int64),
-                )
-        return Proposal.empty()
+                return int(u), target
+        return None
+
+    def propose(self, state, active, rng):
+        pick = self._pick(state, active, rng)
+        if pick is None:
+            return Proposal.empty()
+        user, target = pick
+        return Proposal(np.asarray([user]), np.asarray([target]))
+
+    def step(self, state, active, rng) -> StepOutcome:
+        pick = self._pick(state, active, rng)
+        if pick is None:
+            return StepOutcome(
+                n_attempted=0, n_moved=0, moved_users=np.empty(0, dtype=np.int64)
+            )
+        user, target = pick
+        if self.polite:
+            self._book.move(user, target)
+        else:
+            state.move_user(user, target)
+        return StepOutcome(
+            n_attempted=1, n_moved=1, moved_users=np.asarray([user], dtype=np.int64)
+        )
 
     def is_quiescent(self, state):
         return is_stable(state, polite=self.polite)
@@ -143,6 +234,7 @@ class SweepBestResponse(Protocol):
         self.greedy = bool(greedy)
         self.polite = bool(polite)
         self.name = "sweep-best-response" + ("-polite" if polite else "-selfish")
+        self._book = ResidentBook()
 
     def propose(self, state, active, rng):  # pragma: no cover - not used
         raise NotImplementedError("SweepBestResponse applies moves in step()")
@@ -150,41 +242,19 @@ class SweepBestResponse(Protocol):
     def step(self, state, active, rng) -> StepOutcome:
         moved: list[int] = []
         order = rng.permutation(np.nonzero(active)[0])
-        inst = state.instance
-        q = inst.thresholds
-        # Maintain the per-resource latency vector incrementally across the
-        # sweep: one full evaluation up front, then O(1) updates for the two
-        # resources each applied move touches — the per-user one-element
-        # evaluate_at calls were the sweep's dominant cost.
-        lat = np.array(state.resource_latencies())
-        # The satisfied-resident minimum is maintained incrementally too: a
-        # move only changes the latency (hence resident satisfaction) of
-        # the two touched resources, so recomputing those two entries
-        # replaces the full O(n) rebuild the memoized cache re-ran after
-        # every applied move — the sweep's dominant cost.
-        res_min = (
-            np.array(satisfied_resident_min(state)) if self.polite else None
-        )
-        for u in order:
-            u = int(u)
+        book = self._book.sync(state)
+        # The book's arrays are updated in place by every applied move.
+        lat, res_min = book.lat, (book.res_min if self.polite else None)
+        q = state.instance.thresholds
+        asg = state.assignment
+        for u in order.tolist():
             # Check satisfaction against the *current* loads: earlier moves
             # in this sweep may have changed this user's situation.
-            own = int(state.assignment[u])
-            if lat[own] <= q[u]:
+            if lat[asg[u]] <= q[u]:
                 continue
-            target = _best_target(state, u, rng, self.greedy, self.polite, res_min)
+            target = _best_target(state, u, rng, self.greedy, res_min)
             if target is not None:
-                state.move_user(u, target)
-                touched = np.asarray([own, target])
-                lat[touched] = inst.latencies.evaluate_at(
-                    touched, state.loads[touched]
-                )
-                if res_min is not None:
-                    asg = state.assignment
-                    for r in (own, target):
-                        rq = q[asg == r]
-                        sat_q = rq[rq >= lat[r]]
-                        res_min[r] = sat_q.min() if sat_q.size else np.inf
+                book.move(u, target)
                 moved.append(u)
         moved_arr = np.asarray(moved, dtype=np.int64)
         return StepOutcome(

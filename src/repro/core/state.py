@@ -108,13 +108,17 @@ def caching_disabled():
 def loads_of(instance: Instance, assignment: np.ndarray) -> np.ndarray:
     """Per-resource float64 load of one assignment row.
 
-    With unit weights this is an integer bincount cast to float64 — the
+    With unit weights this is an integer count cast to float64 — the
     same values as summing 1.0s, exactly — so the zero-stride weight
-    column is never copied out to a contiguous n-array.
+    column is never copied out to a contiguous n-array.  The count is an
+    unbuffered ``np.add.at``, which reads a narrow assignment in place
+    where ``bincount`` would first widen it to a full intp copy.
     """
     m = instance.n_resources
     if instance.unit_weights:
-        return np.bincount(assignment, minlength=m).astype(np.float64)
+        counts = np.zeros(m, dtype=np.int64)
+        np.add.at(counts, assignment, 1)
+        return counts.astype(np.float64)
     return np.bincount(assignment, weights=instance.weights, minlength=m)
 
 
@@ -129,7 +133,9 @@ class State:
     __slots__ = ("instance", "assignment", "loads", "_version", "_cache")
 
     def __init__(self, instance: Instance, assignment: np.ndarray):
-        assignment = np.asarray(assignment, dtype=np.int64)
+        assignment = np.asarray(assignment)
+        if assignment.dtype.kind not in "iu":
+            assignment = assignment.astype(np.int64)
         if assignment.shape != (instance.n_users,):
             raise ValueError(
                 f"assignment must have shape ({instance.n_users},), got {assignment.shape}"
@@ -145,11 +151,16 @@ class State:
                 raise ValueError(
                     f"user {bad} assigned to inaccessible resource {int(assignment[bad])}"
                 )
-        self.instance = instance
         # Narrow only after the range checks above: casting first could
         # wrap an out-of-range value back into range and hide the bug.
         # ``astype`` copies, so the caller's array is never aliased.
-        self.assignment = assignment.astype(index_dtype(instance.n_resources))
+        self._adopt(instance, assignment.astype(index_dtype(instance.n_resources)))
+
+    def _adopt(self, instance: Instance, assignment: np.ndarray) -> None:
+        """Bind a valid assignment, already in ``index_dtype(m)``, that
+        this state owns from now on."""
+        self.instance = instance
+        self.assignment = assignment
         self.loads = loads_of(instance, assignment)
         self._version = 0
         self._cache: dict = {}
@@ -180,16 +191,22 @@ class State:
         """
         if not (0 <= resource < instance.n_resources):
             raise ValueError("resource out of range")
+        # Built in the narrow index dtype a state stores and adopted as it
+        # is: valid by construction, so no int64 column and no copy.
+        dtype = index_dtype(instance.n_resources)
         if instance.access is not None:
             access = instance.access
             users = np.arange(instance.n_users, dtype=np.int64)
-            has = access.contains(users, np.full(instance.n_users, resource, dtype=np.int64))
+            has = access.contains(users, np.full(instance.n_users, resource, dtype=dtype))
             # choices is sorted per user, so the slice head is the first
             # accessible resource.
             first = access.choices[access.offsets[:-1]]
-            assignment = np.where(has, resource, first)
-            return cls(instance, assignment)
-        return cls(instance, np.full(instance.n_users, resource, dtype=np.int64))
+            assignment = np.where(has, dtype.type(resource), first)
+        else:
+            assignment = np.full(instance.n_users, resource, dtype=dtype)
+        state = cls.__new__(cls)
+        state._adopt(instance, assignment)
+        return state
 
     def copy(self) -> "State":
         clone = State.__new__(State)

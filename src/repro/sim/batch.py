@@ -229,8 +229,10 @@ def _mover_groups(counts: np.ndarray) -> list[tuple[int, int]]:
     a neighbour, so every group has movers.  A row is never split: its
     draws stay whole and in stream order.
     """
-    cum = csr_offsets(counts)
     A = counts.size
+    if 0 < counts.sum() <= MOVER_CHUNK:  # the common round: one group
+        return [(0, A)]
+    cum = csr_offsets(counts)
     groups = []
     k0 = 0
     while k0 < A and cum[k0] < cum[A]:
@@ -284,7 +286,10 @@ class _BatchEngine:
         self.live_rngs = rngs
         self.instance = instance
         n, m = self.n, self.m = instance.n_users, instance.n_resources
-        self.row_off = np.arange(R, dtype=np.int64) * m
+        # Each row's first flat resource and first flat position, with one
+        # entry past the last row: the row boundaries of flat arrays.
+        self.row_off = np.arange(R + 1, dtype=np.int64) * m
+        self.row_pos = np.arange(R + 1, dtype=np.int64) * n
         self.kernel = Kernel(instance, protocol, rows=R)
         # Reused per-round scratch, sliced to the live count: the float
         # rows serve the per-user latency gather (non-uniform thresholds)
@@ -298,7 +303,7 @@ class _BatchEngine:
         self.assignment = assignment = _batch_initial(instance, initial, rngs)
         self.asgF = _flat_assignment(assignment, m)
         ld = np.empty((R, m), dtype=np.float64)
-        for i in range(R):  # per-row bincount: same bucket order as State
+        for i in range(R):  # per-row loads: the same sums as State's
             ld[i] = loads_of(instance, assignment[i])
         self.ld = ld
         # The scalar engine's protocol.reset/schedule.reset consume no RNG
@@ -405,15 +410,28 @@ class _BatchEngine:
                         parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
                     )
                     del parts
-                    n_attempts = n_moved = np.bincount(fu_f // n, minlength=A)
+                    # Every kernel returns its commits grouped by row in row
+                    # order, sorted by flat target (permit) or by flat
+                    # position (the others): the row boundaries of the sorted
+                    # key give each row's attempt count.
+                    if kernel.kind == "permit":
+                        cut = tf_f.searchsorted(row_off[: A + 1])
+                    else:
+                        cut = fu_f.searchsorted(self.row_pos[: A + 1])
+                    n_attempts = n_moved = np.diff(cut)
                     asg_flat = asgF.reshape(-1)
                     of_f = asg_flat.take(fu_f)
                     if kernel.self_targets:
                         # A self-jump is an attempt, not a move (apply_migrations
                         # drops it on the scalar engine).
-                        mv = (of_f != tf_f).nonzero()[0]
-                        fu_f, t_f, tf_f, of_f = (a.take(mv) for a in (fu_f, t_f, tf_f, of_f))
-                        n_moved = np.bincount(fu_f // n, minlength=A)
+                        stay = (of_f == tf_f).nonzero()[0]
+                        n_moved = n_attempts - np.diff(stay.searchsorted(cut))
+                        if stay.size and not kernel.uw:
+                            # Weighted loads drop them: (x - w) + w need not be
+                            # x.  Unit-weight loads are exact integers, so a
+                            # self-jump's -1 + 1 at one resource changes none.
+                            mv = (of_f != tf_f).nonzero()[0]
+                            fu_f, t_f, tf_f, of_f = (a.take(mv) for a in (fu_f, t_f, tf_f, of_f))
                     if fu_f.size:
                         if kernel.uw:
                             # unit weights: plain integer bincounts; the integer

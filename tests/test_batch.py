@@ -495,6 +495,50 @@ def test_kernel_bit_parity_vs_scalar(
     assert_matches_scalar(lockstep(instance, *args), instance, *args)
 
 
+@pytest.mark.parametrize("gen_name,gen_kwargs", GENERATORS)
+@pytest.mark.parametrize(
+    "proto_name,proto_kwargs",
+    KERNEL_PROTOCOLS + [("qos-sampling", {"rate": RATES[2]})],
+    ids=lambda p: str(p),
+)
+@pytest.mark.parametrize("sched_name,sched_kwargs", SCHEDULES)
+def test_kernel_commits_come_grouped_by_row(
+    gen_name, gen_kwargs, proto_name, proto_kwargs, sched_name, sched_kwargs, monkeypatch
+):
+    """The lockstep round counts each row's attempts at the row boundaries
+    of the committed positions, so every kernel call must return them
+    grouped by row in row order, each commit's flat target in its own row:
+    sorted by flat target for permit, by flat position for the others."""
+    from repro.core.protocols.kernels import Kernel
+
+    calls = []
+    kernel_of = Kernel.propose
+
+    def recording(kernel):
+        propose = kernel_of.fget(kernel)
+
+        def call(rnd, pos, rngs, bounds=None, rkm=None, k0=0):
+            out = propose(rnd, pos, rngs, bounds, rkm, k0)
+            calls.append((kernel, bounds, k0, out))
+            return out
+
+        return call
+
+    monkeypatch.setattr(Kernel, "propose", property(recording))
+    instance = build_instance(gen_name, n=N, m=M, **gen_kwargs)
+    args = (proto_name, proto_kwargs, [21, 22, 23], sched_name, sched_kwargs, "pile")
+    lockstep(instance, *args)
+    multi = [c for c in calls if c[1] is not None and c[3][0].size]
+    assert multi
+    for kernel, bounds, k0, (fu, _, tf) in multi:
+        rows = fu // kernel.n
+        assert np.array_equal(rows, tf // kernel.m)
+        assert rows.min() >= k0 and rows.max() < k0 + bounds.size - 1
+        key = tf if kernel.kind == "permit" else fu
+        assert np.all(np.diff(key) >= 0), kernel.kind
+        assert np.all(np.diff(fu) > 0) or kernel.kind == "permit"
+
+
 # ---------------------------------------------------------------------------
 # Mover groups: a round proposed in several kernel calls changes no bit.
 # ---------------------------------------------------------------------------

@@ -298,6 +298,29 @@ class TestAccessMapCSR:
             set_user_chunk(previous)
         assert peak < choices.nbytes, peak
 
+    def test_membership_keys_scratch_is_bounded_at_the_default_chunk(self):
+        """Building the flat membership keys of 2**18 users of degree 4
+        chunks its int64 ``owners`` scratch by flat entries, not by users:
+        at the default chunk span the scratch beyond the arrays the map
+        keeps stays under one int64 array of the flat width (1.5 of it
+        when a user chunk spans the whole degree-4 layout)."""
+        import tracemalloc
+
+        n, d = 2**18, 4
+        choices = np.tile(np.arange(d, dtype=np.int64), n)
+        offsets = np.arange(n + 1, dtype=np.int64) * d
+        amap = AccessMap.__new__(AccessMap)
+        tracemalloc.start()
+        try:
+            amap._finalize(choices, offsets, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = amap._keys.nbytes + amap.choices.nbytes
+        assert peak - kept < choices.nbytes, (peak, kept)
+        owners = np.repeat(np.arange(n, dtype=np.int64), d)
+        assert np.array_equal(amap._keys, owners * 1024 + choices)
+
 
 # ---------------------------------------------------------------------------
 # sparse_access generator: CSR-native, deterministic, valid.
@@ -353,10 +376,12 @@ class TestSparseAccess:
 
 
 def test_unit_weight_loads_allocate_no_weight_column():
-    """Piling 2**20 unit-weight users allocates the int64 pile it builds
-    plus less than one float64 n-array: the loads are an integer bincount,
-    so the zero-stride weight column is never copied to a contiguous
-    array.  The loads equal the weighted bincount of ones exactly."""
+    """Piling 2**20 unit-weight users on 64 resources allocates under
+    4 MiB: the pile is built in the state's int16 index dtype and adopted
+    without a copy, and the loads are an integer count read in place, so
+    neither an int64 column, an intp copy nor the zero-stride weight
+    column copied out is ever allocated (10 MiB with an int64 pile).  The
+    loads equal the weighted bincount of ones exactly."""
     import tracemalloc
 
     from repro.core.state import State
@@ -371,8 +396,8 @@ def test_unit_weight_loads_allocate_no_weight_column():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    column = n * np.dtype(np.float64).itemsize
-    assert peak - column < column, peak
+    assert state.assignment.dtype == np.int16
+    assert peak < 4 * 2**20, peak
     weighted = np.bincount(state.assignment, weights=np.ones(n), minlength=64)
     assert state.loads.dtype == np.float64
     assert state.loads.tobytes() == weighted.tobytes()

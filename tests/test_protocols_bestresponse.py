@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.instance import Instance
-from repro.core.protocols.bestresponse import BestResponseProtocol, SweepBestResponse
-from repro.core.stability import is_stable
+from repro.core.protocols.bestresponse import (
+    BestResponseProtocol,
+    ResidentBook,
+    SweepBestResponse,
+)
+from repro.core.stability import is_stable, satisfied_resident_min
 from repro.core.state import State
+from repro.registry import build_instance
+from repro.sim.engine import run
+from repro.sim.events import ResourceFailure, UserArrival
 
 from conftest import random_small_instance
 
@@ -129,3 +136,114 @@ def test_sequential_flag_and_names():
     assert SweepBestResponse().sequential
     assert "polite" in BestResponseProtocol(polite=True).name
     assert "selfish" in BestResponseProtocol(polite=False).name
+
+
+# ---------------------------------------------------------------------------
+# The resident book against the from-scratch rebuild, move by move.
+# ---------------------------------------------------------------------------
+
+BOOK_INSTANCES = [
+    ("uniform_slack", {"n": 96, "m": 8, "slack": 0.3}),
+    (
+        "two_class",
+        {"n_demanding": 4, "q_demanding": 2.0, "n_tolerant": 92, "q_tolerant": 28.0, "m": 8},
+    ),
+    ("zipf_thresholds", {"n": 96, "m": 8}),
+    ("weighted_uniform", {"n": 96, "m": 8}),
+    ("random_access", {"n": 96, "m": 8}),
+]
+
+#: Every protocol that keeps a book: polite best response serves its bound
+#: from it, and both sweeps read its latencies.
+BOOK_PROTOCOLS = [
+    (BestResponseProtocol, True),
+    (SweepBestResponse, True),
+    (SweepBestResponse, False),
+]
+
+
+@pytest.fixture
+def checked_book(monkeypatch):
+    """After every move a book applies, its bound and latencies must equal
+    the state's from-scratch queries (``==``, inf included) for the state
+    being stepped; yields the list of checked moves."""
+    checked = []
+    stepped = []
+    move = ResidentBook.move
+
+    def checked_move(book, user, target):
+        move(book, user, target)
+        assert book.state is stepped[-1]
+        assert np.array_equal(book.res_min, satisfied_resident_min(book.state))
+        assert np.array_equal(book.lat, book.state.resource_latencies())
+        checked.append(user)
+
+    monkeypatch.setattr(ResidentBook, "move", checked_move)
+    for cls, _ in BOOK_PROTOCOLS:
+        step = cls.step
+
+        def recording_step(self, state, active, rng, _step=step):
+            stepped.append(state)
+            return _step(self, state, active, rng)
+
+        monkeypatch.setattr(cls, "step", recording_step)
+    return checked
+
+
+@pytest.mark.parametrize("gen_name,gen_kwargs", BOOK_INSTANCES, ids=[g for g, _ in BOOK_INSTANCES])
+@pytest.mark.parametrize(
+    "cls,polite", BOOK_PROTOCOLS, ids=lambda p: getattr(p, "__name__", f"polite={p}")
+)
+@pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "uniform-pick"])
+def test_book_matches_rebuild_after_every_move(
+    checked_book, gen_name, gen_kwargs, cls, polite, greedy
+):
+    inst = build_instance(gen_name, **gen_kwargs)
+    result = run(
+        inst, cls(greedy=greedy, polite=polite), seed=3, initial="pile", max_rounds=400
+    )
+    assert len(checked_book) == result.total_moves > 0
+
+
+@pytest.mark.parametrize(
+    "cls,polite", BOOK_PROTOCOLS, ids=lambda p: getattr(p, "__name__", f"polite={p}")
+)
+def test_book_rebuilds_after_events(checked_book, cls, polite):
+    """An event hands the engine a fresh state on a new instance: the book
+    rebinds to it and stays exact through the moves that follow."""
+    inst = build_instance("two_class", **BOOK_INSTANCES[1][1])
+    events = [ResourceFailure(4, 1), UserArrival(12, np.full(6, 28.0))]
+    result = run(
+        inst, cls(polite=polite), seed=5, initial="pile", max_rounds=400,
+        events=events, keep_state=True,
+    )
+    assert result.last_event_round == 12
+    assert result.final_state.instance.n_users == 102
+    assert len(checked_book) == result.total_moves
+    # moves happened after the failure, on the failed resource's users
+    assert result.final_state.loads[1] == 0
+
+
+@pytest.mark.parametrize(
+    "cls,polite", BOOK_PROTOCOLS, ids=lambda p: getattr(p, "__name__", f"polite={p}")
+)
+def test_book_rebuilds_after_an_outside_move(checked_book, cls, polite):
+    """A ``move_user`` made between steps bumps the state's generation: the
+    next step rebuilds the book instead of serving the stale bound."""
+    inst = build_instance("zipf_thresholds", n=96, m=8)
+    rng = np.random.default_rng(11)
+    state = State.worst_case_pile(inst)
+    proto = cls(polite=polite)
+    proto.reset(inst, rng)
+    active = np.ones(inst.n_users, dtype=bool)
+    proto.step(state, active, rng)
+    book = proto._book
+    assert book.state is state and book.version == state.version
+    for user in range(3):
+        state.move_user(user, (int(state.assignment[user]) + 1 + user) % inst.n_resources)
+    assert book.version != state.version
+    before = len(checked_book)
+    proto.step(state, active, rng)
+    assert len(checked_book) > before
+    assert book.version == state.version
+    assert np.array_equal(book.res_min, satisfied_resident_min(state))
