@@ -32,7 +32,7 @@ def main() -> None:
     m, q = 32, 16
     n = int(1.5 * m * q)  # 768 users on 512 QoS slots
     inst = repro.workloads.overloaded(n, m, float(q))
-    opt = repro.opt_satisfied(inst)
+    opt = repro.max_satisfied(inst)
     print(
         f"{n} users, {m} resources, threshold {q}: capacity {m * q} "
         f"< demand {n}"

@@ -24,7 +24,7 @@ package pays only for the model, the engines and the workloads.
 from importlib import import_module
 
 from . import baselines, core, obs, sim, workloads
-from .baselines import SelfishRebalanceProtocol, opt_satisfied, optimal_assignment
+from .baselines import SelfishRebalanceProtocol, optimal_assignment
 from .core import (
     AccessMap,
     AffineLatency,
@@ -158,7 +158,6 @@ __all__ = [
     "AdaptiveBackoffRate",
     # baselines
     "optimal_assignment",
-    "opt_satisfied",
     # simulation
     "run",
     "RunResult",

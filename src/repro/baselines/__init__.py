@@ -1,10 +1,9 @@
 """Baselines: centralized allocators and the QoS-oblivious selfish dynamic."""
 
-from .centralized import opt_satisfied, optimal_assignment
+from .centralized import optimal_assignment
 from .selfish import SelfishRebalanceProtocol
 
 __all__ = [
     "optimal_assignment",
-    "opt_satisfied",
     "SelfishRebalanceProtocol",
 ]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.protocols.base import Proposal, Protocol
+from ..core.protocols.base import Protocol, StepOutcome
 from ..core.stability import best_alternative_latency
 from ..core.state import State
 
@@ -46,11 +46,13 @@ class SelfishRebalanceProtocol(Protocol):
         #: positive value stops late-stage churn between near-equal loads.
         self.min_gap = float(min_gap)
 
-    def propose(self, state: State, active: np.ndarray, rng: np.random.Generator) -> Proposal:
+    def step(self, state: State, active: np.ndarray, rng: np.random.Generator) -> StepOutcome:
+        """Every active user samples, and the improving ones migrate with
+        probability ``1 - b/a``, all simultaneously."""
         inst = state.instance
         movers = np.nonzero(active)[0]
         if movers.size == 0:
-            return Proposal.empty()
+            return StepOutcome(n_attempted=0, n_moved=0)
         if inst.access is None:
             targets = rng.integers(0, inst.n_resources, size=movers.size)
         else:
@@ -58,7 +60,7 @@ class SelfishRebalanceProtocol(Protocol):
         not_self = targets != state.assignment[movers]
         movers, targets = movers[not_self], targets[not_self]
         if movers.size == 0:
-            return Proposal.empty()
+            return StepOutcome(n_attempted=0, n_moved=0)
 
         w = inst.weights[movers]
         current = state.user_latencies()[movers]
@@ -68,9 +70,11 @@ class SelfishRebalanceProtocol(Protocol):
         improving = (after < current) & (1.0 - rel > self.min_gap)
         movers, targets, rel = movers[improving], targets[improving], rel[improving]
         if movers.size == 0:
-            return Proposal.empty()
+            return StepOutcome(n_attempted=0, n_moved=0)
         commit = rng.random(movers.size) < (1.0 - rel)
-        return Proposal(movers[commit], targets[commit])
+        movers = movers[commit]
+        n_moved = state.apply_migrations(movers, targets[commit])
+        return StepOutcome(n_attempted=movers.size, n_moved=n_moved)
 
     def is_quiescent(self, state: State) -> bool:
         """Quiescent iff no user can strictly reduce its latency by moving

@@ -11,6 +11,10 @@ This module contains the *exact* combinatorial side of the reproduction:
   latency profiles via the contiguity theorem (any satisfying assignment
   can be rearranged into contiguous segments of the threshold-sorted user
   order) and a DP over segments x remaining machine types.
+- :func:`exact_feasibility` — the one exact policy on top of both:
+  greedy, then the segment DP when greedy's verdict is inconclusive.
+  :func:`is_feasible` and the centralized
+  :func:`~repro.baselines.centralized.optimal_assignment` both read it.
 - :func:`max_satisfied` — the maximum number of simultaneously satisfiable
   users (OPT_sat) for infeasible instances: exact for identical machines at
   any size via an O(m*n) DP over segments of the threshold-sorted order,
@@ -47,6 +51,7 @@ __all__ = [
     "MaxSatisfiedResult",
     "greedy_assignment",
     "segment_dp_assignment",
+    "exact_feasibility",
     "is_feasible",
     "max_satisfied",
     "multiplicative_slack",
@@ -261,8 +266,8 @@ def segment_dp_assignment(
     return FeasibilityResult(True, True, "segment-dp", state)
 
 
-def is_feasible(instance: Instance) -> bool:
-    """Convenience wrapper: authoritative feasibility or raise.
+def exact_feasibility(instance: Instance) -> FeasibilityResult:
+    """An exact feasibility verdict, with a witness state when feasible.
 
     Tries, in order: greedy (fast; exact witness on success, exact failure
     for identical machines) and the segment DP (exact for any profile with
@@ -271,14 +276,21 @@ def is_feasible(instance: Instance) -> bool:
     """
     result = greedy_assignment(instance)
     if result.exact:
-        return result.feasible
+        return result
     try:
-        return segment_dp_assignment(instance).feasible
+        return segment_dp_assignment(instance)
     except ValueError:
         raise NotImplementedError(
             "exact feasibility is unavailable: too many distinct latency "
             "types for the segment DP"
         ) from None
+
+
+def is_feasible(instance: Instance) -> bool:
+    """Convenience wrapper: the authoritative verdict of
+    :func:`exact_feasibility` (raises :class:`NotImplementedError` when no
+    exact method applies)."""
+    return exact_feasibility(instance).feasible
 
 
 # ---------------------------------------------------------------------------

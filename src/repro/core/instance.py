@@ -15,11 +15,11 @@ Instances are immutable value objects; dynamics happen on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .latency import IdentityLatency, LatencyFunction, LatencyProfile
+from .latency import IdentityLatency, LatencyProfile
 from .memory import csr_offsets, index_dtype, iter_chunks
 
 __all__ = ["AccessMap", "Instance"]
@@ -361,9 +361,3 @@ def _column(values: np.ndarray, lo: np.float64, hi: np.float64) -> np.ndarray:
     if lo == hi and values.strides != (0,):
         return np.broadcast_to(np.float64(lo), values.shape)
     return values
-
-
-def _validate_latency_list(functions: Iterable[LatencyFunction]) -> None:  # pragma: no cover
-    for f in functions:
-        if not isinstance(f, LatencyFunction):
-            raise TypeError(f"expected LatencyFunction, got {type(f)!r}")

@@ -4,7 +4,7 @@ See :mod:`repro.core.protocols.base` for the protocol contract and
 ``DESIGN.md`` for the information model of each protocol.
 """
 
-from .base import Proposal, Protocol, StepOutcome
+from .base import Protocol, StepOutcome
 from .bestresponse import BestResponseProtocol, SweepBestResponse
 from .multiprobe import MultiProbeProtocol
 from .naive import BlindRandomProtocol, NaiveGreedyProtocol
@@ -19,7 +19,6 @@ from .rates import (
 from .sampling import QoSSamplingProtocol
 
 __all__ = [
-    "Proposal",
     "Protocol",
     "StepOutcome",
     "QoSSamplingProtocol",

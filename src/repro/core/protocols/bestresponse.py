@@ -58,7 +58,7 @@ import numpy as np
 from ..memory import csr_offsets
 from ..stability import is_stable, satisfied_resident_min
 from ..state import State
-from .base import Proposal, Protocol, StepOutcome
+from .base import Protocol, StepOutcome
 
 __all__ = ["BestResponseProtocol", "ResidentBook", "SweepBestResponse"]
 
@@ -190,27 +190,16 @@ class BestResponseProtocol(Protocol):
                 return int(u), target
         return None
 
-    def propose(self, state, active, rng):
-        pick = self._pick(state, active, rng)
-        if pick is None:
-            return Proposal.empty()
-        user, target = pick
-        return Proposal(np.asarray([user]), np.asarray([target]))
-
     def step(self, state, active, rng) -> StepOutcome:
         pick = self._pick(state, active, rng)
         if pick is None:
-            return StepOutcome(
-                n_attempted=0, n_moved=0, moved_users=np.empty(0, dtype=np.int64)
-            )
+            return StepOutcome(n_attempted=0, n_moved=0)
         user, target = pick
         if self.polite:
             self._book.move(user, target)
         else:
             state.move_user(user, target)
-        return StepOutcome(
-            n_attempted=1, n_moved=1, moved_users=np.asarray([user], dtype=np.int64)
-        )
+        return StepOutcome(n_attempted=1, n_moved=1)
 
     def is_quiescent(self, state):
         return is_stable(state, polite=self.polite)
@@ -224,8 +213,8 @@ class BestResponseProtocol(Protocol):
 class SweepBestResponse(Protocol):
     """Gauss–Seidel sweep: every user best-responds in random order.
 
-    Moves are applied immediately inside the sweep, so this overrides
-    :meth:`Protocol.step` instead of returning a simultaneous proposal.
+    Moves are applied immediately inside the sweep, one user at a time,
+    instead of simultaneously at the end of the round.
     """
 
     sequential = True
@@ -236,11 +225,8 @@ class SweepBestResponse(Protocol):
         self.name = "sweep-best-response" + ("-polite" if polite else "-selfish")
         self._book = ResidentBook()
 
-    def propose(self, state, active, rng):  # pragma: no cover - not used
-        raise NotImplementedError("SweepBestResponse applies moves in step()")
-
     def step(self, state, active, rng) -> StepOutcome:
-        moved: list[int] = []
+        n_moved = 0
         order = rng.permutation(np.nonzero(active)[0])
         book = self._book.sync(state)
         # The book's arrays are updated in place by every applied move.
@@ -255,13 +241,8 @@ class SweepBestResponse(Protocol):
             target = _best_target(state, u, rng, self.greedy, res_min)
             if target is not None:
                 book.move(u, target)
-                moved.append(u)
-        moved_arr = np.asarray(moved, dtype=np.int64)
-        return StepOutcome(
-            n_attempted=int(moved_arr.size),
-            n_moved=int(moved_arr.size),
-            moved_users=moved_arr,
-        )
+                n_moved += 1
+        return StepOutcome(n_attempted=n_moved, n_moved=n_moved)
 
     def is_quiescent(self, state):
         return is_stable(state, polite=self.polite)

@@ -25,17 +25,23 @@ rows:
   the draws of a lone run, in the same order and sizes — each draw whole,
   because splitting one changes the stream.
 
-A round starts by binding ``asg``, ``ld``, ``unsat`` and the backoff
-probabilities into a :class:`Round`.  The
-passes over the whole batch that a commit or a grant needs (the slack
-rate's free capacities, its contention counts, permit's binding
-thresholds) are computed there at most once per round, whatever number
-of mover groups the round's movers are proposed in.
+A round starts by binding ``asg``, ``ld`` and ``unsat`` into a
+:class:`Round`.  The passes over the whole batch that a commit or a
+grant needs (the slack rate's free capacities, its contention counts,
+permit's binding thresholds) are computed there at most once per round,
+whatever number of mover groups the round's movers are proposed in.
+
+The kernel is the one owner of the adaptive-backoff rule's per-user
+probabilities: ``Kernel.P``, one ``(rows, n)`` float vector per kernel,
+read by the commit and updated by :meth:`Kernel.observe_backoff` after a
+round's moves are applied, on either engine.
 
 At ``A = 1`` a flat position is a user and a flat target a resource, so the
 one-row view is just ``State.assignment`` and ``State.loads``: every
-protocol's :meth:`SampleCommitProtocol.propose` runs its kernel directly
-on them, with no row offsets and no tiled lookups.  The lockstep engine
+protocol's :meth:`SampleCommitProtocol.step` runs its kernel directly on
+them, with no row offsets and no tiled lookups, and applies the commits
+through :meth:`State.apply_migrations
+<repro.core.state.State.apply_migrations>`.  The lockstep engine
 (:mod:`repro.sim.batch`) runs the same kernel once per mover group: the
 contiguous live rows ``k0 .. k0 + len(bounds) - 2``, with ``bounds``
 (each row's slice of the group's ``pos``) and ``rkm`` (each mover's row
@@ -59,7 +65,7 @@ import numpy as np
 from ..instance import Instance
 from ..memory import index_dtype, iter_chunks
 from ..state import State
-from .base import Proposal, Protocol
+from .base import Protocol, StepOutcome
 from .rates import (
     AdaptiveBackoffRate,
     ConstantRate,
@@ -71,7 +77,6 @@ __all__ = [
     "Kernel",
     "Round",
     "SampleCommitProtocol",
-    "backoff_update",
     "kernel_kind",
     "rank_dtype",
     "rate_support",
@@ -87,7 +92,7 @@ def kernel_kind(protocol) -> str | None:
     class or instance (None = none).
 
     Read from the class itself, not inherited: a subclass may override
-    ``propose`` and diverge from the kernel, so it has none until it names
+    ``step`` and diverge from the kernel, so it has none until it names
     one itself.
     """
     return vars(protocol if isinstance(protocol, type) else type(protocol)).get("kernel")
@@ -98,23 +103,6 @@ def rate_support(rate: MigrationRateRule) -> str | None:
     if type(rate) in KERNEL_RATES:
         return None
     return f"rate {getattr(rate, 'name', rate)!r} ({type(rate).__name__}) has no kernel"
-
-
-def backoff_update(
-    rate: AdaptiveBackoffRate, P: np.ndarray, moved: np.ndarray, collided: np.ndarray
-) -> None:
-    """:class:`AdaptiveBackoffRate`'s per-round update, in place on flat ``P``.
-
-    Users that sat the round out recover (capped at 1), movers keep the
-    probability they moved with, and movers still unsatisfied after the
-    move (``collided``, a mask over ``moved``) back off from it.
-    """
-    p_moved = P.take(moved)
-    np.multiply(P, rate.recover, out=P)
-    np.minimum(P, 1.0, out=P)
-    if moved.size:
-        P[moved] = p_moved
-        P[moved[collided]] = np.maximum(p_moved[collided] * rate.backoff, rate.floor)
 
 
 def rank_dtype(n_probes: int) -> np.dtype:
@@ -130,17 +118,16 @@ def _empty3():
 class Round:
     """One round's whole-batch inputs, shared by every mover group.
 
-    ``asg``, ``ld``, ``unsat`` and the backoff probabilities ``P`` are the
-    round-start flat arrays (see the module docstring); no group writes
-    them.  The passes over them that a commit or a grant needs are cached
-    properties: the first group that needs one computes it, later groups
-    of the same round reuse it, and a round that never reaches them pays
-    nothing.
+    ``asg``, ``ld`` and ``unsat`` are the round-start flat arrays (see the
+    module docstring); no group writes them.  The passes over them that a
+    commit or a grant needs are cached properties: the first group that
+    needs one computes it, later groups of the same round reuse it, and a
+    round that never reaches them pays nothing.
     """
 
-    def __init__(self, kernel: "Kernel", asg, ld, unsat, P=None):
+    def __init__(self, kernel: "Kernel", asg, ld, unsat):
         self.kernel = kernel
-        self.asg, self.ld, self.unsat, self.P = asg, ld, unsat, P
+        self.asg, self.ld, self.unsat = asg, ld, unsat
 
     @cached_property
     def free(self) -> np.ndarray:
@@ -194,7 +181,10 @@ class Kernel:
     only ever feeds comparisons, where the zero sign cannot matter).
     Per-user and per-resource lookups are tiled ``rows`` times so a flat
     position indexes them directly; at ``rows = 1`` they are the
-    instance's own arrays.
+    instance's own arrays.  Under :class:`AdaptiveBackoffRate` the
+    kernel also owns the per-run backoff probabilities ``P``, ``(rows,
+    n)`` and starting at ``p0``; the lockstep engine drops retired rows
+    from it.
     """
 
     def __init__(self, instance: Instance, protocol, rows: int = 1):
@@ -238,19 +228,19 @@ class Kernel:
         self.slF = self._tile(slopes) if aff_general else None
         self.offF = self._tile(offsets) if aff_general else None
         self.capF = None  # lazy per-resource capacity at the one q (slack rate)
+        self.P = np.full((rows, n), rate.p0) if self.backoff else None
 
     def _tile(self, a: np.ndarray) -> np.ndarray:
         # ``take`` copies a non-contiguous source on every call, so a
         # zero-stride column (uniform non-unit weights) is made whole once.
         return np.ascontiguousarray(a) if self.rows == 1 else np.tile(a, self.rows)
 
-    @property
-    def propose(self):
-        """This protocol's kernel: ``(rnd, pos, rngs, bounds, rkm, k0) ->
-        committed`` for one mover group of the :class:`Round` ``rnd``.
-        Looked up per call, so a kernel holds no reference cycle and dies
-        with its protocol or batch."""
-        return getattr(self, "_" + self.kind)
+    def __call__(self, rnd, pos, rngs, bounds=None, rkm=None, k0=0):
+        """This protocol's kernel on one mover group of the :class:`Round`
+        ``rnd``: the committed ``(flat positions, resources, flat
+        targets)``.  Looked up per call, so a kernel holds no reference
+        cycle and dies with its protocol or batch."""
+        return getattr(self, "_" + self.kind)(rnd, pos, rngs, bounds, rkm, k0)
 
     def capacities(self) -> np.ndarray:
         """Per-(row, resource) capacity at the uniform threshold, built once."""
@@ -345,7 +335,7 @@ class Kernel:
         if self.const_p is not None:
             return self.const_p
         if self.backoff:
-            return rnd.P.take(pos)
+            return self.P.reshape(-1).take(pos)
         tf = t if rkm is None else rkm + t
         if self.uthr:
             free = rnd.free.take(tf)
@@ -362,7 +352,7 @@ class Kernel:
     def _uniforms(self, vpos, rngs, bounds, k0):
         """Commit uniforms over the valid movers, in each row's stream order.
 
-        A row with no valid mover draws nothing (a lone run's ``propose``
+        A row with no valid mover draws nothing (a lone run's kernel
         returns before its commit draw).
         """
         if bounds is None:
@@ -388,13 +378,24 @@ class Kernel:
         vt = vt.take(idx)
         return vpos.take(idx), vt, vt if rkm is None else rkm.take(idx) + vt
 
-    def observe_backoff(self, P, ld, moved, t, tf) -> None:
-        """Backoff update after a lockstep round: collided = still over threshold."""
-        collided = None
+    def observe_backoff(self, ld, moved, t, tf) -> None:
+        """:class:`AdaptiveBackoffRate`'s per-round update, in place on ``P``,
+        once the round's moves are applied and ``ld`` holds the new loads.
+
+        Users that sat the round out recover (capped at 1), movers keep the
+        probability they moved with, and movers still over their threshold
+        at the target (collided) back off from it, down to the floor.
+        ``moved`` are the movers' flat positions, ``t`` and ``tf`` their
+        targets and flat targets.
+        """
+        rate, P = self.rate, self.P.reshape(-1)
+        p_moved = P.take(moved)
+        np.multiply(P, rate.recover, out=P)
+        np.minimum(P, 1.0, out=P)
         if moved.size:
-            lat = self._probe_latency(t, tf, ld.take(tf))
-            collided = lat > self._threshold(moved)
-        backoff_update(self.rate, P, moved, collided)
+            collided = self._probe_latency(t, tf, ld.take(tf)) > self._threshold(moved)
+            P[moved] = p_moved
+            P[moved[collided]] = np.maximum(p_moved[collided] * rate.backoff, rate.floor)
 
     # -- kernels: (rnd, pos, rngs, bounds, rkm, k0) -> committed --------------
 
@@ -587,7 +588,7 @@ class Kernel:
 
 
 class SampleCommitProtocol(Protocol):
-    """Base of the six kernel protocols: ``propose`` runs the kernel at A = 1.
+    """Base of the six kernel protocols: ``step`` runs the kernel at A = 1.
 
     Subclasses name their kernel (``kernel = "sampling"``, ...) and carry
     its parameters — ``rate``, and ``d``, ``graph``, ``resample_on_self``
@@ -600,28 +601,23 @@ class SampleCommitProtocol(Protocol):
     _compiled: Kernel | None = None
 
     def reset(self, instance: Instance, rng: np.random.Generator) -> None:
-        """Build the kernel (a rate without one raises ``ValueError``), then
-        reset the rate's per-run state."""
+        """Build the kernel, with fresh per-run backoff probabilities (a
+        rate without a kernel raises ``ValueError``)."""
         self._compiled = Kernel(instance, self)
-        if self.rate is not None:
-            self.rate.reset(instance, rng)
 
-    def propose(self, state: State, active: np.ndarray, rng: np.random.Generator) -> Proposal:
+    def step(self, state: State, active: np.ndarray, rng: np.random.Generator) -> StepOutcome:
+        """Commit the round's moves, apply them simultaneously, then update
+        the backoff probabilities."""
         compiled = self._compiled
         if compiled is None or compiled.instance is not state.instance:
             compiled = self._compiled = Kernel(state.instance, self)
-        P = None
-        if compiled.backoff:
-            if self.rate._p is None:  # tolerate use without explicit reset
-                self.rate.reset(state.instance, rng)
-            P = self.rate._p
         unsat = ~state.satisfied_mask()
-        rnd = Round(compiled, state.assignment, state.loads, unsat, P)
+        rnd = Round(compiled, state.assignment, state.loads, unsat)
         # The mover positions go straight into the call, so the kernel's
         # rebinding of ``pos`` frees them (no caller reference survives).
-        users, targets, _ = compiled.propose(rnd, (active & unsat).nonzero()[0], (rng,))
-        return Proposal(users, targets)
-
-    def observe(self, state: State, moved_users: np.ndarray) -> None:
-        if self.rate is not None:
-            self.rate.observe(state, moved_users)
+        users, targets, _ = compiled(rnd, (active & unsat).nonzero()[0], (rng,))
+        del rnd, unsat
+        n_moved = state.apply_migrations(users, targets)
+        if compiled.backoff:
+            compiled.observe_backoff(state.loads, users, targets, targets)
+        return StepOutcome(n_attempted=users.size, n_moved=n_moved)

@@ -20,20 +20,15 @@ surface of experiment F6:
   unsatisfied (overshoot), recover multiplicatively after quiet rounds.
   Needs one float of per-user state and no extra communication.
 
-The classes here hold the parameters (and the backoff rule's per-user
-vector, created by ``reset``); the commit math itself is in
-:mod:`repro.core.protocols.kernels`, shared by every protocol and the
-lockstep engine.
+The classes here hold only the parameters.  The commit math, and the
+backoff rule's per-user probability vector, live in the protocol's
+:class:`~repro.core.protocols.kernels.Kernel`, shared by every protocol
+and the lockstep engine.
 """
 
 from __future__ import annotations
 
 from abc import ABC
-
-import numpy as np
-
-from ..instance import Instance
-from ..state import State
 
 __all__ = [
     "MigrationRateRule",
@@ -54,12 +49,6 @@ class MigrationRateRule(ABC):
     """
 
     name: str = "rate"
-
-    def reset(self, instance: Instance, rng: np.random.Generator) -> None:
-        """(Re-)initialise per-run rule state."""
-
-    def observe(self, state: State, moved_users: np.ndarray) -> None:
-        """Called after the round's moves are applied."""
 
     def describe(self) -> dict:
         return {"name": self.name}
@@ -113,7 +102,8 @@ class AdaptiveBackoffRate(MigrationRateRule):
     in which the user migrated and is *still* unsatisfied — evidence of
     collision — ``p_u`` is multiplied by ``backoff``.  After a round in
     which the user did not move, ``p_u`` recovers by ``recover`` (capped at
-    1).  The floor prevents starvation.
+    1).  The floor prevents starvation.  The per-user vector lives in the
+    protocol's kernel (:attr:`Kernel.P <repro.core.protocols.kernels.Kernel.P>`).
     """
 
     name = "adaptive-backoff"
@@ -139,17 +129,6 @@ class AdaptiveBackoffRate(MigrationRateRule):
             float(recover),
             float(floor),
         )
-        self._p: np.ndarray | None = None
-
-    def reset(self, instance, rng):
-        self._p = np.full(instance.n_users, self.p0)
-
-    def observe(self, state, moved_users):
-        if self._p is None:
-            return
-        from .kernels import backoff_update
-
-        backoff_update(self, self._p, moved_users, ~state.satisfied_mask()[moved_users])
 
     def describe(self):
         return {

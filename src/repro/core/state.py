@@ -196,12 +196,12 @@ class State:
         dtype = index_dtype(instance.n_resources)
         if instance.access is not None:
             access = instance.access
-            users = np.arange(instance.n_users, dtype=np.int64)
-            has = access.contains(users, np.full(instance.n_users, resource, dtype=dtype))
             # choices is sorted per user, so the slice head is the first
-            # accessible resource.
-            first = access.choices[access.offsets[:-1]]
-            assignment = np.where(has, dtype.type(resource), first)
+            # accessible resource; the owners of the flat entries equal to
+            # ``resource`` move there instead.
+            assignment = access.choices[access.offsets[:-1]]
+            hits = np.flatnonzero(access.choices == resource)
+            assignment[access.offsets.searchsorted(hits, side="right") - 1] = resource
         else:
             assignment = np.full(instance.n_users, resource, dtype=dtype)
         state = cls.__new__(cls)

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..baselines.centralized import opt_satisfied
+from ..core.feasibility import max_satisfied
 from ..registry import build_instance
 from .common import ExperimentResult, cell, convergence_stats
 
@@ -261,7 +261,7 @@ def t2_infeasible(
     for factor in overload_factors:
         n = int(round(factor * m * q))
         inst = build_instance("overloaded", n=n, m=m, q=float(q))
-        opt = opt_satisfied(inst)
+        opt = max_satisfied(inst)
         for initial in ("pile", "random"):
             for proto in protocols:
                 # Paired protocol arms per (factor, start) workload.

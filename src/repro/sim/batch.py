@@ -18,7 +18,7 @@ RNG stream contract
 Each replication owns an independent generator stream (integer seeds go
 through ``numpy.random.default_rng``, exactly like the scalar path).  The
 round math is not copied here: every round calls the protocol's kernel in
-:mod:`repro.core.protocols.kernels` — the same code ``Protocol.propose``
+:mod:`repro.core.protocols.kernels` — the same code ``Protocol.step``
 runs on a one-row view — over the live rows, and the kernel makes each
 row's draws in a lone run's order and sizes (the alpha activation mask
 first, drawn here like :class:`~repro.sim.schedule.AlphaSchedule` draws
@@ -83,6 +83,7 @@ carries none, and runs with events go through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -90,8 +91,7 @@ import numpy as np
 from ..core.instance import Instance
 from ..core.memory import csr_offsets, index_dtype
 from ..core.protocols.kernels import Kernel, Round, kernel_kind, rate_support
-from ..core.protocols.rates import AdaptiveBackoffRate
-from ..core.state import State, loads_of
+from ..core.state import State
 from .book import RoundBook, RunResult
 from .rng import seed_from_key
 from .schedule import AlphaSchedule, Schedule, SynchronousSchedule
@@ -191,25 +191,24 @@ def batch_support(spec) -> str | None:
 
 def _batch_initial(
     instance: Instance, initial: str, rngs: list[np.random.Generator]
-) -> np.ndarray:
-    """Stacked ``(R, n)`` initial assignments, mirroring the scalar draws."""
-    n, m = instance.n_users, instance.n_resources
-    assignment = np.empty((len(rngs), n), dtype=index_dtype(m))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``(R, n)`` initial assignments and ``(R, m)`` loads, row by
+    row from the scalar engine's own initial states."""
+    R, n, m = len(rngs), instance.n_users, instance.n_resources
+    assignment = np.empty((R, n), dtype=index_dtype(m))
     if initial == "random":
-        if instance.access is None:
-            for i, rng in enumerate(rngs):
-                assignment[i] = rng.integers(0, m, size=n)
-        else:
-            users = np.arange(n, dtype=np.int64)
-            for i, rng in enumerate(rngs):
-                assignment[i] = instance.access.sample(users, rng)
+        states = (State.uniform_random(instance, rng) for rng in rngs)
     elif initial == "pile":
-        assignment[:] = State.worst_case_pile(instance).assignment
+        states = repeat(State.worst_case_pile(instance), len(rngs))
     else:
         raise ValueError(
             f"unknown initial state spec for the batched engine: {initial!r}"
         )
-    return assignment
+    loads = []
+    for i, state in enumerate(states):
+        assignment[i] = state.assignment
+        loads.append(state.loads)
+    return assignment, np.stack(loads)
 
 
 def _flat_assignment(assignment: np.ndarray, m: int) -> np.ndarray:
@@ -273,7 +272,6 @@ class _BatchEngine:
     ):
         self.protocol = protocol
         self.max_rounds = max_rounds
-        self.backoff = type(getattr(protocol, "rate", None)) is AdaptiveBackoffRate
         self.alpha_draws = isinstance(schedule, AlphaSchedule) and schedule.alpha < 1.0
         self.alpha = schedule.alpha if isinstance(schedule, AlphaSchedule) else 1.0
         self.book = RoundBook(instance, protocol, schedule, seeds, max_rounds)
@@ -299,24 +297,19 @@ class _BatchEngine:
         self.unsat_buf = np.empty((R, n), dtype=bool)
         self.act_buf = np.empty((R, n), dtype=bool) if self.alpha_draws else None
 
-        # Stacked assignment/load/rate state; every replication starts live.
-        self.assignment = assignment = _batch_initial(instance, initial, rngs)
-        self.asgF = _flat_assignment(assignment, m)
-        ld = np.empty((R, m), dtype=np.float64)
-        for i in range(R):  # per-row loads: the same sums as State's
-            ld[i] = loads_of(instance, assignment[i])
-        self.ld = ld
-        # The scalar engine's protocol.reset/schedule.reset consume no RNG
-        # for the supported kernels; the only per-run rate state is the
-        # backoff probability vector, kept stacked here.
-        self.P = np.full((R, n), protocol.rate.p0) if self.backoff else None
+        # Stacked assignment/load state; every replication starts live.  The
+        # scalar engine's protocol.reset/schedule.reset consume no RNG for
+        # the supported kernels; the only per-run rate state, the backoff
+        # probabilities, is the kernel's.
+        self.assignment, self.ld = _batch_initial(instance, initial, rngs)
+        self.asgF = _flat_assignment(self.assignment, m)
 
     def _retire(self, keep: np.ndarray, rows: np.ndarray) -> None:
         """Write the final assignments of the rows the book ended (``rows``
         are the live rows' replication ids before it dropped them), then
         keep only the live rows ``keep`` marks: compact the loads, flat
-        assignment (re-based to the kept rows' offsets), backoff
-        probabilities and RNG streams."""
+        assignment (re-based to the kept rows' offsets), the kernel's
+        backoff probabilities and RNG streams."""
         row_off = self.row_off[: rows.size]
         gone = ~keep
         self.assignment[rows[gone]] = self.asgF[gone] - row_off[gone][:, None]
@@ -325,8 +318,8 @@ class _BatchEngine:
         asgF = self.asgF[keep]
         asgF -= (kept_off - self.row_off[: kept_off.size])[:, None]
         self.asgF = asgF
-        if self.backoff:
-            self.P = self.P[keep]
+        if self.kernel.backoff:
+            self.kernel.P = self.kernel.P[keep]
         self.live_rngs = [g for g, kp in zip(self.live_rngs, keep) if kp]
 
     def _quiescent(self, k: int) -> bool | None:
@@ -389,11 +382,10 @@ class _BatchEngine:
                     counts = n_unsat
                     movers_src = unsat
 
-                P = None if self.P is None else self.P.reshape(-1)
                 if counts.any():
                     # Every group proposes against the round-start state; the
                     # committed triples are applied once, after the last group.
-                    rnd = Round(kernel, asgF.reshape(-1), ld.reshape(-1), unsat.reshape(-1), P)
+                    rnd = Round(kernel, asgF.reshape(-1), ld.reshape(-1), unsat.reshape(-1))
                     parts = []
                     for k0, k1 in _mover_groups(counts):
                         # flat (row, user) positions of the group's movers
@@ -403,7 +395,7 @@ class _BatchEngine:
                             pos += k0 * n
                             bounds = csr_offsets(counts[k0:k1])
                             rkm = np.repeat(row_off[k0:k1], counts[k0:k1])  # per-mover row offset
-                        parts.append(kernel.propose(rnd, pos, self.live_rngs, bounds, rkm, k0))
+                        parts.append(kernel(rnd, pos, self.live_rngs, bounds, rkm, k0))
                         del pos, bounds, rkm
                     del rnd
                     fu_f, t_f, tf_f = (
@@ -450,8 +442,8 @@ class _BatchEngine:
                     fu_f = tf_f = t_f = np.empty(0, dtype=np.int64)
                     n_attempts = n_moved = np.zeros(A, dtype=np.int64)
 
-                if self.backoff:
-                    kernel.observe_backoff(P, ld.reshape(-1), fu_f, t_f, tf_f)
+                if kernel.backoff:
+                    kernel.observe_backoff(ld.reshape(-1), fu_f, t_f, tf_f)
 
                 rows = book.rows
                 keep = book.step(

@@ -68,3 +68,15 @@ def assert_valid_state(state: State) -> None:
     state.check_invariants()
     assert state.loads.min() >= 0
     assert state.loads.sum() == pytest.approx(state.instance.weights.sum())
+
+
+def step_moves(proto, state: State, active: np.ndarray, rng: np.random.Generator):
+    """One ``proto.step`` on a copy of ``state``, which stays as it was.
+
+    Returns the users that changed resource (ascending), their new
+    resources (int64) and the step's :class:`StepOutcome`.
+    """
+    after = state.copy()
+    outcome = proto.step(after, active, rng)
+    users = np.flatnonzero(after.assignment != state.assignment)
+    return users, after.assignment[users].astype(np.int64), outcome

@@ -170,6 +170,43 @@ def test_exact_equality_pin():
         assert got == expected, engine.__name__
 
 
+@pytest.mark.parametrize("gen_name,gen_kwargs", GENERATORS)
+@pytest.mark.parametrize("sched_name,sched_kwargs", SCHEDULES)
+def test_backoff_vector_matches_scalar_per_row(
+    gen_name, gen_kwargs, sched_name, sched_kwargs, monkeypatch
+):
+    """Each lockstep row's backoff probabilities, taken from the kernel as
+    the row ends, equal the scalar run's kernel vector after the same
+    rounds."""
+    from repro.sim.batch import _BatchEngine
+
+    final = {}
+    retire = _BatchEngine._retire
+
+    def recording(engine, keep, rows):
+        for k in np.flatnonzero(~keep):
+            final[int(rows[k])] = engine.kernel.P[k].copy()
+        retire(engine, keep, rows)
+
+    monkeypatch.setattr(_BatchEngine, "_retire", recording)
+    instance = build_instance(gen_name, n=N, m=M, **gen_kwargs)
+    kwargs, seeds = {"rate": RATES[3]}, [21, 22, 23, 24, 25]
+    lockstep(instance, "qos-sampling", kwargs, seeds, sched_name, sched_kwargs, "pile")
+    assert sorted(final) == list(range(len(seeds)))
+    for i, s in enumerate(seeds):
+        proto = build_protocol("qos-sampling", **kwargs)
+        run(
+            instance,
+            proto,
+            seed=np.random.default_rng(s),
+            schedule=build_schedule(sched_name, **sched_kwargs),
+            max_rounds=MAX_ROUNDS,
+            initial="pile",
+        )
+        assert np.array_equal(final[i], proto._compiled.P[0])
+        assert not np.all(final[i] == RATES[3]["p0"])  # the vector did move
+
+
 # ---------------------------------------------------------------------------
 # Per-rep termination: dead replications stop consuming their streams.
 # ---------------------------------------------------------------------------
@@ -512,19 +549,14 @@ def test_kernel_commits_come_grouped_by_row(
     from repro.core.protocols.kernels import Kernel
 
     calls = []
-    kernel_of = Kernel.propose
+    kernel_call = Kernel.__call__
 
-    def recording(kernel):
-        propose = kernel_of.fget(kernel)
+    def recording(kernel, rnd, pos, rngs, bounds=None, rkm=None, k0=0):
+        out = kernel_call(kernel, rnd, pos, rngs, bounds, rkm, k0)
+        calls.append((kernel, bounds, k0, out))
+        return out
 
-        def call(rnd, pos, rngs, bounds=None, rkm=None, k0=0):
-            out = propose(rnd, pos, rngs, bounds, rkm, k0)
-            calls.append((kernel, bounds, k0, out))
-            return out
-
-        return call
-
-    monkeypatch.setattr(Kernel, "propose", property(recording))
+    monkeypatch.setattr(Kernel, "__call__", recording)
     instance = build_instance(gen_name, n=N, m=M, **gen_kwargs)
     args = (proto_name, proto_kwargs, [21, 22, 23], sched_name, sched_kwargs, "pile")
     lockstep(instance, *args)

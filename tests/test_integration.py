@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import summarize
-from repro.baselines.centralized import opt_satisfied, optimal_assignment
+from repro.baselines.centralized import optimal_assignment
+from repro.core.feasibility import max_satisfied
 from repro.core.potential import overload_potential
 from repro.core.protocols import (
     BestResponseProtocol,
@@ -135,7 +136,7 @@ def test_infeasible_instance_consistency():
     from repro.workloads.generators import overloaded
 
     inst = overloaded(100, 8, 8.0)
-    opt = opt_satisfied(inst)
+    opt = max_satisfied(inst)
     assert opt.n_satisfied == 7 * 8
     result = run(
         inst, PermitProtocol(), seed=5, initial="pile", max_rounds=10_000

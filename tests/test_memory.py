@@ -404,6 +404,31 @@ def test_unit_weight_loads_allocate_no_weight_column():
     state.check_invariants()
 
 
+def test_access_map_pile_scratch_is_bounded():
+    """Piling the 2**20 users of ``sparse_access(2**20, 64)`` (degree 4)
+    allocates under 8 MiB: the pile starts from each user's slice head and
+    looks up only the owners of the flat entries equal to the resource,
+    with no membership query over every user (51 MiB that way)."""
+    import tracemalloc
+
+    from repro.core.state import State
+    from repro.workloads.generators import sparse_access
+
+    inst = sparse_access(2**20, 64)
+    tracemalloc.start()
+    try:
+        state = State.worst_case_pile(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert state.assignment.dtype == index_dtype(64)
+    # the membership query over every user, as the reference
+    access, n = inst.access, inst.n_users
+    has = access.contains(np.arange(n), np.zeros(n, dtype=np.int64))
+    assert np.array_equal(state.assignment, np.where(has, 0, access.choices[access.offsets[:-1]]))
+
+
 # ---------------------------------------------------------------------------
 # Overflow boundaries: every narrowed or accumulated index straddling
 # 2**15 and 2**31, with stub-sized inputs (nothing of the bound's size).

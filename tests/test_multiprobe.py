@@ -10,6 +10,8 @@ from repro.core.state import State
 from repro.sim.engine import run
 from repro.workloads.generators import uniform_slack
 
+from conftest import step_moves
+
 
 def test_validation():
     with pytest.raises(ValueError):
@@ -25,10 +27,10 @@ def test_proposals_valid_and_best_of_probes(small_uniform, rng):
     proto = MultiProbeProtocol(d=4, rate=ConstantRate(1.0))
     proto.reset(small_uniform, rng)
     for _ in range(20):
-        proposal = proto.propose(state, np.ones(12, dtype=bool), rng)
-        if proposal.size:
-            assert state.would_satisfy(proposal.users, proposal.targets).all()
-            assert (proposal.targets != state.assignment[proposal.users]).all()
+        users, targets, outcome = step_moves(proto, state, np.ones(12, dtype=bool), rng)
+        assert outcome.n_attempted == outcome.n_moved == users.size
+        if users.size:
+            assert state.would_satisfy(users, targets).all()
 
 
 def test_d_equal_m_finds_any_available_seat(rng):
@@ -38,15 +40,15 @@ def test_d_equal_m_finds_any_available_seat(rng):
     state = State(inst, np.asarray([0, 0, 0]))
     proto = MultiProbeProtocol(d=16, rate=ConstantRate(1.0))
     proto.reset(inst, rng)
-    proposal = proto.propose(state, np.ones(3, dtype=bool), rng)
-    assert proposal.size == 3  # everyone found a satisfying target
+    outcome = proto.step(state, np.ones(3, dtype=bool), rng)
+    assert outcome.n_attempted == outcome.n_moved == 3  # everyone found a satisfying target
 
 
 def test_satisfied_users_never_probe(small_uniform, rng):
     state = State(small_uniform, np.asarray([0, 1, 2, 3] * 3))
     proto = MultiProbeProtocol(d=2)
     proto.reset(small_uniform, rng)
-    assert proto.propose(state, np.ones(12, dtype=bool), rng).size == 0
+    assert proto.step(state, np.ones(12, dtype=bool), rng).n_attempted == 0
 
 
 def test_converges_and_d2_not_slower_than_d1():
@@ -75,6 +77,6 @@ def test_respects_access_maps(rng):
     proto = MultiProbeProtocol(d=3, rate=ConstantRate(1.0))
     proto.reset(inst, rng)
     for _ in range(30):
-        proposal = proto.propose(state, np.ones(4, dtype=bool), rng)
-        for u, t in zip(proposal.users, proposal.targets):
+        users, targets, _ = step_moves(proto, state, np.ones(4, dtype=bool), rng)
+        for u, t in zip(users, targets):
             assert int(t) in inst.access.allowed(int(u))

@@ -20,6 +20,7 @@ from repro.core.potential import overload_potential
 from repro.core.protocols import PermitProtocol, QoSSamplingProtocol
 from repro.core.state import State
 
+from conftest import step_moves
 from oracles import (
     brute_force_assignment,
     certify_satisfying,
@@ -170,10 +171,11 @@ def test_sampling_proposals_are_always_valid(inst, seed):
     proto = QoSSamplingProtocol()
     proto.reset(inst, rng)
     sat_before = state.satisfied_mask()
-    proposal = proto.propose(state, np.ones(inst.n_users, dtype=bool), rng)
-    if proposal.size:
-        assert not sat_before[proposal.users].any()
-        assert state.would_satisfy(proposal.users, proposal.targets).all()
+    users, targets, outcome = step_moves(proto, state, np.ones(inst.n_users, dtype=bool), rng)
+    assert outcome.n_attempted == outcome.n_moved == users.size
+    if users.size:
+        assert not sat_before[users].any()
+        assert state.would_satisfy(users, targets).all()
 
 
 @COMMON

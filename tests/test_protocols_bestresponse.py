@@ -15,7 +15,7 @@ from repro.registry import build_instance
 from repro.sim.engine import run
 from repro.sim.events import ResourceFailure, UserArrival
 
-from conftest import random_small_instance
+from conftest import random_small_instance, step_moves
 
 
 def run_protocol(proto, state, rng, max_steps=10_000):
@@ -109,10 +109,10 @@ def test_sweep_respects_active_mask(small_uniform, rng):
     proto.reset(small_uniform, rng)
     active = np.zeros(12, dtype=bool)
     active[0] = True
-    outcome = proto.step(state, active, rng)
-    assert outcome.n_moved <= 1
+    users, _, outcome = step_moves(proto, state, active, rng)
+    assert outcome.n_moved == users.size <= 1
     if outcome.n_moved:
-        assert list(outcome.moved_users) == [0]
+        assert users.tolist() == [0]
 
 
 def test_uniform_target_selection(small_uniform):
@@ -124,9 +124,9 @@ def test_uniform_target_selection(small_uniform):
         state = State(small_uniform, state_template)
         proto = BestResponseProtocol(greedy=False)
         proto.reset(small_uniform, rng)
-        proposal = proto.propose(state, np.ones(12, dtype=bool), rng)
-        if proposal.size:
-            seen_targets.add(int(proposal.targets[0]))
+        _, targets, _ = step_moves(proto, state, np.ones(12, dtype=bool), rng)
+        if targets.size:
+            seen_targets.add(int(targets[0]))
     # loads are (9,1,1,1): all of r1, r2, r3 satisfy (load+1 <= 4).
     assert seen_targets == {1, 2, 3}
 

@@ -22,6 +22,7 @@ from repro.registry import build_protocol
 from repro.sim.engine import run
 from repro.workloads.topology import ring_graph
 
+from conftest import step_moves
 from oracles import neighbors_of
 
 
@@ -30,10 +31,10 @@ class TestNaiveGreedy:
         state = State.worst_case_pile(small_uniform)
         proto = NaiveGreedyProtocol()
         proto.reset(small_uniform, rng)
-        proposal = proto.propose(state, np.ones(12, dtype=bool), rng)
+        outcome = proto.step(state, np.ones(12, dtype=bool), rng)
         # every mover that sampled a satisfying non-self target commits;
         # with 3 empty resources of capacity 4 and 12 users, expect many.
-        assert proposal.size >= 6
+        assert outcome.n_attempted == outcome.n_moved >= 6
 
 
 class TestBlindRandom:
@@ -41,20 +42,20 @@ class TestBlindRandom:
         state = State.worst_case_pile(small_uniform)
         proto = BlindRandomProtocol()
         proto.reset(small_uniform, rng)
-        proposal = proto.propose(state, np.ones(12, dtype=bool), rng)
-        assert proposal.size == 12  # everyone unsatisfied jumps
+        outcome = proto.step(state, np.ones(12, dtype=bool), rng)
+        assert outcome.n_attempted == 12  # everyone unsatisfied jumps
 
     def test_satisfied_users_stay(self, small_uniform, rng):
         state = State(small_uniform, np.asarray([0, 1, 2, 3] * 3))
         proto = BlindRandomProtocol()
-        assert proto.propose(state, np.ones(12, dtype=bool), rng).size == 0
+        assert proto.step(state, np.ones(12, dtype=bool), rng).n_attempted == 0
 
     def test_jump_probability(self, small_uniform):
         rng = np.random.default_rng(5)
         state = State.worst_case_pile(small_uniform)
         proto = BlindRandomProtocol(jump_p=0.25)
         total = sum(
-            proto.propose(state, np.ones(12, dtype=bool), rng).size
+            step_moves(proto, state, np.ones(12, dtype=bool), rng)[2].n_attempted
             for _ in range(200)
         )
         assert 300 < total < 900  # expectation 600
@@ -126,11 +127,10 @@ class TestNeighborhoodProtocol:
         proto.reset(inst, rng)
         state = State.worst_case_pile(inst)
         for _ in range(30):
-            proposal = proto.propose(state, np.ones(12, dtype=bool), rng)
-            for u, t in zip(proposal.users, proposal.targets):
-                own = int(state.assignment[u])
-                assert t in neighbors_of(graph, own)
+            before = state.assignment.copy()
             proto.step(state, np.ones(12, dtype=bool), rng)
+            for u in np.flatnonzero(state.assignment != before):
+                assert int(state.assignment[u]) in neighbors_of(graph, int(before[u]))
             if state.is_satisfying():
                 break
 
@@ -177,16 +177,17 @@ class TestNeighborhoodProtocol:
             assert (scalar.status, scalar.rounds, scalar.total_moves) == ("quiescent", 1, 0)
 
 
-def _propose(rate, state, seed):
-    """One synchronous sampling proposal under ``rate`` on a fresh stream."""
+def _step(rate, state, seed):
+    """One synchronous sampling step under ``rate`` on a fresh stream, on a
+    copy of ``state``: the movers, their targets and the outcome."""
     proto = QoSSamplingProtocol(rate)
     rng = np.random.default_rng(seed)
     proto.reset(state.instance, rng)
-    return proto.propose(state, np.ones(state.instance.n_users, dtype=bool), rng)
+    return step_moves(proto, state, np.ones(state.instance.n_users, dtype=bool), rng)
 
 
 def _eligible(state, seed):
-    """Movers whose probe would satisfy them, from the proposal's own target draw."""
+    """Movers whose probe would satisfy them, from the step's own target draw."""
     users = np.flatnonzero(~state.satisfied_mask())
     targets = np.random.default_rng(seed).integers(0, state.instance.n_resources, users.size)
     ok = (targets != state.assignment[users]) & state.would_satisfy(users, targets)
@@ -198,20 +199,20 @@ class TestRates:
         state = State.worst_case_pile(small_uniform)
         committed = eligible = 0
         for seed in range(500):
-            proposal = _propose(ConstantRate(0.5), state, seed)
+            moved, _, _ = _step(ConstantRate(0.5), state, seed)
             users, _ = _eligible(state, seed)
-            assert np.isin(proposal.users, users).all()
-            committed += proposal.size
+            assert np.isin(moved, users).all()
+            committed += moved.size
             eligible += users.size
         assert 0.45 < committed / eligible < 0.55  # expectation 1/2
 
     def test_constant_rate_p1_commits_all(self, small_uniform):
         state = State.worst_case_pile(small_uniform)
         for seed in range(20):
-            proposal = _propose(ConstantRate(1.0), state, seed)
+            moved, moved_to, _ = _step(ConstantRate(1.0), state, seed)
             users, targets = _eligible(state, seed)
-            assert np.array_equal(proposal.users, users)
-            assert np.array_equal(proposal.targets, targets)
+            assert np.array_equal(moved, users)
+            assert np.array_equal(moved_to, targets)
 
     def test_constant_rate_validation(self):
         with pytest.raises(ValueError):
@@ -221,37 +222,69 @@ class TestRates:
 
     def test_slack_proportional_bounds(self, small_uniform):
         state = State.worst_case_pile(small_uniform)
-        proposal = _propose(SlackProportionalRate(floor=0.1), state, 3)
+        moved, moved_to, outcome = _step(SlackProportionalRate(floor=0.1), state, 3)
         users, targets = _eligible(state, 3)
-        assert proposal.users.dtype == proposal.targets.dtype == np.int64
-        assert proposal.users.shape == proposal.targets.shape == (proposal.size,)
-        keep = np.isin(users, proposal.users)
-        assert np.array_equal(proposal.users, users[keep])
-        assert np.array_equal(proposal.targets, targets[keep])
+        assert outcome.n_attempted == outcome.n_moved == moved.size > 0
+        keep = np.isin(users, moved)
+        assert np.array_equal(moved, users[keep])
+        assert np.array_equal(moved_to, targets[keep])
+
+    @staticmethod
+    def _backoff_kernel(instance, rate, rng):
+        """The kernel of a sampling protocol under ``rate``, freshly reset:
+        the one owner of the backoff probabilities ``P``."""
+        proto = QoSSamplingProtocol(rate)
+        proto.reset(instance, rng)
+        return proto, proto._compiled
 
     def test_adaptive_backoff_punishes_collisions(self, small_uniform, rng):
-        rate = AdaptiveBackoffRate(p0=1.0, backoff=0.5)
-        rate.reset(small_uniform, rng)
+        _, kernel = self._backoff_kernel(
+            small_uniform, AdaptiveBackoffRate(p0=1.0, backoff=0.5), rng
+        )
+        assert kernel.P.shape == (1, 12) and np.all(kernel.P == 1.0)
         state = State.worst_case_pile(small_uniform)
         # Pretend users 0..5 moved and are still unsatisfied (they are: all
         # on r0 with load 12 > 4).
-        rate.observe(state, np.arange(6))
-        assert np.allclose(rate._p[:6], 0.5)
-        assert np.allclose(rate._p[6:], 1.0)
+        moved = np.arange(6)
+        t = state.assignment[moved].astype(np.int64)
+        kernel.observe_backoff(state.loads, moved, t, t)
+        assert np.allclose(kernel.P[0, :6], 0.5)
+        assert np.allclose(kernel.P[0, 6:], 1.0)
         # Quiet users recover toward 1.
-        rate.observe(state, np.arange(0))
-        assert np.allclose(rate._p[:6], 1.0)
+        none = np.arange(0)
+        kernel.observe_backoff(state.loads, none, none, none)
+        assert np.allclose(kernel.P[0, :6], 1.0)
+
+    def test_adaptive_backoff_step_punishes_exactly_the_collided(self, small_uniform):
+        """Through ``step``: from the pile with p0 = 1, the movers left
+        unsatisfied at their target back off, everyone else stays at 1."""
+        rng = np.random.default_rng(2)
+        proto, kernel = self._backoff_kernel(
+            small_uniform, AdaptiveBackoffRate(p0=1.0, backoff=0.5), rng
+        )
+        state = State.worst_case_pile(small_uniform)
+        before = state.assignment.copy()
+        proto.step(state, np.ones(12, dtype=bool), rng)
+        moved = np.flatnonzero(state.assignment != before)
+        collided = moved[~state.satisfied_mask()[moved]]
+        assert collided.size  # p = 1 from the pile overshoots on this stream
+        expected = np.ones(12)
+        expected[collided] = 0.5
+        assert np.array_equal(kernel.P[0], expected)
 
     def test_adaptive_backoff_floor(self, small_uniform, rng):
-        rate = AdaptiveBackoffRate(p0=1.0, backoff=0.01, floor=0.25)
-        rate.reset(small_uniform, rng)
+        _, kernel = self._backoff_kernel(
+            small_uniform, AdaptiveBackoffRate(p0=1.0, backoff=0.01, floor=0.25), rng
+        )
         state = State.worst_case_pile(small_uniform)
-        rate.observe(state, np.arange(12))
-        assert np.all(rate._p >= 0.25)
+        moved = np.arange(12)
+        t = state.assignment.astype(np.int64)
+        kernel.observe_backoff(state.loads, moved, t, t)
+        assert np.all(kernel.P == 0.25)
 
     def test_backoff_steps_equal_run(self):
         """N Protocol.step calls on one stream equal run(max_rounds=N): same
-        final assignment and the same per-user backoff vector on the rate."""
+        final assignment and the same per-user backoff vector in the kernel."""
         inst = Instance.identical_machines(np.full(48, 3.0), 16)
         n_rounds = 6
 
@@ -271,8 +304,8 @@ class TestRates:
             steps += 1
         assert steps == result.rounds and steps > 1
         assert np.array_equal(state.assignment, result.final_state.assignment)
-        assert np.array_equal(stepped.rate._p, via_run.rate._p)
-        assert not np.all(stepped.rate._p == 0.9)  # the vector did move
+        assert np.array_equal(stepped._compiled.P, via_run._compiled.P)
+        assert not np.all(stepped._compiled.P == 0.9)  # the vector did move
 
     def test_rate_without_kernel_rejected_at_reset(self, small_uniform, rng):
         class HalfRate(MigrationRateRule):

@@ -7,7 +7,7 @@ from repro.core.protocols.rates import ConstantRate
 from repro.core.protocols.sampling import QoSSamplingProtocol
 from repro.core.state import State
 
-from conftest import assert_valid_state
+from conftest import assert_valid_state, step_moves
 
 
 def make_protocol(p=1.0, **kwargs):
@@ -20,9 +20,11 @@ def test_satisfying_states_are_absorbing(small_uniform, rng):
     assert state.is_satisfying()
     proto = make_protocol()
     proto.reset(small_uniform, rng)
+    before = state.assignment.copy()
     for _ in range(20):
-        proposal = proto.propose(state, np.ones(12, dtype=bool), rng)
-        assert proposal.size == 0
+        outcome = proto.step(state, np.ones(12, dtype=bool), rng)
+        assert outcome.n_attempted == outcome.n_moved == 0
+    assert np.array_equal(state.assignment, before)
 
 
 def test_only_unsatisfied_users_propose(small_uniform, rng):
@@ -30,8 +32,8 @@ def test_only_unsatisfied_users_propose(small_uniform, rng):
     proto = make_protocol()
     proto.reset(small_uniform, rng)
     for _ in range(30):
-        proposal = proto.propose(state, np.ones(12, dtype=bool), rng)
-        assert set(proposal.users).issubset(set(range(6)))
+        users, _, _ = step_moves(proto, state, np.ones(12, dtype=bool), rng)
+        assert set(users.tolist()).issubset(set(range(6)))
 
 
 def test_proposals_pass_conservative_check(small_uniform, rng):
@@ -39,11 +41,11 @@ def test_proposals_pass_conservative_check(small_uniform, rng):
     proto = make_protocol()
     proto.reset(small_uniform, rng)
     for _ in range(30):
-        proposal = proto.propose(state, np.ones(12, dtype=bool), rng)
-        if proposal.size:
-            ok = state.would_satisfy(proposal.users, proposal.targets)
-            assert ok.all()
-            assert (proposal.targets != state.assignment[proposal.users]).all()
+        users, targets, outcome = step_moves(proto, state, np.ones(12, dtype=bool), rng)
+        # every commit is a real move to a target that passed the check
+        assert outcome.n_attempted == outcome.n_moved == users.size
+        if users.size:
+            assert state.would_satisfy(users, targets).all()
 
 
 def test_active_mask_respected(small_uniform, rng):
@@ -53,8 +55,8 @@ def test_active_mask_respected(small_uniform, rng):
     active = np.zeros(12, dtype=bool)
     active[:3] = True
     for _ in range(20):
-        proposal = proto.propose(state, active, rng)
-        assert set(proposal.users).issubset({0, 1, 2})
+        users, _, _ = step_moves(proto, state, active, rng)
+        assert set(users.tolist()).issubset({0, 1, 2})
 
 
 def test_rate_damping_thins_proposals(small_uniform):
@@ -66,7 +68,7 @@ def test_rate_damping_thins_proposals(small_uniform):
         proto.reset(small_uniform, rng)
         total = 0
         for _ in range(200):
-            total += proto.propose(state, np.ones(12, dtype=bool), rng).size
+            total += step_moves(proto, state, np.ones(12, dtype=bool), rng)[2].n_attempted
         counts[p] = total
     assert counts[0.25] < 0.5 * counts[1.0]
 
@@ -108,7 +110,7 @@ def test_resample_on_self_reduces_wasted_probes(small_uniform):
         proto.reset(small_uniform, rng)
         state = State.worst_case_pile(small_uniform)
         totals[flag] = sum(
-            proto.propose(state, np.ones(12, dtype=bool), rng).size
+            step_moves(proto, state, np.ones(12, dtype=bool), rng)[2].n_attempted
             for _ in range(300)
         )
     assert totals[True] >= totals[False]

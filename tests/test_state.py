@@ -286,6 +286,25 @@ def test_worst_case_pile_with_access():
     assert state.assignment[1] == 1
 
 
+@pytest.mark.parametrize("generator", ["random_access", "sparse_access"])
+@pytest.mark.parametrize("resource", [0, 5, 15])
+def test_worst_case_pile_with_access_matches_per_user_rule(generator, resource):
+    """Every user piles on ``resource`` when its slice holds it, else on its
+    smallest accessible resource — checked user by user."""
+    from repro.registry import build_instance
+
+    inst = build_instance(generator, n=300, m=16, degree=3, rng=4)
+    access = inst.access
+    expected = [
+        resource if resource in access.allowed(u) else int(access.allowed(u)[0])
+        for u in range(inst.n_users)
+    ]
+    state = State.worst_case_pile(inst, resource=resource)
+    assert state.assignment.tolist() == expected
+    assert 0 < expected.count(resource) < inst.n_users  # both branches taken
+    assert_valid_state(state)
+
+
 def test_copy_is_independent(small_uniform):
     state = State(small_uniform, np.asarray([0] * 12))
     clone = state.copy()
